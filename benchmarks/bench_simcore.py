@@ -42,8 +42,8 @@ window is a delivering steady state, not a TTL drop storm. Every leg
 reaches convergence through :func:`repro.core.warmstart.ensure_warm`:
 the first leg per mesh size *constructs* the converged state directly
 from the topology spec (the uniform overlay carrier profile makes
-that legal — the organic storm on the multi-fiber mesh would take
-hours at n=1000) and captures a snapshot into the shared store; every
+that legal — the organic storm on the multi-fiber mesh is 4.5 M events,
+~105 s at n=1000) and captures a snapshot into the shared store; every
 later leg restores it (seq-exact for the exact engines — the columnar
 leg's measured-window trace is asserted byte-identical to the packet
 leg's). After warming, every leg pre-fills the underlay's lazy
@@ -53,7 +53,7 @@ inside the measured window that organically-warmed runs pay during
 warm-up. Every leg records its ``warm_source`` (organic / snapshot /
 constructed) and snapshot build/restore walls in
 ``BENCH_simcore.json``; when a run does pay an organic storm, the
-restore-vs-storm ratio is gated >= 30x at n=1000.
+restore-vs-storm ratio is gated >= 2x at n=1000 (``WARM_GATE_N1000``).
 
 The ``vectorized`` scaling leg is the approximate numpy settlement
 tier (``columnar_vectorized=True``, window ``SCALE_VEC_WINDOW``): it
@@ -124,6 +124,13 @@ QUICK_RUN_TIME = 6.0
 #: ``warm_wall_s``/``warm_events``, it is *not* part of the measured
 #: steady-state window).
 SCALE_LEGS = ((100, 10.0, 2.0), (300, 3.0, 2.0), (1000, 2.0, 2.5))
+#: Full-run gate on restore-vs-organic-storm wall clock at n=1000. It
+#: was 30x while the storm was an unpacked per-record flood; packed
+#: (DESIGN.md "State flood packing") the storm measures 105.5 s against
+#: a 33.3 s restore (3.2x; 7.2x at n=300, 8.6 s vs 1.2 s) on a 2-vCPU
+#: 2.1 GHz Xeon VM — restore recomputes n^2 content digests, the storm
+#: no longer dwarfs it.
+WARM_GATE_N1000 = 2.0
 #: CI smoke coverage: columnar round trip + vectorized leg at n=300.
 SCALE_QUICK_LEGS = ((300, 3.0, 2.0),)
 SCALE_ENGINES = ("packet", "columnar", "vectorized", "fluid")
@@ -336,11 +343,11 @@ def _scaling_leg(engine: str, n_nodes: int, run_time: float, warmup: float,
     profile precisely so construction is legal) and captures it into
     the store for every later leg (and run). Only when both snapshot
     and construction are unavailable does a leg pay the organic storm
-    (at n=1000 the multi-fiber mesh makes that storm prohibitively
-    expensive — hence the constructed path is the designed-for warm
-    source). The returned dict carries the warm-phase provenance and
-    wall costs; ``"deliveries"`` is the measured-window trace for
-    identity asserts (popped before the table is persisted).
+    (at n=1000 on the multi-fiber mesh that is ~105 s — the
+    constructed path is the designed-for warm source). The returned
+    dict carries the warm-phase provenance and wall costs;
+    ``"deliveries"`` is the measured-window trace for identity asserts
+    (popped before the table is persisted).
     """
     key = _scale_warm_key(n_nodes, warmup, fingerprint)
     with bench_phase("warmup"):
@@ -694,7 +701,7 @@ def _check_shape(result: dict) -> None:
             assert abs(vec["delivered"] - exact["delivered"]) <= max(
                 10, 0.05 * exact["delivered"]), entry
     # Warm-start: restoring (or constructing) convergence must beat
-    # re-running the storm (soft here; the >= 30x n=1000 gate is
+    # re-running the storm (soft here; the WARM_GATE_N1000 gate is
     # asserted by full `__main__` runs on a quiet machine).
     for name, value in result["scaling_summary"].items():
         if name.startswith("warmstart_speedup_n"):
@@ -773,9 +780,9 @@ if __name__ == "__main__":
         # point of constructed convergence on the multi-fiber mesh).
         warm1000 = result["scaling_summary"].get("warmstart_speedup_n1000")
         if warm1000 is not None:
-            assert warm1000 >= 30.0, (
-                f"expected >= 30x n=1000 warm-phase speedup from the "
-                f"convergence snapshot, got {warm1000}"
+            assert warm1000 >= WARM_GATE_N1000, (
+                f"expected >= {WARM_GATE_N1000}x n=1000 warm-phase speedup "
+                f"from the convergence snapshot, got {warm1000}"
             )
         vec1000 = result["scaling_summary"].get("vectorized_vs_packet_n1000")
         assert vec1000 is not None and vec1000 >= 3.0, (

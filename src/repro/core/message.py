@@ -13,10 +13,12 @@ self-describing, carrying its :class:`ServiceSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Mapping
 
 #: Bytes of overlay header per message on the wire.
 OVERLAY_HEADER_BYTES = 32
+#: Bytes of link-level header per frame on the wire.
+LINK_HEADER_BYTES = 16
 
 MCAST_PREFIX = "mcast:"
 ACAST_PREFIX = "acast:"
@@ -206,7 +208,7 @@ class Frame:
     def wire_size(self) -> int:
         if self.wire_override is not None:
             return self.wire_override
-        base = 16  # link-level header
+        base = LINK_HEADER_BYTES
         if self.msg is not None:
             return base + self.msg.wire_size
         # Control frames: 8 bytes per info entry, where a nested mapping
@@ -217,6 +219,15 @@ class Frame:
             if type(value) is dict:
                 entries += len(value) - 1
         return base + 8 * max(1, entries)
+
+
+def state_record_bytes(kind: str, info: Mapping) -> int:
+    """Wire bytes of one shared-state record inside a ``state`` control
+    frame: 8 B per scalar — origin, seq, and one per neighbour cost
+    (``lsu``) or group name (``gsu``). The link header is paid once per
+    frame, so a frame costs ``LINK_HEADER_BYTES`` + the sum of these."""
+    body = info["costs"] if kind == "lsu" else info["groups"]
+    return 8 * (2 + len(body))
 
 
 def flow_id(src: Address, dst: Address, service: ServiceSpec) -> str:

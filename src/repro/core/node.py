@@ -13,6 +13,11 @@ per-node processing delay, and adversary interception.
 This module keeps the *control plane*: hello-driven link state, LSU/GSU
 origination and flooding, database sync on adjacency bring-up, crash /
 recovery, and the (neighbor, protocol) instance registry.
+
+Shared state travels packed (DESIGN.md "State flood packing"): flooding
+and database sync only *queue* records into a per-neighbour outbox, and
+one zero-delay flush per node per simulated instant packs each outbox
+into ``state`` control frames of at most :data:`STATE_FRAME_BYTES`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,12 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.link import OverlayLink
 from repro.core.flows import FlowTable
 from repro.core.linkstate import DedupCache, GroupDatabase, TopologyDatabase
-from repro.core.message import Frame, OverlayMessage
+from repro.core.message import (
+    LINK_HEADER_BYTES,
+    Frame,
+    OverlayMessage,
+    state_record_bytes,
+)
 from repro.core.pipeline import DataPlane
 from repro.core.routing import RoutingService
 from repro.core.session import SessionManager
@@ -34,6 +44,26 @@ DoneFn = Callable[[], None]
 
 #: Interval for checking advertised-vs-measured link cost drift.
 METRIC_CHECK_INTERVAL = 1.0
+
+#: Largest ``state`` control frame on the wire, link header included
+#: (one underlay MTU's worth of records, as Spines packs them). A single
+#: record larger than this still travels, alone in its frame.
+STATE_FRAME_BYTES = 1400
+
+
+def _pack(pending: dict[tuple[str, str], dict]):
+    """Split one outbox, in queueing order, into ``(records, wire
+    bytes)`` bundles that respect :data:`STATE_FRAME_BYTES`."""
+    batch: list[tuple[str, dict]] = []
+    size = LINK_HEADER_BYTES
+    for (kind, __), info in pending.items():
+        nbytes = state_record_bytes(kind, info)
+        if batch and size + nbytes > STATE_FRAME_BYTES:
+            yield batch, size
+            batch, size = [], LINK_HEADER_BYTES
+        batch.append((kind, info))
+        size += nbytes
+    yield batch, size
 
 
 class OverlayNode:
@@ -66,6 +96,13 @@ class OverlayNode:
         #: The data-plane stack (classify/decide/dispatch/deliver) with
         #: its fingerprint-invalidated forwarding cache.
         self.pipeline = DataPlane(self)
+
+        #: Shared-state records waiting for this instant's flush:
+        #: ``{neighbor: {(kind, origin): info}}`` — a later record of the
+        #: same kind and origin replaces the earlier one in place.
+        self._outbox: dict[str, dict[tuple[str, str], dict]] = {}
+        self._flush_armed = False
+        self._superseded = 0
 
         self._lsu_seq = 0
         self._gsu_seq = 0
@@ -128,32 +165,81 @@ class OverlayNode:
         self._lsu_seq += 1
         costs = {nbr: link.cost() for nbr, link in self.links.items()}
         self._advertised = dict(costs)
-        fluid = self.network.internet.fluid_listeners
-        before = self.topo_db.fingerprint if fluid else 0
-        self.topo_db.update(self.id, self._lsu_seq, costs)
-        if fluid and self.topo_db.fingerprint != before:
-            self.network.internet._poke_fluid("lsu")
-        self._flood("lsu", {"origin": self.id, "seq": self._lsu_seq, "costs": costs})
+        info = {"origin": self.id, "seq": self._lsu_seq, "costs": costs}
+        self._apply("lsu", info)
+        self._flood("lsu", info)
 
     def originate_gsu(self) -> None:
         """Flood this node's group-interest record (Group State)."""
         self._gsu_seq += 1
         groups = sorted(self.session.local_groups())
-        fluid = self.network.internet.fluid_listeners
-        before = self.group_db.fingerprint if fluid else 0
-        self.group_db.update(self.id, self._gsu_seq, groups)
-        if fluid and self.group_db.fingerprint != before:
-            self.network.internet._poke_fluid("gsu")
-        self._flood("gsu", {"origin": self.id, "seq": self._gsu_seq, "groups": groups})
+        info = {"origin": self.id, "seq": self._gsu_seq, "groups": groups}
+        self._apply("gsu", info)
+        self._flood("gsu", info)
 
-    def _flood(self, ftype: str, info: dict, exclude: str | None = None) -> None:
-        for nbr, link in self.links.items():
-            if nbr == exclude:
-                continue
-            link.transmit(
-                Frame(proto="control", ftype=ftype, src_node=self.id,
-                      dst_node=nbr, info=info)
-            )
+    def _apply(self, kind: str, info: dict) -> bool:
+        """Fold one shared-state record into the local replica; True if
+        it was new (should re-flood)."""
+        if kind == "lsu":
+            db, body = self.topo_db, info["costs"]
+        else:
+            db, body = self.group_db, info["groups"]
+        fluid = self.network.internet.fluid_listeners
+        before = db.fingerprint if fluid else 0
+        accepted = db.update(info["origin"], info["seq"], body)
+        # Content (not just version) moved: the forwarding-cache
+        # generation this node's fluid path assignments were resolved
+        # under is stale — same invalidation moment the packet pipeline
+        # sees (a fluid re-solve boundary).
+        if accepted and fluid and db.fingerprint != before:
+            self.network.internet._poke_fluid(kind)
+        return accepted
+
+    def _flood(self, kind: str, info: dict, exclude: str | None = None) -> None:
+        for nbr in self.links:
+            if nbr != exclude:
+                self._queue(nbr, kind, info)
+
+    def _queue(self, nbr: str, kind: str, info: dict) -> None:
+        """Put one record into ``nbr``'s outbox and make sure this
+        instant's flush is scheduled. The flush is armed when the first
+        record is queued, so it fires after every delivery already
+        queued for this instant and the bundle leaves at the simulated
+        time the individual records would have."""
+        if self.crashed:
+            return
+        pending = self._outbox.get(nbr)
+        if pending is None:
+            pending = self._outbox[nbr] = {}
+        key = (kind, info["origin"])
+        if key in pending:
+            self._superseded += 1
+        pending[key] = info
+        if not self._flush_armed:
+            self._flush_armed = True
+            self.sim.schedule(0.0, self._flush)
+
+    def _flush(self) -> None:
+        """Pack every outbox into ``state`` frames of at most
+        :data:`STATE_FRAME_BYTES` and transmit them."""
+        self._flush_armed = False
+        outbox, self._outbox = self._outbox, {}
+        records = frames = 0
+        for nbr, pending in outbox.items():
+            link = self.links[nbr]
+            for batch, size in _pack(pending):
+                link.transmit(Frame(
+                    proto="control", ftype="state", src_node=self.id,
+                    dst_node=nbr, info={"records": batch}, wire_override=size,
+                ))
+                frames += 1
+            records += len(pending)
+        if frames:
+            self.counters.add("flood.records", records)
+            self.counters.add("flood.frames", frames)
+        if self._superseded:
+            self.counters.add("flood.superseded", self._superseded)
+            self._superseded = 0
 
     def _on_link_state_change(self, link: OverlayLink) -> None:
         self.counters.add(f"link-{'up' if link.up else 'down'}")
@@ -167,20 +253,17 @@ class OverlayNode:
             self._sync_neighbor(link)
 
     def _sync_neighbor(self, link: OverlayLink) -> None:
+        nbr = link.nbr_id
         for origin in self.topo_db.origins():
-            link.transmit(Frame(
-                proto="control", ftype="lsu", src_node=self.id,
-                dst_node=link.nbr_id,
-                info={"origin": origin, "seq": self.topo_db.seq(origin),
-                      "costs": self.topo_db.record(origin)},
-            ))
+            self._queue(nbr, "lsu", {
+                "origin": origin, "seq": self.topo_db.seq(origin),
+                "costs": self.topo_db.record(origin),
+            })
         for origin in self.group_db.origins():
-            link.transmit(Frame(
-                proto="control", ftype="gsu", src_node=self.id,
-                dst_node=link.nbr_id,
-                info={"origin": origin, "seq": self.group_db.seq(origin),
-                      "groups": sorted(self.group_db.groups_of(origin))},
-            ))
+            self._queue(nbr, "gsu", {
+                "origin": origin, "seq": self.group_db.seq(origin),
+                "groups": sorted(self.group_db.groups_of(origin)),
+            })
 
     # ------------------------------------------------- warm-start support
 
@@ -216,6 +299,7 @@ class OverlayNode:
         within the hello-miss budget and the overlay routes around it;
         :meth:`recover` brings the node back with fresh state."""
         self.crashed = True
+        self._outbox.clear()  # queued records die with the daemon
         for link in self.links.values():
             link.muted = True
 
@@ -263,26 +347,12 @@ class OverlayNode:
             link = self.links.get(frame.src_node)
             if link is not None:
                 link.on_hello(frame.info)
-        elif frame.ftype == "lsu":
-            info = frame.info
-            fluid = self.network.internet.fluid_listeners
-            before = self.topo_db.fingerprint if fluid else 0
-            if self.topo_db.update(info["origin"], info["seq"], info["costs"]):
-                # Content (not just version) moved: the forwarding-cache
-                # generation this node's fluid path assignments were
-                # resolved under is stale — same invalidation moment the
-                # packet pipeline sees (a fluid re-solve boundary).
-                if fluid and self.topo_db.fingerprint != before:
-                    self.network.internet._poke_fluid("lsu")
-                self._flood("lsu", info, exclude=frame.src_node)
-        elif frame.ftype == "gsu":
-            info = frame.info
-            fluid = self.network.internet.fluid_listeners
-            before = self.group_db.fingerprint if fluid else 0
-            if self.group_db.update(info["origin"], info["seq"], info["groups"]):
-                if fluid and self.group_db.fingerprint != before:
-                    self.network.internet._poke_fluid("gsu")
-                self._flood("gsu", info, exclude=frame.src_node)
+        elif frame.ftype == "state":
+            for kind, info in frame.info["records"]:
+                if kind not in ("lsu", "gsu"):
+                    self.counters.add("unknown-control")
+                elif self._apply(kind, info):
+                    self._flood(kind, info, exclude=frame.src_node)
         else:
             self.counters.add("unknown-control")
 

@@ -25,6 +25,16 @@ def _authed_triangle(seed=901):
     return sim, overlay, keystore
 
 
+def _forged_lsu(auth=None):
+    """A one-record ``state`` bundle claiming to come from hx and to
+    carry hx's link-state record at a sequence number far ahead."""
+    return Frame(
+        proto="control", ftype="state", src_node="hx", dst_node="hz",
+        info={"records": [("lsu", {"origin": "hx", "seq": 999, "costs": {}})]},
+        auth=auth,
+    )
+
+
 def test_authenticated_overlay_converges_and_delivers():
     sim, overlay, __ = _authed_triangle()
     assert overlay.converged()
@@ -38,48 +48,47 @@ def test_authenticated_overlay_converges_and_delivers():
 
 def test_unsigned_injection_is_rejected():
     """An off-overlay attacker who reaches a daemon cannot inject."""
-    sim, overlay, __ = _authed_triangle(902)
+    sim, overlay, keystore = _authed_triangle(902)
     node = overlay.nodes["hz"]
-    forged = Frame(proto="control", ftype="lsu", src_node="hx", dst_node="hz",
-                   info={"origin": "hx", "seq": 999, "costs": {}})
-    node.receive_frame(forged)
+    node.receive_frame(_forged_lsu())
     assert overlay.counters.get("auth-rejected") == 1
     assert node.topo_db.seq("hx") != 999
+    # Control: the same bundle signed by hx itself is believed, so the
+    # forgeries below are refused for their signature, not their shape.
+    node.receive_frame(_forged_lsu(keystore.sign("hx", ("control", "state", 0))))
+    assert overlay.counters.get("auth-rejected") == 1
+    assert node.topo_db.seq("hx") == 999
 
 
 def test_forged_signature_is_rejected():
     """A fabricated signer object for a real identity does not verify."""
     sim, overlay, __ = _authed_triangle(903)
     node = overlay.nodes["hz"]
-    fake_token = AuthToken(_Signer("hx"), ("control", "lsu", 0))
-    forged = Frame(proto="control", ftype="lsu", src_node="hx", dst_node="hz",
-                   info={"origin": "hx", "seq": 999, "costs": {}},
-                   auth=fake_token)
-    node.receive_frame(forged)
+    fake_token = AuthToken(_Signer("hx"), ("control", "state", 0))
+    node.receive_frame(_forged_lsu(fake_token))
     assert overlay.counters.get("auth-rejected") == 1
+    assert node.topo_db.seq("hx") != 999
 
 
 def test_stolen_token_does_not_transfer_to_other_content():
-    """Replaying node hx's hello signature on an LSU fails (the token
-    binds to the frame's content)."""
+    """Replaying node hx's hello signature on a state bundle fails (the
+    token binds to the frame's content)."""
     sim, overlay, keystore = _authed_triangle(904)
     node = overlay.nodes["hz"]
     stolen = keystore.sign("hx", ("control", "hello", 0))
-    forged = Frame(proto="control", ftype="lsu", src_node="hx", dst_node="hz",
-                   info={"origin": "hx", "seq": 999, "costs": {}}, auth=stolen)
-    node.receive_frame(forged)
+    node.receive_frame(_forged_lsu(stolen))
     assert overlay.counters.get("auth-rejected") == 1
+    assert node.topo_db.seq("hx") != 999
 
 
 def test_identity_mismatch_rejected():
     """A valid token by hy cannot authenticate a frame claiming hx."""
     sim, overlay, keystore = _authed_triangle(905)
     node = overlay.nodes["hz"]
-    token = keystore.sign("hy", ("control", "lsu", 0))
-    forged = Frame(proto="control", ftype="lsu", src_node="hx", dst_node="hz",
-                   info={"origin": "hx", "seq": 999, "costs": {}}, auth=token)
-    node.receive_frame(forged)
+    token = keystore.sign("hy", ("control", "state", 0))
+    node.receive_frame(_forged_lsu(token))
     assert overlay.counters.get("auth-rejected") == 1
+    assert node.topo_db.seq("hx") != 999
 
 
 def test_compromised_node_passes_authentication():

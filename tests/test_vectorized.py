@@ -551,6 +551,12 @@ def test_vectorized_counters_conserved():
     assert sent == delivered + dropped
 
 
+#: Sampled window of the statistical comparison, in simulated seconds
+#: (20 pps: 600 messages per flow). See the property's docstring for why
+#: it is this long.
+STAT_SECONDS = 30.0
+
+
 def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
     sim = Simulator(columnar=True)
     rngs = RngRegistry(2024)
@@ -608,9 +614,9 @@ def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
             overlay.client(f"h{sink}", 7)
         sources.append(CbrSource(
             sim, overlay.client(f"h{src}"), Address(f"h{sink}", 7),
-            rate_pps=20.0, duration=6.0,
+            rate_pps=20.0, duration=STAT_SECONDS,
         ).start())
-    sim.run(until=start + 7.0)
+    sim.run(until=start + STAT_SECONDS + 1.0)
     return {
         source.flow: flow_stats(overlay.trace, source.flow,
                                 f"h{sink}:7", after=start)
@@ -646,7 +652,21 @@ def test_vectorized_matches_exact_statistically(
     With ``spaced`` set, the overlay links span multi-fiber underlay
     transits, so the comparison covers the path fast-forward; its
     alternate routes differ by up to two fibers, widening the lossy
-    latency allowance accordingly."""
+    latency allowance accordingly.
+
+    The sampled window is ``STAT_SECONDS`` = 30 s because the two legs
+    are two independent loss realizations and the delivery tolerance
+    must cover their sampling noise, not only tier drift. Under the
+    Gilbert–Elliott stacks here (``mean_bad`` 0.05 s at 20 pps, total
+    loss in the bad state) one burst swallows whole packets in a row,
+    and a path sees a burst every second or so: over the 6 s / 121
+    messages this test first sampled, one leg alone ranged 0.934–1.0
+    across seeds on the (n=11, chord=2, GE, spaced) example, so two
+    legs could sit 0.066 apart by luck (they did, once the packed
+    state flood shifted the per-fiber draw order). Over 600 messages a
+    single burst would have to last 1.5 s (thirty mean bursts) to
+    reach the 0.05 tolerance by itself, and the same example's
+    per-leg range shrinks to 0.956–0.987."""
     exact = _stat_leg(False, n, chord, loss_kind, window, spaced)
     vectorized = _stat_leg(True, n, chord, loss_kind, window, spaced)
     delivery_tol = DELIVERY_TOL_LOSSY if loss_kind else DELIVERY_TOL
