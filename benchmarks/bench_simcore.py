@@ -1,32 +1,21 @@
-"""Simulator-core throughput: timer recycling + control-plane fast path.
+"""Simulator-core throughput: the two event engines, and the tiers
+built on them, at scale.
+
+The recycled heap (the default ``Simulator()``) is the one exact
+engine: the slot-bucket wheel ties or loses to it at every size
+measured and exists as the batched tier's substrate (DESIGN.md,
+"Event engines").
 
 Steady state is where the simulator lives: a 16-node overlay (ring +
 chords, one ISP) with every link endpoint probing two carriers at 10 Hz
 plus check ticks, LSU refreshes, and reliable-protocol ack timers. No
 churn, no loss — the wall clock is pure event-engine and control-plane
-cost, which is exactly what PR 3 attacks:
-
-* **baseline** — ``Simulator(recycle_timers=False)`` (every periodic
-  firing allocates a fresh chained one-shot ``Event``, every datagram
-  hop a fresh continuation event) combined with
-  ``OverlayConfig(control_fastpath=False)`` (a new delivery lambda per
-  frame, per-frame carrier resolution, a fresh hello feedback dict per
-  tick) — the pre-PR cost model;
-* **fast** — the defaults: periodic timers recycle one heap entry
-  across firings, datagram hop chains recycle one continuation event,
-  and the hello hot path reuses its pre-bound callback / pre-resolved
-  channel / version-stamped feedback snapshot;
-* **columnar** — ``Simulator(columnar=True)`` +
-  ``OverlayConfig(columnar=True)``: the event queue holds one heap
-  entry per distinct instant (a slot bucket) and the underlay
-  amortizes per-link work across same-instant crossings (see
-  DESIGN.md, "Columnar data plane").
-
-All modes allocate event sequence numbers at identical points, so the
-delivery traces must be **byte-identical** — recycling and batching
-change where objects come from and how the queue is organized, never
-what happens. The run writes ``BENCH_simcore.json`` next to the repo
-root so the perf trajectory is tracked from this PR onward.
+cost. The n=16 table runs it on the **heap** and on the **wheel**
+(``Simulator(columnar=True)`` + ``OverlayConfig(columnar=True)``, one
+heap entry per distinct instant): both allocate event sequence numbers
+at identical points, so the delivery traces are asserted
+**byte-identical**; the wall clocks are reported, not gated. The run
+writes ``BENCH_simcore.json`` next to the repo root.
 
 The scaling table (``SCALE_LEGS``) runs the same 64-flow CBR fleet at
 n=100/300/1000, once per engine (packet / columnar / vectorized /
@@ -68,17 +57,13 @@ calibration deltas (``vector_calibration``,
 :mod:`repro.analysis.calibrate`) that bound what the approximation
 costs in fidelity.
 
-Expected shape: byte-identical traces, ``timer.fired`` ==
-``timer.fired`` across modes, fewer live allocation blocks in fast
-mode, and (asserted in full ``__main__`` runs only, to keep CI smoke
-deterministic) >= 1.4x wall-clock speedup.
+Expected shape: byte-identical traces and equal ``timer.fired`` on
+both engines.
 """
 
-import gc
 import json
 import os
 import time
-import tracemalloc
 
 from repro.core.config import OverlayConfig
 from repro.core.message import Address
@@ -172,14 +157,13 @@ def _mesh_internet(sim, rngs):
     return inet
 
 
-def _run_once(fast: bool, run_time: float, trace_allocs: bool = False,
-              columnar: bool = False) -> dict:
-    sim = Simulator(recycle_timers=fast, columnar=columnar)
+def _run_once(columnar: bool, run_time: float) -> dict:
+    sim = Simulator(columnar=columnar)
     rngs = RngRegistry(SEED)
     internet = _mesh_internet(sim, rngs)
     sites = [f"n{i:02d}" for i in range(N_NODES)]
     links = [(f"n{a[1:]}", f"n{b[1:]}") for a, b in FIBERS]
-    config = OverlayConfig(control_fastpath=fast, columnar=columnar)
+    config = OverlayConfig(columnar=columnar)
     overlay = OverlayNetwork(internet, sites, links, config)
     with bench_phase("warmup"):
         overlay.warm_up(2.0)
@@ -193,7 +177,7 @@ def _run_once(fast: bool, run_time: float, trace_allocs: bool = False,
 
     # A handful of CBR flows keeps the reliable-protocol ack/tail timers
     # and the data plane alive; the bulk of the event volume is still
-    # the control plane's periodic machinery — the target of this PR.
+    # the control plane's periodic machinery.
     for src, sink in (("n00", "n08"), ("n03", "n11"), ("n05", "n13"),
                       ("n10", "n02")):
         overlay.client(sink, 7, on_message=receiver(sink))
@@ -201,25 +185,10 @@ def _run_once(fast: bool, run_time: float, trace_allocs: bool = False,
                   rate_pps=RATE_PPS).start()
 
     events_before = sim.events_processed
-    if trace_allocs:
-        tracemalloc.start()
     with bench_phase("measured"):
         started = time.perf_counter()
         sim.run(until=sim.now + run_time)
         wall = time.perf_counter() - started
-    if trace_allocs:
-        # Collect cyclic garbage first so "live blocks" measures what
-        # the run actually keeps, not what gc has not swept yet (the
-        # sweep timing otherwise varies with everything run earlier in
-        # the process).
-        gc.collect()
-        snapshot = tracemalloc.take_snapshot()
-        __, alloc_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        alloc_blocks = sum(stat.count for stat in snapshot.statistics("filename"))
-    else:
-        alloc_peak = 0
-        alloc_blocks = 0
 
     events = sim.events_processed - events_before
     stats = sim.timer_stats()
@@ -229,8 +198,6 @@ def _run_once(fast: bool, run_time: float, trace_allocs: bool = False,
         "events_per_s": events / wall if wall > 0 else 0.0,
         "timer_fired": stats["timer.fired"],
         "timer_rearmed": stats["timer.rearmed"],
-        "alloc_peak_kb": alloc_peak / 1024.0,
-        "alloc_blocks": alloc_blocks,
         "deliveries": deliveries,
     }
 
@@ -329,8 +296,8 @@ def _prime_tables(overlay: OverlayNetwork) -> None:
 def _scaling_leg(engine: str, n_nodes: int, run_time: float, warmup: float,
                  store=None, fingerprint: str = "") -> dict:
     """One scaling leg: the same flow fleet on one engine —
-    ``"packet"`` (per-datagram heap events), ``"columnar"`` (slot-bucket
-    wheel + per-instant link profiles, byte-identical traces),
+    ``"packet"`` (per-datagram heap events), ``"columnar"`` (the
+    slot-bucket wheel at window 0, byte-identical traces),
     ``"vectorized"`` (approximate numpy bulk settlement, statistically
     calibrated), or ``"fluid"`` (flow-level rate intervals over the
     packet control plane).
@@ -561,60 +528,32 @@ def _vector_calibration_block(run_time: float) -> dict:
     return block
 
 
-def run_simcore(run_time: float = RUN_TIME, alloc_time: float = 4.0,
-                repeats: int = 3, quick: bool = False) -> dict:
-    # Timing legs first (no tracemalloc — it would dominate the cost),
-    # then short instrumented legs for the allocation story. Wall time
-    # is best-of-``repeats``, legs interleaved, so an OS scheduling
-    # hiccup costs one sample rather than skewing one whole mode —
-    # every leg is deterministic, so min is the honest estimator.
-    baseline = _run_once(False, run_time)
-    fast = _run_once(True, run_time)
+def run_simcore(run_time: float = RUN_TIME, repeats: int = 3,
+                quick: bool = False) -> dict:
+    # Wall time is best-of-``repeats``, legs interleaved, so an OS
+    # scheduling hiccup costs one sample rather than skewing one whole
+    # engine — every leg is deterministic, so min is the honest
+    # estimator.
+    heap = _run_once(False, run_time)
+    wheel = _run_once(True, run_time)
     assert_identical(
-        fast["deliveries"], baseline["deliveries"], label="deliveries",
-        header="timer recycling / control fast path changed behaviour — "
-        "delivery traces must be byte-identical",
+        wheel["deliveries"], heap["deliveries"], label="deliveries",
+        header="the wheel changed behaviour — delivery traces must be "
+        "byte-identical with the heap (columnar=False)",
     )
-    assert fast["timer_fired"] == baseline["timer_fired"], (
-        "both modes must fire the same periodic timers the same "
-        "number of times"
-    )
-    # The columnar data plane must be invisible in behaviour at n=16:
-    # byte-identical deliveries, identical timer firings, and (gated
-    # softly in _check_shape) no wall-clock regression against the
-    # per-packet fast path.
-    columnar = _run_once(True, run_time, columnar=True)
-    assert_identical(
-        columnar["deliveries"], baseline["deliveries"], label="deliveries",
-        header="columnar data plane changed behaviour — delivery traces "
-        "must be byte-identical with columnar=False",
-    )
-    assert columnar["timer_fired"] == baseline["timer_fired"], (
+    assert wheel["timer_fired"] == heap["timer_fired"], (
         "the slot-bucket wheel must fire the same periodic timers the "
         "same number of times as the heap engine"
     )
-    base_wall = baseline["wall_s"]
-    fast_wall = fast["wall_s"]
-    col_wall = columnar["wall_s"]
+    wall = {False: heap["wall_s"], True: wheel["wall_s"]}
     for _ in range(repeats - 1):
-        again = _run_once(False, run_time)
-        assert_identical(again["deliveries"], baseline["deliveries"],
-                         label="deliveries",
-                         header="baseline repeat run diverged from itself")
-        base_wall = min(base_wall, again["wall_s"])
-        again = _run_once(True, run_time)
-        assert_identical(again["deliveries"], baseline["deliveries"],
-                         label="deliveries",
-                         header="fast repeat run diverged from the baseline")
-        fast_wall = min(fast_wall, again["wall_s"])
-        again = _run_once(True, run_time, columnar=True)
-        assert_identical(again["deliveries"], baseline["deliveries"],
-                         label="deliveries",
-                         header="columnar repeat run diverged from the "
-                         "baseline")
-        col_wall = min(col_wall, again["wall_s"])
-    alloc_baseline = _run_once(False, alloc_time, trace_allocs=True)
-    alloc_fast = _run_once(True, alloc_time, trace_allocs=True)
+        for columnar in (False, True):
+            again = _run_once(columnar, run_time)
+            assert_identical(again["deliveries"], heap["deliveries"],
+                             label="deliveries",
+                             header="repeat run diverged from the first "
+                             "heap run")
+            wall[columnar] = min(wall[columnar], again["wall_s"])
     scaling = run_scaling(quick=quick)
     summary = _scaling_summary(scaling)
     vector_calibration = _vector_calibration_block(
@@ -633,21 +572,14 @@ def run_simcore(run_time: float = RUN_TIME, alloc_time: float = 4.0,
         "scaling_summary": summary,
         "vector_calibration": vector_calibration,
         "run_time_s": run_time,
-        "delivered_msgs": len(fast["deliveries"]),
-        "events": fast["events"],
-        "baseline_wall_s": base_wall,
-        "fast_wall_s": fast_wall,
-        "speedup": base_wall / fast_wall,
-        "baseline_events_per_s": baseline["events"] / base_wall,
-        "fast_events_per_s": fast["events"] / fast_wall,
-        "columnar_wall_s": col_wall,
-        "columnar_events_per_s": columnar["events"] / col_wall,
-        "timer_fired": fast["timer_fired"],
-        "timer_rearmed": fast["timer_rearmed"],
-        "baseline_alloc_blocks": alloc_baseline["alloc_blocks"],
-        "fast_alloc_blocks": alloc_fast["alloc_blocks"],
-        "baseline_alloc_peak_kb": alloc_baseline["alloc_peak_kb"],
-        "fast_alloc_peak_kb": alloc_fast["alloc_peak_kb"],
+        "delivered_msgs": len(heap["deliveries"]),
+        "events": heap["events"],
+        "heap_wall_s": wall[False],
+        "heap_events_per_s": heap["events"] / wall[False],
+        "wheel_wall_s": wall[True],
+        "wheel_events_per_s": wheel["events"] / wall[True],
+        "timer_fired": heap["timer_fired"],
+        "timer_rearmed": heap["timer_rearmed"],
     }
 
 
@@ -659,17 +591,9 @@ def write_result(result: dict, path: str = RESULT_PATH) -> None:
 
 
 def _check_shape(result: dict) -> None:
-    # The recycled engine did real periodic work, and re-armed in place.
+    # The engine did real periodic work, and re-armed in place.
     assert result["timer_fired"] > 0, result
     assert result["timer_rearmed"] > 0, result
-    # Zero-allocation claim, in tracemalloc terms: the fast path keeps
-    # fewer live blocks from the run phase than allocate-per-tick does.
-    assert result["fast_alloc_blocks"] <= result["baseline_alloc_blocks"], result
-    # Timing shape (soft here; the >= 1.4x gate is asserted by full
-    # `__main__` runs where the machine is not doing anything else).
-    assert result["fast_wall_s"] <= result["baseline_wall_s"] * 1.1, result
-    # Columnar no-regression at n=16 (soft, same machine-noise caveat).
-    assert result["columnar_wall_s"] <= result["fast_wall_s"] * 1.15, result
     # Scaling legs: wherever a fluid leg ran next to a packet leg, the
     # fluid run modeled the same client fleet with strictly fewer
     # events than the per-datagram run. The vectorized leg's claim is
@@ -716,15 +640,13 @@ def bench_simcore(benchmark):
         benchmark, lambda: run_simcore(quick=True))
     print_table(
         "Simulator core, steady-state 16-node overlay "
-        f"({result['delivered_msgs']} identical deliveries both modes)",
-        ["engine", "wall s", "events/s", "alloc blocks"],
+        f"({result['delivered_msgs']} identical deliveries both engines)",
+        ["engine", "wall s", "events/s"],
         [
-            ("allocate-per-tick (pre-PR)", result["baseline_wall_s"],
-             result["baseline_events_per_s"], result["baseline_alloc_blocks"]),
-            ("recycled + fast path", result["fast_wall_s"],
-             result["fast_events_per_s"], result["fast_alloc_blocks"]),
-            ("columnar", result["columnar_wall_s"],
-             result["columnar_events_per_s"], "-"),
+            ("heap (exact)", result["heap_wall_s"],
+             result["heap_events_per_s"]),
+            ("wheel (columnar, window 0)", result["wheel_wall_s"],
+             result["wheel_events_per_s"]),
         ],
     )
     for entry in result["scaling"]:
@@ -739,7 +661,7 @@ def bench_simcore(benchmark):
             ],
         )
     print_table(
-        "Timer engine counters (fast mode)",
+        "Timer engine counters",
         ["counter", "value"],
         [
             ("timer.fired", result["timer_fired"]),
@@ -756,7 +678,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="short run (CI smoke mode; skips the "
-                        "speedup gate, which needs a quiet machine)")
+                        "scaling gates, which need a quiet machine)")
     add_profile_arg(parser)
     add_audit_arg(parser)
     args = parser.parse_args()
@@ -771,10 +693,6 @@ if __name__ == "__main__":
     write_result(result)
     print(f"wrote {os.path.normpath(RESULT_PATH)}")
     if not args.quick:
-        assert result["speedup"] >= 1.4, (
-            f"expected >= 1.4x steady-state speedup, got "
-            f"{result['speedup']:.2f}x"
-        )
         # The warm-start ratio only exists when this run actually paid
         # an organic storm (a cold store constructs instead — the whole
         # point of constructed convergence on the multi-fiber mesh).

@@ -172,10 +172,10 @@ def _scan_heap(sim) -> tuple[int, int]:
     """Directly count (live, dead) entries in the simulator's queue.
 
     Uses :meth:`~repro.sim.events.Simulator.iter_queued`, which
-    normalizes over the engine modes: legacy per-event entries, recycled
-    entries, and columnar slot buckets (where a dead record is either a
-    cancelled event or a *stale* one — a record whose event has since
-    been rescheduled under a fresh seq).
+    normalizes over the two engines: per-event heap entries and wheel
+    slot buckets (where a dead record is either a cancelled event or a
+    *stale* one — a record whose event has since been rescheduled under
+    a fresh seq).
     """
     live = dead = 0
     for __, is_live in sim.iter_queued():

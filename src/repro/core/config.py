@@ -55,15 +55,6 @@ class OverlayConfig:
             ``bench_forwarding_cache`` baseline).
         forwarding_cache_size: Bound on cached forwarding decisions per
             node; the table is cleared when exceeded.
-        control_fastpath: Enable the zero-allocation control-plane fast
-            path on overlay links: one pre-bound delivery callback per
-            link endpoint (instead of a fresh closure per frame),
-            pre-resolved underlay :class:`repro.net.internet.Channel`
-            objects per (link, carrier), and a version-stamped hello
-            ``feedback`` snapshot that is only rebuilt when a carrier's
-            loss estimate actually moved. Behaviour-neutral — disabling
-            it restores the allocate-per-frame path (the
-            ``bench_simcore`` baseline) with byte-identical traces.
         audit: Arm the runtime invariant auditor
             (:mod:`repro.audit`): the overlay is built with audited
             cache variants that re-derive a sampled fraction of hits
@@ -94,15 +85,14 @@ class OverlayConfig:
     route_debug_check: bool = False
     forwarding_cache: bool = True
     forwarding_cache_size: int = 65_536
-    control_fastpath: bool = True
     audit: bool = False
-    #: Columnar data plane: run over a simulator in columnar mode
+    #: Run over a simulator in columnar mode
     #: (``Simulator(columnar=True)``), where the event queue keeps one
-    #: heap entry per distinct instant (a slot bucket) and the underlay
-    #: amortizes each link's per-instant work across all same-instant
-    #: crossings (:meth:`repro.net.backbone.FiberLink.instant_profile`).
-    #: Traces are byte-identical to ``columnar=False``; builders pass
-    #: this to the Simulator they construct, and
+    #: heap entry per distinct instant (a slot bucket) — the substrate
+    #: of the two approximation settings below. On its own (window 0)
+    #: traces are byte-identical to ``columnar=False`` and no faster:
+    #: the default heap is the exact engine. Builders pass this to the
+    #: Simulator they construct, and
     #: :class:`repro.core.network.OverlayNetwork` rejects a mismatch
     #: between this flag and the simulator it is deployed on.
     columnar: bool = False
@@ -124,13 +114,6 @@ class OverlayConfig:
     #: missing numpy raises :class:`repro.vector.MissingNumpyError` at
     #: overlay construction.
     columnar_vectorized: bool = False
-    #: Minimum records in the slot being drained before the exact
-    #: columnar data plane uses the per-(slot, link) instant-profile
-    #: memo (below it, memo bookkeeping costs more than it amortizes).
-    #: Selects an implementation, never an outcome — traces are
-    #: byte-identical at any value. See ``_MIN_SLOT_FANOUT`` in
-    #: :mod:`repro.net.internet` for the measured default.
-    columnar_min_fanout: int = 4
     #: Settle fluid rate intervals into the per-node FlowTables (the
     #: classify stage's fluid half), so operators see one aggregate
     #: packet+fluid view. Disable for very large fluid fleets (hundreds

@@ -118,9 +118,9 @@ class OverlayLink:
         self.config = config
         self.on_state_change = on_state_change
         self._deliver_to_peer: Callable[[Frame], None] | None = None
-        #: Pre-bound underlay delivery callback (fast path): built once
-        #: when ``deliver_to_peer`` is wired, instead of a fresh closure
-        #: per transmitted frame.
+        #: Pre-bound underlay delivery callback: built once when
+        #: ``deliver_to_peer`` is wired, instead of a fresh closure per
+        #: transmitted frame.
         self._deliver_fn = None
         #: Optional frame signer installed by the network when message
         #: authentication is deployed (Sec IV-B).
@@ -160,12 +160,11 @@ class OverlayLink:
         #: recomputing it per check tick / usability probe was measurable
         #: in steady state.
         self._silence_timeout = config.hello_interval * config.miss_threshold
-        self._fastpath = config.control_fastpath
         #: Per-carrier pre-resolved underlay channels, refreshed when the
         #: Internet's carrier structure generation moves.
         self._channels: dict[str, object] = {}
         self._chan_gen = -1
-        #: Version-stamped hello feedback snapshot (fast path): rebuilt
+        #: Version-stamped hello feedback snapshot: rebuilt
         #: only when some carrier's loss estimate changed. Rebuilds make
         #: a NEW dict, so frames already in flight keep the old snapshot.
         self._feedback: dict[str, float] = {}
@@ -183,9 +182,9 @@ class OverlayLink:
     def deliver_to_peer(self) -> Callable[[Frame], None] | None:
         """Frame handler at the peer node (assigned by network wiring).
 
-        Setting it also pre-binds the one underlay delivery callback the
-        fast path hands to :meth:`Internet.send_via` for every frame on
-        this link — the per-frame closure of the slow path, built once.
+        Setting it also pre-binds the one underlay delivery callback
+        handed to :meth:`Internet.send_via` for every frame on this
+        link.
         """
         return self._deliver_to_peer
 
@@ -240,44 +239,27 @@ class OverlayLink:
             self.data_bytes_sent += wire
             self.data_frames_sent += 1
         name = carrier if carrier is not None else self.carriers[self.carrier_idx]
-        if self._fastpath:
-            self.internet.send_via(
-                self._channel(name), frame, wire, self._deliver_fn
-            )
-        else:
-            deliver = self._deliver_to_peer
-            self.internet.send(
-                self.node_host,
-                self.nbr_host,
-                frame,
-                wire,
-                name,
-                lambda datagram: deliver(datagram.payload),
-            )
+        self.internet.send_via(
+            self._channel(name), frame, wire, self._deliver_fn
+        )
 
     # ------------------------------------------------------------ hellos
 
     def _hello_tick(self) -> None:
-        hello_wire = None
-        if self._fastpath:
-            version = sum(monitor.version for monitor in self._rx.values())
-            if version != self._feedback_version:
-                self._feedback = {
-                    name: monitor.loss_est for name, monitor in self._rx.items()
-                }
-                self._feedback_version = version
-                # Hello frames have a fixed info layout (3 scalars plus
-                # the nested feedback dict), so their wire size only
-                # changes when the feedback dict does — precompute it
-                # here instead of re-walking the dict per frame. Must
-                # match Frame.wire_size's control accounting exactly.
-                self._hello_wire = 16 + 8 * (3 + len(self._feedback))
-            feedback = self._feedback
-            hello_wire = self._hello_wire
-        else:
-            feedback = {
+        version = sum(monitor.version for monitor in self._rx.values())
+        if version != self._feedback_version:
+            self._feedback = {
                 name: monitor.loss_est for name, monitor in self._rx.items()
             }
+            self._feedback_version = version
+            # Hello frames have a fixed info layout (3 scalars plus the
+            # nested feedback dict), so their wire size only changes
+            # when the feedback dict does — precompute it here instead
+            # of re-walking the dict per frame. Must match
+            # Frame.wire_size's control accounting exactly.
+            self._hello_wire = 16 + 8 * (3 + len(self._feedback))
+        feedback = self._feedback
+        hello_wire = self._hello_wire
         for name in self.carriers:
             frame = Frame(
                 proto="control",

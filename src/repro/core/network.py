@@ -64,7 +64,6 @@ class OverlayNetwork:
             )
         if self.config.columnar:
             internet.columnar_window = self.config.columnar_window
-            internet.min_slot_fanout = self.config.columnar_min_fanout
             if self.config.columnar_vectorized:
                 # Validates window > 0 and numpy availability (raising
                 # repro.vector.MissingNumpyError with install guidance).

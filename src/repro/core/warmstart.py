@@ -18,10 +18,8 @@ canonically recomputed blake2b content fingerprints), link endpoint
 and carrier-monitor state, fiber counters, RNG stream positions, and
 the pending timer schedule — serializes to a versioned, JSON-shaped
 payload. Restored into a *fresh* overlay on the same topology, the
-continuation is byte-identical to the straight-through run: recycled
-and columnar engines replay the exact sequence numbers; the legacy
-engine shifts every seq by a constant (its per-tick proxy events),
-which preserves relative order and therefore the trace.
+continuation is byte-identical to the straight-through run: both
+engines (heap and wheel) replay the exact sequence numbers.
 
 **Tier 2 — constructed convergence** (:func:`construct_converged`).
 For static, loss-free, uniform topologies the converged state is a
@@ -82,16 +80,14 @@ class WarmStartError(RuntimeError):
 def warm_key(spec, config, source_fingerprint: str = "") -> str:
     """Content key for one warm-start artifact: blake2b over the
     topology spec, the overlay config, and the repro-tree source
-    fingerprint. ``columnar`` (with its window / vectorized / fanout
-    knobs) and ``audit`` are excluded — all are engine/observer choices
-    that do not move the converged state, which is exactly what lets
-    every engine leg (packet, exact columnar, vectorized, fluid) share
-    one snapshot."""
+    fingerprint. ``columnar`` (with its window / vectorized knobs) and
+    ``audit`` are excluded — all are engine/observer choices that do
+    not move the converged state, which is exactly what lets every
+    engine leg (packet, wheel, vectorized, fluid) share one snapshot."""
     cfg = dataclasses.asdict(config)
     cfg.pop("columnar", None)
     cfg.pop("columnar_window", None)
     cfg.pop("columnar_vectorized", None)
-    cfg.pop("columnar_min_fanout", None)
     cfg.pop("audit", None)
     defaults = cfg.pop("protocol_defaults", None) or {}
     blob = repr((
@@ -105,9 +101,7 @@ def warm_key(spec, config, source_fingerprint: str = "") -> str:
 
 
 def _engine_mode(sim) -> str:
-    if sim.columnar:
-        return "columnar"
-    return "recycled" if sim.recycle_timers else "legacy"
+    return "wheel" if sim.columnar else "heap"
 
 
 # -------------------------------------------------------------- helpers
@@ -312,7 +306,7 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
 # -------------------------------------------------------------- restore
 
 
-def _adopt_schedule(overlay, entries: list[dict], exact_seq: bool) -> None:
+def _adopt_schedule(overlay, entries: list[dict]) -> None:
     """Re-arm a snapshot's timer schedule into the restored overlay, in
     ascending-seq order (required by the simulator's adoption API)."""
     sim = overlay.sim
@@ -321,22 +315,14 @@ def _adopt_schedule(overlay, entries: list[dict], exact_seq: bool) -> None:
         kind = entry["kind"]
         if kind == "hello":
             link = node.links[entry["nbr"]]
-            link._hello_timer = snap.adopt_timer(
-                sim, entry, link._hello_tick, exact_seq=exact_seq
-            )
+            link._hello_timer = snap.adopt_timer(sim, entry, link._hello_tick)
         elif kind == "check":
             link = node.links[entry["nbr"]]
-            link._check_timer = snap.adopt_timer(
-                sim, entry, link._check_tick, exact_seq=exact_seq
-            )
+            link._check_timer = snap.adopt_timer(sim, entry, link._check_tick)
         elif kind == "refresh":
-            node._refresh_timer = snap.adopt_timer(
-                sim, entry, node._refresh_tick, exact_seq=exact_seq
-            )
+            node._refresh_timer = snap.adopt_timer(sim, entry, node._refresh_tick)
         elif kind == "metric":
-            node._metric_timer = snap.adopt_timer(
-                sim, entry, node._metric_tick, exact_seq=exact_seq
-            )
+            node._metric_timer = snap.adopt_timer(sim, entry, node._metric_tick)
         else:
             raise WarmStartError(f"unknown timer kind {kind!r} in snapshot")
 
@@ -345,9 +331,8 @@ def restore(overlay, payload: dict) -> float:
     """Install a :func:`capture` payload into a fresh, unstarted
     overlay on the same topology; returns the resumed instant ``t0``.
 
-    The restored simulator may run any engine mode regardless of which
-    produced the snapshot: recycled/columnar restores are seq-exact,
-    legacy restores are trace-identical (constant seq shift). Restored
+    The restored simulator may run either engine regardless of which
+    produced the snapshot; restores are seq-exact. Restored
     database fingerprints are recomputed canonically and checked
     against the snapshot's — a corrupt or mismatched payload fails
     loudly instead of silently diverging.
@@ -397,7 +382,7 @@ def restore(overlay, payload: dict) -> float:
         for nbr, link in node.links.items():
             link.restore_warm(payload["links"][node_id][nbr])
 
-    _adopt_schedule(overlay, payload["timers"], exact_seq=sim.recycle_timers)
+    _adopt_schedule(overlay, payload["timers"])
 
     fibers = _all_fibers(internet)
     if set(fibers) != set(payload["fibers"]):
@@ -653,7 +638,6 @@ def construct_converged(overlay, warmup: float) -> float:
         node.topo_db.load_state(topo_shared, topo_version)
         node.group_db.load_state(group_shared, len(node_ids))
         for link in node.links.values():
-            fastpath = config.control_fastpath
             names = link.carriers
             link.restore_warm({
                 "up": True,
@@ -670,9 +654,9 @@ def construct_converged(overlay, warmup: float) -> float:
                 "last_rx_time": last_arrival,
                 "recover_count": 0,
                 "last_switch": -MIN_SWITCH_INTERVAL,
-                "feedback": {name: 0.0 for name in names} if fastpath else {},
-                "feedback_version": 0 if fastpath else -1,
-                "hello_wire": 16 + 8 * (3 + len(names)) if fastpath else None,
+                "feedback": {name: 0.0 for name in names},
+                "feedback_version": 0,
+                "hello_wire": 16 + 8 * (3 + len(names)),
             })
 
     # Timer adoption in the organic steady-state per-instant order:

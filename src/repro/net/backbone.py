@@ -25,12 +25,6 @@ NodeId = Hashable
 FWD = 1
 REV = -1
 
-#: Instant-profile modes (see :meth:`FiberLink.instant_profile`).
-PROF_DROP = 0     #: every crossing this instant is lost
-PROF_SHARED = 1   #: draw-free pass; all crossings share one arrival
-PROF_DECIDED = 2  #: loss decided per packet from ``p``; rest per packet
-PROF_SCALAR = 3   #: unbatchable — full per-packet :meth:`traverse` calls
-
 
 class FiberLink:
     """A physical (bidirectional) fiber between two routers.
@@ -120,59 +114,6 @@ class FiberLink:
         noise = rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
         return now + queue_delay + tx_delay + self.delay + noise
 
-    def instant_profile(
-        self, now: float, rng: random.Random
-    ) -> tuple[bool, LossModel, int, float | None, float | None]:
-        """The shared fate of every crossing of this link at instant
-        ``now`` — the columnar data plane's per-(slot, link) memo.
-
-        Computed lazily at the *first* crossing's firing position and
-        cached by the Internet for the rest of the slot, so the work a
-        scalar run repeats per packet (loss-state advance, outage-window
-        scan, arrival arithmetic) is paid once per (link, instant).
-        Returns ``(failed, loss, mode, p, shared_arrival)``:
-
-        * ``failed``/``loss`` — snapshots; the caller re-profiles when
-          either moved mid-slot (a fail/repair or loss-model swap event
-          in the same bucket). Re-profiling is draw-safe: the only draws
-          a profile consumes are the loss model's state advances, which
-          are idempotent at one instant.
-        * ``mode == PROF_DROP`` — every crossing is lost (failed link,
-          or an outage window). ``p`` non-None means the scalar path
-          would still consume one ``rng.random()`` per packet (a
-          composite with a stochastic component) — the caller must draw
-          and discard it before dropping.
-        * ``mode == PROF_SHARED`` — the instant is draw-free and
-          queue-free: every crossing passes and arrives at
-          ``shared_arrival``, computed with the exact float-op sequence
-          of :meth:`traverse`. The caller bumps the pass counters
-          itself.
-        * ``mode == PROF_DECIDED`` — loss is decided per packet as
-          ``rng.random() < p`` (no draw when ``p`` is None); survivors
-          finish through :meth:`finish_pass` (queueing, jitter,
-          counters) at their own firing position.
-        * ``mode == PROF_SCALAR`` — unbatchable loss model (more than
-          one per-packet draw): full :meth:`traverse` per packet.
-        """
-        if self.failed:
-            # The scalar path drops before consulting the loss model, so
-            # a failed-link profile must not touch it (no advance draws).
-            return (True, self.loss, PROF_DROP, None, None)
-        profile = self.loss.batch_profile(now, rng)
-        if profile is None:
-            return (False, self.loss, PROF_SCALAR, None, None)
-        always_drop, p = profile
-        if always_drop:
-            return (False, self.loss, PROF_DROP, p, None)
-        if p is None and self.jitter == 0 and self.capacity_bps is None:
-            # Mirror traverse's arithmetic exactly (queue_delay and
-            # tx_delay are 0.0, noise is 0.0): byte-identical arrivals.
-            return (
-                False, self.loss, PROF_SHARED, None,
-                now + 0.0 + 0.0 + self.delay + 0.0,
-            )
-        return (False, self.loss, PROF_DECIDED, p, None)
-
     def batch_traverse(self, now, wires, direction, gen, lost, np):
         """Vectorized tail of :meth:`traverse` for ``k`` same-instant
         crossings whose loss verdicts were already drawn — the
@@ -245,28 +186,6 @@ class FiberLink:
         else:
             self.bytes_carried += int(wires.sum())
         return arrivals, dropped
-
-    def finish_pass(
-        self, now: float, wire_bytes: int, direction: int, rng: random.Random
-    ) -> float | None:
-        """Complete a crossing whose loss outcome was already decided
-        (and survived): the queueing / jitter / counter tail of
-        :meth:`traverse`, float-op for float-op. Returns the arrival
-        time, or ``None`` on queue overflow."""
-        queue_delay = 0.0
-        tx_delay = 0.0
-        if self.capacity_bps is not None:
-            tx_delay = wire_bytes * 8.0 / self.capacity_bps
-            busy = self._busy_until[direction]
-            queue_delay = max(0.0, busy - now)
-            if queue_delay > self.MAX_QUEUE_DELAY:
-                self.packets_dropped += 1
-                return None
-            self._busy_until[direction] = now + queue_delay + tx_delay
-        self.bytes_carried += wire_bytes
-        self.packets_carried += 1
-        noise = rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
-        return now + queue_delay + tx_delay + self.delay + noise
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "FAILED" if self.failed else "up"

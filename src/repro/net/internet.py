@@ -20,13 +20,7 @@ from __future__ import annotations
 from math import ceil
 from typing import Any, Callable
 
-from repro.net.backbone import (
-    PROF_DECIDED,
-    PROF_DROP,
-    PROF_SHARED,
-    FiberLink,
-    RoutingDomain,
-)
+from repro.net.backbone import FiberLink, RoutingDomain
 from repro.net.loss import LossModel, NoLoss
 from repro.net.packet import HEADER_BYTES, Datagram
 from repro.sim.events import Simulator
@@ -42,16 +36,6 @@ DROP_LINK = "link-loss"
 DROP_TTL = "ttl-exceeded"
 
 _MAX_HOPS = 64
-
-#: Minimum records in the slot being drained before the columnar data
-#: plane bothers with the per-(slot, link) instant-profile memo. Below
-#: this, profile bookkeeping costs more than it amortizes (measured on
-#: the Gilbert-Elliott mesh, where forwards land at scattered instants).
-#: Configurable per overlay via ``OverlayConfig.columnar_min_fanout``
-#: (an implementation threshold — traces are byte-identical at any
-#: value); this default is the n=100/300/1000 crossover pick from the
-#: fanout profile in ``benchmarks/bench_simcore.py``.
-_MIN_SLOT_FANOUT = 4
 
 #: Minimum rows in a deferred (slot, link, direction) group before the
 #: vectorized tier reaches for numpy: below this, array construction
@@ -169,26 +153,15 @@ class Internet:
         #: instead of per ``send`` (bound-method creation is measurable
         #: at datagram rates).
         self._hop_cb = self._hop
-        #: Columnar data plane (active when the simulator runs in
-        #: columnar mode): the first crossing of each link in the slot
-        #: bucket being drained computes the link's *instant profile*
-        #: (:meth:`FiberLink.instant_profile`) — shared loss-state
-        #: advance, outage scan, and arrival arithmetic — and every
-        #: later same-slot crossing of that link reuses it with one dict
-        #: lookup. All per-packet draws stay at each packet's own firing
-        #: position, so event and RNG ordering are byte-identical to the
-        #: scalar path.
+        #: Whether the simulator is the slot-bucket wheel — the
+        #: substrate of the window / vectorized settings below. At
+        #: window 0 the data plane is the same code on either engine.
         self._columnar = sim.columnar
         #: Epsilon coalescing window (seconds). When > 0 in columnar
         #: mode, hop arrivals are quantized up to the window grid so
         #: near-simultaneous crossings share heap slots. An explicit
         #: approximation knob: trace identity is only claimed at 0.
         self.columnar_window = 0.0
-        #: Exact-columnar memo threshold (see ``_MIN_SLOT_FANOUT``);
-        #: plumbed from ``OverlayConfig.columnar_min_fanout``.
-        self.min_slot_fanout = _MIN_SLOT_FANOUT
-        self._slot_bucket: object | None = None
-        self._slot_profiles: dict[int, tuple] = {}
         #: Vectorized approximate settlement (:meth:`enable_vectorized`):
         #: instead of settling each link crossing at its own event, the
         #: hop path defers same-slot crossings into per-(link, direction)
@@ -470,8 +443,7 @@ class Internet:
             on_drop,
             0,
         )
-        if self.sim.recycle_timers:
-            datagram._chain = event
+        datagram._chain = event
         return datagram
 
     def send_via(
@@ -556,8 +528,7 @@ class Internet:
             on_drop,
             0,
         )
-        if self.sim.recycle_timers:
-            datagram._chain = event
+        datagram._chain = event
         return datagram
 
     def _hop(
@@ -673,69 +644,11 @@ class Internet:
         rng = link._loss_rng
         if rng is None:
             rng = link._loss_rng = self.rngs.stream(f"loss:{link.name}")
-        now = self.sim._now
-        wire = datagram.size + HEADER_BYTES
-        bucket = self.sim._drain_bucket if self._columnar else None
-        if bucket is not None and len(bucket) >= self.min_slot_fanout:
-            # Columnar: amortize the link's per-instant work across all
-            # crossings in this slot. The profile is computed at the
-            # first crossing's own firing position (so its loss-state
-            # advance draws land exactly where the scalar path makes
-            # them) and re-checked against the link's live fail/loss
-            # state, so a fail, repair, or loss-model swap by an earlier
-            # event in the same slot re-profiles instead of applying a
-            # stale verdict. Sparse slots (fewer records than the memo
-            # can hope to amortize over) take the scalar path below —
-            # the two paths make identical RNG draws and float ops, so
-            # the threshold only selects an implementation, never an
-            # outcome. The bucket's length is fixed while it drains
-            # (same-instant schedules open a fresh bucket), so the
-            # choice is stable across a slot.
-            profiles = self._slot_profiles
-            if bucket is not self._slot_bucket:
-                self._slot_bucket = bucket
-                profiles.clear()
-            entry = profiles.get(id(link))
-            if (
-                entry is None
-                or entry[0] != link.failed
-                or entry[1] is not link.loss
-            ):
-                entry = link.instant_profile(now, rng)
-                profiles[id(link)] = entry
-            mode = entry[2]
-            if mode == PROF_SHARED:
-                link.bytes_carried += wire
-                link.packets_carried += 1
-                arrival = entry[4]
-            elif mode == PROF_DROP:
-                if entry[3] is not None:
-                    # The scalar path still consumes this packet's draw
-                    # even though another component already dropped it.
-                    rng.random()
-                link.packets_dropped += 1
-                self._drop(datagram, DROP_LINK, on_drop)
-                return
-            elif mode == PROF_DECIDED:
-                p = entry[3]
-                if p is not None and rng.random() < p:
-                    link.packets_dropped += 1
-                    self._drop(datagram, DROP_LINK, on_drop)
-                    return
-                arrival = link.finish_pass(now, wire, direction, rng)
-                if arrival is None:
-                    self._drop(datagram, DROP_LINK, on_drop)
-                    return
-            else:  # PROF_SCALAR: unbatchable loss model.
-                arrival = link.traverse(now, wire, direction, rng)
-                if arrival is None:
-                    self._drop(datagram, DROP_LINK, on_drop)
-                    return
-        else:
-            arrival = link.traverse(now, wire, direction, rng)
-            if arrival is None:
-                self._drop(datagram, DROP_LINK, on_drop)
-                return
+        arrival = link.traverse(
+            self.sim._now, datagram.size + HEADER_BYTES, direction, rng)
+        if arrival is None:
+            self._drop(datagram, DROP_LINK, on_drop)
+            return
         if self._columnar and self.columnar_window > 0.0:
             w = self.columnar_window
             arrival = ceil(arrival / w) * w
@@ -965,8 +878,8 @@ class Internet:
         ``columnar_window`` (the grid that makes batches worth
         settling in bulk), and numpy (``pip install 'repro[fast]'``).
         Approximation semantics: arrivals are quantized to the window
-        grid exactly as in exact columnar mode, access delays within
-        the window are absorbed into it, per-packet RNG draws move to
+        grid exactly as with ``columnar_window`` alone, access delays
+        within the window are absorbed into it, per-packet RNG draws move to
         a per-link numpy stream, and callback order within an instant
         is grouped by (link, batch) instead of per packet — validated
         statistically by :mod:`repro.analysis.calibrate`, never

@@ -11,54 +11,29 @@ All models are queried per traversal with ``should_drop(now, rng)`` and
 advance their internal state lazily, so they work with packets arriving
 at arbitrary simulated times.
 
-Batch evaluation and the RNG draw-order discipline
---------------------------------------------------
-
-The columnar data plane evaluates every same-instant crossing of a link
-as one batch. Determinism rests on a strict draw-order contract with
-the scalar path: **a link's loss stream must be consumed in exactly the
-per-packet order**, because traces are compared byte-for-byte across
-engine modes. :meth:`LossModel.batch_profile` therefore separates the
-two kinds of randomness a model uses:
-
-* *state-advance draws* (Gilbert–Elliott's exponential run lengths) are
-  shared by every packet of an instant — the profile consumes them once,
-  exactly as the first scalar ``should_drop`` call at that instant
-  would, and repeated advances to the same instant consume nothing;
-* *per-packet draws* (``rng.random() < p``) are **never** consumed by
-  the profile. The profile reports the per-packet probability instead,
-  and the caller makes each packet's draw at that packet's own firing
-  position — so a mid-instant fallback to the scalar path can never
-  shift the stream.
-
-A profile is ``(always_drop, p)``: ``always_drop`` is the deterministic
-verdict (link outage windows), ``p`` is the per-packet drop probability
-still to be drawn (``None`` when the instant is draw-free). Models that
-would need more than one per-packet draw (two stochastic components in
-a composite) return ``None``: unbatchable, per-packet scalar calls.
-
 Vectorized draws (the approximate tier)
 ---------------------------------------
 
-The *vectorized* columnar tier (``columnar_vectorized=True``) drops the
-draw-order contract entirely — it is validated statistically, not
-byte-for-byte — and asks a model for all ``k`` verdicts of a
-(slot, link) group at once via :meth:`LossModel.batch_draws`. The RNG
-split mirrors :meth:`batch_profile`:
+The exact tier consumes a link's loss stream strictly per packet, in
+firing order (``should_drop``). The *vectorized* columnar tier
+(``columnar_vectorized=True``) drops that draw order — it is validated
+statistically, not byte-for-byte — and asks a model for all ``k``
+verdicts of a (slot, link) group at once via
+:meth:`LossModel.batch_draws`, splitting the two kinds of randomness a
+model uses:
 
-* *state-advance draws* still come from the link's **scalar** loss
-  stream (``rng``) — one advance per (slot, link), exactly what one
-  ``should_drop`` at that instant would consume — so the Gilbert–Elliott
-  burst process walks the same exponential run lengths whether a group
-  is settled vectorized or through the scalar fallback;
+* *state-advance draws* (Gilbert–Elliott's exponential run lengths)
+  are shared by every packet of an instant and still come from the
+  link's **scalar** loss stream (``rng``) — one advance per
+  (slot, link), exactly what one ``should_drop`` at that instant would
+  consume — so the burst process walks the same run lengths whether a
+  group is settled vectorized or through the scalar fallback;
 * *per-packet draws* come from the link's **numpy** generator (``gen``)
   in a single ``gen.random(k)`` call (none when the state's drop
   probability is 0), replacing ``k`` scalar draws with one vector draw.
 
-Because per-packet draws move to a different stream, composites with
-two stochastic components — unbatchable under the exact contract — are
-batchable here: each component contributes its own vector and the
-results are OR-ed.
+Composites batch component-wise: each component contributes its own
+vector and the results are OR-ed.
 """
 
 from __future__ import annotations
@@ -73,41 +48,6 @@ class LossModel:
 
     def should_drop(self, now: float, rng: random.Random) -> bool:
         raise NotImplementedError
-
-    def batch_profile(
-        self, now: float, rng: random.Random
-    ) -> tuple[bool, float | None] | None:
-        """Profile of all same-instant ``should_drop`` calls at ``now``.
-
-        Returns ``(always_drop, p)`` where ``always_drop`` is the
-        deterministic verdict shared by every packet of the instant and
-        ``p`` is the per-packet drop probability still to be drawn by
-        the caller as ``rng.random() < p`` — one draw per packet, at
-        that packet's own firing position, exactly as the scalar path
-        would (``None``: the instant is draw-free). A profile call may
-        consume only the shared state-advance draws the first scalar
-        ``should_drop`` at ``now`` would consume; repeated profiles at
-        the same instant consume nothing further.
-
-        Returns ``None`` when the instant cannot be batched (more than
-        one per-packet draw, or an unknown subclass — this default).
-        The caller must then make per-packet scalar calls.
-        """
-        return None
-
-    def profile_traits(self) -> tuple[bool, bool] | None:
-        """Draw-free classification of this model's RNG behaviour:
-        ``(stateful, per_packet)`` where ``stateful`` means a profile
-        call may consume shared state-advance draws and ``per_packet``
-        means the model may require a draw per packet. ``None`` (this
-        default) marks an unknown subclass — never batched.
-
-        :class:`CompositeLoss` uses this to decide batchability *before*
-        touching any component's profile: probing a stateful component
-        and only then discovering the batch is unbatchable would consume
-        its advance draws out of scalar order.
-        """
-        return None
 
     def batch_draws(self, now, rng, k, gen, np):
         """Vectorized verdicts for ``k`` same-instant crossings — the
@@ -163,14 +103,6 @@ class NoLoss(LossModel):
     def should_drop(self, now: float, rng: random.Random) -> bool:
         return False
 
-    def batch_profile(
-        self, now: float, rng: random.Random
-    ) -> tuple[bool, float | None]:
-        return (False, None)
-
-    def profile_traits(self) -> tuple[bool, bool]:
-        return (False, False)
-
     def batch_draws(self, now, rng, k, gen, np):
         return np.zeros(k, dtype=bool)
 
@@ -188,17 +120,6 @@ class BernoulliLoss(LossModel):
 
     def should_drop(self, now: float, rng: random.Random) -> bool:
         return rng.random() < self.rate
-
-    def batch_profile(
-        self, now: float, rng: random.Random
-    ) -> tuple[bool, float | None]:
-        # should_drop draws unconditionally (even at rate 0), so the
-        # profile must report a per-packet draw to keep the stream
-        # position identical to the scalar path.
-        return (False, self.rate)
-
-    def profile_traits(self) -> tuple[bool, bool]:
-        return (False, True)
 
     def batch_draws(self, now, rng, k, gen, np):
         if self.rate <= 0.0:
@@ -262,23 +183,6 @@ class GilbertElliottLoss(LossModel):
         p = self.bad_loss if self._in_bad else self.good_loss
         return p > 0.0 and rng.random() < p
 
-    def batch_profile(
-        self, now: float, rng: random.Random
-    ) -> tuple[bool, float | None]:
-        # One shared advance walks the precomputed exponential run
-        # lengths up to `now`; every same-instant packet then sees the
-        # same state, so the run-length draws are consumed once per
-        # (link, instant) instead of being re-checked per packet.
-        self._advance(now, rng)
-        p = self.bad_loss if self._in_bad else self.good_loss
-        # Match the scalar short-circuit: p == 0 consumes no draw.
-        return (False, p if p > 0.0 else None)
-
-    def profile_traits(self) -> tuple[bool, bool]:
-        # Stateful (run-length walk) and possibly-drawing (the state —
-        # and with it whether packets draw — is unknown until advanced).
-        return (True, True)
-
     def batch_draws(self, now, rng, k, gen, np):
         # The burst process advances on the scalar stream (same
         # exponential run-length draws as one should_drop at `now`);
@@ -329,16 +233,6 @@ class ScheduledOutages(LossModel):
                 break
         return False
 
-    def batch_profile(
-        self, now: float, rng: random.Random
-    ) -> tuple[bool, float | None]:
-        # Deterministic: the whole instant's overlap with the outage
-        # windows is one membership test.
-        return (self.should_drop(now, rng), None)
-
-    def profile_traits(self) -> tuple[bool, bool]:
-        return (False, False)
-
     def batch_draws(self, now, rng, k, gen, np):
         return np.full(k, self.should_drop(now, rng), dtype=bool)
 
@@ -383,60 +277,10 @@ class CompositeLoss(LossModel):
                 dropped = True
         return dropped
 
-    def batch_profile(
-        self, now: float, rng: random.Random
-    ) -> tuple[bool, float | None] | None:
-        """Combine component profiles: batchable only while at most one
-        component *can* need a per-packet draw, because the scalar path
-        interleaves draws packet-major (every model per packet) and two
-        stochastic components cannot be re-ordered model-major without
-        shifting the stream.
-
-        Batchability is decided from :meth:`~LossModel.profile_traits`
-        *before* any component profile is touched: probing components in
-        order and bailing when a second stochastic one turns up would
-        already have consumed the earlier components' advance draws —
-        ahead of per-packet draws the scalar path makes first.
-        """
-        if self.profile_traits() is None:
-            return None
-        always_drop = False
-        p: float | None = None
-        for model in self.models:
-            prof = model.batch_profile(now, rng)
-            if prof is None:
-                return None
-            m_drop, m_p = prof
-            if m_p is not None:
-                if p is not None:
-                    return None
-                p = m_p
-            always_drop = always_drop or m_drop
-        # Note: `p` is kept even when always_drop is set — the scalar
-        # path queries every model per packet regardless of earlier
-        # drops, so the caller must still consume the draw.
-        return (always_drop, p)
-
-    def profile_traits(self) -> tuple[bool, bool] | None:
-        stateful = False
-        per_packet = 0
-        for model in self.models:
-            traits = model.profile_traits()
-            if traits is None:
-                return None
-            stateful = stateful or traits[0]
-            per_packet += traits[1]
-        if per_packet > 1:
-            # Two components may draw per packet: unbatchable (and the
-            # single-`p` combination above could never express it).
-            return None
-        return (stateful, bool(per_packet))
-
     def batch_draws(self, now, rng, k, gen, np):
         # Each component contributes its own vector and the results are
-        # OR-ed — multiple stochastic components, unbatchable under the
-        # exact draw-order contract, vectorize fine here because the
-        # per-packet draws live on `gen`, not the scalar stream.
+        # OR-ed — the per-packet draws live on `gen`, so several
+        # stochastic components never interleave on the scalar stream.
         out = None
         for model in self.models:
             draws = model.batch_draws(now, rng, k, gen, np)

@@ -30,32 +30,27 @@ used by protocol ack/RTO/tail timers: it stays dormant until
 :meth:`PeriodicEvent.reschedule` arms it, fires once, and is re-armed
 in place the next time the protocol needs it.
 
-In recycling mode the heap holds ``(time, seq, event)`` entries rather
-than the events themselves: heap sifting then compares floats and ints
-at C level instead of calling :meth:`Event.__lt__` once per sift step,
-which is the single largest cost in a steady-state run. ``seq`` is
-unique, so the event object itself is never compared.
+The heap holds ``(time, seq, event)`` entries rather than the events
+themselves: heap sifting then compares floats and ints at C level
+instead of calling a Python ``__lt__`` once per sift step, which is the
+single largest cost in a steady-state run. ``seq`` is unique, so the
+event object itself is never compared.
 
-Constructing the simulator with ``recycle_timers=False`` switches both
-mechanisms (and the internet's continuation-event recycling) back to
-allocating a fresh one-shot :class:`Event` per tick, queued directly
-and compared via ``__lt__`` — the pre-recycling behaviour, kept as the
-benchmark baseline. Both modes allocate sequence numbers at identical
-points, so they produce byte-identical traces.
+Two engines
+-----------
 
-Columnar mode: the timer wheel
-------------------------------
-
-A 1000-node overlay carries thousands of periodic control timers whose
-firings cluster on a handful of *shared instants* (every hello tick
-lands on the same ``k * hello_interval`` float, every datagram arrival
-on the same ``tick + link_delay``). ``Simulator(columnar=True)``
-exploits that: the heap holds **one entry per distinct timestamp** —
-``(time, first_seq, bucket)`` — and each bucket is the *slot* of that
+The per-event heap above is **the exact engine** — the default, and
+what every exact-tier workload runs on. ``Simulator(columnar=True)`` is
+the *timer wheel*: the heap holds **one entry per distinct timestamp**
+— ``(time, first_seq, bucket)`` — and each bucket is the *slot* of that
 instant, a plain list of ``(seq, event)`` records in append order.
-Scheduling into an existing slot is a dict hit plus a list append
-instead of an O(log n) heap sift; popping one slot fires every event
-of that instant.
+Popping one slot hands the run loop every event of that instant, which
+is what the batched (numpy) data plane needs: it defers the slot's link
+crossings and settles them in bulk from a slot-flush hook
+(:meth:`Simulator.on_slot_flush`). With no hook registered the wheel is
+byte-identical to the heap and no faster (DESIGN.md "Event engines"
+carries the measurements), so it is kept runnable on its own only as
+the heap's differential-test twin.
 
 Determinism is preserved exactly, not approximately:
 
@@ -73,11 +68,8 @@ Determinism is preserved exactly, not approximately:
   never shadow a live one.
 
 The run loop exposes the slot being drained (``_drain_bucket``) so the
-internet's data plane can recognize same-instant work: the first link
-crossing in a slot computes the link's instant profile (shared loss
-state, outage scan, arrival arithmetic) and every later crossing in the
-slot reuses it. Columnar mode requires ``recycle_timers=True`` and
-produces byte-identical traces to both other engine modes.
+batched data plane can tell a send made *inside* a drain (deferred into
+the slot's batch) from one made between slots (scheduled normally).
 """
 
 from __future__ import annotations
@@ -132,29 +124,10 @@ class Event:
     def cancelled(self) -> bool:
         return self._cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        # Only the legacy (recycle_timers=False) heap compares events
-        # directly; the recycling heap orders (time, seq, event) tuples
-        # at C level and never reaches this method.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self._cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time:.6f} {name} {state}>"
-
-
-class _LegacyEvent(Event):
-    """The pre-recycling :class:`Event`, kept verbatim: tuple-building
-    ``(time, seq)`` comparison. ``Simulator(recycle_timers=False)``
-    allocates these so the benchmark baseline pays pre-PR costs."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class PeriodicEvent(Event):
@@ -180,7 +153,7 @@ class PeriodicEvent(Event):
     :attr:`Simulator.timer_fired` / :attr:`Simulator.timer_rearmed`.
     """
 
-    __slots__ = ("interval", "auto", "fired", "rearmed", "_proxy")
+    __slots__ = ("interval", "auto", "fired", "rearmed")
 
     periodic = True
 
@@ -191,23 +164,11 @@ class PeriodicEvent(Event):
         self.auto = auto
         self.fired = 0
         self.rearmed = 0
-        #: In ``recycle_timers=False`` mode, the one-shot Event standing
-        #: in for this timer's currently armed firing (None otherwise).
-        self._proxy: Event | None = None
 
     @property
     def active(self) -> bool:
         """True while a firing is armed (queued and not cancelled)."""
-        if self._proxy is not None:
-            return self._proxy._queued and not self._proxy._cancelled
         return self._queued and not self._cancelled
-
-    def cancel(self) -> None:
-        """Stop the timer. :meth:`reschedule` re-arms it later."""
-        super().cancel()
-        if self._proxy is not None:
-            self._proxy.cancel()
-            self._proxy = None
 
     def reschedule(self, interval: float) -> None:
         """(Re-)arm the timer: next firing at ``now + interval``. For
@@ -236,7 +197,7 @@ class PeriodicEvent(Event):
             sim._seq += 1
             self._queued = True
             sim._enqueue(self.time, self.seq, self)
-        elif sim._recycle:
+        else:
             if self._queued:
                 # Remove BEFORE clearing _cancelled so the live/dead
                 # accounting matches how the entry was counted.
@@ -248,32 +209,8 @@ class PeriodicEvent(Event):
             self._queued = True
             heapq.heappush(sim._queue, (self.time, self.seq, self))
             sim._live += 1
-        else:
-            self._cancelled = False
-            if self._proxy is not None:
-                self._proxy.cancel()
-            self._proxy = sim.schedule(interval, self._proxy_fire)
         self.rearmed += 1
         sim.timer_rearmed += 1
-
-    def _proxy_fire(self) -> None:
-        """Legacy-mode firing: one freshly allocated chained one-shot
-        per tick — the pre-recycling cost model, same (time, seq)s."""
-        self._proxy = None
-        sim = self._sim
-        self.fired += 1
-        sim.timer_fired += 1
-        epoch = sim._cleared
-        self.fn(*self.args)
-        if (
-            self.auto
-            and epoch == sim._cleared
-            and not self._cancelled
-            and self._proxy is None
-        ):
-            self._proxy = sim.schedule(self.interval, self._proxy_fire)
-            self.rearmed += 1
-            sim.timer_rearmed += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -295,28 +232,19 @@ class Simulator:
         sim.run(until=10.0)
 
     Args:
-        recycle_timers: When True (default), periodic timers and
-            internal continuation events recycle one object across
-            firings, and the tuned run loop is used. False restores the
-            pre-recycling engine — allocate-per-tick proxy events, the
-            original run loop and event comparison — as the measured
-            baseline of ``bench_simcore``, with identical event
-            ordering and byte-identical traces.
         columnar: When True, the heap holds one entry per distinct
             timestamp (a *slot*) and same-instant events share the
-            slot's bucket — the timer-wheel engine for thousand-node
-            overlays (see the module docstring). Requires
-            ``recycle_timers=True``; byte-identical traces.
+            slot's bucket — the timer wheel the batched data plane
+            settles on (see the module docstring). Byte-identical
+            traces to the default heap.
     """
 
-    def __init__(self, recycle_timers: bool = True, columnar: bool = False) -> None:
-        if columnar and not recycle_timers:
-            raise SimulationError("columnar mode requires recycle_timers=True")
+    def __init__(self, columnar: bool = False) -> None:
         self._now = 0.0
-        #: Recycling mode queues (time, seq, event) triples (C-level
-        #: heap ordering); legacy mode queues the events themselves;
-        #: columnar mode queues (time, first_seq, bucket) slots where
-        #: each bucket is a list of (seq, event) records in seq order.
+        #: The heap queues (time, seq, event) triples (C-level heap
+        #: ordering); the wheel queues (time, first_seq, bucket) slots
+        #: where each bucket is a list of (seq, event) records in seq
+        #: order.
         self._queue: list = []
         self._seq = 0
         self._running = False
@@ -331,9 +259,9 @@ class Simulator:
         #: all slots — the compaction denominator (len(_queue) counts
         #: slots, not events, in this mode).
         self._entries = 0
-        #: Columnar mode: the slot currently being drained — the
-        #: internet's data plane keys its per-(slot, link) instant
-        #: profile memo on this bucket's identity.
+        #: Columnar mode: the slot currently being drained (None
+        #: between slots) — the batched data plane defers a link
+        #: crossing into the slot's batch only while this is set.
         self._drain_bucket: list | None = None
         #: Columnar mode: callbacks run after each slot bucket finishes
         #: draining (see :meth:`on_slot_flush`) — the vectorized data
@@ -344,8 +272,6 @@ class Simulator:
         #: sweep cannot reach it — the run loop compares this epoch
         #: around the callback and suppresses the re-arm instead.
         self._cleared = 0
-        self._recycle = recycle_timers
-        self._event_cls = Event if recycle_timers else _LegacyEvent
         #: Aggregate periodic-timer counters (per-timer counts live on
         #: the :class:`PeriodicEvent` itself).
         self.timer_fired = 0
@@ -355,11 +281,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def recycle_timers(self) -> bool:
-        """Whether timer/continuation recycling is enabled."""
-        return self._recycle
 
     @property
     def columnar(self) -> bool:
@@ -408,9 +329,6 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        if not self._recycle:
-            # Pre-recycling dispatch shape (the baseline cost model).
-            return self.schedule_at(self._now + delay, fn, *args)
         time = self._now + delay
         seq = self._seq
         event = Event(time, seq, fn, args, sim=self)
@@ -437,17 +355,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        event = self._event_cls(time, self._seq, fn, args, sim=self)
+        event = Event(time, self._seq, fn, args, sim=self)
         event._queued = True
         self._seq += 1
         if self._columnar:
             self._enqueue(time, event.seq, event)
-            return event
-        if self._recycle:
-            heapq.heappush(self._queue, (time, event.seq, event))
         else:
-            heapq.heappush(self._queue, event)
-        self._live += 1
+            heapq.heappush(self._queue, (time, event.seq, event))
+            self._live += 1
         return event
 
     # -------------------------------------------------- recurring timers
@@ -473,15 +388,12 @@ class Simulator:
             self._now + delay, self._seq, fn, args, self, interval, auto=True
         )
         self._seq += 1
+        event._queued = True
         if self._columnar:
-            event._queued = True
             self._enqueue(event.time, event.seq, event)
-        elif self._recycle:
-            event._queued = True
+        else:
             heapq.heappush(self._queue, (event.time, event.seq, event))
             self._live += 1
-        else:
-            event._proxy = self.schedule(delay, event._proxy_fire)
         return event
 
     def timer(self, fn: Callable[..., Any], *args: Any) -> PeriodicEvent:
@@ -528,23 +440,18 @@ class Simulator:
         rearmed: int = 0,
     ) -> PeriodicEvent:
         """Re-materialize a snapshotted auto-periodic timer: queued at
-        absolute ``time`` with its original ``seq`` (recycling/columnar
-        modes) or a freshly allocated one (``seq=None``, and always in
-        legacy mode, whose per-tick proxy events shift every seq by a
-        constant — relative same-instant order, and therefore the
-        trace, is preserved either way). Callers must adopt timers in
-        ascending-seq order: columnar slot buckets append in call
-        order, and the legacy allocator hands out fresh seqs in call
-        order — both replay the snapshot's relative order only if the
-        calls arrive sorted."""
+        absolute ``time`` with its original ``seq``, or a freshly
+        allocated one (``seq=None`` — constructed convergence, where no
+        organic seqs exist). Callers must adopt timers in ascending-seq
+        order: wheel slot buckets append in call order and fresh seqs
+        are handed out in call order — both replay the snapshot's
+        relative order only if the calls arrive sorted."""
         if time < self._now:
             raise SimulationError(
                 f"cannot adopt a timer at {time} before current time {self._now}"
             )
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive ({interval})")
-        if not self._recycle:
-            seq = None
         if seq is None:
             seq = self._seq
             self._seq = seq + 1
@@ -555,15 +462,12 @@ class Simulator:
         event = PeriodicEvent(time, seq, fn, args, self, interval, auto=True)
         event.fired = fired
         event.rearmed = rearmed
+        event._queued = True
         if self._columnar:
-            event._queued = True
             self._enqueue(time, seq, event)
-        elif self._recycle:
-            event._queued = True
+        else:
             heapq.heappush(self._queue, (time, seq, event))
             self._live += 1
-        else:
-            event._proxy = self.schedule_at(time, event._proxy_fire)
         return event
 
     def repush(
@@ -604,13 +508,9 @@ class Simulator:
                 heapq.heappush(self._queue, (time, seq, bucket))
             else:
                 bucket.append((seq, event))
-            self._live += 1
             self._entries += 1
-            return event
-        if self._recycle:
-            heapq.heappush(self._queue, (time, seq, event))
         else:
-            heapq.heappush(self._queue, event)
+            heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -627,9 +527,15 @@ class Simulator:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled events. ``heapify`` keeps
-        pop order deterministic because (time, seq) is a total order."""
+        pop order deterministic because (time, seq) is a total order.
+
+        On the wheel the slot being drained is already off the heap, so
+        its dead records are out of reach here: compaction subtracts
+        exactly the records it removed, and the drain loop settles the
+        rest as it skips them."""
         if self._columnar:
             wheel = self._wheel
+            removed = 0
             for entry in self._queue:
                 bucket = entry[2]
                 kept = [
@@ -643,53 +549,34 @@ class Simulator:
                         # on in another slot (or already fired).
                         if event.seq == eseq and event._cancelled:
                             event._queued = False
+                    removed += len(bucket) - len(kept)
                     bucket[:] = kept  # in place: the wheel may alias it
                 if not kept and wheel.get(entry[0]) is bucket:
                     del wheel[entry[0]]
             self._queue = [e for e in self._queue if e[2]]
             heapq.heapify(self._queue)
-            self._dead = 0
-            self._entries = sum(len(e[2]) for e in self._queue)
+            self._dead -= removed
+            self._entries -= removed
             return
-        if self._recycle:
-            for __, __, event in self._queue:
-                if event._cancelled:
-                    event._queued = False
-            self._queue = [e for e in self._queue if not e[2]._cancelled]
-        else:
-            for event in self._queue:
-                if event._cancelled:
-                    event._queued = False
-            self._queue = [e for e in self._queue if not e._cancelled]
+        for __, __, event in self._queue:
+            if event._cancelled:
+                event._queued = False
+        self._queue = [e for e in self._queue if not e[2]._cancelled]
         heapq.heapify(self._queue)
         self._dead = 0
 
     def _remove_queued(self, event: Event) -> None:
-        """Hard-remove one queued event (O(n); rare — only a
-        reschedule of a still-armed timer needs it)."""
-        if self._recycle:
-            # The entry still carries the event's current (time, seq):
-            # reschedule removes before mutating either.
-            self._queue.remove((event.time, event.seq, event))
-        else:
-            self._queue.remove(event)
+        """Hard-remove one queued event from the heap (O(n); rare —
+        only a reschedule of a still-armed timer needs it)."""
+        # The entry still carries the event's current (time, seq):
+        # reschedule removes before mutating either.
+        self._queue.remove((event.time, event.seq, event))
         heapq.heapify(self._queue)
         event._queued = False
         if event._cancelled:
             self._dead -= 1
         else:
             self._live -= 1
-
-    def _pop(self) -> Event:
-        """Pop the heap top, maintaining the live/dead accounting (the
-        legacy-mode heap holds events directly)."""
-        event = heapq.heappop(self._queue)
-        event._queued = False
-        if event._cancelled:
-            self._dead -= 1
-        else:
-            self._live -= 1
-        return event
 
     # ------------------------------------------------------------ running
 
@@ -699,8 +586,6 @@ class Simulator:
         this call. The clock is advanced to ``until`` if given, even if
         the queue drains earlier.
         """
-        if not self._recycle:
-            return self._legacy_run(until, max_events)
         if self._columnar:
             return self._columnar_run(until, max_events)
         if self._running:
@@ -835,6 +720,7 @@ class Simulator:
                     else:
                         event.fn(*event.args)
                     processed += 1
+                    stop = max_events is not None and processed >= max_events
                     if epoch != self._cleared:
                         # clear() ran inside the callback. The rest of
                         # this bucket was already popped off the heap,
@@ -847,13 +733,12 @@ class Simulator:
                                 if event_j.periodic:
                                     event_j._cancelled = True
                         break
-                    if max_events is not None and processed >= max_events:
+                    if stop:
                         if i < n:
                             # Re-queue the unfired remainder as its own
                             # slot; its first (oldest) seq keeps it
                             # ahead of anything scheduled afterwards.
                             heappush(self._queue, (now, bucket[i][0], bucket[i:]))
-                        stop = True
                         break
                 self._drain_bucket = None
                 for hook in self._flush_hooks:
@@ -868,145 +753,9 @@ class Simulator:
             self._now = until
         return processed
 
-    def _legacy_run(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> int:
-        """The pre-recycling run loop, preserved verbatim as the
-        ``recycle_timers=False`` cost model: a ``_pop`` call and
-        property access per event, no hoisted heap functions. Periodic
-        timers never reach this heap directly — their per-tick proxy
-        events do — so no periodic handling is needed here."""
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        processed = 0
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if until is not None and event.time > until:
-                    break
-                self._pop()
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                event.fn(*event.args)
-                processed += 1
-                self._processed += 1
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return processed
-
     def step(self) -> bool:
         """Run a single (non-cancelled) event. Returns False if none left."""
-        if self._columnar:
-            return self._columnar_step()
-        while self._queue:
-            if self._recycle:
-                event = heapq.heappop(self._queue)[2]
-                event._queued = False
-                if event._cancelled:
-                    self._dead -= 1
-                    continue
-                self._live -= 1
-            else:
-                event = self._pop()
-                if event._cancelled:
-                    continue
-            self._now = event.time
-            if event.periodic:
-                event.fired += 1
-                self.timer_fired += 1
-                epoch = self._cleared
-                event.fn(*event.args)
-                if (
-                    event.auto
-                    and epoch == self._cleared
-                    and not (event._cancelled or event._queued)
-                ):
-                    event.time += event.interval
-                    event.seq = self._seq
-                    self._seq += 1
-                    event._queued = True
-                    heapq.heappush(self._queue, (event.time, event.seq, event))
-                    self._live += 1
-                    event.rearmed += 1
-                    self.timer_rearmed += 1
-            else:
-                event.fn(*event.args)
-            self._processed += 1
-            return True
-        return False
-
-    def _columnar_step(self) -> bool:
-        """Single-event stepping over the slot engine: fire the first
-        live record of the earliest slot, push the remainder back as
-        its own slot (oldest seq first keeps it ahead of new work)."""
-        wheel = self._wheel
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            now = entry[0]
-            bucket = entry[2]
-            if wheel.get(now) is bucket:
-                del wheel[now]
-            i = 0
-            n = len(bucket)
-            while i < n:
-                eseq, event = bucket[i]
-                i += 1
-                if event.seq != eseq:
-                    self._dead -= 1
-                    self._entries -= 1
-                    continue
-                if event._cancelled:
-                    event._queued = False
-                    self._dead -= 1
-                    self._entries -= 1
-                    continue
-                event._queued = False
-                self._live -= 1
-                self._entries -= 1
-                self._now = now
-                self._drain_bucket = bucket
-                epoch = self._cleared
-                try:
-                    if event.periodic:
-                        event.fired += 1
-                        self.timer_fired += 1
-                        event.fn(*event.args)
-                        if (
-                            event.auto
-                            and epoch == self._cleared
-                            and not (event._cancelled or event._queued)
-                        ):
-                            event.time += event.interval
-                            event.seq = self._seq
-                            self._seq += 1
-                            event._queued = True
-                            self._enqueue(event.time, event.seq, event)
-                            event.rearmed += 1
-                            self.timer_rearmed += 1
-                    else:
-                        event.fn(*event.args)
-                finally:
-                    self._drain_bucket = None
-                if epoch != self._cleared:
-                    for j in range(i, n):
-                        seq_j, event_j = bucket[j]
-                        if event_j.seq == seq_j:
-                            event_j._queued = False
-                            if event_j.periodic:
-                                event_j._cancelled = True
-                elif i < n:
-                    heapq.heappush(self._queue, (now, bucket[i][0], bucket[i:]))
-                for hook in self._flush_hooks:
-                    hook()
-                self._processed += 1
-                return True
-        return False
+        return self.run(max_events=1) == 1
 
     def iter_queued(self):
         """Yield ``(event, live)`` for every physical queue record, in
@@ -1018,12 +767,9 @@ class Simulator:
             for entry in self._queue:
                 for eseq, event in entry[2]:
                     yield event, event.seq == eseq and not event._cancelled
-        elif self._recycle:
+        else:
             for entry in self._queue:
                 yield entry[2], not entry[2]._cancelled
-        else:
-            for event in self._queue:
-                yield event, not event._cancelled
 
     def clear(self) -> None:
         """Drop all pending events (the clock is left as-is). Periodic
@@ -1049,8 +795,7 @@ class Simulator:
             self._live = 0
             self._dead = 0
             return
-        for entry in self._queue:
-            event = entry[2] if self._recycle else entry
+        for __, __, event in self._queue:
             event._queued = False
             if event.periodic:
                 event._cancelled = True

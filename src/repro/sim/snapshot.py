@@ -6,17 +6,11 @@ LSU refresh, metric drift) — no datagrams in flight, no one-shot
 continuations, no floods mid-propagation. :func:`quiesce` drives a
 simulation to such an instant; the capture helpers then serialize the
 clock and the live timer schedule, and the adopt helpers re-materialize
-them into a **fresh** :class:`~repro.sim.events.Simulator` of any
-engine mode (legacy / recycled / columnar), preserving the
-deterministic (time, seq) total order:
-
-* recycled and columnar restores re-use the snapshot's exact seqs, so
-  the continuation is *seq-exact* — the restored run allocates the
-  same sequence numbers the straight-through run would have;
-* legacy mode allocates one proxy seq per timer adjacent to the
-  timer's own (exactly as ``schedule_periodic`` does), shifting every
-  seq by a constant — the relative same-instant order, and therefore
-  the trace, is still byte-identical.
+them into a **fresh** :class:`~repro.sim.events.Simulator` on either
+engine (heap or wheel), preserving the deterministic (time, seq) total
+order: a restore re-uses the snapshot's exact seqs, so the continuation
+is *seq-exact* — the restored run allocates the same sequence numbers
+the straight-through run would have.
 
 The orchestration that knows *what* the timers mean (which overlay
 link's hello tick, which node's refresh) lives in
@@ -25,7 +19,7 @@ link's hello tick, which node's refresh) lives in
 
 from __future__ import annotations
 
-from repro.sim.events import Event, PeriodicEvent, Simulator
+from repro.sim.events import PeriodicEvent, Simulator
 
 
 class SnapshotError(RuntimeError):
@@ -33,28 +27,12 @@ class SnapshotError(RuntimeError):
     schedule does not match the simulator it is restored into."""
 
 
-def _auto_timer_of(event: Event) -> PeriodicEvent | None:
-    """The auto-periodic timer a queued record stands for, or ``None``
-    for real (non-timer) work. In legacy mode periodic timers never sit
-    in the heap themselves — their per-tick proxy one-shots do, whose
-    callback is the bound ``_proxy_fire`` of the owning timer."""
-    if event.periodic:
-        return event if event.auto else None
-    owner = getattr(event.fn, "__self__", None)
-    if isinstance(owner, PeriodicEvent) and owner.auto:
-        return owner
-    return None
-
-
 def pending_work_horizon(sim: Simulator) -> float | None:
     """Latest firing time of any live queued event that is *not* an
-    auto-periodic timer (or its legacy proxy), or ``None`` when only
-    timer cadence remains."""
+    auto-periodic timer, or ``None`` when only timer cadence remains."""
     horizon: float | None = None
     for event, live in sim.iter_queued():
-        if not live:
-            continue
-        if _auto_timer_of(event) is not None:
+        if not live or (event.periodic and event.auto):
             continue
         if horizon is None or event.time > horizon:
             horizon = event.time
@@ -84,24 +62,19 @@ def quiesce(sim: Simulator, max_rounds: int = 64) -> float:
 
 
 def queued_auto_timers(sim: Simulator) -> list[PeriodicEvent]:
-    """Every live queued auto-periodic timer (deduplicated; legacy
-    proxies resolve to their owning timer). Raises :class:`SnapshotError`
-    if any live *non*-timer work is still queued — call :func:`quiesce`
-    first."""
+    """Every live queued auto-periodic timer. Raises
+    :class:`SnapshotError` if any live *non*-timer work is still queued
+    — call :func:`quiesce` first."""
     timers: list[PeriodicEvent] = []
-    seen: set[int] = set()
     for event, live in sim.iter_queued():
         if not live:
             continue
-        timer = _auto_timer_of(event)
-        if timer is None:
+        if not (event.periodic and event.auto):
             raise SnapshotError(
                 f"cannot snapshot: live non-timer work queued at "
                 f"t={event.time:.6f} ({event!r})"
             )
-        if id(timer) not in seen:
-            seen.add(id(timer))
-            timers.append(timer)
+        timers.append(event)
     return timers
 
 
@@ -128,17 +101,10 @@ def restore_clock(sim: Simulator, clock: dict) -> None:
 
 
 def timer_schedule(timer: PeriodicEvent) -> dict:
-    """One armed auto-timer's schedule entry (JSON-shaped). In legacy
-    mode the next firing lives on the timer's proxy one-shot — the
-    timer object's own (time, seq) is stale there."""
-    proxy = timer._proxy
-    if proxy is not None:
-        time, seq = proxy.time, proxy.seq
-    else:
-        time, seq = timer.time, timer.seq
+    """One armed auto-timer's schedule entry (JSON-shaped)."""
     return {
-        "time": time,
-        "seq": seq,
+        "time": timer.time,
+        "seq": timer.seq,
         "interval": timer.interval,
         "fired": timer.fired,
         "rearmed": timer.rearmed,

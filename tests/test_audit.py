@@ -198,9 +198,9 @@ def test_audit_enabled_switch(monkeypatch):
 
 # ------------------------------------------------------------- heap checks
 
-@pytest.mark.parametrize("recycle", [True, False])
-def test_heap_accounting_passes_on_healthy_sim(recycle):
-    sim = Simulator(recycle_timers=recycle)
+@pytest.mark.parametrize("columnar", [False, True])
+def test_heap_accounting_passes_on_healthy_sim(columnar):
+    sim = Simulator(columnar=columnar)
     handles = [sim.schedule(0.1 * (i + 1), lambda: None) for i in range(80)]
     for handle in handles[::3]:
         handle.cancel()
@@ -211,9 +211,9 @@ def test_heap_accounting_passes_on_healthy_sim(recycle):
     assert sim._dead == 0
 
 
-@pytest.mark.parametrize("recycle", [True, False])
-def test_heap_accounting_fires_on_corrupted_counters(recycle):
-    sim = Simulator(recycle_timers=recycle)
+@pytest.mark.parametrize("columnar", [False, True])
+def test_heap_accounting_fires_on_corrupted_counters(columnar):
+    sim = Simulator(columnar=columnar)
     for i in range(10):
         sim.schedule(0.1 * (i + 1), lambda: None)
     sim._live += 1  # deliberately broken fixture
@@ -224,9 +224,9 @@ def test_heap_accounting_fires_on_corrupted_counters(recycle):
     assert "counters say" in violation.detail
 
 
-@pytest.mark.parametrize("recycle", [True, False])
-def test_teardown_check_passes_after_clear(recycle):
-    sim = Simulator(recycle_timers=recycle)
+@pytest.mark.parametrize("columnar", [False, True])
+def test_teardown_check_passes_after_clear(columnar):
+    sim = Simulator(columnar=columnar)
     sim.schedule_periodic(0.05, lambda: None)
     sim.schedule(0.2, lambda: None)
     sim.run(until=0.3)
@@ -235,9 +235,9 @@ def test_teardown_check_passes_after_clear(recycle):
     assert check_teardown(sim, auditor)
 
 
-@pytest.mark.parametrize("recycle", [True, False])
-def test_teardown_check_fires_on_post_clear_event(recycle):
-    sim = Simulator(recycle_timers=recycle)
+@pytest.mark.parametrize("columnar", [False, True])
+def test_teardown_check_fires_on_post_clear_event(columnar):
+    sim = Simulator(columnar=columnar)
     sim.clear()
     sim.schedule_periodic(0.05, lambda: None)  # leaked past teardown
     auditor = Auditor(register=False)
@@ -245,18 +245,17 @@ def test_teardown_check_fires_on_post_clear_event(recycle):
     violation = auditor.report.violations[0]
     assert violation.invariant == "teardown-leak"
     assert "1 event(s) still queued" in violation.detail
-    if recycle:  # legacy mode queues a one-shot proxy, not the timer
-        assert "1 periodic" in violation.detail
+    assert "1 periodic" in violation.detail
 
 
-@pytest.mark.parametrize("recycle", [True, False])
-def test_clear_during_periodic_callback_does_not_leak(recycle):
+@pytest.mark.parametrize("columnar", [False, True])
+def test_clear_during_periodic_callback_does_not_leak(columnar):
     """Regression: a periodic timer whose callback tears the simulator
     down used to be re-armed *after* ``clear()`` swept the queue (the
     firing event is off-heap during its own callback), leaking a live
     timer into the next run. The teardown epoch in ``Simulator.clear``
     suppresses that re-arm."""
-    sim = Simulator(recycle_timers=recycle)
+    sim = Simulator(columnar=columnar)
     fired = []
 
     def tick():
@@ -272,11 +271,11 @@ def test_clear_during_periodic_callback_does_not_leak(recycle):
     assert check_teardown(sim, auditor), auditor.report.format()
 
 
-@pytest.mark.parametrize("recycle", [True, False])
-def test_manual_timer_survives_clear_then_reschedule(recycle):
+@pytest.mark.parametrize("columnar", [False, True])
+def test_manual_timer_survives_clear_then_reschedule(columnar):
     """clear() cancels, it does not destroy: a manual timer can still be
     re-armed afterwards (restart-style reuse keeps working)."""
-    sim = Simulator(recycle_timers=recycle)
+    sim = Simulator(columnar=columnar)
     fired = []
     timer = sim.timer(lambda: fired.append(sim.now))
     timer.reschedule(0.1)

@@ -1,12 +1,11 @@
-"""Columnar data plane: slot-bucket engine, per-instant link profiles,
-and the RNG draw-order discipline that keeps traces byte-identical.
+"""The slot-bucket wheel (``Simulator(columnar=True)``) held against
+the heap, the exact engine.
 
-The columnar simulator keeps one heap entry per distinct instant (a
-slot bucket of (seq, event) records) and the underlay amortizes each
-link's per-instant work across same-instant crossings via
-``FiberLink.instant_profile``. Everything here checks the load-bearing
-contract: same firing order, same RNG draws, same floats as the scalar
-engine — batching selects an implementation, never an outcome.
+The wheel keeps one heap entry per distinct instant (a slot bucket of
+(seq, event) records) so the batched tier can settle a whole instant at
+once. With no window it must be indistinguishable from the heap:
+everything here checks that contract — same firing order, same queue
+accounting, same traces.
 """
 
 import random
@@ -18,33 +17,16 @@ from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.analysis.scenarios import line_scenario
 from repro.analysis.workloads import CbrSource
+from repro.audit import Auditor, check_heap_accounting
 from repro.audit.diff import diff_traces
-from repro.net.backbone import (
-    FWD,
-    PROF_DECIDED,
-    PROF_DROP,
-    PROF_SCALAR,
-    PROF_SHARED,
-    FiberLink,
-)
 from repro.net.internet import Internet
-from repro.net.loss import (
-    BernoulliLoss,
-    CompositeLoss,
-    GilbertElliottLoss,
-    NoLoss,
-    ScheduledOutages,
-)
-from repro.sim.events import SimulationError, Simulator
+from repro.net.loss import BernoulliLoss, CompositeLoss, GilbertElliottLoss
+from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.trace import Counter
 
 
 # ----------------------------------------------------- slot-bucket engine
-
-
-def test_columnar_requires_recycled_timers():
-    with pytest.raises(SimulationError):
-        Simulator(columnar=True, recycle_timers=False)
 
 
 def test_same_instant_events_fire_in_schedule_order():
@@ -139,116 +121,56 @@ def test_columnar_and_scalar_fire_orders_match():
     assert drive(True) == drive(False)
 
 
-# ------------------------------------------------- instant_profile modes
+def _queue_state(sim):
+    return sim.pending_events, sim._dead, sim._entries if sim.columnar else None
 
 
-def _rng():
-    return random.Random(1234)
+@pytest.mark.parametrize("columnar", [False, True], ids=["heap", "wheel"])
+def test_compaction_during_a_drain_keeps_the_accounting(columnar):
+    # One event at t=1 cancels 60 of the 100 events queued behind it at
+    # the same instant, which trips the compaction threshold mid-drain.
+    # On the wheel those records sit in the slot being drained — off the
+    # heap, out of compaction's reach — so compaction may only subtract
+    # what it removed; resetting the dead count made the drain decrement
+    # it a second time (-56 dead / -90 entries before the fix).
+    sim = Simulator(columnar=columnar)
+    fired = []
+    victims = []
+    sim.schedule(1.0, lambda: [v.cancel() for v in victims[:60]])
+    victims.extend(sim.schedule(1.0, fired.append, i) for i in range(100))
+    for i in range(10):
+        sim.schedule(2.0, fired.append, 100 + i)
+    sim.run(until=1.5)
+    assert fired == list(range(60, 100))
+    assert _queue_state(sim) == (10, 0, 10 if columnar else None)
+    auditor = Auditor(counters=Counter(), register=False)
+    assert check_heap_accounting(sim, auditor), auditor.report.format()
+    sim.run()
+    assert fired == list(range(60, 110))
+    assert _queue_state(sim) == (0, 0, 0 if columnar else None)
 
 
-def test_profile_failed_link_drops_without_touching_loss():
-    class Tripwire(NoLoss):
-        def batch_profile(self, now, rng):  # pragma: no cover - must not run
-            raise AssertionError("failed-link profile consulted the loss model")
+@pytest.mark.parametrize("columnar", [False, True], ids=["heap", "wheel"])
+def test_max_events_holds_when_a_callback_clears_and_reschedules(columnar):
+    # step() is run(max_events=1): a callback that tears the queue down
+    # and schedules follow-up work must still end the call after one
+    # event, with the follow-up left queued.
+    sim = Simulator(columnar=columnar)
+    fired = []
 
-    link = FiberLink("f", 0.01, None, Tripwire())
-    link.failed = True
-    failed_snap, loss_snap, mode, p, arrival = link.instant_profile(0.0, _rng())
-    assert (failed_snap, mode, p, arrival) == (True, PROF_DROP, None, None)
-    assert loss_snap is link.loss
+    def teardown():
+        fired.append("teardown")
+        sim.clear()
+        sim.schedule(0.0, fired.append, "follow-up")
 
-
-def test_profile_shared_arrival_matches_traverse():
-    link = FiberLink("f", 0.0123, None, NoLoss())
-    entry = link.instant_profile(2.0, _rng())
-    assert entry[2] == PROF_SHARED
-    twin = FiberLink("f", 0.0123, None, NoLoss())
-    assert entry[4] == twin.traverse(2.0, 100, FWD, _rng())
-
-
-def test_profile_bernoulli_reports_per_packet_probability():
-    link = FiberLink("f", 0.01, None, BernoulliLoss(0.25))
-    entry = link.instant_profile(0.0, _rng())
-    assert entry[2] == PROF_DECIDED
-    assert entry[3] == 0.25
-
-
-def test_profile_outage_is_always_drop_without_draws():
-    link = FiberLink("f", 0.01, None, ScheduledOutages([(1.0, 2.0)]))
-    entry = link.instant_profile(1.5, _rng())
-    assert entry[2] == PROF_DROP
-    assert entry[3] is None  # scalar should_drop makes no draw either
-    clear = link.instant_profile(2.5, _rng())
-    assert clear[2] == PROF_SHARED
-
-
-def test_profile_capacitated_link_defers_to_finish_pass():
-    link = FiberLink("f", 0.01, 1_000_000.0, NoLoss())
-    entry = link.instant_profile(0.0, _rng())
-    assert entry[2] == PROF_DECIDED
-    assert entry[3] is None
-
-
-def test_profile_double_stochastic_composite_is_scalar():
-    loss = CompositeLoss(
-        BernoulliLoss(0.1),
-        GilbertElliottLoss(mean_good=1.0, mean_bad=0.1,
-                           good_loss=0.0, bad_loss=1.0),
-    )
-    link = FiberLink("f", 0.01, None, loss)
-    rng = _rng()
-    state_before = rng.getstate()
-    entry = link.instant_profile(0.0, rng)
-    assert entry[2] == PROF_SCALAR
-    # The draw-order bug this guards against: probing child profiles
-    # before discovering the composite is unbatchable would consume the
-    # GE child's state-advance draws out of scalar order.
-    assert rng.getstate() == state_before
-
-
-def test_finish_pass_matches_traverse_tail():
-    # Same RNG stream, same busy-chain state: finish_pass must produce
-    # traverse's exact arrival floats and counter updates once the loss
-    # verdict is out of the way.
-    a = FiberLink("f", 0.01, 2_000_000.0, NoLoss(), jitter=0.003)
-    b = FiberLink("f", 0.01, 2_000_000.0, NoLoss(), jitter=0.003)
-    rng_a, rng_b = _rng(), _rng()
-    for k in range(5):
-        now = 0.001 * k
-        arr_a = a.traverse(now, 700, FWD, rng_a)
-        arr_b = b.finish_pass(now, 700, FWD, rng_b)
-        assert arr_a == arr_b
-    assert a._busy_until == b._busy_until
-    assert (a.bytes_carried, a.packets_carried) == (
-        b.bytes_carried, b.packets_carried)
-
-
-# ------------------------------------------------------- profile_traits
-
-
-def test_profile_traits_classify_draw_behaviour():
-    assert NoLoss().profile_traits() == (False, False)
-    assert BernoulliLoss(0.0).profile_traits() == (False, True)
-    assert GilbertElliottLoss(
-        mean_good=1.0, mean_bad=0.1).profile_traits() == (True, True)
-    assert ScheduledOutages([(0.0, 1.0)]).profile_traits() == (False, False)
-
-
-def test_profile_traits_composites():
-    outage = ScheduledOutages([(0.0, 1.0)])
-    assert CompositeLoss(outage, BernoulliLoss(0.1)).profile_traits() == (
-        False, True)
-    assert CompositeLoss(
-        outage, GilbertElliottLoss(mean_good=1.0, mean_bad=0.1)
-    ).profile_traits() == (True, True)
-    # Two per-packet-drawing children: unbatchable.
-    assert CompositeLoss(
-        BernoulliLoss(0.1), BernoulliLoss(0.2)).profile_traits() is None
-    # An unknown child poisons the whole composite.
-    class Mystery(BernoulliLoss):
-        def profile_traits(self):
-            return None
-    assert CompositeLoss(Mystery(0.1)).profile_traits() is None
+    sim.schedule(1.0, teardown)
+    sim.schedule(1.0, fired.append, "swept")
+    assert sim.step()
+    assert fired == ["teardown"]
+    assert sim.pending_events == 1
+    assert sim.step()
+    assert not sim.step()
+    assert fired == ["teardown", "follow-up"]
 
 
 # ------------------------------------------------------ config plumbing
@@ -284,10 +206,9 @@ def _line_trace(columnar, loss_factory=None, run=3.0):
 
 
 def test_columnar_trace_identity_composite_regression():
-    # Regression for the composite draw-order bug: a Bernoulli child
-    # ahead of a Gilbert-Elliott child forces the scalar path to make
-    # the per-packet draw *before* the GE state advance; the columnar
-    # path must not reorder those draws while classifying the profile.
+    # A Bernoulli child ahead of a Gilbert-Elliott child makes the
+    # per-packet draw *before* the GE state advance; the loss stream is
+    # consumed in that per-packet order on either engine.
     factory = lambda: CompositeLoss(
         BernoulliLoss(0.03),
         GilbertElliottLoss(mean_good=0.5, mean_bad=0.05,

@@ -1,14 +1,22 @@
 """Golden delivery digests (ROADMAP aim 3).
 
-Three small, seeded, loss-free scenarios whose delivery record streams
-are pinned by committed blake2b digests
-(``tests/golden/delivery_digests.json``): a change that claims to leave
-the modelled overlay's data-plane outcome alone — a simulator speed-up,
-a different packing of the shared-state flood — must reproduce them bit
-for bit, on the default and on the columnar simulator. The digests were
-recorded on the commit *before* the state flood was packed into
-bundles (PR 14); they are the committed proof that packing moved no
-delivery.
+Small, seeded scenarios whose delivery record streams are pinned by
+committed blake2b digests (``tests/golden/delivery_digests.json``): a
+change that claims to leave the modelled overlay's data-plane outcome
+alone — a simulator speed-up, a different packing of the shared-state
+flood, a deleted engine — must reproduce them bit for bit, on the heap
+and on the wheel (``columnar=True``) simulator.
+
+The three loss-free scenarios were recorded on the commit *before* the
+state flood was packed into bundles (PR 14); they are the committed
+proof that packing moved no delivery. ``lossy_mixed_fibers`` was
+recorded on the commit before the wheel's per-(slot, link) loss memo
+was deleted (PR 15), on both simulators: its fibers cover every case
+that memo special-cased (shared burst-state advance, per-packet draw
+plus jitter, serialization queue, outage that still consumes a draw,
+two stochastic components), and its digest also folds in the underlay's
+drop counters and every fiber's carried/dropped totals — the committed
+proof that the deletion moved no RNG draw.
 
 Every scenario starts cold, so the organic link-state convergence
 storm, the periodic refresh flood at t=5 and (where faults are
@@ -16,7 +24,7 @@ injected) sync-on-link-up are all inside the digest's reach.
 
 Regenerate (only when a change is *meant* to move deliveries)::
 
-    PYTHONPATH=src python tests/test_golden_digests.py
+    PYTHONPATH=src python tests/test_golden_digests.py [scenario ...]
 """
 
 from __future__ import annotations
@@ -32,6 +40,12 @@ from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.net.internet import Internet
+from repro.net.loss import (
+    BernoulliLoss,
+    CompositeLoss,
+    GilbertElliottLoss,
+    ScheduledOutages,
+)
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -58,7 +72,27 @@ def _router(i: int) -> str:
     return f"r{i % N:02d}"
 
 
-def _mesh(columnar: bool) -> OverlayNetwork:
+def _burst() -> GilbertElliottLoss:
+    return GilbertElliottLoss(mean_good=0.8, mean_bad=0.06, bad_loss=0.5)
+
+
+#: ``lossy_mixed_fibers``: fiber index -> (capacity_bps, loss, jitter).
+#: All of them carry overlay links in the loss-free scenarios, as the
+#: single fiber of a spacing-1 link or one of two under a spacing-4 link.
+LOSSY_FIBERS = {
+    0: lambda: (None, _burst(), 0.0),
+    3: lambda: (None, BernoulliLoss(0.03), 0.002),
+    5: lambda: (120_000.0, None, 0.0),
+    10: lambda: (None, CompositeLoss(ScheduledOutages([(3.0, 3.4)]),
+                                     BernoulliLoss(0.02)), 0.0),
+    12: lambda: (None, CompositeLoss(BernoulliLoss(0.02), _burst()), 0.0),
+    15: lambda: (None, _burst(), 0.001),
+    18: lambda: (2_000_000.0, BernoulliLoss(0.02), 0.0),
+    21: lambda: (None, ScheduledOutages([(4.0, 4.25)]), 0.0),
+}
+
+
+def _mesh(columnar: bool, lossy: bool = False) -> OverlayNetwork:
     """Ring+chords fibers with three distinct delays (so floods arrive
     at several instants per hop), overlay links at spacings 1 and 4
     (one- and two-fiber transits)."""
@@ -70,7 +104,11 @@ def _mesh(columnar: bool) -> OverlayNetwork:
     fibers = sorted({tuple(sorted((_router(i), _router(i + d))))
                      for i in range(N) for d in FIBER_CHORDS})
     for j, (a, b) in enumerate(fibers):
-        domain.add_link(a, b, 0.008 + 0.001 * (j % 3), None, None)
+        capacity, loss, jitter = (
+            LOSSY_FIBERS[j]() if lossy and j in LOSSY_FIBERS
+            else (None, None, 0.0))
+        domain.add_link(a, b, 0.008 + 0.001 * (j % 3), capacity, loss,
+                        jitter=jitter)
     for i in range(N):
         inet.add_host(_site(i), access_delay=0.0005)
         inet.attach(_site(i), "mesh", _router(i))
@@ -113,12 +151,18 @@ SCENARIOS = {
     "steady_cbr": _steady,
     "fiber_cut_repair": _fiber_cut_repair,
     "crash_recover_across_refresh": _crash_recover_across_refresh,
+    "lossy_mixed_fibers": _steady,
 }
+#: Scenarios on the lossy mesh; their digest covers the underlay too.
+LOSSY = {"lossy_mixed_fibers"}
 
 
 def delivery_digest(name: str, columnar: bool) -> dict:
-    """Run one scenario; the digest recipe is ``perf``'s ``trace_digest``."""
-    overlay = _mesh(columnar)
+    """Run one scenario; the digest recipe is ``perf``'s ``trace_digest``
+    (plus, on the lossy mesh, the underlay's counters and every fiber's
+    carried/dropped totals)."""
+    lossy = name in LOSSY
+    overlay = _mesh(columnar, lossy)
     overlay.start()
     _start_traffic(overlay)
     SCENARIOS[name](overlay)
@@ -128,6 +172,14 @@ def delivery_digest(name: str, columnar: bool) -> dict:
         digest.update(
             f"{r.flow}|{r.seq}|{r.sent_at!r}|{r.delivered_at!r}|"
             f"{r.destination}\n".encode())
+    if lossy:
+        inet = overlay.internet
+        for key, value in sorted(inet.counters.as_dict().items()):
+            digest.update(f"{key}={value}\n".encode())
+        for link in sorted(inet.isps["mesh"].links(), key=lambda f: f.name):
+            digest.update(
+                f"{link.name}|{link.packets_carried}|"
+                f"{link.packets_dropped}\n".encode())
     return {"delivered": len(records), "sent": len(overlay.trace.sends),
             "digest": digest.hexdigest()}
 
@@ -146,27 +198,26 @@ def test_golden_scenarios_exercise_what_they_claim():
     golden = json.loads(GOLDEN.read_text())["scenarios"]
     assert set(golden) == set(SCENARIOS)
     assert golden["steady_cbr"]["delivered"] == golden["steady_cbr"]["sent"] > 400
-    for name in ("fiber_cut_repair", "crash_recover_across_refresh"):
+    for name in ("fiber_cut_repair", "crash_recover_across_refresh",
+                 "lossy_mixed_fibers"):
         assert 400 < golden[name]["delivered"] < golden[name]["sent"]
 
 
 if __name__ == "__main__":
     import subprocess
+    import sys
 
     commit = subprocess.run(
         ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
         cwd=Path(__file__).parent, check=False,
     ).stdout.strip()
-    payload = {
-        "recipe": "blake2b-16 over 'flow|seq|sent_at!r|delivered_at!r|destination\\n' "
-                  "per delivery record, in trace order",
-        "recorded_at_commit": commit,
-        "scenarios": {},
-    }
-    for scenario in sorted(SCENARIOS):
+    # Re-record the named scenarios (default: all); the others keep
+    # their digest and the commit they were recorded at.
+    payload = json.loads(GOLDEN.read_text())
+    for scenario in sys.argv[1:] or sorted(SCENARIOS):
         default = delivery_digest(scenario, columnar=False)
         assert default == delivery_digest(scenario, columnar=True), scenario
         payload["scenarios"][scenario] = default
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+        payload["recorded_at_commit"][scenario] = commit
+    GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,13 +1,12 @@
-"""Property-based trace identity: columnar on vs off (hypothesis).
+"""Property-based trace identity: the wheel against the heap (hypothesis).
 
-The columnar data plane's whole contract is that it is invisible in
-behaviour: for ANY topology, loss configuration, and flow schedule, the
-slot-bucket engine plus per-instant link profiles must produce the same
-trace, byte for byte, as the per-packet path — same deliveries, same
-drops, same counters, same event count. These properties fuzz that
-claim over random ring+chord meshes with mixed loss models (draw-free,
-per-packet, stateful, composite — exercising every profile mode) and
-random CBR flow fleets.
+The live differential fuzz between the two event engines: for ANY
+topology, loss configuration, and flow schedule, the slot-bucket wheel
+(``columnar=True``, window 0) must produce the same trace, byte for
+byte, as the default heap — same deliveries, same drops, same counters,
+same event count. These properties fuzz that claim over random
+ring+chord meshes with mixed loss models (draw-free, per-packet,
+stateful, composite) and random CBR flow fleets.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -32,9 +31,9 @@ WARMUP = 1.5
 
 
 def _loss_model(kind: int, u: float):
-    """One of the profile classes: draw-free (None / outages),
-    per-packet (Bernoulli), stateful (Gilbert-Elliott), batchable
-    composite, and unbatchable composite (two stochastic children)."""
+    """One of the loss-model classes: draw-free (None / outages),
+    per-packet (Bernoulli), stateful (Gilbert-Elliott), a composite
+    with one stochastic child, and one with two."""
     if kind == 0:
         return None
     if kind == 1:

@@ -1,22 +1,22 @@
 """Unit tests for recurring timers and event recycling.
 
-Every behaviour is checked in both engines — ``recycle_timers=True``
-(the recycled heap) and ``False`` (the allocate-per-tick legacy mode
-kept as the benchmark baseline) — since the whole point of recycling is
-that it changes where event objects come from, never what fires when.
+Every behaviour is checked on both engines — the recycled heap (the
+exact engine) and the slot-bucket wheel (``columnar=True``, the batched
+tier's substrate) — since the engine decides how events are queued,
+never what fires when.
 """
 
 import pytest
 
 from repro.sim.events import SimulationError, Simulator
 
-BOTH_MODES = pytest.mark.parametrize("recycle", [True, False],
-                                     ids=["recycled", "legacy"])
+BOTH_MODES = pytest.mark.parametrize("columnar", [False, True],
+                                     ids=["recycled", "wheel"])
 
 
 @BOTH_MODES
-def test_periodic_fires_on_cadence(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_periodic_fires_on_cadence(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     sim.schedule_periodic(0.5, lambda: times.append(sim.now))
     sim.run(until=2.25)
@@ -24,8 +24,8 @@ def test_periodic_fires_on_cadence(recycle):
 
 
 @BOTH_MODES
-def test_periodic_first_offset(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_periodic_first_offset(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     sim.schedule_periodic(1.0, lambda: times.append(sim.now), first=0.0)
     sim.run(until=2.5)
@@ -33,8 +33,8 @@ def test_periodic_first_offset(recycle):
 
 
 @BOTH_MODES
-def test_periodic_passes_args(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_periodic_passes_args(columnar):
+    sim = Simulator(columnar=columnar)
     seen = []
     sim.schedule_periodic(1.0, lambda a, b: seen.append((a, b)), 7, "x")
     sim.run(until=2.0)
@@ -42,8 +42,8 @@ def test_periodic_passes_args(recycle):
 
 
 @BOTH_MODES
-def test_periodic_counters(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_periodic_counters(columnar):
+    sim = Simulator(columnar=columnar)
     timer = sim.schedule_periodic(1.0, lambda: None)
     sim.run(until=3.5)
     assert timer.fired == 3
@@ -53,8 +53,8 @@ def test_periodic_counters(recycle):
 
 
 @BOTH_MODES
-def test_periodic_cancel_stops_future_firings(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_periodic_cancel_stops_future_firings(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     sim.schedule(2.5, timer.cancel)
@@ -64,8 +64,8 @@ def test_periodic_cancel_stops_future_firings(recycle):
 
 
 @BOTH_MODES
-def test_periodic_self_cancel_suppresses_rearm(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_periodic_self_cancel_suppresses_rearm(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     timer = sim.schedule_periodic(1.0, lambda: None)
 
@@ -80,8 +80,8 @@ def test_periodic_self_cancel_suppresses_rearm(recycle):
 
 
 @BOTH_MODES
-def test_cancel_while_queued_keeps_accounting(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_cancel_while_queued_keeps_accounting(columnar):
+    sim = Simulator(columnar=columnar)
     timer = sim.schedule_periodic(1.0, lambda: None)
     one_shot = sim.schedule(5.0, lambda: None)
     timer.cancel()
@@ -94,8 +94,8 @@ def test_cancel_while_queued_keeps_accounting(recycle):
 
 
 @BOTH_MODES
-def test_reschedule_changes_cadence(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_reschedule_changes_cadence(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     sim.schedule(2.5, timer.reschedule, 0.25)
@@ -104,8 +104,8 @@ def test_reschedule_changes_cadence(recycle):
 
 
 @BOTH_MODES
-def test_reschedule_revives_cancelled_timer(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_reschedule_revives_cancelled_timer(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     timer.cancel()
@@ -115,8 +115,8 @@ def test_reschedule_revives_cancelled_timer(recycle):
 
 
 @BOTH_MODES
-def test_rearm_after_clear(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_rearm_after_clear(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     sim.run(until=1.5)
@@ -130,11 +130,11 @@ def test_rearm_after_clear(recycle):
 
 
 @BOTH_MODES
-def test_periodic_interleaves_with_one_shots_at_same_instant(recycle):
+def test_periodic_interleaves_with_one_shots_at_same_instant(columnar):
     # A periodic firing at time T and one-shots scheduled for T must
     # run in seq order, exactly as if the timer were a chain of
     # one-shots ending with "schedule the next tick".
-    sim = Simulator(recycle_timers=recycle)
+    sim = Simulator(columnar=columnar)
     fired = []
     sim.schedule(1.0, fired.append, "before")  # scheduled first
     sim.schedule_periodic(1.0, fired.append, "tick")
@@ -147,8 +147,8 @@ def test_periodic_interleaves_with_one_shots_at_same_instant(recycle):
 
 
 @BOTH_MODES
-def test_manual_timer_arms_fires_once_and_rearms(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_manual_timer_arms_fires_once_and_rearms(columnar):
+    sim = Simulator(columnar=columnar)
     times = []
     timer = sim.timer(lambda: times.append(sim.now))
     assert not timer.active
@@ -163,8 +163,8 @@ def test_manual_timer_arms_fires_once_and_rearms(recycle):
 
 
 @BOTH_MODES
-def test_manual_timer_cancel_before_firing(recycle):
-    sim = Simulator(recycle_timers=recycle)
+def test_manual_timer_cancel_before_firing(columnar):
+    sim = Simulator(columnar=columnar)
     fired = []
     timer = sim.timer(fired.append, "x")
     timer.reschedule(1.0)
@@ -207,10 +207,10 @@ def test_repush_while_queued_raises():
         sim.repush(event, 2.0)
 
 
-def _trace(recycle: bool) -> list:
+def _trace(columnar: bool) -> list:
     """A mixed workload: two periodic cadences, a self-cancelling
     timer, a manual timer, and one-shot chains, all recorded."""
-    sim = Simulator(recycle_timers=recycle)
+    sim = Simulator(columnar=columnar)
     trace = []
 
     def record(tag):
@@ -234,12 +234,12 @@ def _trace(recycle: bool) -> list:
     return trace
 
 
-def test_recycled_and_legacy_traces_are_identical():
-    # The tentpole invariant: both engines allocate (time, seq) at the
+def test_heap_and_wheel_traces_are_identical():
+    # The engine invariant: both engines allocate (time, seq) at the
     # same points, so a mixed periodic/one-shot workload produces the
     # same trace event-for-event.
-    assert _trace(True) == _trace(False)
+    assert _trace(False) == _trace(True)
 
 
 def test_recycled_trace_is_deterministic():
-    assert _trace(True) == _trace(True)
+    assert _trace(False) == _trace(False)

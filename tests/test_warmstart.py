@@ -6,9 +6,8 @@ snapshots"):
 
 * a :func:`~repro.core.warmstart.capture` payload restored into a
   fresh twin produces a **byte-identical continuation** — deliveries,
-  counters, and (in recycled/columnar modes) event sequence numbers
-  match a straight-through run exactly; the legacy engine preserves
-  the trace with a constant seq shift;
+  counters, and event sequence numbers match a straight-through run
+  exactly, on the heap and on the wheel;
 * :func:`~repro.core.warmstart.construct_converged` builds, from the
   topology spec alone, the very state an organic ``warm_up`` +
   ``quiesce`` reaches: equal database fingerprints, equal timer
@@ -60,9 +59,7 @@ def _mesh(n: int = N, engine: str = "recycled", *, lossy: bool = False,
     """A fresh, unstarted ring+chords overlay (the scaling-leg shape at
     test size). ``lossy`` puts a loss process on one fiber and
     ``ragged`` makes one fiber slower — both disqualify tier-2."""
-    sim = Simulator(
-        recycle_timers=engine != "legacy", columnar=engine == "columnar"
-    )
+    sim = Simulator(columnar=engine == "columnar")
     rngs = RngRegistry(SEED)
     inet = Internet(sim, rngs)
     domain = inet.add_isp("mesh", convergence_delay=10.0)
@@ -137,7 +134,7 @@ def _organic_capture():
 # -------------------------------------------------- tier 1: round trips
 
 
-@pytest.mark.parametrize("engine", ["recycled", "columnar", "legacy"])
+@pytest.mark.parametrize("engine", ["recycled", "columnar"])
 def test_restore_continuation_is_byte_identical(engine):
     organic, payload, organic_deliveries = _organic_capture()
     twin = _mesh(engine=engine)
@@ -150,10 +147,9 @@ def test_restore_continuation_is_byte_identical(engine):
     assert twin.counters.as_dict() == organic.counters.as_dict()
     assert twin.internet.counters.as_dict() == organic.internet.counters.as_dict()
     assert twin.sim.now == organic.sim.now
-    if engine != "legacy":
-        # Seq-exact engines: the allocator state itself is reproduced.
-        assert twin.sim._seq == organic.sim._seq
-        assert twin.sim.events_processed == organic.sim.events_processed
+    # Restores are seq-exact: the allocator state itself is reproduced.
+    assert twin.sim._seq == organic.sim._seq
+    assert twin.sim.events_processed == organic.sim.events_processed
 
 
 def test_restore_supports_a_fluid_continuation():
@@ -206,10 +202,6 @@ def test_timer_schedule_survives_the_round_trip():
     # every timer actually queued (not just recorded on an attribute).
     assert _schedule(twin) == stored
     assert len(snap.queued_auto_timers(twin.sim)) == len(stored)
-    # Legacy adoption preserves everything but the seqs.
-    legacy = _mesh(engine="legacy")
-    restore(legacy, payload)
-    assert _schedule(legacy, with_seq=False) == [r[:-1] for r in stored]
 
 
 def test_rng_stream_positions_survive_the_round_trip():
