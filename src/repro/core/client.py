@@ -18,6 +18,9 @@ from repro.core.message import Address, OverlayMessage, ServiceSpec, flow_id
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import OverlayNode
 
+#: The services of a flow that selected none (specs are immutable).
+_DEFAULT_SERVICE = ServiceSpec()
+
 
 class OverlayClient:
     """A client connected to one overlay node on a virtual port."""
@@ -30,13 +33,14 @@ class OverlayClient:
     ) -> None:
         self.node = node
         self.port = port
+        #: This client's overlay address (node id + virtual port).
+        self.address = Address(node.id, port)
         self._endpoint = node.session.register(port, on_message)
+        #: What every message of a flow shares, resolved once per
+        #: (destination, service): the flow id and the trace's
+        #: destination label.
+        self._flows: dict[tuple[Address, ServiceSpec], tuple[str, str]] = {}
         self._seq: dict[str, int] = {}
-
-    @property
-    def address(self) -> Address:
-        """This client's overlay address (node id + virtual port)."""
-        return Address(self.node.id, self.port)
 
     # ---------------------------------------------------------- sending
 
@@ -54,29 +58,33 @@ class OverlayClient:
         (no route, empty anycast group, or backpressure from an
         IT-Reliable flow's full buffer).
         """
-        spec = service if service is not None else ServiceSpec()
-        flow = flow_id(self.address, dst, spec)
+        spec = service if service is not None else _DEFAULT_SERVICE
+        key = (dst, spec)
+        resolved = self._flows.get(key)
+        if resolved is None:
+            resolved = self._flows[key] = (
+                flow_id(self.address, dst, spec), str(dst))
+        flow, dst_label = resolved
         seq = self._seq.get(flow, 0)
+        node = self.node
         msg = OverlayMessage(
             flow=flow,
             seq=seq,
             src=self.address,
             dst=dst,
             service=spec,
-            origin=self.node.id,
-            sent_at=self.node.sim.now,
+            origin=node.id,
+            sent_at=node.sim._now,
             payload=payload,
             size=size,
         )
-        accepted = self.node.ingress(msg, done)
+        accepted = node.pipeline.ingress(msg, done)
         if not accepted:
             # The message never entered the overlay: the flow's sequence
             # space stays gapless for the egress reorder buffers.
             return False
         self._seq[flow] = seq + 1
-        self.node.network.trace.record_send(
-            flow, seq, self.node.sim.now, size, str(dst)
-        )
+        node.network.trace.record_send(flow, seq, node.sim._now, size, dst_label)
         return True
 
     # ----------------------------------------------------------- groups

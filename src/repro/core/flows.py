@@ -10,7 +10,8 @@ aggregate flows."
 Every overlay node keeps a :class:`FlowTable`: one entry per flow it
 has introduced, forwarded, or delivered, with live counters. It is fed
 exclusively by the *classify* stage of the node's data-plane pipeline
-(:meth:`repro.core.pipeline.DataPlane.classify`) — the single place
+(:class:`repro.core.pipeline.DataPlane` calls :meth:`FlowTable.observe`
+once per role a message takes at the node) — the single place
 per-flow accounting happens. The aggregation views group entries the
 two ways the paper names — by (source node, destination node) pair and
 by selected services — and are what an operator (or the fairness
@@ -45,12 +46,6 @@ class FlowEntry:
     #: "forwarded", "delivered"}.
     roles: set = field(default_factory=set)
 
-    def touch(self, msg: OverlayMessage, now: float, role: str) -> None:
-        self.last_seen = now
-        self.messages += 1
-        self.bytes += msg.size
-        self.roles.add(role)
-
     def touch_fluid(self, now: float, role: str, messages: float,
                     nbytes: float) -> None:
         self.last_seen = now
@@ -83,7 +78,10 @@ class FlowTable:
             self._entries[msg.flow] = entry
             if len(self._entries) > self.capacity:
                 self.expire(now)
-        entry.touch(msg, now, role)
+        entry.last_seen = now
+        entry.messages += 1
+        entry.bytes += msg.size
+        entry.roles.add(role)
         return entry
 
     def observe_fluid(

@@ -641,9 +641,7 @@ class FluidEngine:
         nodes = self.network.nodes
         node = nodes[node_id]
         idx = plan.add_node(node_id, parent_idx, edge_idx)
-        ports = tuple(
-            e.port for e in node.session.clients.values() if group in e.groups
-        )
+        ports = tuple(e.port for e in node.session.members(group))
         if ports:
             plan.nodes[idx].ports = ports
         for child in node.pipeline.fluid_multicast_children(origin, group):

@@ -53,18 +53,16 @@ class TopologyDatabase:
     def __init__(self) -> None:
         self._records: dict[str, tuple[int, dict[str, float | None]]] = {}
         self.version = 0
-        self._fingerprint = 0
+        #: Content digest of the current connectivity graph (order- and
+        #: sequence-number-independent; see class docstring). A plain
+        #: attribute — every forwarding decision reads it — that only
+        #: this class writes.
+        self.fingerprint = 0
         self._parts: dict[str, int] = {}
         self._adj_fp: object = _NEVER
         self._adj_view: Mapping = MappingProxyType({})
         self._sym_fp: object = _NEVER
         self._sym_view: Mapping = MappingProxyType({})
-
-    @property
-    def fingerprint(self) -> int:
-        """Content digest of the current connectivity graph (order- and
-        sequence-number-independent; see class docstring)."""
-        return self._fingerprint
 
     def update(self, origin: str, seq: int, neighbor_costs: dict) -> bool:
         """Apply an update; returns True if it was new (should re-flood)."""
@@ -75,7 +73,7 @@ class TopologyDatabase:
         self._records[origin] = (seq, costs)
         self.version += 1
         part = content_digest((origin, tuple(sorted(costs.items()))))
-        self._fingerprint ^= self._parts.get(origin, 0) ^ part
+        self.fingerprint ^= self._parts.get(origin, 0) ^ part
         self._parts[origin] = part
         return True
 
@@ -106,7 +104,7 @@ class TopologyDatabase:
         instead of rebuilding fresh dicts, and callers must not (and
         cannot) mutate it.
         """
-        if self._adj_fp != self._fingerprint:
+        if self._adj_fp != self.fingerprint:
             adj: dict[str, Mapping] = {}
             for origin in sorted(self._records):
                 __, nbrs = self._records[origin]
@@ -114,7 +112,7 @@ class TopologyDatabase:
                     v: nbrs[v] for v in sorted(nbrs) if nbrs[v] is not None
                 })
             self._adj_view = MappingProxyType(adj)
-            self._adj_fp = self._fingerprint
+            self._adj_fp = self.fingerprint
         return self._adj_view
 
     def symmetric_adjacency(self) -> Mapping:
@@ -122,7 +120,7 @@ class TopologyDatabase:
         (used for path computations that must be traversable both ways,
         e.g. disjoint-path requests). Read-only, cached like
         :meth:`adjacency`."""
-        if self._sym_fp != self._fingerprint:
+        if self._sym_fp != self.fingerprint:
             adj = self.adjacency()
             sym: dict[str, dict[str, float]] = {u: {} for u in adj}
             for u, nbrs in adj.items():
@@ -132,7 +130,7 @@ class TopologyDatabase:
             self._sym_view = MappingProxyType(
                 {u: MappingProxyType(nbrs) for u, nbrs in sym.items()}
             )
-            self._sym_fp = self._fingerprint
+            self._sym_fp = self.fingerprint
         return self._sym_view
 
     # ------------------------------------------------- warm-start support
@@ -163,7 +161,7 @@ class TopologyDatabase:
             parts[origin] = part
         self.version = version
         self._parts = parts
-        self._fingerprint = fingerprint
+        self.fingerprint = fingerprint
 
 
 class GroupDatabase:
@@ -182,14 +180,10 @@ class GroupDatabase:
     def __init__(self) -> None:
         self._records: dict[str, tuple[int, frozenset[str]]] = {}
         self.version = 0
-        self._fingerprint = 0
+        #: Content digest of the current group state (written only here).
+        self.fingerprint = 0
         self._parts: dict[str, int] = {}
         self._members_cache: dict[str, tuple[str, ...]] = {}
-
-    @property
-    def fingerprint(self) -> int:
-        """Content digest of the current group state."""
-        return self._fingerprint
 
     def update(self, origin: str, seq: int, groups) -> bool:
         """Apply a membership update; True if new (should re-flood)."""
@@ -200,7 +194,7 @@ class GroupDatabase:
         self._records[origin] = (seq, new)
         self.version += 1
         part = content_digest((origin, tuple(sorted(new))))
-        self._fingerprint ^= self._parts.get(origin, 0) ^ part
+        self.fingerprint ^= self._parts.get(origin, 0) ^ part
         self._parts[origin] = part
         self._members_cache.clear()
         return True
@@ -258,7 +252,7 @@ class GroupDatabase:
             parts[origin] = part
         self.version = version
         self._parts = parts
-        self._fingerprint = fingerprint
+        self.fingerprint = fingerprint
 
 
 class DedupCache:

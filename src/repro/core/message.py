@@ -26,22 +26,23 @@ ACAST_PREFIX = "acast:"
 
 @dataclass(frozen=True)
 class Address:
-    """An overlay endpoint: (node-or-group, virtual port)."""
+    """An overlay endpoint: (node-or-group, virtual port).
+
+    The kind flags are a function of ``node`` alone, so they are settled
+    once at construction — every hop of every message reads them."""
 
     node: str
     port: int = 0
+    is_multicast: bool = field(init=False, compare=False, repr=False)
+    is_anycast: bool = field(init=False, compare=False, repr=False)
+    is_group: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def is_multicast(self) -> bool:
-        return self.node.startswith(MCAST_PREFIX)
-
-    @property
-    def is_anycast(self) -> bool:
-        return self.node.startswith(ACAST_PREFIX)
-
-    @property
-    def is_group(self) -> bool:
-        return self.is_multicast or self.is_anycast
+    def __post_init__(self) -> None:
+        mcast = self.node.startswith(MCAST_PREFIX)
+        acast = self.node.startswith(ACAST_PREFIX)
+        object.__setattr__(self, "is_multicast", mcast)
+        object.__setattr__(self, "is_anycast", acast)
+        object.__setattr__(self, "is_group", mcast or acast)
 
     @property
     def group(self) -> str:

@@ -316,10 +316,10 @@ class OverlayNode:
         """Entry point for every frame arriving from the underlay."""
         if self.crashed:
             return
-        if not self._authenticate(frame):
+        if self.network.keystore is not None and not self._authenticate(frame):
             self.counters.add("auth-rejected")
             return
-        if not self.pipeline.intercept_frame(frame):
+        if self.behavior is not None and not self.pipeline.intercept_frame(frame):
             return
         if frame.proto == "control":
             self._handle_control(frame)
@@ -363,14 +363,15 @@ class OverlayNode:
         use (flows selecting the same protocol share it — Sec II-C's
         aggregate-flow processing)."""
         key = (nbr, proto_name)
-        if key not in self.protocols:
+        protocol = self.protocols.get(key)
+        if protocol is None:
             from repro.protocols import create_protocol
 
             link = self.links.get(nbr)
             if link is None:
                 raise KeyError(f"{self.id} has no overlay link to {nbr}")
-            self.protocols[key] = create_protocol(proto_name, self, link)
-        return self.protocols[key]
+            protocol = self.protocols[key] = create_protocol(proto_name, self, link)
+        return protocol
 
     # -------------------------------------------------------- data plane
 
@@ -380,8 +381,3 @@ class OverlayNode:
         routing level — enters the pipeline (which pays the per-node
         processing delay)."""
         self.pipeline.receive(from_nbr, msg, done)
-
-    def ingress(self, msg: OverlayMessage, done: DoneFn | None = None) -> bool:
-        """A local client introduces ``msg`` into the overlay. Returns
-        False if the message was rejected immediately (backpressure)."""
-        return self.pipeline.ingress(msg, done)

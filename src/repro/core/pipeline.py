@@ -143,6 +143,11 @@ class DataPlane:
         self.session = node.session
         self.flows = node.flows
         self.dedup = node.dedup
+        #: The *classify* stage: flow lookup/creation plus per-flow
+        #: counters, called once per role a message takes at this node.
+        self._classify = node.flows.observe
+        self._topo = node.topo_db
+        self._groups = node.group_db
         auditor = node.network.auditor
         if auditor is not None:
             # Audited overlays memoize through the coherence-checking
@@ -164,20 +169,13 @@ class DataPlane:
                 capacity=node.config.forwarding_cache_size,
             )
 
-    # -------------------------------------------------------- generation
-
-    def generation(self) -> int:
-        """The forwarding cache's current content-fingerprint generation
-        (topology XOR group state — either database moving invalidates)."""
-        return self.routing.generation
-
     # ----------------------------------------------------------- entries
 
     def ingress(self, msg: OverlayMessage, done: DoneFn | None = None) -> bool:
         """A local client introduces ``msg`` into the overlay. Returns
         False if the message was rejected immediately (backpressure)."""
         msg.origin = self.node.id
-        msg.sent_at = self.sim.now
+        msg.sent_at = self.sim._now
         if msg.service.routing in SOURCE_BASED:
             msg.bitmask = self._origin_bitmask(msg)
             if msg.bitmask == 0 and not msg.dst.is_group and msg.dst.node != self.node.id:
@@ -188,7 +186,7 @@ class DataPlane:
             if msg.target is None:
                 self.counters.add("anycast-no-member")
                 return False
-        self.classify(msg, "origin")
+        self._classify(msg, self.sim._now, "origin")
         sign_delay = self._sign_delay(msg)
         if sign_delay > 0:
             self.sim.schedule(sign_delay, self._run, msg, None, None, done)
@@ -234,11 +232,6 @@ class DataPlane:
 
     # ---------------------------------------------------------- classify
 
-    def classify(self, msg: OverlayMessage, role: str):
-        """*classify* stage: flow lookup/creation plus per-flow counters
-        — the single place flow state is touched."""
-        return self.flows.observe(msg, self.sim.now, role)
-
     def classify_fluid(self, flow: str, src_node: str, dst: str, service,
                        role: str, messages: float, nbytes: float):
         """*classify* stage for fluid traffic: the fluid engine settles
@@ -281,14 +274,19 @@ class DataPlane:
                 self.counters.add("overlay-ttl-exceeded")
                 return True
             self.counters.add("forwarded")
-            self.classify(msg, "forwarded")
+            self._classify(msg, self.sim._now, "forwarded")
         if msg.service.routing in SOURCE_BASED:
             self._forward_source_based(msg, arrival_bit, done)
             return True
         return self._forward_link_state(msg, from_nbr, done)
 
     def _decide(self, key, compute):
-        return self.cache.lookup(self.generation(), key, compute)
+        """The memoized decision ``key`` under the current generation:
+        topology XOR group content fingerprint, so either database
+        moving invalidates."""
+        return self.cache.lookup(
+            self._topo.fingerprint ^ self._groups.fingerprint, key, compute
+        )
 
     def _next_hop(self, dst_node: str) -> str | None:
         """Cached link-state unicast decision: next hop toward a node."""
@@ -363,7 +361,7 @@ class DataPlane:
     def _forward_multicast(
         self, msg: OverlayMessage, from_nbr: str | None, done: DoneFn | None
     ) -> None:
-        group = msg.dst.group
+        group = msg.dst.node
         if self.session.has_members(group):
             self.deliver(msg)
         children = [
@@ -470,7 +468,7 @@ class DataPlane:
         if self.dedup.already_delivered(msg.key):
             self.counters.add("duplicate-suppressed")
             return
-        self.classify(msg, "delivered")
+        self._classify(msg, self.sim._now, "delivered")
         self.session.deliver_local(msg)
 
 

@@ -126,16 +126,6 @@ class RoutingService:
 
     # ------------------------------------------------------- state sync
 
-    @property
-    def generation(self) -> int:
-        """The content-fingerprint generation every forwarding decision
-        derived from this service is valid for: the XOR of the topology
-        and group database fingerprints. The data-plane
-        :class:`~repro.core.pipeline.ForwardingCache` keys its memoized
-        decide-stage results on this value and drops them all when it
-        moves (any accepted LSU/GSU that changes replica content)."""
-        return self.topo.fingerprint ^ self.groups.fingerprint
-
     def _refresh(self) -> None:
         fingerprint = self.topo.fingerprint
         if self._fingerprint == fingerprint:

@@ -28,10 +28,13 @@ MessageCallback = Callable[[OverlayMessage], None]
 class ClientEndpoint:
     """A connected client on one virtual port."""
 
-    def __init__(self, port: int, on_message: MessageCallback | None) -> None:
+    def __init__(self, port: int, on_message: MessageCallback | None,
+                 label: str) -> None:
         self.port = port
         self.on_message = on_message
         self.groups: set[str] = set()
+        #: ``"node:port"`` — the destination of every delivery record.
+        self.label = label
 
 
 class ReorderBuffer:
@@ -60,6 +63,12 @@ class ReorderBuffer:
         self._flush()
         if self.pending and msg.service.deadline is not None:
             self._arm_skip(msg.service.deadline)
+
+    def close(self) -> None:
+        """The endpoint disconnected: stop the pending gap skip."""
+        if self._skip_event is not None:
+            self._skip_event.cancel()
+            self._skip_event = None
 
     def _flush(self) -> None:
         while self.next_seq in self.pending:
@@ -104,19 +113,29 @@ class SessionManager:
         self.node = node
         self.clients: dict[int, ClientEndpoint] = {}
         self._reorder: dict[tuple[int, str], ReorderBuffer] = {}
+        #: group -> its local member endpoints in connection order,
+        #: filled on first use and dropped whole whenever a connection
+        #: or a membership changes.
+        self._members: dict[str, tuple[ClientEndpoint, ...]] = {}
 
     # ------------------------------------------------------ connections
 
     def register(self, port: int, on_message: MessageCallback | None) -> ClientEndpoint:
         if port in self.clients:
             raise ValueError(f"port {port} already in use on {self.node.id}")
-        endpoint = ClientEndpoint(port, on_message)
+        endpoint = ClientEndpoint(port, on_message, f"{self.node.id}:{port}")
         self.clients[port] = endpoint
+        self._members.clear()
         self._poke_fluid()
         return endpoint
 
     def unregister(self, port: int) -> None:
         endpoint = self.clients.pop(port, None)
+        self._members.clear()
+        # The port's in-order windows die with the connection: a later
+        # client on the same port starts its flows afresh.
+        for key in [k for k in self._reorder if k[0] == port]:
+            self._reorder.pop(key).close()
         if endpoint is not None and endpoint.groups:
             self.node.originate_gsu()
         self._poke_fluid()
@@ -137,13 +156,18 @@ class SessionManager:
         only when it changes (two-level hierarchy, Sec II-B)."""
         had = self.has_members(group)
         self.clients[port].groups.add(group)
+        self._members.clear()
         if not had:
             self.node.originate_gsu()
         else:
             self._poke_fluid()
 
     def leave(self, port: int, group: str) -> None:
-        self.clients[port].groups.discard(group)
+        groups = self.clients[port].groups
+        if group not in groups:
+            return  # nothing changed: no GSU, no fluid re-solve
+        groups.remove(group)
+        self._members.clear()
         if not self.has_members(group):
             self.node.originate_gsu()
         else:
@@ -155,8 +179,17 @@ class SessionManager:
             groups |= endpoint.groups
         return groups
 
+    def members(self, group: str) -> tuple[ClientEndpoint, ...]:
+        """Local endpoints joined to ``group``, in connection order."""
+        found = self._members.get(group)
+        if found is None:
+            found = self._members[group] = tuple(
+                e for e in self.clients.values() if group in e.groups
+            )
+        return found
+
     def has_members(self, group: str) -> bool:
-        return any(group in e.groups for e in self.clients.values())
+        return bool(self.members(group))
 
     # --------------------------------------------------------- delivery
 
@@ -175,12 +208,12 @@ class SessionManager:
             else:
                 self.hand_to_client(endpoint, msg)
 
-    def _local_targets(self, msg: OverlayMessage) -> list[ClientEndpoint]:
-        if msg.dst.is_group:
-            group = msg.dst.group
-            return [e for e in self.clients.values() if group in e.groups]
-        endpoint = self.clients.get(msg.dst.port)
-        return [endpoint] if endpoint is not None else []
+    def _local_targets(self, msg: OverlayMessage) -> tuple[ClientEndpoint, ...]:
+        dst = msg.dst
+        if dst.is_group:
+            return self.members(dst.node)
+        endpoint = self.clients.get(dst.port)
+        return (endpoint,) if endpoint is not None else ()
 
     def _reorder_buffer(self, endpoint: ClientEndpoint, flow: str) -> ReorderBuffer:
         key = (endpoint.port, flow)
@@ -193,8 +226,8 @@ class SessionManager:
             msg.flow,
             msg.seq,
             msg.sent_at,
-            self.node.sim.now,
-            destination=f"{self.node.id}:{endpoint.port}",
+            self.node.sim._now,
+            destination=endpoint.label,
             size=msg.size,
         )
         if endpoint.on_message is not None:

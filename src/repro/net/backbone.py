@@ -318,10 +318,11 @@ class RoutingDomain:
         return extract_path(prev, src, dst)
 
     def link_on_path(self, u: NodeId, v: NodeId) -> tuple[FiberLink, int]:
-        entry = self._adj.get(u, {}).get(v)
-        if entry is None:
-            raise KeyError(f"no link between {u!r} and {v!r} in {self.name}")
-        return entry
+        try:
+            return self._adj[u][v]
+        except KeyError:
+            raise KeyError(
+                f"no link between {u!r} and {v!r} in {self.name}") from None
 
     # ---------------------------------------------------------- failures
 

@@ -654,6 +654,18 @@ class Internet:
             arrival = ceil(arrival / w) * w
         chain = datagram._chain
         if chain is not None:
+            if nxt == dst_label and not self._vectorized:
+                # The fiber just crossed ends at the destination router:
+                # all that is left is the constant egress access delay,
+                # so the chain goes straight to the delivery instant —
+                # k fibers cost k + 1 events, not k + 2. (The vectorized
+                # tier instead re-enters at the router to join its
+                # quantized bulk delivery.)
+                self.sim.repush(
+                    chain, arrival + self.hosts[datagram.dst].access_delay,
+                    self._deliver, (datagram, on_deliver),
+                )
+                return
             self.sim.repush(
                 chain, arrival, None,
                 (domain, nxt, dst_label, datagram, on_deliver, on_drop, hops + 1),

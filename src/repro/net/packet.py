@@ -36,7 +36,7 @@ class Datagram:
     payload: Any
     size: int
     sent_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_ids))
+    uid: int = field(default_factory=_ids.__next__)
     #: Internal: the recycled continuation event carrying this datagram
     #: through its hop chain (set by the Internet when the simulator
     #: has event recycling enabled; never user-facing).

@@ -106,18 +106,15 @@ class LinkProtocol:
         info: dict | None = None,
     ) -> None:
         """Send a frame of this protocol to the peer (epoch-stamped)."""
-        frame_info = info if info is not None else {}
-        frame_info["ep"] = self.epoch
-        frame = Frame(
-            proto=self.name,
-            ftype=ftype,
-            src_node=self.node.id,
-            dst_node=self.nbr,
-            link_seq=link_seq,
-            msg=msg,
-            info=frame_info,
+        if info is None:
+            info = {"ep": self.epoch}
+        else:
+            info["ep"] = self.epoch
+        # Positional (proto, ftype, src, dst, link_seq, msg, info): this
+        # constructor runs once per frame, and keywords double its cost.
+        self.link.transmit(
+            Frame(self.name, ftype, self.node.id, self.nbr, link_seq, msg, info)
         )
-        self.link.transmit(frame)
 
     def deliver_up(self, msg: OverlayMessage, done: DoneFn | None = None) -> None:
         """Hand a message to the data-plane pipeline (which applies the

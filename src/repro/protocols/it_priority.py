@@ -32,6 +32,7 @@ class ITPriorityProtocol(LinkProtocol):
         self.verify_delay = self.config.crypto_verify_delay
         self._queues: dict[str, deque[OverlayMessage]] = {}
         self._rr: deque[str] = deque()
+        self._backlog = 0  # messages queued across all sources
         self._pacer = PacedSender(
             self.sim, self.config.access_capacity_bps, self._dequeue
         )
@@ -50,6 +51,7 @@ class ITPriorityProtocol(LinkProtocol):
             self._drop_for(queue, msg)
         else:
             queue.append(msg)
+            self._backlog += 1
         self._pacer.kick()
         return True  # Priority messaging never blocks the caller.
 
@@ -70,12 +72,15 @@ class ITPriorityProtocol(LinkProtocol):
 
     def _dequeue(self):
         """Round-robin across sources with queued messages."""
+        if not self._backlog:
+            return None  # a full turn of empty queues changes nothing
         for __ in range(len(self._rr)):
             source = self._rr[0]
             self._rr.rotate(-1)
             queue = self._queues.get(source)
             if queue:
                 msg = queue.popleft()
+                self._backlog -= 1
                 seq = self._link_seq
                 self._link_seq += 1
                 return (

@@ -26,7 +26,11 @@ class RealtimeProtocol(LinkProtocol):
     def __init__(self, node, link) -> None:
         super().__init__(node, link)
         self._next_seq = 0
+        #: seq -> (send time, message) for seqs ``_oldest .. _next_seq - 1``:
+        #: send times never decrease with seq, so the stale entries are
+        #: always a prefix.
         self._buffer: dict[int, tuple[float, OverlayMessage]] = {}
+        self._oldest = 0
         self._max_seen = -1
         self._received: set[int] = set()
         self._requested: set[int] = set()
@@ -36,16 +40,21 @@ class RealtimeProtocol(LinkProtocol):
     def send(self, msg: OverlayMessage) -> bool:
         seq = self._next_seq
         self._next_seq += 1
-        self._buffer[seq] = (self.sim.now, msg)
+        self._buffer[seq] = (self.sim._now, msg)
         self._prune()
         self.transmit("data", msg, link_seq=seq)
         return True
 
     def _prune(self) -> None:
-        horizon = self.sim.now - BUFFER_AGE
-        stale = [seq for seq, (t, __) in self._buffer.items() if t < horizon]
-        for seq in stale:
-            del self._buffer[seq]
+        """Forget what is older than the usefulness window (the message
+        just buffered never is, so the walk stops there at the latest)."""
+        horizon = self.sim._now - BUFFER_AGE
+        buffer = self._buffer
+        seq = self._oldest
+        while buffer[seq][0] < horizon:
+            del buffer[seq]
+            seq += 1
+        self._oldest = seq
 
     def _on_nack(self, missing: list[int]) -> None:
         for seq in missing:

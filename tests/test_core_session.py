@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.message import Address, LINK_RELIABLE, ServiceSpec
+from repro.core.message import Address, LINK_RELIABLE, OverlayMessage, ServiceSpec
 from tests.conftest import make_triangle_overlay, make_two_node_line
 
 
@@ -140,3 +140,67 @@ class TestReorderBuffer:
             tx.send(Address("h1", 7), service=svc)
         scn.run_for(10.0)
         assert got == list(range(30))
+
+
+class TestReopenedPort:
+    """``close()`` ends the port's in-order windows: a later client on
+    the same port must not inherit them."""
+
+    def test_new_client_does_not_feed_the_closed_one(self):
+        scn = make_two_node_line(seed=27)
+        old, new = [], []
+        tx = scn.overlay.client("h0")
+        svc = ServiceSpec(link=LINK_RELIABLE, ordered=True, deadline=0.1)
+        rx = scn.overlay.client("h1", 7, on_message=lambda m: old.append(m.seq))
+        for __ in range(3):
+            tx.send(Address("h1", 7), service=svc)
+        scn.run_for(1.0)
+        assert old == [0, 1, 2]
+        rx.close()
+        assert not scn.overlay.nodes["h1"].session._reorder
+        scn.overlay.client("h1", 7, on_message=lambda m: new.append(m.seq))
+        for __ in range(3):
+            tx.send(Address("h1", 7), service=svc)
+        scn.run_for(1.0)
+        # The flow is mid-stream for the new connection: its own window
+        # waits out the deadline for 0..2, then delivers what it saw.
+        assert old == [0, 1, 2]
+        assert new == [3, 4, 5]
+
+    def test_pending_gap_skip_dies_with_the_connection(self):
+        scn = make_two_node_line(seed=28)
+        got = []
+        rx = scn.overlay.client("h1", 7, on_message=lambda m: got.append(m.seq))
+        session = scn.overlay.nodes["h1"].session
+        # Seq 2 of an ordered unicast flow arrives first: it is buffered
+        # behind the gap and a skip is armed at its deadline.
+        session.deliver_local(OverlayMessage(
+            flow="f", seq=2, src=Address("h0", 1), dst=Address("h1", 7),
+            service=ServiceSpec(ordered=True, deadline=0.1), origin="h0",
+            sent_at=scn.sim.now,
+        ))
+        pending = scn.sim.pending_events
+        rx.close()
+        assert scn.sim.pending_events == pending - 1
+        scn.run_for(1.0)
+        assert got == []
+        assert scn.overlay.counters.get("reorder-skipped") == 0
+
+
+def test_noop_leave_floods_nothing():
+    """Leaving a group the node has no member of (never joined, or
+    already left) changes no membership, so no GSU is originated."""
+    scn = make_triangle_overlay()
+    rx = scn.overlay.client("hy", 5)
+    rx.join("mcast:g")
+    rx.leave("mcast:g")
+    scn.run_for(0.5)
+    node = scn.overlay.nodes["hy"]
+    counters = scn.overlay.counters
+    before = (node._gsu_seq, node.group_db.fingerprint,
+              counters.get("flood.frames"))
+    rx.leave("mcast:g")  # second leave
+    rx.leave("mcast:never-joined")
+    scn.run_for(0.5)
+    assert (node._gsu_seq, node.group_db.fingerprint,
+            counters.get("flood.frames")) == before

@@ -151,30 +151,44 @@ class TestSchedulerInvariants:
     def test_round_robin_serves_backlogged_sources_evenly(self, backlogs):
         """While several sources have backlog, no source is served twice
         before another backlogged source is served once (the fairness
-        property that defeats the flooding attack)."""
-        from collections import deque
-
+        property that defeats the flooding attack). Backlogs are built
+        through ``send()`` and drained by the pacer, so the scheduler is
+        driven only through the interface real traffic uses."""
         scn, protocol = self._protocol()
-        for source, backlog in backlogs.items():
-            name = f"src{source}"
-            protocol._queues[name] = deque(_msg(i) for i in range(backlog))
-            protocol._rr.append(name)
-        served: dict[str, int] = {name: 0 for name in protocol._queues}
-        while True:
+        served: dict[str, int] = {}
+
+        def on_transmit(ftype, msg, link_seq=0):
+            # Called right after the scheduler popped ``msg``: the
+            # backlog it chose from is what is left plus that message.
+            name = str(msg.src)
             before = {n: len(q) for n, q in protocol._queues.items()}
-            if protocol._dequeue() is None:
-                break
-            after = {n: len(q) for n, q in protocol._queues.items()}
-            source = next(n for n in before if after[n] == before[n] - 1)
-            served[source] += 1
+            before[name] += 1
+            served[name] = served.get(name, 0) + 1
             # Fairness invariant: among sources that still had backlog
             # before this service, counts never diverge by more than 1.
-            active_counts = [
-                served[n] for n in before if before[n] > 0
-            ]
+            active_counts = [served.get(n, 0) for n, b in before.items() if b > 0]
             assert max(active_counts) - min(active_counts) <= 1
+
+        protocol.transmit = on_transmit
+        service = ServiceSpec(link="it-priority")
+
+        def send(source, seq):
+            protocol.send(OverlayMessage(
+                flow=f"f{source}", seq=seq, src=Address(source, 1),
+                dst=Address("h1", 1), service=service, origin="h0", sent_at=0.0,
+            ))
+
+        # One message of a bystander keeps the pacer serializing while
+        # the backlogs build, so every source is queued before the
+        # scheduler picks again.
+        send("primer", 0)
+        for source, backlog in backlogs.items():
+            for i in range(backlog):
+                send(f"src{source}", i)
+        scn.run_for(1.0)  # <= 121 messages at ~0.26 ms each
         assert all(len(q) == 0 for q in protocol._queues.values())
-        assert served == {f"src{s}": b for s, b in backlogs.items()}
+        assert served.pop("primer:1") == 1
+        assert served == {f"src{s}:1": b for s, b in backlogs.items()}
 
 
 class TestDeterminism:

@@ -1,0 +1,118 @@
+"""The underlay's hop chain: event budget and delivery instants.
+
+A datagram that crosses ``k`` fibers costs ``k + 1`` simulator events —
+one per router it is forwarded from plus the delivery itself; the
+crossing of the last fiber goes straight to the delivery instant
+(arrival + the destination's access delay) instead of through an event
+that only adds that constant. The instants themselves must not have
+moved: ``tests/golden/underlay_delivery_instants.json`` holds the ones
+the k + 2 chain produced on the commit before the fold.
+
+Regenerate (only when a change is *meant* to move delivery instants)::
+
+    PYTHONPATH=src python tests/test_underlay_budget.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.net import internet as internet_mod
+from repro.net.internet import DROP_LINK, DROP_TTL
+from repro.net.topologies import line_internet
+from repro.sim.events import Simulator
+from repro.sim.rng import RngRegistry
+
+GOLDEN = Path(__file__).parent / "golden" / "underlay_delivery_instants.json"
+FIBERS = (1, 2, 4)
+ENGINES = pytest.mark.parametrize("columnar", [False, True], ids=["heap", "wheel"])
+
+
+def _line(n_fibers: int, columnar: bool, **kwargs):
+    sim = Simulator(columnar=columnar)
+    inet = line_internet(sim, RngRegistry(1601), n_hops=n_fibers, **kwargs)
+    # Distinct, non-zero access delays at either end, so the instants
+    # carry both constants the chain adds.
+    inet.hosts["h0"].access_delay = 0.0007
+    inet.hosts[f"h{n_fibers}"].access_delay = 0.0011
+    return sim, inet
+
+
+def _instants(n_fibers: int, columnar: bool) -> list[float]:
+    """Delivery instants of eight datagrams sent 0.4 ms apart over a
+    jittery, capacity-limited line (so queueing, serialization and the
+    per-fiber noise draw are all inside the sums)."""
+    sim, inet = _line(n_fibers, columnar, hop_delay=0.0101,
+                      capacity_bps=2_000_000.0, jitter=0.003)
+    got: list[float] = []
+    for i in range(8):
+        sim.schedule(
+            0.0004 * i, inet.send, "h0", f"h{n_fibers}", i, 900 + 50 * i,
+            "line", lambda d: got.append(sim.now),
+        )
+    sim.run()
+    return got
+
+
+@ENGINES
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers, columnar):
+    sim, inet = _line(n_fibers, columnar)
+    got = []
+    inet.send("h0", f"h{n_fibers}", "x", 100, "line", got.append)
+    assert sim.run() == n_fibers + 1
+    assert [d.payload for d in got] == ["x"]
+    assert sim.now == pytest.approx(0.0007 + 0.010 * n_fibers + 0.0011)
+    assert inet.counters.get("datagrams-delivered") == 1
+
+
+@ENGINES
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_delivery_instants_match_the_parent_commit(n_fibers, columnar):
+    recorded = json.loads(GOLDEN.read_text())["instants"][str(n_fibers)]
+    assert _instants(n_fibers, columnar) == recorded
+
+
+@ENGINES
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_loss_on_the_last_fiber_reaches_on_drop(n_fibers, columnar):
+    sim, inet = _line(n_fibers, columnar)
+    last = inet.isps["line"].link_between(f"r{n_fibers - 1}", f"r{n_fibers}")
+    last.failed = True  # tables still forward into it
+    delivered, dropped = [], []
+    inet.send("h0", f"h{n_fibers}", "x", 100, "line", delivered.append,
+              lambda d, reason: dropped.append(reason))
+    sim.run()
+    assert delivered == [] and dropped == [DROP_LINK]
+    assert inet.counters.get(f"drop:{DROP_LINK}") == 1
+    assert inet.counters.get("datagrams-delivered") == 0
+
+
+@ENGINES
+def test_looped_datagram_still_dies_of_ttl(columnar):
+    sim, inet = _line(2, columnar)
+    domain = inet.isps["line"]
+    domain._tables["r2"] = {"r0": "r1", "r1": "r0"}  # a forwarding loop
+    delivered, dropped = [], []
+    inet.send("h0", "h2", "x", 100, "line", delivered.append,
+              lambda d, reason: dropped.append(reason))
+    # One event per router visited until the hop budget is spent.
+    assert sim.run() == internet_mod._MAX_HOPS + 1
+    assert delivered == [] and dropped == [DROP_TTL]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({
+        "reason": (
+            "Delivery instants of tests/test_underlay_budget.py::_instants, "
+            "recorded on the commit before the underlay's egress trampoline "
+            "was folded (k + 2 events per k-fiber transit): the committed "
+            "proof that the k + 1 chain delivers at the same floats."
+        ),
+        "recorded_at": "44375e2 (parent of PR 16), default heap simulator",
+        "instants": {str(k): _instants(k, False) for k in FIBERS},
+    }, indent=2) + "\n")
+    print(f"wrote {GOLDEN}")
