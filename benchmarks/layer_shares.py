@@ -7,6 +7,10 @@ run shows where the traced window spent its time::
     python3 perf/run.py --workload services_lossy --quick --trace 1 --out perf_out
     python3 benchmarks/layer_shares.py perf_out/trace_services_lossy.json >> "$GITHUB_STEP_SUMMARY"
 
+(and the same for ``storm_churn``, the workload that writes routing
+state: its generation moves, route computes and cache invalidations sit
+next to the ``alg`` / ``core.linkstate`` / ``core.routing`` shares).
+
 Only within-run ratios and counts are printed — shares of self time,
 calls into each layer, event and frame counts — never absolute seconds:
 host time on shared runners moves far more between runs than between
@@ -26,6 +30,10 @@ COUNTS = (
     "core.link.frames_sent",
     "core.pipeline.forwarded",
     "core.pipeline.fwd_hit_ratio",
+    "core.pipeline.fwd_invalidations",
+    "core.linkstate.topo_generations",
+    "core.routing.computes",
+    "core.routing.hit_ratio",
     "core.session.delivered",
     "protocols.retransmits",
 )

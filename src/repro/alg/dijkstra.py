@@ -15,6 +15,55 @@ Node = Hashable
 _UNREACHED = float("inf")
 
 
+EVERYTHING = object()  # ``settle(until=...)`` value that never pauses
+_NO_EDGES: dict = {}
+
+
+class ShortestPathSearch:
+    """Dijkstra from ``src`` as a resumable search — this module's one
+    settle loop. :meth:`settle` pauses once a given node is final
+    (``dist`` / ``prev`` of a node in ``done`` never change again) and
+    the next call resumes the same loop, so a paused search agrees with
+    the finished one on everything it has settled."""
+
+    __slots__ = ("adj", "dist", "prev", "done", "heap", "_counter")
+
+    def __init__(self, adj: Mapping, src: Node) -> None:
+        self.adj = adj
+        self.dist: dict = {src: 0.0}
+        self.prev: dict = {}
+        self.done: set = set()
+        #: The frontier; empty once every reachable node is settled.
+        self.heap: list = [(0.0, 0, src)] if src in adj else []
+        self._counter = 1  # tie-break so heterogeneous node types never compare
+
+    def settle(self, until: Node = EVERYTHING) -> int:
+        """Resume until ``until`` is settled (default: until the
+        frontier is empty); returns how many nodes this call settled."""
+        adj, dist, prev, done, heap = self.adj, self.dist, self.prev, self.done, self.heap
+        counter = self._counter
+        settled = 0
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            settled += 1
+            for v, w in adj.get(u, _NO_EDGES).items():
+                if w < 0:
+                    raise ValueError(f"negative edge weight {w} on ({u!r}, {v!r})")
+                nd = d + w
+                if nd < dist.get(v, _UNREACHED):
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, counter, v))
+                    counter += 1
+            if u == until:
+                break
+        self._counter = counter
+        return settled
+
+
 def dijkstra(adj: dict, src: Node) -> tuple[Mapping, Mapping]:
     """Single-source shortest distances and predecessors.
 
@@ -23,28 +72,9 @@ def dijkstra(adj: dict, src: Node) -> tuple[Mapping, Mapping]:
     Unreachable nodes are absent from both mappings. Both are returned
     as immutable views safe to cache and share across consumers.
     """
-    if src not in adj:
-        return (MappingProxyType({src: 0.0}), MappingProxyType({}))
-    dist: dict = {src: 0.0}
-    prev: dict = {}
-    done: set = set()
-    heap: list[tuple[float, int, Node]] = [(0.0, 0, src)]
-    counter = 1  # tie-break so heterogeneous node types never compare
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj.get(u, {}).items():
-            if w < 0:
-                raise ValueError(f"negative edge weight {w} on ({u!r}, {v!r})")
-            nd = d + w
-            if nd < dist.get(v, _UNREACHED):
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    return MappingProxyType(dist), MappingProxyType(prev)
+    search = ShortestPathSearch(adj, src)
+    search.settle()
+    return MappingProxyType(search.dist), MappingProxyType(search.prev)
 
 
 def extract_path(prev: dict, src: Node, dst: Node) -> list | None:
@@ -89,19 +119,21 @@ def all_shortest_paths(adj: dict) -> dict:
     return {src: shortest_path_tree(adj, src) for src in adj}
 
 
-def next_hops(adj: dict, dst: Node) -> Mapping:
-    """Routing table toward ``dst``: for every node, the next hop on its
-    shortest path to ``dst``. Computed by running Dijkstra from ``dst``
-    on the reversed graph (correct for asymmetric weights too). Returned
-    as an immutable view safe to cache and share across consumers.
-    """
+def reversed_graph(adj: Mapping) -> dict:
+    """``{v: {u: w}}`` for every edge ``u -> v``: ``adj``'s nodes first,
+    in its order, then pure targets as met; rows in ``adj``'s order."""
     reversed_adj: dict = {u: {} for u in adj}
     for u, nbrs in adj.items():
         for v, w in nbrs.items():
             reversed_adj.setdefault(v, {})[u] = w
-    __, prev = dijkstra(reversed_adj, dst)
-    table: dict = {}
-    for node in prev:
-        # prev in the reversed graph is the next hop in the forward graph.
-        table[node] = prev[node]
-    return MappingProxyType(table)
+    return reversed_adj
+
+
+def next_hops(adj: dict, dst: Node) -> Mapping:
+    """Routing table toward ``dst``: for every node, the next hop on its
+    shortest path to ``dst``. Computed by running Dijkstra from ``dst``
+    on the reversed graph (correct for asymmetric weights too), where a
+    node's predecessor is its next hop in the forward graph. Returned
+    as an immutable view safe to cache and share across consumers.
+    """
+    return dijkstra(reversed_graph(adj), dst)[1]

@@ -7,7 +7,8 @@ package turns that promise into machine-checked predicates:
 
 * :mod:`repro.audit.invariants` — checkers hooked into the simulator
   and overlay (heap accounting, teardown leaks, datagram conservation,
-  sampled forwarding-cache coherence, route-engine consistency),
+  sampled forwarding-cache coherence, route-engine consistency,
+  incremental topology views),
   coordinated by an :class:`~repro.audit.invariants.Auditor`;
 * :mod:`repro.audit.diff` — a trace differ that localizes the *first*
   divergent record between two runs, with context;
@@ -31,6 +32,7 @@ from repro.audit.diff import (
 from repro.audit.invariants import (
     AuditedForwardingCache,
     AuditedRouteComputeEngine,
+    AuditedTopologyDatabase,
     Auditor,
     active_auditors,
     audit_enabled,
@@ -47,6 +49,7 @@ __all__ = [
     "AuditViolation",
     "AuditedForwardingCache",
     "AuditedRouteComputeEngine",
+    "AuditedTopologyDatabase",
     "Auditor",
     "Divergence",
     "TraceDivergenceError",

@@ -22,7 +22,12 @@ holds those checkers:
   current topology^group fingerprint generation;
 * **route-engine consistency** (:class:`AuditedRouteComputeEngine`) —
   sampled cache hits of the shared route-computation engine are
-  recomputed fresh and compared against the cached artifact.
+  recomputed fresh and compared against the cached artifact (a lazy
+  next-hop table against the from-scratch ``next_hops``; comparing
+  finishes it, so ``route.settled`` moves under audit);
+* **topology views** (:class:`AuditedTopologyDatabase`) — every
+  ``sample_every``-th patch of a replica's adjacency / reverse views
+  is compared, content and key order, against a rebuild from records.
 
 The :class:`Auditor` ties them together: one per audited
 :class:`~repro.core.network.OverlayNetwork` (created only when
@@ -45,8 +50,10 @@ from __future__ import annotations
 import os
 import weakref
 
+from repro.alg.dijkstra import next_hops
 from repro.audit.report import AuditReport, AuditViolation
-from repro.core.compute import RouteComputeEngine
+from repro.core.compute import NextHopTable, RouteComputeEngine
+from repro.core.linkstate import TopologyDatabase
 from repro.core.pipeline import ForwardingCache
 
 #: Default sampling period for hit re-derivation: every Nth cache hit
@@ -350,15 +357,24 @@ class AuditedRouteComputeEngine(RouteComputeEngine):
         self.auditor = auditor
         self._audit_hits = 0
 
-    def lookup(self, fingerprint: int, key, compute):
-        """As the base lookup, plus sampled fresh recomputation of hits."""
+    def table(self, fingerprint: int, adj, dst, reverse=None):
+        """As the base table, audited against the from-scratch oracle."""
+        return self.lookup(
+            fingerprint, ("table", dst),
+            lambda: NextHopTable(adj, dst, self.counters, reverse),
+            fresh=lambda: next_hops(adj, dst),
+        )
+
+    def lookup(self, fingerprint: int, key, compute, fresh=None):
+        """As the base lookup, plus sampled fresh recomputation of hits
+        (by ``fresh`` where the artifact has an independent oracle)."""
         entry = self._store.get(fingerprint)
         hit = entry is not None and key in entry
         value = super().lookup(fingerprint, key, compute)
         if hit:
             self._audit_hits += 1
             if self._audit_hits % self.auditor.sample_every == 0:
-                fresh = compute()
+                fresh = (fresh or compute)()
                 self.auditor.check(
                     "route-consistency",
                     fresh == value,
@@ -366,3 +382,41 @@ class AuditedRouteComputeEngine(RouteComputeEngine):
                     f"{fingerprint:#x} differs from a fresh recomputation",
                 )
         return value
+
+
+class AuditedTopologyDatabase(TopologyDatabase):
+    """A :class:`~repro.core.linkstate.TopologyDatabase` that holds
+    every ``sample_every``-th patch of its adjacency / reverse views,
+    content and key order, against the same views of a cold replica
+    loaded with its records (whose first read builds everything in one
+    pass). Instantiated by :class:`~repro.core.node.OverlayNode` only
+    when audited."""
+
+    def __init__(self, auditor: Auditor, counters=None) -> None:
+        super().__init__(counters)
+        self.auditor = auditor
+        self._audit_seen: dict = {}
+        self._audit_patches = 0
+
+    def _audit(self, name: str, view):
+        if self._audit_seen.get(name) is not view:
+            self._audit_seen[name] = view
+            self._audit_patches += 1
+            if self._audit_patches % self.auditor.sample_every == 0:
+                cold = TopologyDatabase()
+                cold.load_state(self.export_state(), 0)
+                self.auditor.check(
+                    "topology-views",
+                    [(u, list(row.items())) for u, row in view.items()]
+                    == [(u, list(row.items()))
+                        for u, row in getattr(cold, name)().items()],
+                    f"patched {name}() for fingerprint {self.fingerprint:#x} "
+                    f"differs from a rebuild out of the records",
+                )
+        return view
+
+    def adjacency(self):
+        return self._audit("adjacency", super().adjacency())
+
+    def reverse_adjacency(self):
+        return self._audit("reverse_adjacency", super().reverse_adjacency())

@@ -21,21 +21,29 @@ cost baselines, degraded-link checks). Replicas that have diverged
 occupy different cache entries — sharing is an optimization, never a
 consistency risk.
 
-Cache effectiveness is observable through three counters wired into the
-owning network's :class:`repro.sim.trace.Counter` sink:
+Cache effectiveness and cost are observable through four counters wired
+into the owning network's :class:`repro.sim.trace.Counter` sink:
 
 * ``route.compute`` — a fresh artifact was computed;
 * ``route.hit`` — an artifact was served from the cache;
 * ``route.evict`` — a whole fingerprint generation was evicted by the
-  bounded LRU (churn-heavy scenarios retire old topologies).
+  bounded LRU (churn-heavy scenarios retire old topologies);
+* ``route.settled`` — nodes the next-hop tables settled: a
+  :class:`NextHopTable` is searched only as far as it is asked.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Hashable, Iterable, Mapping
+from collections.abc import Mapping
+from typing import Callable, Hashable, Iterable
 
-from repro.alg.dijkstra import dijkstra, next_hops
+from repro.alg.dijkstra import (
+    EVERYTHING,
+    ShortestPathSearch,
+    dijkstra,
+    reversed_graph,
+)
 from repro.alg.disjoint import node_disjoint_paths
 from repro.alg.trees import multicast_tree
 from repro.core import dissemination
@@ -55,6 +63,54 @@ _GRAPH_FNS = {
     GRAPH_DESTINATION_PROBLEM: dissemination.destination_problem_graph,
     GRAPH_SRC_DST_PROBLEM: dissemination.src_dst_problem_graph,
 }
+
+
+class NextHopTable(Mapping):
+    """``next_hops(adj, dst)``, settled on demand: a search from ``dst``
+    over the reversed graph (a settled node's predecessor is its next
+    hop). :meth:`get` runs it only until the asked node is final and the
+    next lookup resumes it — the full search paused, so every answer is
+    the finished table's. Reading the table whole (iteration, ``len``,
+    ``==``) finishes the search.
+
+    ``reverse`` supplies ``adj`` reversed where the caller maintains it
+    (a replica's ``reverse_adjacency``) — an immutable snapshot, because
+    the search outlives the topology it was opened on.
+    """
+
+    __slots__ = ("_search", "_prev", "_counters")
+
+    def __init__(self, adj: Mapping, dst: Hashable, counters: Counter,
+                 reverse: Callable[[], Mapping] | None = None) -> None:
+        self._search: ShortestPathSearch | None = ShortestPathSearch(
+            reverse() if reverse is not None else reversed_graph(adj), dst
+        )
+        self._prev = self._search.prev
+        self._counters = counters
+
+    def _settle(self, until: Hashable = EVERYTHING) -> dict:
+        search = self._search
+        if search is not None:
+            self._counters.add("route.settled", search.settle(until))
+            if not search.heap:
+                self._search = None  # finished: only the tree is kept
+        return self._prev
+
+    def get(self, node: Hashable, default=None):
+        search = self._search
+        if search is not None and node not in search.done:
+            self._settle(node)
+        return self._prev.get(node, default)
+
+    def __getitem__(self, node: Hashable):
+        self.get(node)
+        return self._prev[node]
+
+    def __iter__(self):
+        return iter(self._settle())
+
+    def __len__(self) -> int:
+        return len(self._settle())
 
 
 class RouteComputeEngine:
@@ -140,11 +196,13 @@ class RouteComputeEngine:
 
     # -------------------------------------------------- typed artifacts
 
-    def table(self, fingerprint: int, adj: Mapping, dst: Hashable) -> Mapping:
+    def table(self, fingerprint: int, adj: Mapping, dst: Hashable,
+              reverse: Callable[[], Mapping] | None = None) -> Mapping:
         """The network-wide next-hop table toward ``dst`` (every node
-        extracts its own entry)."""
+        extracts its own entry); see :class:`NextHopTable`."""
         return self.lookup(
-            fingerprint, ("table", dst), lambda: next_hops(adj, dst)
+            fingerprint, ("table", dst),
+            lambda: NextHopTable(adj, dst, self.counters, reverse),
         )
 
     def distances(self, fingerprint: int, adj: Mapping, src: Hashable) -> Mapping:

@@ -14,6 +14,9 @@ import hashlib
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
+from repro.alg.dijkstra import reversed_graph
+from repro.sim.trace import Counter
+
 
 def content_digest(payload: object) -> int:
     """128-bit content digest of a canonical (repr-stable) payload.
@@ -28,6 +31,7 @@ def content_digest(payload: object) -> int:
 
 
 _NEVER = object()  # sentinel: cached view not built yet
+_INF = float("inf")
 
 
 class TopologyDatabase:
@@ -48,9 +52,22 @@ class TopologyDatabase:
     relies on. A periodic refresh update that re-announces unchanged
     costs bumps ``version`` but leaves the fingerprint (and thus every
     derived routing artifact) intact.
+
+    The derived views are patched, not rebuilt: changed content marks
+    its origin stale and the next read rebuilds only stale rows. Rows
+    are replaced, never mutated, under a fresh outer mapping per
+    fingerprint (a pointer copy) — a view handed out earlier keeps
+    describing the graph it was read from, and untouched rows keep
+    their identity from one view to the next.
+
+    ``counters`` (the owning network's bag; private when not given)
+    receives ``lsu-rejected`` and ``topo.rows_patched`` — adjacency rows
+    rebuilt because their origin's content changed (a row's first build
+    is not a patch).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, counters: Counter | None = None) -> None:
+        self.counters = counters if counters is not None else Counter()
         self._records: dict[str, tuple[int, dict[str, float | None]]] = {}
         self.version = 0
         #: Content digest of the current connectivity graph (order- and
@@ -59,23 +76,44 @@ class TopologyDatabase:
         #: this class writes.
         self.fingerprint = 0
         self._parts: dict[str, int] = {}
-        self._adj_fp: object = _NEVER
+        #: The adjacency view, the origins whose content moved since it
+        #: was built, the reverse view and the adjacency it reverses.
         self._adj_view: Mapping = MappingProxyType({})
+        self._adj_stale: set[str] = set()
+        self._rev_view: Mapping = MappingProxyType({})
+        self._rev_from: Mapping = MappingProxyType({})
         self._sym_fp: object = _NEVER
         self._sym_view: Mapping = MappingProxyType({})
 
     def update(self, origin: str, seq: int, neighbor_costs: dict) -> bool:
-        """Apply an update; returns True if it was new (should re-flood)."""
+        """Apply an update; returns True if it was new (should re-flood).
+        A newer record repeating the stored content (the periodic
+        refresh) only advances seq and ``version``; one with a negative
+        or non-finite cost is refused — it would otherwise raise out of
+        whichever forwarding decision first searched across that edge."""
         current = self._records.get(origin)
-        if current is not None and current[0] >= seq:
-            return False
+        if current is not None:
+            if current[0] >= seq:
+                return False
+            if current[1] == neighbor_costs:
+                self._records[origin] = (seq, current[1])
+                self.version += 1
+                return True
         costs = dict(neighbor_costs)
+        for cost in costs.values():
+            if cost is not None and not 0 <= cost < _INF:
+                self.counters.add("lsu-rejected")
+                return False
         self._records[origin] = (seq, costs)
         self.version += 1
+        self._set_part(origin, costs)
+        return True
+
+    def _set_part(self, origin: str, costs: dict) -> None:
         part = content_digest((origin, tuple(sorted(costs.items()))))
         self.fingerprint ^= self._parts.get(origin, 0) ^ part
         self._parts[origin] = part
-        return True
+        self._adj_stale.add(origin)
 
     def record(self, origin: str) -> Mapping | None:
         """The origin's current ``{neighbor: cost-or-None}`` record as a
@@ -99,21 +137,70 @@ class TopologyDatabase:
         data structure from the same records — required for consistent
         hop-by-hop multicast trees.
 
-        The result is a read-only view cached per :attr:`fingerprint`:
-        repeated calls against unchanged content return the same object
-        instead of rebuilding fresh dicts, and callers must not (and
-        cannot) mutate it.
+        The result is a read-only view: repeated calls against unchanged
+        content return the same object (changed content rebuilds the
+        changed origins' rows under a new one), and callers must not
+        (and cannot) mutate it.
         """
-        if self._adj_fp != self.fingerprint:
-            adj: dict[str, Mapping] = {}
-            for origin in sorted(self._records):
-                __, nbrs = self._records[origin]
-                adj[origin] = MappingProxyType({
+        stale = self._adj_stale
+        if stale:
+            rows = self._adj_view.copy()
+            patched = len(stale & rows.keys())
+            for origin in stale:
+                nbrs = self._records[origin][1]
+                rows[origin] = MappingProxyType({
                     v: nbrs[v] for v in sorted(nbrs) if nbrs[v] is not None
                 })
-            self._adj_view = MappingProxyType(adj)
-            self._adj_fp = self.fingerprint
+            if patched:
+                self.counters.add("topo.rows_patched", patched)
+            if patched < len(stale):  # first rows: restore the sorted order
+                rows = {u: rows[u] for u in sorted(rows)}
+            stale.clear()
+            self._adj_view = MappingProxyType(rows)
         return self._adj_view
+
+    def reverse_adjacency(self) -> Mapping:
+        """:meth:`adjacency` reversed, ``{v: {u: cost}}`` — what next-hop
+        tables are searched on — in exactly the order
+        :func:`~repro.alg.dijkstra.reversed_graph` gives (rows keyed by
+        upstream node, sorted): the search's tie-breaks follow it.
+        Cached like :meth:`adjacency`; patched only when read."""
+        adj, seen = self.adjacency(), self._rev_from
+        if seen is not adj:
+            stale = [u for u, row in adj.items() if seen.get(u) is not row]
+            rows = self._rev_view.copy()
+            if (len(adj) != len(seen) or 2 * len(stale) > len(adj)
+                    or not self._patch_reverse(rows, seen, adj, stale)):
+                rows = {
+                    v: MappingProxyType(row)
+                    for v, row in reversed_graph(adj).items()
+                }
+            self._rev_from = adj
+            self._rev_view = MappingProxyType(rows)
+        return self._rev_view
+
+    @staticmethod
+    def _patch_reverse(rows: dict, seen: Mapping, adj: Mapping, stale: list) -> bool:
+        """Re-fold the ``stale`` origins' rows into the reverse ``rows``.
+        False (rebuild in one pass) when an edge to a node without a
+        record is involved: the outer key set, hence order, could move."""
+        for u in stale:
+            new = adj[u]
+            touched = seen[u].keys() | new.keys()
+            if not touched <= adj.keys():
+                return False
+            for v in touched:
+                cost = new.get(v)
+                if rows[v].get(u) != cost:
+                    row = dict(rows[v])
+                    if cost is None:
+                        del row[u]
+                    else:
+                        row[u] = cost
+                        if len(row) > len(rows[v]):  # new key: re-sort
+                            row = {k: row[k] for k in sorted(row)}
+                    rows[v] = MappingProxyType(row)
+        return True
 
     def symmetric_adjacency(self) -> Mapping:
         """Adjacency keeping only edges reported up *by both ends*
@@ -152,16 +239,10 @@ class TopologyDatabase:
         counter."""
         if self._records:
             raise ValueError("load_state requires an empty database")
-        parts: dict[str, int] = {}
-        fingerprint = 0
         for origin, (seq, costs) in records.items():
             self._records[origin] = (seq, costs)
-            part = content_digest((origin, tuple(sorted(costs.items()))))
-            fingerprint ^= part
-            parts[origin] = part
+            self._set_part(origin, costs)
         self.version = version
-        self._parts = parts
-        self.fingerprint = fingerprint
 
 
 class GroupDatabase:
@@ -188,11 +269,15 @@ class GroupDatabase:
     def update(self, origin: str, seq: int, groups) -> bool:
         """Apply a membership update; True if new (should re-flood)."""
         current = self._records.get(origin)
-        new = frozenset(groups)
         if current is not None and current[0] >= seq:
             return False
-        self._records[origin] = (seq, new)
+        new = frozenset(groups)
         self.version += 1
+        if current is not None and current[1] == new:
+            # A refresh: same interest, so every derived view stands.
+            self._records[origin] = (seq, current[1])
+            return True
+        self._records[origin] = (seq, new)
         part = content_digest((origin, tuple(sorted(new))))
         self.fingerprint ^= self._parts.get(origin, 0) ^ part
         self._parts[origin] = part
@@ -270,13 +355,15 @@ class DedupCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._sent: dict[Hashable, int] = {}
-        self._delivered: set[Hashable] = set()
+        #: Insertion-ordered like ``_sent`` (a set iterates in hash
+        #: order, so "the oldest half" of one is an arbitrary half).
+        self._delivered: dict[Hashable, None] = {}
 
     def already_delivered(self, key: Hashable) -> bool:
         """Mark delivery; returns True if it was already delivered."""
         if key in self._delivered:
             return True
-        self._delivered.add(key)
+        self._delivered[key] = None
         if len(self._delivered) > self.capacity:
             self._evict(self._delivered)
         return False
@@ -291,11 +378,7 @@ class DedupCache:
             self._evict(self._sent)
 
     @staticmethod
-    def _evict(store) -> None:
-        # Drop the oldest half (dicts and sets iterate in insertion order).
-        oldest = list(store)[: len(store) // 2]
-        if isinstance(store, set):
-            store.difference_update(oldest)
-        else:
-            for key in oldest:
-                del store[key]
+    def _evict(store: dict) -> None:
+        # Drop the oldest half (dicts iterate in insertion order).
+        for key in list(store)[: len(store) // 2]:
+            del store[key]

@@ -77,7 +77,13 @@ class OverlayNode:
         self.config = network.config
         self.counters = network.counters
 
-        self.topo_db = TopologyDatabase()
+        if network.auditor is not None:  # the plain class when off
+            from repro.audit import AuditedTopologyDatabase
+
+            self.topo_db = AuditedTopologyDatabase(
+                network.auditor, network.counters)
+        else:
+            self.topo_db = TopologyDatabase(network.counters)
         self.group_db = GroupDatabase()
         self.routing = RoutingService(
             node_id, self.topo_db, self.group_db, network.link_index,

@@ -120,7 +120,6 @@ class RoutingService:
         self.engine = engine if engine is not None else RouteComputeEngine()
         self._fingerprint: int | None = None
         self._adj: dict = {}
-        self._sym_adj: dict = {}
         self._masks: dict[tuple, int] = {}
         self._cost_baselines: dict[tuple, float] = {}
 
@@ -130,11 +129,14 @@ class RoutingService:
         fingerprint = self.topo.fingerprint
         if self._fingerprint == fingerprint:
             return
-        self._adj = self.topo.adjacency()
-        self._sym_adj = self.topo.symmetric_adjacency()
+        seen, self._adj = self._adj, self.topo.adjacency()
         self._masks.clear()
         self._fingerprint = fingerprint
         for u, nbrs in self._adj.items():
+            # A row the replica did not patch is the same object as last
+            # time and has nothing new to fold into the baselines.
+            if seen.get(u) is nbrs:
+                continue
             for v, cost in nbrs.items():
                 key = (u, v)
                 best = self._cost_baselines.get(key)
@@ -167,7 +169,9 @@ class RoutingService:
     def next_hop(self, dst_node: str) -> str | None:
         """Next overlay hop from this node toward ``dst_node``."""
         self._refresh()
-        table = self.engine.table(self._fingerprint, self._adj, dst_node)
+        table = self.engine.table(
+            self._fingerprint, self._adj, dst_node, self.topo.reverse_adjacency
+        )
         return table.get(self.node_id)
 
     def distance(self, src: str, dst: str) -> float | None:
@@ -228,13 +232,13 @@ class RoutingService:
             return self._masks[key]
         if service.routing == ROUTING_DISJOINT:
             edges = self.engine.disjoint_edges(
-                self._fingerprint, self._sym_adj, self.node_id, dst_node,
-                service.k,
+                self._fingerprint, self.topo.symmetric_adjacency(),
+                self.node_id, dst_node, service.k,
             )
         elif service.routing == ROUTING_GRAPH:
             edges = self.engine.graph_edges(
-                self._fingerprint, self._sym_adj, GRAPH_SRC_DST_PROBLEM,
-                self.node_id, dst_node,
+                self._fingerprint, self.topo.symmetric_adjacency(),
+                GRAPH_SRC_DST_PROBLEM, self.node_id, dst_node,
             )
         elif service.routing == ROUTING_ADAPTIVE:
             edges = self._adaptive_graph(dst_node)
@@ -273,7 +277,8 @@ class RoutingService:
         else:
             kind = GRAPH_TWO_DISJOINT
         return self.engine.graph_edges(
-            self._fingerprint, self._sym_adj, kind, self.node_id, dst_node
+            self._fingerprint, self.topo.symmetric_adjacency(), kind,
+            self.node_id, dst_node,
         )
 
     def group_bitmask(self, group: str, service: ServiceSpec) -> int:

@@ -23,6 +23,7 @@ from repro.audit import (
     AuditViolation,
     AuditedForwardingCache,
     AuditedRouteComputeEngine,
+    AuditedTopologyDatabase,
     Auditor,
     TraceDivergenceError,
     assert_identical,
@@ -38,6 +39,7 @@ from repro.audit import (
 )
 from repro.core.compute import RouteComputeEngine
 from repro.core.config import OverlayConfig
+from repro.core.linkstate import TopologyDatabase
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.core.pipeline import ForwardingCache
@@ -392,6 +394,48 @@ def test_route_consistency_passes_and_fires():
     assert violation.invariant == "route-consistency"
 
 
+def test_table_hits_are_held_against_the_from_scratch_oracle():
+    """A sampled ``("table", dst)`` hit compares the lazily settled
+    table with ``next_hops(adj, dst)`` — whole tables, so the comparison
+    finishes a paused search — and fires when the cached tree is wrong."""
+    adj = {"a": {"b": 1.0}, "b": {"c": 1.0}, "c": {"d": 1.0}, "d": {}}
+    auditor = Auditor(counters=Counter(), sample_every=1, register=False)
+    engine = AuditedRouteComputeEngine(auditor, counters=auditor.counters)
+    table = engine.table(1, adj, "d")
+    assert table.get("c") == "d"
+    assert auditor.counters.get("route.settled") == 2  # d, c: paused
+    assert engine.table(1, adj, "d") is table
+    assert auditor.report.ok and auditor.report.checks == 1
+    assert auditor.counters.get("route.settled") == 4  # the audit finished it
+    table._prev["a"] = "c"  # a tree no search of adj produces
+    engine.table(1, adj, "d")
+    assert auditor.report.violations[0].invariant == "route-consistency"
+
+
+def test_topology_views_audit_passes_and_fires():
+    from types import MappingProxyType
+
+    auditor = Auditor(counters=Counter(), sample_every=1, register=False)
+    db = AuditedTopologyDatabase(auditor, auditor.counters)
+    for seq, cost in enumerate((1.0, 2.0, None, 1.0), start=1):
+        for origin, nbr in (("b", "a"), ("a", "b"), ("a", "c")):
+            db.update(origin, 10 * seq + ord(nbr), {nbr: cost, "z": 1.0})
+            db.adjacency()
+            db.reverse_adjacency()
+    assert auditor.report.ok and auditor.report.checks >= 20
+    checks = auditor.report.checks
+    db.adjacency()  # unchanged fingerprint: no patch, no check
+    assert auditor.report.checks == checks
+    # A row that is not what the records say (a lost patch).
+    db._adj_view = MappingProxyType(
+        dict(db._adj_view, b=MappingProxyType({"a": 99.0})))
+    db.update("a", 1000, {"b": 5.0})
+    db.adjacency()
+    violation = auditor.report.violations[0]
+    assert violation.invariant == "topology-views"
+    assert "adjacency()" in violation.detail
+
+
 # ----------------------------------------------------- switch + end-to-end
 
 def _mesh(sim, rngs, n=8):
@@ -435,6 +479,7 @@ def test_audit_off_constructs_plain_classes():
     assert type(overlay.route_engine) is RouteComputeEngine
     node = overlay.nodes["h0"]
     assert type(node.pipeline.cache) is ForwardingCache
+    assert type(node.topo_db) is TopologyDatabase
     assert overlay.counters.get("audit.check") == 0.0
 
 
@@ -443,6 +488,7 @@ def test_audit_on_wires_audited_classes_and_finds_nothing():
     assert isinstance(overlay.route_engine, AuditedRouteComputeEngine)
     assert isinstance(overlay.nodes["h0"].pipeline.cache,
                       AuditedForwardingCache)
+    assert isinstance(overlay.nodes["h0"].topo_db, AuditedTopologyDatabase)
     report = collect_report()  # includes post-hoc heap/datagram checks
     assert report.checks > 0
     assert report.ok, report.format()

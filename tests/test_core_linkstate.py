@@ -102,6 +102,61 @@ def test_dedup_eviction_bounds_memory():
     assert len(cache._sent) <= 11
 
 
+def _dedup_survivors() -> list[int]:
+    cache = DedupCache(10)
+    for i in range(11):
+        cache.already_delivered((f"flow-{i}", i))
+    return sorted(i for __, i in cache._delivered)
+
+
+def test_dedup_eviction_keeps_exactly_the_newest_half():
+    """The 11th key overflows capacity 10 and the five oldest go. A set
+    of delivered keys dropped a hash-ordered half instead — possibly
+    the key just inserted, whose redundant copy was then delivered a
+    second time."""
+    assert _dedup_survivors() == [5, 6, 7, 8, 9, 10]
+    cache = DedupCache(10)
+    for i in range(11):
+        assert not cache.already_delivered((f"flow-{i}", i))
+    assert cache.already_delivered(("flow-10", 10))
+
+
+def test_dedup_eviction_is_the_same_under_any_hash_seed():
+    """Two interpreters with different string-hash seeds evict the same
+    keys (runs past ``dedup_cache`` deliveries repeat across
+    interpreters)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    survivors = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_core_linkstate import _dedup_survivors; "
+             "print(_dedup_survivors())"],
+            env=env, cwd=root, capture_output=True, text=True, check=True,
+            timeout=60)
+        survivors.append(out.stdout.strip())
+    assert survivors[0] == survivors[1] == "[5, 6, 7, 8, 9, 10]"
+
+
+def test_topology_refuses_negative_and_non_finite_costs():
+    db = TopologyDatabase()
+    assert db.update("a", 1, {"b": 1.0})
+    before = (db.fingerprint, db.version, db.seq("a"))
+    for bad in (-0.5, float("nan"), float("inf"), -float("inf")):
+        assert not db.update("a", 2, {"b": bad, "c": 1.0})
+    assert (db.fingerprint, db.version, db.seq("a")) == before
+    assert db.record("a") == {"b": 1.0}
+    assert db.counters.get("lsu-rejected") == 4
+    assert db.update("a", 2, {"b": 0.0, "c": None})  # zero and down are fine
+
+
 def test_dedup_capacity_validation():
     import pytest
 

@@ -224,3 +224,30 @@ def test_parallel_overlays_are_independent():
     ov2.client("hx").send(Address("hy", 7))
     sim.run(until=3.0)
     assert len(got1) == 1 and len(got2) == 1
+
+
+@pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
+def test_malformed_lsu_is_refused_not_routed_on(cost):
+    """A forged link-state record with a negative or non-finite cost,
+    delivered to one node of a running overlay, is counted and dropped
+    there: no replica's graph moves, nothing is re-flooded, and traffic
+    keeps flowing (it used to be stored, flooded, and to raise out of
+    whichever forwarding decision first relaxed the edge)."""
+    from repro.core.message import Frame
+
+    scn = make_triangle_overlay(seed=9)
+    overlay = scn.overlay
+    assert overlay.converged()
+    before = {n.id: (n.topo_db.fingerprint, n.topo_db.version)
+              for n in overlay.nodes.values()}
+    forged = {"origin": "hy", "seq": overlay.nodes["hy"].topo_db.seq("hy") + 1,
+              "costs": {"hx": cost, "hz": 0.01}}
+    overlay.nodes["hx"].receive_frame(Frame(
+        proto="control", ftype="state", src_node="hy", dst_node="hx",
+        info={"records": [("lsu", forged)]}))
+    scn.run_for(0.3)  # shorter than the run to the next refresh
+    assert overlay.counters.get("lsu-rejected") == 1
+    assert before == {n.id: (n.topo_db.fingerprint, n.topo_db.version)
+                      for n in overlay.nodes.values()}
+    got = _send_and_run(scn, "hx", Address("hz", 7))
+    assert len(got) == 1
