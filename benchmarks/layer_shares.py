@@ -9,7 +9,10 @@ run shows where the traced window spent its time::
 
 (and the same for ``storm_churn``, the workload that writes routing
 state: its generation moves, route computes and cache invalidations sit
-next to the ``alg`` / ``core.linkstate`` / ``core.routing`` shares).
+next to the ``alg`` / ``core.linkstate`` / ``core.routing`` shares, and
+for ``mesh_exact``, whose overlay links ride five fibers each: the last
+row, ``sim.events`` per ``net.datagrams_delivered``, is where an
+underlay event per fiber would show).
 
 Only within-run ratios and counts are printed — shares of self time,
 calls into each layer, event and frame counts — never absolute seconds:

@@ -8,7 +8,7 @@ package turns that promise into machine-checked predicates:
 * :mod:`repro.audit.invariants` — checkers hooked into the simulator
   and overlay (heap accounting, teardown leaks, datagram conservation,
   sampled forwarding-cache coherence, route-engine consistency,
-  incremental topology views),
+  incremental topology views, quiet underlay transits),
   coordinated by an :class:`~repro.audit.invariants.Auditor`;
 * :mod:`repro.audit.diff` — a trace differ that localizes the *first*
   divergent record between two runs, with context;
@@ -36,6 +36,7 @@ from repro.audit.invariants import (
     Auditor,
     active_auditors,
     audit_enabled,
+    audit_transits,
     check_datagram_conservation,
     check_heap_accounting,
     check_teardown,
@@ -56,6 +57,7 @@ __all__ = [
     "active_auditors",
     "assert_identical",
     "audit_enabled",
+    "audit_transits",
     "check_datagram_conservation",
     "check_heap_accounting",
     "check_teardown",

@@ -27,7 +27,11 @@ holds those checkers:
   finishes it, so ``route.settled`` moves under audit);
 * **topology views** (:class:`AuditedTopologyDatabase`) — every
   ``sample_every``-th patch of a replica's adjacency / reverse views
-  is compared, content and key order, against a rebuild from records.
+  is compared, content and key order, against a rebuild from records;
+* **quiet transits** (:func:`audit_transits`) — every
+  ``sample_every``-th datagram the underlay settles over several fibers
+  in one step is re-walked fiber by fiber against the live forwarding
+  tables and fiber state: same fibers, all quiet, same arrival instant.
 
 The :class:`Auditor` ties them together: one per audited
 :class:`~repro.core.network.OverlayNetwork` (created only when
@@ -55,6 +59,8 @@ from repro.audit.report import AuditReport, AuditViolation
 from repro.core.compute import NextHopTable, RouteComputeEngine
 from repro.core.linkstate import TopologyDatabase
 from repro.core.pipeline import ForwardingCache
+from repro.net.internet import _MAX_HOPS
+from repro.net.loss import NoLoss
 
 #: Default sampling period for hit re-derivation: every Nth cache hit
 #: is recomputed cold. Deterministic (a counter, not an RNG draw).
@@ -245,7 +251,8 @@ def check_teardown(sim, auditor: Auditor) -> bool:
 
 def _in_flight_datagrams(internet) -> int:
     """Count queued, non-cancelled underlay continuation events — each
-    one is exactly one datagram currently walking its hop chain. In the
+    one is exactly one datagram currently walking its hop chain (or
+    riding a quiet transit's single event to its delivery). In the
     vectorized tier a datagram may instead be parked in one of the
     slot's deferred batches (per-link crossing groups, path
     fast-forward groups, or the bulk-delivery map) awaiting the flush
@@ -256,7 +263,9 @@ def _in_flight_datagrams(internet) -> int:
         if not is_live:
             continue
         fn = event.fn
-        if getattr(fn, "__self__", None) is internet:
+        if fn is internet._hop_cb:  # also when audit_transits wrapped it
+            count += 1
+        elif getattr(fn, "__self__", None) is internet:
             name = getattr(fn, "__name__", "")
             if name in ("_hop", "_deliver", "_drop"):
                 count += 1
@@ -291,6 +300,60 @@ def check_datagram_conservation(internet, auditor: Auditor) -> bool:
         f"dropped={dropped:.0f} + in-flight={in_flight}",
         sim_time=internet.sim.now,
     )
+
+
+def audit_transits(internet, auditor: Auditor) -> None:
+    """Arm the ``transit-express`` check on ``internet``: every
+    ``sample_every``-th quiet transit (several fibers settled in one
+    step from a cached profile, see ``Internet._hop``) is walked again
+    from the live forwarding tables and fiber state as pure arithmetic
+    and compared — same fibers, each of them quiet, same delivery
+    instant, inside the hop budget. Wraps the hop callback the Internet
+    schedules, so an unaudited Internet pays nothing; reads only, so
+    audited and unaudited runs stay byte-identical."""
+    hop = internet._hop
+    deliver = internet._deliver_cb
+    sim = internet.sim
+    transits = 0
+
+    def audited_hop(domain, router, dst_label, datagram, on_deliver,
+                    on_drop, hops):
+        nonlocal transits
+        hop(domain, router, dst_label, datagram, on_deliver, on_drop, hops)
+        chain = datagram._chain
+        if chain is None or chain.fn is not deliver or len(chain.args) == 2:
+            return  # dropped, or walking: this hop settled one fiber
+        transits += 1
+        if transits % auditor.sample_every:
+            return
+        profile = chain.args[3]
+        fibers = []
+        at = sim.now
+        cur = router
+        while cur != dst_label and len(fibers) < _MAX_HOPS:
+            nxt = domain.next_hop(cur, dst_label)
+            if nxt is None:
+                break
+            link, __ = domain.link_on_path(cur, nxt)
+            if link.failed or link.jitter or link.capacity_bps is not None \
+                    or type(link.loss) is not NoLoss:
+                break
+            fibers.append(link)
+            at = at + link.delay
+            cur = nxt
+        at = at + internet.hosts[datagram.dst].access_delay
+        auditor.check(
+            "transit-express",
+            cur == dst_label and tuple(fibers) == profile.links
+            and at == chain.time and hops + len(fibers) <= _MAX_HOPS,
+            f"datagram {datagram.uid} settled {router!r} -> {dst_label!r} "
+            f"over {[f.name for f in profile.links]} landing at "
+            f"{chain.time!r}; a walk over the live tables gets as far as "
+            f"{cur!r} over {[f.name for f in fibers]}, landing at {at!r}",
+            sim_time=sim.now,
+        )
+
+    internet._hop_cb = audited_hop
 
 
 # ------------------------------------------------- audited cache variants

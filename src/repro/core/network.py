@@ -81,9 +81,14 @@ class OverlayNetwork:
         #: the plain cache classes below (zero overhead when off).
         self.auditor = None
         if self.config.audit or os.environ.get("REPRO_AUDIT", "") not in ("", "0"):
-            from repro.audit import AuditedRouteComputeEngine, Auditor
+            from repro.audit import (
+                AuditedRouteComputeEngine,
+                Auditor,
+                audit_transits,
+            )
 
             self.auditor = Auditor(counters=self.counters, network=self)
+            audit_transits(internet, self.auditor)
         #: Network-wide content-addressed route computation: every
         #: node's RoutingService delegates here, so replicas that have
         #: converged on the same shared state reuse one Dijkstra table /

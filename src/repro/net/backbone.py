@@ -26,6 +26,24 @@ FWD = 1
 REV = -1
 
 
+def _watched(slot: str) -> property:
+    """A :class:`FiberLink` attribute whose changes are announced to
+    the link's watchers *before* they land. Hot paths read the private
+    slot directly; only the (rare) writers and cold readers pay for the
+    property."""
+
+    def get(self):
+        return getattr(self, slot)
+
+    def set(self, value) -> None:
+        if value is not getattr(self, slot):
+            for watcher in self._watchers:
+                watcher()
+            setattr(self, slot, value)
+
+    return property(get, set)
+
+
 class FiberLink:
     """A physical (bidirectional) fiber between two routers.
 
@@ -40,7 +58,16 @@ class FiberLink:
         capacity_bps: Serialization rate; ``None`` means uncapped.
         loss: The link's loss process (replaceable at runtime).
         failed: Physical state; failed links drop every packet.
+
+    ``failed`` and ``loss`` may be written by anyone at any time
+    (``RoutingDomain.fail_link``, a test, a warm-start restore); each
+    change first calls the link's watchers (:meth:`watch`), which is how
+    a domain pins its pre-cut tables and how the Internet takes
+    in-flight express transits back to the hop walk.
     """
+
+    failed = _watched("_failed")
+    loss = _watched("_loss")
 
     #: Packets queued beyond this many seconds of serialization delay
     #: are dropped (a bounded router queue).
@@ -61,12 +88,13 @@ class FiberLink:
         self.name = name
         self.delay = delay
         self.capacity_bps = capacity_bps
-        self.loss = loss if loss is not None else NoLoss()
+        self._watchers: list[Callable[[], None]] = []
+        self._loss = loss if loss is not None else NoLoss()
         #: Maximum extra per-packet queueing noise (uniform in
         #: [0, jitter]); large enough values reorder packets, which the
         #: recovery protocols must absorb without spurious requests.
         self.jitter = jitter
-        self.failed = False
+        self._failed = False
         #: Per-link loss RNG stream, filled in by the Internet on first
         #: traversal (cached here to keep the per-hop path lookup-free).
         self._loss_rng = None
@@ -85,6 +113,11 @@ class FiberLink:
         #: never mix).
         self.fluid_bytes = 0.0
 
+    def watch(self, watcher: Callable[[], None]) -> None:
+        """Call ``watcher()`` just before :attr:`failed` or
+        :attr:`loss` changes."""
+        self._watchers.append(watcher)
+
     def traverse(
         self, now: float, wire_bytes: int, direction: int, rng: random.Random
     ) -> float | None:
@@ -93,10 +126,10 @@ class FiberLink:
         Returns the arrival time at the far end, or ``None`` if the
         packet is lost (failure, loss process, or queue overflow).
         """
-        if self.failed:
+        if self._failed:
             self.packets_dropped += 1
             return None
-        if self.loss.should_drop(now, rng):
+        if self._loss.should_drop(now, rng):
             self.packets_dropped += 1
             return None
         queue_delay = 0.0
@@ -209,13 +242,17 @@ class RoutingDomain:
         self.sim = sim
         self.convergence_delay = convergence_delay
         self._adj: dict[NodeId, dict[NodeId, tuple[FiberLink, int]]] = {}
-        self._route_adj: dict[NodeId, dict[NodeId, float]] = {}
+        #: The delay adjacency the tables are computed from, as of the
+        #: last convergence; ``None`` = not built yet (built by the first
+        #: table miss, or just before a fiber changes state).
+        self._route_adj: dict[NodeId, dict[NodeId, float]] | None = None
         self._tables: dict[NodeId, dict[NodeId, NodeId]] = {}
         self._converge_listeners: list[Callable[[], None]] = []
+        self._watchers: list[Callable[[], None]] = []
         self._pending_reconverge = False
         #: Bumped whenever the forwarding tables are recomputed; path
-        #: caches keyed on it (the vectorized tier's fast-forward cache)
-        #: see stale-table forwarding exactly as hop-by-hop lookups do.
+        #: caches stamped with it (``Internet._path_cache``) see
+        #: stale-table forwarding exactly as hop-by-hop lookups do.
         self.tables_epoch = 0
 
     # ---------------------------------------------------------- topology
@@ -254,6 +291,7 @@ class RoutingDomain:
         self.add_router(b)
         self._adj[a][b] = (link, FWD)
         self._adj[b][a] = (link, REV)
+        link.watch(self._fiber_changing)
         self._refresh_routing_now()
 
     def link_between(self, a: NodeId, b: NodeId) -> FiberLink | None:
@@ -276,21 +314,44 @@ class RoutingDomain:
             u: {
                 v: link.delay
                 for v, (link, __) in nbrs.items()
-                if not link.failed
+                if not link._failed
             }
             for u, nbrs in self._adj.items()
         }
 
     def _refresh_routing_now(self) -> None:
-        """Recompute forwarding state immediately (topology changes made
-        while *building* the network converge instantly)."""
-        self._route_adj = self._current_adjacency()
+        """Converge on the topology as it is now (topology changes made
+        while *building* the network converge instantly). The adjacency
+        itself is rebuilt by whoever needs it first — a table miss, or
+        :meth:`_fiber_changing` pinning the pre-change view — so wiring
+        n fibers costs one rebuild, not n."""
+        self._route_adj = None
         self._tables.clear()
         self.tables_epoch += 1
+        for watcher in self._watchers:
+            watcher()
+
+    def _fiber_changing(self) -> None:
+        """One of the domain's fibers is about to be cut, repaired or
+        given another loss process: the tables must keep describing the
+        topology *before* the change until the domain reconverges."""
+        if self._route_adj is None:
+            self._route_adj = self._current_adjacency()
+        for watcher in self._watchers:
+            watcher()
+
+    def watch(self, watcher: Callable[[], None]) -> None:
+        """Call ``watcher()`` whenever something a datagram already in
+        flight could notice is changing: a fiber's ``failed`` / ``loss``
+        (just before the write) or the forwarding tables (just after
+        they were rewritten)."""
+        self._watchers.append(watcher)
 
     def next_hop(self, router: NodeId, dst: NodeId) -> NodeId | None:
         """Next hop from ``router`` toward ``dst`` per current tables."""
         if dst not in self._tables:
+            if self._route_adj is None:
+                self._route_adj = self._current_adjacency()
             self._tables[dst] = next_hops(self._route_adj, dst)
         return self._tables[dst].get(router)
 
@@ -355,9 +416,7 @@ class RoutingDomain:
 
     def _reconverge(self) -> None:
         self._pending_reconverge = False
-        self._route_adj = self._current_adjacency()
-        self._tables.clear()
-        self.tables_epoch += 1
+        self._refresh_routing_now()
         for listener in self._converge_listeners:
             listener()
 

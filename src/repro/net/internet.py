@@ -49,27 +49,33 @@ DropFn = Callable[[Datagram, str], None]
 
 
 class _PathProfile:
-    """A resolved capacity-free underlay transit for the vectorized
-    tier's path fast-forward: the ordered fibers (and directions) the
+    """A resolved capacity-free underlay transit: the ordered fibers
+    (with directions, and the router at the far end of each) the
     current forwarding tables would walk, with the delay/jitter totals
-    needed to settle the whole chain in one batch. ``jitters`` is
-    ``None`` when every fiber is jitter-free (the common case — skips
-    the per-fiber noise draws entirely)."""
+    the batched tier needs to settle the whole chain in one batch.
+    ``jitters`` is ``None`` when every fiber is jitter-free (the common
+    case — skips the per-fiber noise draws entirely). Both tiers read
+    the same profiles out of :attr:`Internet._path_cache`: the batched
+    tier's path fast-forward and the exact tier's quiet-transit lane."""
 
-    __slots__ = ("links", "dirs", "total_delay", "n_hops", "jitters",
-                 "trivial")
+    __slots__ = ("domain", "links", "dirs", "routers", "total_delay",
+                 "n_hops", "jitters", "trivial")
 
-    def __init__(self, links, dirs, total_delay, n_hops, jitters, trivial):
+    def __init__(self, domain, links, dirs, routers, total_delay, n_hops,
+                 jitters, trivial):
+        self.domain = domain
         self.links = links
         self.dirs = dirs
+        self.routers = routers
         self.total_delay = total_delay
         self.n_hops = n_hops
         self.jitters = jitters
         #: True when every fiber was loss-free and jitter-free at
         #: resolve time: the transit is then deterministic — counters
         #: plus one arrival sum, no draws at all. Re-verified against
-        #: live fail/loss state at settle time (a swapped-in loss model
-        #: or a cut fiber demotes the batch to the general path).
+        #: live fiber state by whoever settles on it (a swapped-in loss
+        #: model or a cut fiber sends that datagram, or that batch,
+        #: down the general path).
         self.trivial = trivial
 
 
@@ -87,19 +93,19 @@ class Channel:
     """
 
     __slots__ = ("src", "dst", "domain", "src_label", "dst_label",
-                 "src_access", "_ff")
+                 "src_access", "dst_access", "path_key")
 
     def __init__(self, src: str, dst: str, domain, src_label, dst_label,
-                 src_access: float) -> None:
+                 src_access: float, dst_access: float) -> None:
         self.src = src
         self.dst = dst
         self.domain = domain
         self.src_label = src_label
         self.dst_label = dst_label
         self.src_access = src_access
-        # Vectorized fast-forward cache: (tables_epoch, _PathProfile,
-        # dst access delay), filled lazily by send_via / prime_path.
-        self._ff: tuple | None = None
+        self.dst_access = dst_access
+        #: The whole transit's key in :attr:`Internet._path_cache`.
+        self.path_key = (domain, src_label, dst_label)
 
 
 class Host:
@@ -153,6 +159,7 @@ class Internet:
         #: instead of per ``send`` (bound-method creation is measurable
         #: at datagram rates).
         self._hop_cb = self._hop
+        self._deliver_cb = self._deliver
         #: Whether the simulator is the slot-bucket wheel — the
         #: substrate of the window / vectorized settings below. At
         #: window 0 the data plane is the same code on either engine.
@@ -184,16 +191,18 @@ class Internet:
         #: quantized delivery instant → ``[(datagram, on_deliver), ...]``.
         self._vec_deliveries: dict[float, list] = {}
         #: Path fast-forward groups of the slot being drained, keyed
-        #: ``(id(domain), router, dst_label)`` → ``(profile, [row, ...])``
+        #: ``(domain, router, dst_label)`` → ``(profile, [row, ...])``
         #: where a row is ``(datagram, on_deliver, on_drop, wire_bytes,
         #: dst_access_delay)``. A whole capacity-free underlay transit
         #: settles as one batch — no per-fiber continuation events.
         self._vec_path_pending: dict[tuple, tuple] = {}
-        #: Resolved transit profiles, keyed like the pending groups and
-        #: stamped with the domain's ``tables_epoch`` so reconvergence
-        #: (or any table rebuild) invalidates them — the fast-forward
-        #: path sees exactly the stale tables hop-by-hop lookups see.
-        self._vec_path_cache: dict[tuple, tuple] = {}
+        #: Resolved transit profiles of both tiers, keyed like the
+        #: pending groups → ``(tables_epoch, profile or None)``. The
+        #: stamp makes reconvergence (or any table rebuild) invalidate
+        #: them, so a settled transit sees exactly the stale tables a
+        #: hop-by-hop walk sees. Keyed on the domain *object*: a dropped
+        #: native domain's ``id`` can be handed to its replacement.
+        self._path_cache: dict[tuple, tuple] = {}
         #: Teardown epoch stamped when a slot's first row is deferred;
         #: a mismatch at flush time means ``sim.clear()`` ran mid-slot
         #: and the rows are discarded like any other in-flight event.
@@ -220,6 +229,7 @@ class Internet:
         if name in self.isps:
             raise ValueError(f"duplicate ISP {name!r}")
         domain = RoutingDomain(name, self.sim, convergence_delay)
+        domain.watch(self._demote_transits)
         self.isps[name] = domain
         self._native = None
         self._invalidate_channels()
@@ -279,6 +289,7 @@ class Internet:
                         domain.add_link_object((isp_name, u), (isp_name, v), link)
         for isp_a, ra, isp_b, rb, link in self._peerings:
             domain.add_link_object((isp_a, ra), (isp_b, rb), link)
+        domain.watch(self._demote_transits)
         return domain
 
     # -------------------------------------------------------- carriers
@@ -396,7 +407,7 @@ class Internet:
             domain, src_label, dst_label = self._resolve(src, dst, carrier)
             chan = Channel(
                 src, dst, domain, src_label, dst_label,
-                self.hosts[src].access_delay,
+                self.hosts[src].access_delay, self.hosts[dst].access_delay,
             )
             self._channels[key] = chan
         return chan
@@ -474,25 +485,18 @@ class Internet:
             # jitter-free has a fully deterministic outcome, so a
             # single send settles inline — per-fiber counters plus one
             # append to the slot's bulk-delivery batch — skipping
-            # _hop's cache probe and the per-group settle machinery
-            # entirely. The profile is cached on the channel and keyed
-            # on tables_epoch; liveness (fiber failure, loss-model
-            # swap) is re-checked per send at the slot instant, the
-            # same quantization the flush-time check carries.
-            entry = chan._ff
-            domain = chan.domain
-            if entry is None or entry[0] != domain.tables_epoch:
-                chan._ff = entry = (
-                    domain.tables_epoch,
-                    self._path_profile(
-                        domain, chan.src_label, chan.dst_label),
-                    self.hosts[chan.dst].access_delay,
-                )
+            # _hop and the per-group settle machinery entirely.
+            # Liveness (fiber failure, loss-model swap) is re-checked
+            # per send at the slot instant, the same quantization the
+            # flush-time check carries.
+            entry = self._path_cache.get(chan.path_key)
+            if entry is None or entry[0] != chan.domain.tables_epoch:
+                entry = self._resolve_path(*chan.path_key)
             profile = entry[1]
             if profile is not None and profile.trivial \
                     and profile.n_hops <= _MAX_HOPS:
                 for link in profile.links:
-                    if link.failed or type(link.loss) is not NoLoss:
+                    if link._failed or type(link._loss) is not NoLoss:
                         break
                 else:
                     wire = size + HEADER_BYTES
@@ -505,7 +509,8 @@ class Internet:
                         self._vec_epoch = self.sim._cleared
                     now = self.sim._now
                     w = self.columnar_window
-                    t = ceil((now + profile.total_delay + entry[2]) / w) * w
+                    t = ceil((now + profile.total_delay
+                              + chan.dst_access) / w) * w
                     if t < now:
                         t = now
                     rows = deliv.get(t)
@@ -569,11 +574,12 @@ class Internet:
                 # ordering to scheduling a new event).
                 self.sim.repush(
                     chain, self.sim._now + dst_host.access_delay,
-                    self._deliver, (datagram, on_deliver),
+                    self._deliver_cb, (datagram, on_deliver),
                 )
             else:
                 self.sim.schedule(
-                    dst_host.access_delay, self._deliver, datagram, on_deliver
+                    dst_host.access_delay, self._deliver_cb, datagram,
+                    on_deliver,
                 )
             return
         if hops >= _MAX_HOPS:
@@ -587,16 +593,12 @@ class Internet:
             # draws, summed delays and jitter, survivors straight into
             # the bulk-delivery batch. No per-fiber continuation events
             # at all. Profiles are cached per (domain, router, dst) and
-            # keyed on ``tables_epoch`` so forwarding reflects the same
-            # (possibly stale) tables a hop-by-hop walk would use.
-            cache = self._vec_path_cache
-            ck = (id(domain), router, dst_label)
-            entry = cache.get(ck)
+            # stamped with ``tables_epoch`` so forwarding reflects the
+            # same (possibly stale) tables a hop-by-hop walk would use.
+            ck = (domain, router, dst_label)
+            entry = self._path_cache.get(ck)
             if entry is None or entry[0] != domain.tables_epoch:
-                cache[ck] = entry = (
-                    domain.tables_epoch,
-                    self._path_profile(domain, router, dst_label),
-                )
+                entry = self._resolve_path(domain, router, dst_label)
             profile = entry[1]
             if profile is not None and hops + profile.n_hops <= _MAX_HOPS:
                 ppend = self._vec_path_pending
@@ -618,6 +620,42 @@ class Internet:
         if nxt is None:
             self._drop(datagram, DROP_NO_ROUTE, on_drop)
             return
+        if nxt != dst_label and self.columnar_window == 0.0:
+            # Quiet transit (exact tier): two or more fibers to go, and
+            # on every one of them — un-cut, loss-free, jitter-free,
+            # uncapped, as of this instant — the walk would only add a
+            # constant and bump two counters. Settle all of them here
+            # and send the chain's event straight to the delivery
+            # instant (the same floats: one add per fiber, in order).
+            # The event carries what :meth:`_demote_transits` needs to
+            # put the datagram back on the walk should the underlay
+            # change before it lands.
+            entry = self._path_cache.get((domain, router, dst_label))
+            if entry is None or entry[0] != domain.tables_epoch:
+                entry = self._resolve_path(domain, router, dst_label)
+            profile = entry[1]
+            chain = datagram._chain
+            if profile is not None and profile.trivial and chain is not None \
+                    and hops + profile.n_hops <= _MAX_HOPS:
+                links = profile.links
+                for link in links:
+                    if link._failed or link.jitter \
+                            or link.capacity_bps is not None \
+                            or type(link._loss) is not NoLoss:
+                        break
+                else:
+                    wire = datagram.size + HEADER_BYTES
+                    t = t0 = self.sim._now
+                    for link in links:
+                        link.packets_carried += 1
+                        link.bytes_carried += wire
+                        t = t + link.delay
+                    self.sim.repush(
+                        chain, t + self.hosts[datagram.dst].access_delay,
+                        self._deliver_cb,
+                        (datagram, on_deliver, t0, profile, on_drop, hops),
+                    )
+                    return
         link, direction = domain.link_on_path(router, nxt)
         if self._vectorized and self.sim._drain_bucket is not None:
             # Vectorized tier: defer this crossing into the slot's
@@ -663,7 +701,7 @@ class Internet:
                 # quantized bulk delivery.)
                 self.sim.repush(
                     chain, arrival + self.hosts[datagram.dst].access_delay,
-                    self._deliver, (datagram, on_deliver),
+                    self._deliver_cb, (datagram, on_deliver),
                 )
                 return
             self.sim.repush(
@@ -683,12 +721,62 @@ class Internet:
                 hops + 1,
             )
 
-    def _deliver(self, datagram: Datagram, on_deliver: DeliverFn) -> None:
+    def _deliver(self, datagram: Datagram, on_deliver: DeliverFn,
+                 *transit) -> None:
+        """Hand ``datagram`` to its destination host. ``transit``
+        (start instant, profile, ``on_drop``, hops at the start) rides
+        on a quiet transit's event for :meth:`_demote_transits` only; a
+        delivery does not look at it."""
         # Break the datagram <-> chain-event reference cycle so both die
         # by refcount, not in a gc sweep.
         datagram._chain = None
         self.counters.add("datagrams-delivered")
         on_deliver(datagram)
+
+    def _demote_transits(self) -> None:
+        """The underlay is changing under datagrams in flight — a fiber
+        is about to be cut, repaired or given another loss process, or
+        a domain's tables were just rewritten: put every quiet transit
+        back on the hop walk. Each is found on the event queue (none is
+        tracked while nothing changes), placed from its start instant
+        and its fibers' delays — the crossing instants the walk's own
+        events would have had — relieved of the counters of the fibers
+        it has not reached, and re-queued as a plain ``_hop`` at the
+        next router, so a drop at a cut fiber, forwarding by stale
+        tables and rerouting by fresh ones happen when and where they
+        always did. A transit already on its last fiber is left alone:
+        nothing it has yet to do reads the underlay."""
+        sim = self.sim
+        now = sim._now
+        deliver = self._deliver_cb
+        demoted = []
+        for event, live in sim.iter_queued():
+            if not live or event.fn is not deliver or len(event.args) == 2:
+                continue
+            __, __, t0, profile, __, __ = event.args
+            links = profile.links
+            # ``at`` = when the walk's hop at router ``crossed`` would
+            # fire; hops due strictly before now have fired.
+            at = t0 + links[0].delay
+            crossed = 1
+            while crossed < profile.n_hops and at < now:
+                at = at + links[crossed].delay
+                crossed += 1
+            if crossed < profile.n_hops:
+                demoted.append((at, event.seq, crossed, event))
+        demoted.sort(key=lambda row: row[:2])
+        for at, __, crossed, event in demoted:
+            datagram, on_deliver, __, profile, on_drop, hops = event.args
+            wire = datagram.size + HEADER_BYTES
+            for link in profile.links[crossed:]:
+                link.packets_carried -= 1
+                link.bytes_carried -= wire
+            event.cancel()
+            datagram._chain = sim.schedule_at(
+                at, self._hop_cb, profile.domain,
+                profile.routers[crossed - 1], profile.routers[-1],
+                datagram, on_deliver, on_drop, hops + crossed,
+            )
 
     def _drop(self, datagram: Datagram, reason: str, on_drop: DropFn | None) -> None:
         datagram._chain = None
@@ -710,6 +798,7 @@ class Internet:
         step drops there, exactly like the per-hop walk."""
         links: list = []
         dirs: list = []
+        routers: list = []
         jitters: list = []
         total_delay = 0.0
         any_jitter = False
@@ -725,40 +814,45 @@ class Internet:
                 return None
             links.append(link)
             dirs.append(direction)
+            routers.append(nxt)
             jitters.append(link.jitter)
             total_delay += link.delay
             any_jitter = any_jitter or link.jitter > 0.0
-            if type(link.loss) is not NoLoss:
+            if type(link._loss) is not NoLoss:
                 trivial = False
             seen.add(nxt)
             cur = nxt
         return _PathProfile(
+            domain,
             tuple(links),
             tuple(dirs),
+            tuple(routers),
             total_delay,
             len(links),
             tuple(jitters) if any_jitter else None,
             trivial and not any_jitter,
         )
 
+    def _resolve_path(self, domain: RoutingDomain, router: Any,
+                      dst_label: Any) -> tuple:
+        """(Re)fill the :attr:`_path_cache` entry for ``router ->
+        dst_label`` from the domain's current tables."""
+        entry = self._path_cache[(domain, router, dst_label)] = (
+            domain.tables_epoch,
+            self._path_profile(domain, router, dst_label),
+        )
+        return entry
+
     def prime_path(self, chan: Channel) -> None:
-        """Pre-resolve the fast-forward transit profile for a channel.
+        """Pre-resolve the transit profile for a channel.
 
         A no-op unless the vectorized tier is armed. Benchmarks prime
         every steady-state channel after a warm start for the same
         reason they pre-fill Dijkstra tables: a restored overlay should
         not pay lazy cache fills inside the measured window that an
         organically-warmed overlay already paid during warm-up."""
-        if not self._vectorized:
-            return
-        domain = chan.domain
-        profile = self._path_profile(domain, chan.src_label, chan.dst_label)
-        ck = (id(domain), chan.src_label, chan.dst_label)
-        self._vec_path_cache[ck] = (domain.tables_epoch, profile)
-        chan._ff = (
-            domain.tables_epoch, profile,
-            self.hosts[chan.dst].access_delay,
-        )
+        if self._vectorized:
+            self._resolve_path(*chan.path_key)
 
     def _settle_path_group(self, profile, rows, now, np) -> None:
         """Settle one fast-forward batch: every row crosses the whole
@@ -784,7 +878,7 @@ class Internet:
             # counters and one arrival sum per row. No draws, no
             # per-fiber work per row at all.
             for link in links:
-                if link.failed or type(link.loss) is not NoLoss:
+                if link._failed or type(link._loss) is not NoLoss:
                     break
             else:
                 wire_total = 0
@@ -831,7 +925,7 @@ class Internet:
         wires = np.array([row[3] for row in rows], dtype=np.float64)
         extra = np.zeros(k, dtype=np.float64)
         for i, (link, direction) in enumerate(zip(links, dirs)):
-            if link.failed:
+            if link._failed:
                 idxs = np.nonzero(alive)[0]
                 link.packets_dropped += len(idxs)
                 for j in idxs.tolist():
@@ -845,12 +939,12 @@ class Internet:
             if gen is None:
                 gen = link._vec_gen = np.random.default_rng(
                     rng.getrandbits(64))
-            lost = link.loss.batch_draws(now, rng, k, gen, np)
+            lost = link._loss.batch_draws(now, rng, k, gen, np)
             if lost is None:
                 # Unvectorizable loss model on this fiber: settle it (and
                 # only it) per row; later fibers may batch again.
                 lost = np.fromiter(
-                    (link.loss.should_drop(now, rng) for __ in range(k)),
+                    (link._loss.should_drop(now, rng) for __ in range(k)),
                     dtype=bool, count=k,
                 )
             died = alive & lost
@@ -974,7 +1068,7 @@ class Internet:
         """Settle one (link, direction) batch at the slot instant:
         numpy columns for groups worth the array overhead, the scalar
         loop otherwise (same semantics, different arithmetic engine)."""
-        if link.failed:
+        if link._failed:
             link.packets_dropped += len(rows)
             drop = self._drop
             for row in rows:
@@ -990,7 +1084,7 @@ class Internet:
         gen = link._vec_gen
         if gen is None:
             gen = link._vec_gen = np.random.default_rng(rng.getrandbits(64))
-        lost = link.loss.batch_draws(now, rng, k, gen, np)
+        lost = link._loss.batch_draws(now, rng, k, gen, np)
         if lost is None:
             # Unvectorizable loss model (unknown subclass): per-packet
             # scalar calls, still batched into bulk dispatch.

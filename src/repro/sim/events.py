@@ -762,8 +762,14 @@ class Simulator:
         no particular order — the audit checkers' engine-agnostic view.
         ``live`` is False for lazily deleted records: cancelled events
         and (columnar mode) stale records left behind by a reschedule,
-        whose event lives on in another slot."""
+        whose event lives on in another slot. From inside a callback
+        the rest of the instant counts as queued on either engine: the
+        wheel's slot being drained is off the heap, so its unfired
+        records are reported from there (its stale ones are not)."""
         if self._columnar:
+            for eseq, event in self._drain_bucket or ():
+                if event._queued and event.seq == eseq:
+                    yield event, not event._cancelled
             for entry in self._queue:
                 for eseq, event in entry[2]:
                     yield event, event.seq == eseq and not event._cancelled

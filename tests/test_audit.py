@@ -28,6 +28,7 @@ from repro.audit import (
     TraceDivergenceError,
     assert_identical,
     audit_enabled,
+    audit_transits,
     check_datagram_conservation,
     check_heap_accounting,
     check_teardown,
@@ -45,6 +46,7 @@ from repro.core.network import OverlayNetwork
 from repro.core.pipeline import ForwardingCache
 from repro.analysis.workloads import CbrSource
 from repro.net.internet import Internet
+from repro.net.topologies import line_internet
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Counter, TraceCollector
@@ -332,6 +334,50 @@ def test_datagram_conservation_fires_on_cooked_counters():
     assert "sent=5" in violation.detail
 
 
+# ------------------------------------------------------- quiet transits
+
+def _audited_line(sample_every):
+    sim = Simulator()
+    inet = line_internet(sim, RngRegistry(3), n_hops=5)
+    auditor = Auditor(sample_every=sample_every, register=False)
+    audit_transits(inet, auditor)
+    return sim, inet, auditor
+
+
+def test_transit_audit_passes_and_counts_in_flight_transits():
+    sim, inet, auditor = _audited_line(sample_every=4)
+    got = []
+    for i in range(32):
+        sim.schedule(0.001 * i, inet.send, "h0", "h5", i, 100, "line",
+                     got.append, lambda d, reason: got.append(reason))
+    domain = inet.isps["line"]
+    sim.schedule_at(0.0305, domain.fail_link, "r3", "r4")  # demotes some
+    sim.schedule_at(0.0455, domain.repair_link, "r3", "r4")
+    sim.run(until=0.04)
+    assert check_datagram_conservation(inet, auditor)  # mid-flight
+    sim.run(until=1.0)
+    assert len(got) == 32 and "link-loss" in got
+    # 32 first hops went express, and so did every demoted datagram's
+    # hop at the next router that still had two quiet fibers ahead.
+    assert auditor.report.checks >= 1 + 32 // 4
+    assert auditor.report.ok, auditor.report.format()
+
+
+def test_transit_audit_fires_on_a_profile_the_tables_do_not_back():
+    sim, inet, auditor = _audited_line(sample_every=1)
+    domain = inet.isps["line"]
+    # A cached profile that is not what the tables say: the fibers of
+    # r1 -> r5 filed under r0 -> r5, stamped with the current epoch.
+    epoch, short = inet._resolve_path(domain, "r1", "r5")
+    inet._path_cache[(domain, "r0", "r5")] = (epoch, short)
+    inet.send("h0", "h5", "x", 100, "line", lambda d: None)
+    sim.run()
+    assert not auditor.report.ok
+    violation = auditor.report.violations[0]
+    assert violation.invariant == "transit-express"
+    assert "'line:r0-r1'" in violation.detail  # the walk's first fiber
+
+
 # --------------------------------------------------- audited cache checks
 
 class _StubNode:
@@ -438,7 +484,7 @@ def test_topology_views_audit_passes_and_fires():
 
 # ----------------------------------------------------- switch + end-to-end
 
-def _mesh(sim, rngs, n=8):
+def _mesh(sim, rngs, n=8, overlay_spacings=None):
     inet = Internet(sim, rngs)
     dom = inet.add_isp("m", convergence_delay=5.0)
     fibers = sorted({tuple(sorted((f"r{i}", f"r{(i + d) % n}")))
@@ -451,13 +497,16 @@ def _mesh(sim, rngs, n=8):
         inet.add_host(f"h{i}", access_delay=0.0)
         inet.attach(f"h{i}", "m", f"r{i}")
     links = [(f"h{a[1:]}", f"h{b[1:]}") for a, b in fibers]
+    if overlay_spacings is not None:  # several fibers under a link
+        links = sorted({tuple(sorted((f"h{i}", f"h{(i + d) % n}")))
+                        for i in range(n) for d in overlay_spacings})
     return inet, [f"h{i}" for i in range(n)], links
 
 
-def _run_mesh(audit: bool) -> tuple[list, OverlayNetwork]:
+def _run_mesh(audit: bool, **mesh) -> tuple[list, OverlayNetwork]:
     sim = Simulator()
     rngs = RngRegistry(99)
-    inet, sites, links = _mesh(sim, rngs)
+    inet, sites, links = _mesh(sim, rngs, **mesh)
     overlay = OverlayNetwork(inet, sites, links, OverlayConfig(audit=audit))
     overlay.warm_up(2.0)
     deliveries = []
@@ -502,6 +551,30 @@ def test_audited_trace_is_byte_identical_to_unaudited():
     assert_identical(audited, plain, label="deliveries",
                      header="the auditor changed simulation behaviour")
     assert overlay.counters.get("audit.check") > 0
+
+
+def test_audited_overlay_checks_its_quiet_transits_and_moves_nothing(
+        monkeypatch):
+    """Overlay links two fibers long: hellos, state frames and data all
+    ride quiet transits, the fiber cut demotes the ones in flight."""
+    seen = []
+    check = Auditor.check
+
+    def logged(self, invariant, *args, **kwargs):
+        seen.append(invariant)
+        return check(self, invariant, *args, **kwargs)
+
+    monkeypatch.setattr(Auditor, "check", logged)
+    mesh = dict(n=12, overlay_spacings=(1, 4))
+    plain, __ = _run_mesh(audit=False, **mesh)
+    audited, overlay = _run_mesh(audit=True, **mesh)
+    assert len(plain) > 0
+    assert_identical(audited, plain, label="deliveries",
+                     header="the auditor changed simulation behaviour")
+    report = collect_report()
+    assert report.ok, report.format()
+    assert seen.count("transit-express") > 100
+    assert "datagram-conservation" in seen
 
 
 def test_env_var_arms_the_auditor(monkeypatch):

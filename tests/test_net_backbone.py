@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.alg.dijkstra import next_hops
 from repro.net.backbone import FWD, REV, FiberLink, RoutingDomain
 from repro.net.loss import BernoulliLoss
 from repro.sim.events import Simulator
@@ -163,3 +164,61 @@ def test_links_enumeration():
     sim = Simulator()
     domain = _chain(sim, n=4)
     assert len(domain.links()) == 3
+
+
+def test_building_a_domain_builds_its_adjacency_once(monkeypatch):
+    """``add_link_object`` used to rebuild the whole delay adjacency per
+    added fiber; it now marks it stale, and the first table miss (or the
+    first fiber about to change state) builds it."""
+    calls = []
+    real = RoutingDomain._current_adjacency
+
+    def counted(self):
+        calls.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(RoutingDomain, "_current_adjacency", counted)
+    sim = Simulator()
+    n = 200
+    domain = RoutingDomain("mesh", sim)
+    fibers = sorted({tuple(sorted((i, (i + d) % n)))
+                     for i in range(n) for d in (1, 3)})
+    for a, b in fibers:
+        domain.add_link(a, b, 0.01)
+    assert calls == [] and domain.tables_epoch == len(fibers) == 400
+    tables = {dst: {r: domain.next_hop(r, dst) for r in range(n)}
+              for dst in range(0, n, 7)}
+    assert calls == ["mesh"]
+    # The same tables an eager rebuild per fiber ends up with.
+    adj = real(domain)
+    assert tables == {dst: {r: next_hops(adj, dst).get(r) for r in range(n)}
+                      for dst in tables}
+    assert domain.tables_epoch == 400
+
+
+def test_a_cut_right_after_the_build_still_meets_stale_tables():
+    """The lazily built adjacency is pinned just before a fiber's state
+    changes — through ``fail_link`` or a direct write — so tables that
+    were never consulted before the cut still forward into it."""
+    for cut in (lambda d: d.fail_link("r1", "r2"),
+                lambda d: setattr(d.link_between("r1", "r2"), "failed", True)):
+        sim = Simulator()
+        domain = _chain(sim)
+        cut(domain)
+        assert domain.current_path("r0", "r3") == ["r0", "r1", "r2", "r3"]
+        domain._reconverge()
+        assert domain.current_path("r0", "r3") is None
+
+
+def test_fiber_watchers_hear_changes_not_rewrites():
+    link = FiberLink("l", delay=0.01)
+    heard = []
+    link.watch(lambda: heard.append((link.failed, type(link.loss).__name__)))
+    link.failed = False
+    link.loss = link.loss
+    assert heard == []
+    link.failed = True
+    link.loss = BernoulliLoss(0.5)
+    # Called before the write lands.
+    assert heard == [(False, "NoLoss"), (True, "NoLoss")]
+    assert link.failed and isinstance(link.loss, BernoulliLoss)

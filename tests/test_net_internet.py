@@ -144,3 +144,56 @@ def test_counters_track_sends_and_drops(sim, rngs):
     sim.run()
     assert inet.counters.get("datagrams-sent") == 1
     assert inet.counters.get("datagrams-delivered") == 1
+
+
+@pytest.mark.parametrize("tier", ["exact", "batched"])
+def test_rebuilt_native_domain_never_serves_the_old_domains_profiles(tier):
+    """The transit-profile cache is stamped with ``tables_epoch`` and
+    used to be keyed on ``id(domain)``: the native domain is dropped and
+    rebuilt on ``add_peering``, CPython hands the dead one's address to
+    the next allocation of its size, and one reconvergence on the old
+    domain plus one more fiber in the new one make the epochs equal —
+    the old profile, made of the old route's fibers, was served for the
+    new domain."""
+    sim = Simulator(columnar=tier == "batched")
+    inet = Internet(sim, RngRegistry(1), native_convergence_delay=0.5)
+    if tier == "batched":
+        pytest.importorskip("numpy")
+        inet.columnar_window = 0.00025
+        inet.enable_vectorized()
+    for isp in ("A", "B"):
+        domain = inet.add_isp(isp)
+        for i in range(3):
+            domain.add_link(f"r{i}", f"r{i + 1}", 0.010)
+    inet.add_peering("A", "r3", "B", "r3")
+    inet.add_host("src", access_delay=0.0)
+    inet.add_host("dst", access_delay=0.0)
+    inet.attach("src", "A", "r0")
+    inet.attach("dst", "B", "r0")
+    arrived = []
+
+    def send():
+        inet.send("src", "dst", None, 10, NATIVE,
+                  lambda d: arrived.append(sim.now - d.sent_at))
+
+    sim.schedule_at(0.1, send)
+    sim.run(until=1.0)
+    inet.native.notify_topology_changed()  # epoch + 1 on the old domain
+    sim.schedule_at(1.6, send)  # ... and a profile stamped with it
+    sim.run(until=2.0)
+    old_epoch = inet.native.tables_epoch
+    shortcut = inet.add_peering("A", "r1", "B", "r1")  # drops the domain
+    assert inet.native.tables_epoch == old_epoch
+    sim.schedule_at(2.1, send)
+    sim.run(until=3.0)
+    # Seven fibers the long way round, three through the new peering.
+    assert arrived == [pytest.approx(0.0602, abs=0.001)] * 2 \
+        + [pytest.approx(0.0202, abs=0.001)]
+    assert shortcut.packets_carried == 1
+    live = inet.native
+    served = [profile for (domain, __, __), (epoch, profile)
+              in inet._path_cache.items()
+              if domain is live and epoch == live.tables_epoch]
+    assert served
+    for profile in served:
+        assert set(profile.links) <= set(live.links())

@@ -4,9 +4,12 @@ A datagram that crosses ``k`` fibers costs ``k + 1`` simulator events —
 one per router it is forwarded from plus the delivery itself; the
 crossing of the last fiber goes straight to the delivery instant
 (arrival + the destination's access delay) instead of through an event
-that only adds that constant. The instants themselves must not have
-moved: ``tests/golden/underlay_delivery_instants.json`` holds the ones
-the k + 2 chain produced on the commit before the fold.
+that only adds that constant. When every fiber ahead is *quiet* (un-cut,
+loss-free, jitter-free, uncapped) the hops past the first add nothing
+but constants either, and the whole transit costs two events: the first
+hop and the delivery. The instants themselves must not have moved:
+``tests/golden/underlay_delivery_instants.json`` holds the ones the
+k + 2 chain produced on the commit before the fold.
 
 Regenerate (only when a change is *meant* to move delivery instants)::
 
@@ -22,6 +25,7 @@ import pytest
 
 from repro.net import internet as internet_mod
 from repro.net.internet import DROP_LINK, DROP_TTL
+from repro.net.loss import BernoulliLoss
 from repro.net.topologies import line_internet
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
@@ -57,16 +61,49 @@ def _instants(n_fibers: int, columnar: bool) -> list[float]:
     return got
 
 
-@ENGINES
-@pytest.mark.parametrize("n_fibers", FIBERS)
-def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers, columnar):
-    sim, inet = _line(n_fibers, columnar)
+#: What makes a fiber not quiet without moving the delivery instant: a
+#: loss process that never fires is still a loss process, a queue
+#: nothing waits in is still a queue (its 100-byte serialization time,
+#: ~1 ns, sits far inside the approx below).
+NOT_QUIET = {
+    "loss": lambda link: setattr(link, "loss", BernoulliLoss(0.0)),
+    "capacity": lambda link: setattr(link, "capacity_bps", 1e12),
+}
+
+
+def _send_one(sim, inet, n_fibers: int) -> int:
     got = []
     inet.send("h0", f"h{n_fibers}", "x", 100, "line", got.append)
-    assert sim.run() == n_fibers + 1
+    events = sim.run()
     assert [d.payload for d in got] == ["x"]
     assert sim.now == pytest.approx(0.0007 + 0.010 * n_fibers + 0.0011)
     assert inet.counters.get("datagrams-delivered") == 1
+    for link in inet.isps["line"].links():
+        assert (link.packets_carried, link.bytes_carried) == (1, 128)
+    return events
+
+
+@ENGINES
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers, columnar):
+    """A fiber that is not quiet keeps every router up to it on the
+    per-fiber walk — all of them when it is the last one; past it the
+    rest of the line is a quiet transit again (two events when two or
+    more fibers remain, which is what one or none cost anyway)."""
+    for why, spoil in NOT_QUIET.items():
+        for at in range(n_fibers):
+            sim, inet = _line(n_fibers, columnar)
+            spoil(inet.isps["line"].link_between(f"r{at}", f"r{at + 1}"))
+            assert _send_one(sim, inet, n_fibers) == min(
+                n_fibers + 1, at + 3), (why, at)
+    # A single fiber is a first hop and a delivery however quiet it is.
+    assert _send_one(*_line(1, columnar), 1) == 2
+
+
+@ENGINES
+@pytest.mark.parametrize("n_fibers", [k for k in FIBERS if k >= 2] + [7])
+def test_quiet_transit_costs_two_events(n_fibers, columnar):
+    assert _send_one(*_line(n_fibers, columnar), n_fibers) == 2
 
 
 @ENGINES

@@ -332,7 +332,7 @@ def test_path_fast_forward_delivers_whole_chain():
         assert link.packets_carried == 5
         assert link.packets_dropped == 0
         assert link.bytes_carried == 5 * (1200 + HEADER_BYTES)
-    epoch, profile = inet._vec_path_cache[(id(isp), "r0", "r3")]
+    epoch, profile = inet._path_cache[(isp, "r0", "r3")]
     assert epoch == isp.tables_epoch
     assert profile is not None and profile.n_hops == 3
 
@@ -348,7 +348,7 @@ def test_path_fast_forward_falls_back_on_capacity():
     # The capacity fiber disqualified the transit: the cache pins the
     # negative verdict and the per-(link, direction) machinery carried
     # the frames (serialization order preserved).
-    assert inet._vec_path_cache[(id(isp), "r0", "r3")][1] is None
+    assert inet._path_cache[(isp, "r0", "r3")][1] is None
     assert isp.link_between("r1", "r2").packets_carried == 5
 
 
@@ -422,7 +422,7 @@ def test_path_cache_invalidated_by_reconvergence():
     for __, at in sink.delivered:
         assert 0.020 <= at <= 0.020 + 3 * WINDOW
     epoch_before = isp.tables_epoch
-    assert inet._vec_path_cache[(id(isp), "r0", "r3")][1].n_hops == 2
+    assert inet._path_cache[(isp, "r0", "r3")][1].n_hops == 2
     isp.fail_link("r1", "r3")
     # Run past convergence_delay: the reconvergence bumps tables_epoch,
     # which invalidates the cached fast-route profile.
@@ -436,7 +436,7 @@ def test_path_cache_invalidated_by_reconvergence():
     assert not sink.dropped
     for __, at in sink.delivered[3:]:
         assert 0.100 - 1e-9 <= at - sent_at <= 0.100 + 3 * WINDOW
-    __, profile = inet._vec_path_cache[(id(isp), "r0", "r3")]
+    __, profile = inet._path_cache[(isp, "r0", "r3")]
     assert profile.n_hops == 2
     assert profile.total_delay == pytest.approx(0.100)
 
@@ -449,8 +449,8 @@ def test_channel_fast_lane_settles_trivial_sends():
     sink = _Sink(sim)
     chan = inet.channel("a", "b", "line")
     inet.prime_path(chan)
-    assert chan._ff is not None
-    assert chan._ff[1].trivial
+    epoch, profile = inet._path_cache[chan.path_key]
+    assert epoch == isp.tables_epoch and profile.trivial
 
     def burst():
         for __ in range(5):
