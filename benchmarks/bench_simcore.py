@@ -36,7 +36,7 @@ that legal — the organic storm on the multi-fiber mesh is 4.5 M events,
 later leg restores it (seq-exact for the exact engines — the columnar
 leg's measured-window trace is asserted byte-identical to the packet
 leg's). After warming, every leg pre-fills the underlay's lazy
-Dijkstra tables and the vectorized tier's path-profile cache
+Dijkstra tables and the batched tier's path-profile cache
 (:func:`_prime_tables`) so restored twins do not pay lazy fills
 inside the measured window that organically-warmed runs pay during
 warm-up. Every leg records its ``warm_source`` (organic / snapshot /
@@ -44,13 +44,13 @@ constructed) and snapshot build/restore walls in
 ``BENCH_simcore.json``; when a run does pay an organic storm, the
 restore-vs-storm ratio is gated >= 2x at n=1000 (``WARM_GATE_N1000``).
 
-The ``vectorized`` scaling leg is the approximate numpy settlement
-tier (``columnar_vectorized=True``, window ``SCALE_VEC_WINDOW``): it
-runs the identical workload but eliminates per-packet events — inline
-injection, whole-path fast-forward batches over the multi-fiber
-overlay links, bulk deliveries — so its raw events/s is *lower* while
-its wall clock shrinks. The honest cross-engine number is therefore
-the same-workload wall-clock ratio
+The ``vectorized`` scaling leg is the approximate batched tier
+(``columnar_vectorized=True``, window ``SCALE_VEC_WINDOW``): it runs
+the identical workload but eliminates per-packet events — a quiet
+overlay link's send settles at once, whatever fibers it rides, and
+deliveries share one event per grid instant — so its raw events/s is
+*lower* while its wall clock shrinks. The honest cross-engine number
+is therefore the same-workload wall-clock ratio
 ``vectorized_vs_packet_n{100,300,1000}`` in ``scaling_summary``
 (gated >= 3x at n=1000 in full runs), alongside the statistical
 calibration deltas (``vector_calibration``,
@@ -130,7 +130,7 @@ SCALE_VEC_WINDOW = 0.00025
 #: every leg size), and both span exactly five 10 ms fibers of the
 #: (1, 3)-chord underlay — the uniform 50 ms carrier profile that
 #: constructed convergence requires, and the multi-fiber transits the
-#: vectorized tier's path fast-forward collapses into single batches.
+#: batched tier's quiet-channel lane settles in one step.
 SCALE_OVERLAY_SPACINGS = (11, 13)
 
 #: Where the tracked perf snapshot lands (repo root, next to this dir).
@@ -204,7 +204,7 @@ def _run_once(columnar: bool, run_time: float) -> dict:
 
 #: Engine name -> overlay config for the scaling legs. The packet and
 #: fluid legs share the default config; the vectorized leg arms the
-#: approximate numpy settlement tier.
+#: approximate batched tier.
 _SCALE_CONFIGS = {
     "packet": lambda: OverlayConfig(),
     "fluid": lambda: OverlayConfig(),
@@ -277,7 +277,7 @@ def _scale_flow_pairs(n_nodes: int):
 
 def _prime_tables(overlay: OverlayNetwork) -> None:
     """Pre-fill every routing domain's lazy Dijkstra tables, and (for a
-    vectorized leg) the fast-forward path-profile cache of every
+    vectorized leg) the path-profile cache of every
     overlay-link channel. Organic legs fill both during the warm-up
     storm; restored/constructed twins would otherwise pay the lazy
     fills inside the measured window (at n=1000 that is seconds of wall
@@ -298,7 +298,7 @@ def _scaling_leg(engine: str, n_nodes: int, run_time: float, warmup: float,
     """One scaling leg: the same flow fleet on one engine —
     ``"packet"`` (per-datagram heap events), ``"columnar"`` (the
     slot-bucket wheel at window 0, byte-identical traces),
-    ``"vectorized"`` (approximate numpy bulk settlement, statistically
+    ``"vectorized"`` (the approximate batched tier, statistically
     calibrated), or ``"fluid"`` (flow-level rate intervals over the
     packet control plane).
 
@@ -509,10 +509,11 @@ def _scaling_summary(table: list) -> dict:
 
 
 def _vector_calibration_block(run_time: float) -> dict:
-    """The vectorized tier's statistical fidelity, measured fresh on
-    every bench run (loss-free and Gilbert-Elliott legs) and asserted
-    inside the documented tolerances — the perf snapshot never records
-    a speedup without the fidelity price next to it."""
+    """The batched tier's statistical fidelity against the exact tier,
+    measured fresh on every bench run (loss-free and Gilbert-Elliott
+    legs) and asserted inside the documented tolerances — the perf
+    snapshot never records a speedup without the fidelity price next
+    to it."""
     block = {"window": VEC_WINDOW, "run_time_s": run_time}
     for name, lossy in (("loss_free", False), ("lossy", True)):
         result = run_vector_calibration(run_time=run_time, lossy=lossy)
@@ -597,7 +598,7 @@ def _check_shape(result: dict) -> None:
     # Scaling legs: wherever a fluid leg ran next to a packet leg, the
     # fluid run modeled the same client fleet with strictly fewer
     # events than the per-datagram run. The vectorized leg's claim is
-    # the same shape — bulk settlement *eliminates* events — plus a
+    # the same shape — the batched tier *eliminates* events — plus a
     # delivered-count sanity band (it is approximate, not lossy: the
     # identical fleet must land within a few percent of the exact leg,
     # the tail being in-flight frames at the cutoff instant).

@@ -1,4 +1,4 @@
-"""Approximate-tier calibration harnesses (fluid and vectorized).
+"""Approximate-tier calibration harnesses (fluid and batched).
 
 Two approximate execution tiers trade exactness for speed, and each is
 validated here against its exact counterpart on one shared scenario.
@@ -14,19 +14,19 @@ The hybrid fluid mode (:mod:`repro.core.fluid`) claims two things:
    **byte-identical** traces whether or not fluid flows share the
    overlay.
 
-The vectorized columnar tier (``columnar_vectorized=True``,
-:mod:`repro.net.internet`) settles each slot bucket's link traversals
-in bulk with numpy and is likewise approximate: batched loss draws
-consume a different RNG stream than sequential per-packet draws, and
-arrivals are quantized to the columnar window. Its claim is the same
-shape — delivery ratio and mean latency match the exact columnar run
-of the identical scenario within the *same* documented tolerances.
+The batched tier (``columnar_vectorized=True``,
+:mod:`repro.net.internet`) is likewise approximate: every hop arrival
+is quantized up to the columnar window grid, and a quiet channel's
+send settles at once into one bulk delivery per grid instant. Its
+claim is the same shape — delivery ratio and mean latency match the
+exact tier (window 0) on the identical scenario within the *same*
+documented tolerances.
 
 This module builds one shared scenario (the 16-node ring+chords mesh
 from ``benchmarks/bench_simcore.py``) and checks both claims.
 ``run_calibration`` compares packet vs fluid (driven by
 ``benchmarks/bench_fluid.py`` and ``tests/test_fluid.py``);
-``run_vector_calibration`` compares exact vs vectorized columnar
+``run_vector_calibration`` compares exact vs batched
 (driven by ``benchmarks/bench_simcore.py`` and
 ``tests/test_vectorized.py``). The tolerances here are the documented
 ones. Run ``python -m repro.analysis.calibrate`` to execute both from
@@ -62,9 +62,9 @@ DELIVERY_TOL = 0.02       #: |delivery-ratio delta|, loss-free
 DELIVERY_TOL_LOSSY = 0.05  #: |delivery-ratio delta| under G-E loss
 LATENCY_TOL = 0.002       #: |mean-latency delta| in seconds
 
-#: Columnar window used by the vectorized-vs-exact calibration. 0.25 ms
+#: Columnar window used by the batched-vs-exact calibration. 0.25 ms
 #: keeps quantization well under LATENCY_TOL while giving slot buckets
-#: enough fanout for the batch path to actually engage.
+#: enough fanout for bulk deliveries to actually engage.
 VEC_WINDOW = 0.00025
 
 #: Ring plus chords, as in bench_simcore: node i links to i+1 and i+3.
@@ -269,12 +269,12 @@ def run_calibration(run_time: float = 20.0, lossy: bool = False,
     )
 
 
-# ----------------------------------------------------- vectorized tier
+# -------------------------------------------------------- batched tier
 
 
 @dataclass(frozen=True)
 class VectorDelta:
-    """One flow's vectorized-vs-exact calibration gap."""
+    """One flow's batched-vs-exact calibration gap."""
 
     flow: str
     destination: str
@@ -292,7 +292,7 @@ class VectorDelta:
 
 @dataclass(frozen=True)
 class VectorCalibrationResult:
-    """Outcome of one exact-vs-vectorized columnar calibration run."""
+    """Outcome of one exact-vs-batched calibration run."""
 
     run_time: float
     lossy: bool
@@ -331,15 +331,14 @@ class VectorCalibrationResult:
 
 def _run_vector_leg(vectorized: bool, run_time: float, lossy: bool,
                     window: float) -> dict:
-    """One leg of the vectorized calibration. Both legs run the same
-    flow set as ordinary packet traffic on a columnar simulator; only
-    the settlement implementation (exact scalar vs numpy batch) and the
-    resulting arrival quantization differ."""
+    """One leg of the batched calibration: the same flow set as
+    ordinary packet traffic, on the exact tier (the default heap,
+    window 0) or on the batched tier at ``window``."""
     config = OverlayConfig(
         columnar=True,
         columnar_window=window,
-        columnar_vectorized=vectorized,
-    )
+        columnar_vectorized=True,
+    ) if vectorized else OverlayConfig()
     overlay = build_overlay(lossy=lossy, config=config)
     sim = overlay.sim
     overlay.warm_up(WARM_UP)
@@ -379,13 +378,14 @@ def _run_vector_leg(vectorized: bool, run_time: float, lossy: bool,
 def run_vector_calibration(run_time: float = 20.0, lossy: bool = False,
                            window: float = VEC_WINDOW,
                            ) -> VectorCalibrationResult:
-    """Run the scenario exact-columnar then vectorized and compare.
+    """Run the scenario on the exact tier then batched and compare.
 
     Unlike the fluid harness there is no byte-identity claim here: the
-    vectorized tier consumes per-packet loss draws from a different RNG
-    stream, so even the loss-free legs differ in event interleaving.
-    The claim is purely statistical — every flow's delivery ratio and
-    mean latency inside the documented tolerances.
+    batched tier moves arrivals onto the window grid, so even the
+    loss-free legs differ in event interleaving (and the lossy legs in
+    which packet meets which loss draw). The claim is purely
+    statistical — every flow's delivery ratio and mean latency inside
+    the documented tolerances.
     """
     exact_leg = _run_vector_leg(False, run_time, lossy, window)
     vector_leg = _run_vector_leg(True, run_time, lossy, window)
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
         vector = run_vector_calibration(
             run_time=args.run_time, lossy=args.lossy, window=args.window)
         vector.check()
-        print(f"vectorized-vs-exact OK (lossy={args.lossy}, "
+        print(f"batched-vs-exact OK (lossy={args.lossy}, "
               f"window={args.window * 1000:.2f} ms): "
               f"max |d delivery| {vector.max_delivery_delta:.4f} "
               f"<= {vector.delivery_tolerance}, "

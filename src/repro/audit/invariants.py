@@ -252,11 +252,10 @@ def check_teardown(sim, auditor: Auditor) -> bool:
 def _in_flight_datagrams(internet) -> int:
     """Count queued, non-cancelled underlay continuation events — each
     one is exactly one datagram currently walking its hop chain (or
-    riding a quiet transit's single event to its delivery). In the
-    vectorized tier a datagram may instead be parked in one of the
-    slot's deferred batches (per-link crossing groups, path
-    fast-forward groups, or the bulk-delivery map) awaiting the flush
-    hook; an audit probe firing mid-drain sees those too."""
+    riding a quiet transit's single event to its delivery). On the
+    batched tier a quiet-channel send is instead one row of a
+    ``_bulk_deliver`` event, or — for an audit probe firing mid-drain —
+    of the slot's delivery map awaiting the flush hook."""
     sim = internet.sim
     count = 0
     for event, is_live in sim.iter_queued():
@@ -269,16 +268,11 @@ def _in_flight_datagrams(internet) -> int:
             name = getattr(fn, "__name__", "")
             if name in ("_hop", "_deliver", "_drop"):
                 count += 1
-            elif name in ("_bulk_deliver", "_bulk_hop"):
+            elif name == "_bulk_deliver":
                 # One event, many datagrams: the batch rides args[0].
                 count += len(event.args[0])
-    if getattr(internet, "_vectorized", False):
-        for __, __, rows in internet._vec_pending.values():
-            count += len(rows)
-        for __, rows in internet._vec_path_pending.values():
-            count += len(rows)
-        for rows in internet._vec_deliveries.values():
-            count += len(rows)
+    for rows in internet._vec_deliveries.values():
+        count += len(rows)
     return count
 
 

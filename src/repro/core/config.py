@@ -89,30 +89,27 @@ class OverlayConfig:
     #: Run over a simulator in columnar mode
     #: (``Simulator(columnar=True)``), where the event queue keeps one
     #: heap entry per distinct instant (a slot bucket) — the substrate
-    #: of the two approximation settings below. On its own (window 0)
-    #: traces are byte-identical to ``columnar=False`` and no faster:
-    #: the default heap is the exact engine. Builders pass this to the
-    #: Simulator they construct, and
-    #: :class:`repro.core.network.OverlayNetwork` rejects a mismatch
-    #: between this flag and the simulator it is deployed on.
+    #: of the batched tier below. On its own (window 0) traces are
+    #: byte-identical to ``columnar=False`` and no faster: the default
+    #: heap is the exact engine. Builders pass this to the Simulator
+    #: they construct, and :class:`repro.core.network.OverlayNetwork`
+    #: rejects a mismatch between this flag and the simulator it is
+    #: deployed on.
     columnar: bool = False
-    #: Epsilon coalescing window (seconds) for the columnar data plane:
-    #: when > 0, link-hop arrivals are quantized *up* to the window grid
-    #: so near-simultaneous crossings share slot buckets. An explicit
-    #: approximation knob (latency inflation bounded by the window per
-    #: hop) — byte-identical traces are only claimed at 0.0.
+    #: The batched tier's coalescing window (seconds): hop arrivals are
+    #: quantized *up* to this grid, so a datagram lands at most one
+    #: window late per fiber it walks. Must be > 0 with
+    #: ``columnar_vectorized`` and 0 without it (the overlay rejects
+    #: any other pairing) — byte-identical traces are only claimed at 0.
     columnar_window: float = 0.0
-    #: Vectorized approximate settlement over slot buckets: link
-    #: crossings batched in the window grid are deferred to the end of
-    #: their slot and settled in numpy columns — one loss/jitter RNG
-    #: call per (slot, link, direction) group, cumulative-sum queueing
-    #: folds, and bulk continuation/delivery events instead of one heap
-    #: entry per packet. Requires ``columnar=True`` and
-    #: ``columnar_window > 0`` (it is an approximation tier: validated
-    #: statistically by :mod:`repro.analysis.calibrate`, never
-    #: byte-identical), plus numpy (``pip install repro[fast]``) — a
-    #: missing numpy raises :class:`repro.vector.MissingNumpyError` at
-    #: overlay construction.
+    #: The batched approximate tier (``Internet.enable_vectorized``):
+    #: arrivals on the ``columnar_window`` grid, a quiet overlay-link
+    #: channel settled in one step at send time, and one bulk delivery
+    #: event per grid instant instead of one per datagram. Requires
+    #: ``columnar=True`` and ``columnar_window > 0``; validated
+    #: statistically against the exact tier by
+    #: :mod:`repro.analysis.calibrate`, never byte-identical. (The name
+    #: is historical: nothing in the tier is vectorized any more.)
     columnar_vectorized: bool = False
     #: Settle fluid rate intervals into the per-node FlowTables (the
     #: classify stage's fluid half), so operators see one aggregate

@@ -62,16 +62,14 @@ class OverlayNetwork:
                     self.config.columnar, self.sim.columnar
                 )
             )
-        if self.config.columnar:
-            internet.columnar_window = self.config.columnar_window
-            if self.config.columnar_vectorized:
-                # Validates window > 0 and numpy availability (raising
-                # repro.vector.MissingNumpyError with install guidance).
-                internet.enable_vectorized()
-        elif self.config.columnar_vectorized:
+        if self.config.columnar_vectorized:
+            # Validates a columnar simulator and a positive window.
+            internet.enable_vectorized(self.config.columnar_window)
+        elif self.config.columnar_window:
             raise ValueError(
-                "columnar_vectorized=True requires columnar=True "
-                "(and a columnar_window > 0)"
+                "columnar_window > 0 requires columnar_vectorized=True — "
+                "the window is the batched tier's grid, and without the "
+                "tier it would only quantize the exact walk"
             )
         self.trace = TraceCollector()
         self.counters = Counter()

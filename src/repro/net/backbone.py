@@ -98,11 +98,6 @@ class FiberLink:
         #: Per-link loss RNG stream, filled in by the Internet on first
         #: traversal (cached here to keep the per-hop path lookup-free).
         self._loss_rng = None
-        #: Per-link numpy Generator for the vectorized tier's per-packet
-        #: draws (loss verdicts, jitter) — seeded lazily by the Internet
-        #: from the link's scalar loss stream, so creation is
-        #: deterministic per run without a per-group construction cost.
-        self._vec_gen = None
         self._busy_until = {FWD: 0.0, REV: 0.0}
         self.bytes_carried = 0
         self.packets_carried = 0
@@ -146,79 +141,6 @@ class FiberLink:
         self.packets_carried += 1
         noise = rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
         return now + queue_delay + tx_delay + self.delay + noise
-
-    def batch_traverse(self, now, wires, direction, gen, lost, np):
-        """Vectorized tail of :meth:`traverse` for ``k`` same-instant
-        crossings whose loss verdicts were already drawn — the
-        approximate columnar tier's per-(slot, link, direction) settle.
-
-        ``wires`` is a float array of wire sizes, ``lost`` the boolean
-        verdict array from :meth:`LossModel.batch_draws`, ``gen`` the
-        link's numpy generator (jitter draws), ``np`` the numpy module.
-        The caller has already handled the failed-link case. Returns
-        ``(arrivals, dropped)``: arrival times (undefined where
-        dropped) and the final drop verdicts (loss plus queue
-        overflow). Counters advance exactly as ``k`` scalar traverses
-        would.
-
-        Queueing is a cumulative-sum fold of the survivors'
-        serialization times over the busy horizon: at one shared
-        instant, survivor ``i``'s queue delay is
-        ``max(busy, now) + sum(tx of earlier survivors) - now``, which
-        reproduces the scalar per-packet recurrence exactly — except
-        when a packet overflows the bounded queue (an overflowed packet
-        must *not* advance the horizon), so any overflow falls back to
-        the exact sequential recurrence for the group (rare: it means
-        the slot alone carries > ``MAX_QUEUE_DELAY`` of serialization).
-        """
-        k = len(wires)
-        if self.capacity_bps is None:
-            dropped = lost
-            if self.jitter > 0:
-                arrivals = (now + self.delay) + gen.uniform(0.0, self.jitter, k)
-            else:
-                arrivals = np.full(k, now + self.delay)
-        else:
-            tx = wires * (8.0 / self.capacity_bps)
-            surv = ~lost
-            tx_eff = np.where(surv, tx, 0.0)
-            finish = max(self._busy_until[direction], now) + np.cumsum(tx_eff)
-            queue_delay = finish - tx_eff - now
-            overflow = surv & (queue_delay > self.MAX_QUEUE_DELAY)
-            if overflow.any():
-                # Exact sequential recurrence: overflowed packets are
-                # dropped without advancing the busy horizon, which the
-                # prefix sum cannot express.
-                busy = self._busy_until[direction]
-                dropped = lost.copy()
-                queue_delay = np.zeros(k)
-                for i in range(k):
-                    if dropped[i]:
-                        continue
-                    qd = busy - now
-                    if qd < 0.0:
-                        qd = 0.0
-                    if qd > self.MAX_QUEUE_DELAY:
-                        dropped[i] = True
-                        continue
-                    busy = now + qd + tx[i]
-                    queue_delay[i] = qd
-                self._busy_until[direction] = busy
-            else:
-                dropped = lost
-                if surv.any():
-                    self._busy_until[direction] = float(finish[-1])
-            arrivals = now + queue_delay + tx + self.delay
-            if self.jitter > 0:
-                arrivals = arrivals + gen.uniform(0.0, self.jitter, k)
-        n_dropped = int(dropped.sum())
-        self.packets_dropped += n_dropped
-        self.packets_carried += k - n_dropped
-        if n_dropped:
-            self.bytes_carried += int(wires.sum() - wires[dropped].sum())
-        else:
-            self.bytes_carried += int(wires.sum())
-        return arrivals, dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "FAILED" if self.failed else "up"

@@ -37,46 +37,38 @@ DROP_TTL = "ttl-exceeded"
 
 _MAX_HOPS = 64
 
-#: Minimum rows in a deferred (slot, link, direction) group before the
-#: vectorized tier reaches for numpy: below this, array construction
-#: costs more than k scalar traverses, so small groups settle through
-#: the scalar loop (same approximation semantics — quantized arrivals,
-#: bulk dispatch — different arithmetic engine).
-_MIN_VEC_BATCH = 8
-
 DeliverFn = Callable[[Datagram], None]
 DropFn = Callable[[Datagram, str], None]
 
 
+def _quiet(links) -> bool:
+    """Whether crossing each of ``links`` right now would only add its
+    delay and bump two counters: un-cut, loss-free, jitter-free and
+    uncapped, all read live. The one predicate of both one-step lanes —
+    the exact tier's quiet transit and the batched tier's quiet
+    channel."""
+    for link in links:
+        if link._failed or link.jitter or link.capacity_bps is not None \
+                or type(link._loss) is not NoLoss:
+            return False
+    return True
+
+
 class _PathProfile:
-    """A resolved capacity-free underlay transit: the ordered fibers
-    (with directions, and the router at the far end of each) the
-    current forwarding tables would walk, with the delay/jitter totals
-    the batched tier needs to settle the whole chain in one batch.
-    ``jitters`` is ``None`` when every fiber is jitter-free (the common
-    case — skips the per-fiber noise draws entirely). Both tiers read
-    the same profiles out of :attr:`Internet._path_cache`: the batched
-    tier's path fast-forward and the exact tier's quiet-transit lane."""
+    """A resolved underlay transit: the ordered fibers (and the router
+    at the far end of each) the current forwarding tables would walk,
+    and their summed delay. It records nothing about the fibers' state:
+    whoever settles on it asks :func:`_quiet` at that instant. Both
+    tiers read the same profiles out of :attr:`Internet._path_cache`."""
 
-    __slots__ = ("domain", "links", "dirs", "routers", "total_delay",
-                 "n_hops", "jitters", "trivial")
+    __slots__ = ("domain", "links", "routers", "total_delay", "n_hops")
 
-    def __init__(self, domain, links, dirs, routers, total_delay, n_hops,
-                 jitters, trivial):
+    def __init__(self, domain, links, routers, total_delay, n_hops):
         self.domain = domain
         self.links = links
-        self.dirs = dirs
         self.routers = routers
         self.total_delay = total_delay
         self.n_hops = n_hops
-        self.jitters = jitters
-        #: True when every fiber was loss-free and jitter-free at
-        #: resolve time: the transit is then deterministic — counters
-        #: plus one arrival sum, no draws at all. Re-verified against
-        #: live fiber state by whoever settles on it (a swapped-in loss
-        #: model or a cut fiber sends that datagram, or that batch,
-        #: down the general path).
-        self.trivial = trivial
 
 
 class Channel:
@@ -160,52 +152,30 @@ class Internet:
         #: at datagram rates).
         self._hop_cb = self._hop
         self._deliver_cb = self._deliver
-        #: Whether the simulator is the slot-bucket wheel — the
-        #: substrate of the window / vectorized settings below. At
-        #: window 0 the data plane is the same code on either engine.
-        self._columnar = sim.columnar
-        #: Epsilon coalescing window (seconds). When > 0 in columnar
-        #: mode, hop arrivals are quantized up to the window grid so
-        #: near-simultaneous crossings share heap slots. An explicit
-        #: approximation knob: trace identity is only claimed at 0.
+        #: The batched tier's coalescing window in seconds, set by
+        #: :meth:`enable_vectorized`; 0 on the exact tier. When > 0, hop
+        #: arrivals are quantized up to the window grid and quiet
+        #: channel sends settle in one step into per-instant bulk
+        #: deliveries — an approximation validated statistically (see
+        #: :mod:`repro.analysis.calibrate`), never byte-identical.
         self.columnar_window = 0.0
-        #: Vectorized approximate settlement (:meth:`enable_vectorized`):
-        #: instead of settling each link crossing at its own event, the
-        #: hop path defers same-slot crossings into per-(link, direction)
-        #: groups and a slot-flush hook settles each group in numpy
-        #: columns — one loss/jitter draw per group, cumulative-sum
-        #: queueing, and *bulk* continuation/delivery events carrying
-        #: many datagrams each. An approximation tier: validated
-        #: statistically (see :mod:`repro.analysis.calibrate`), never
-        #: byte-identical.
-        self._vectorized = False
-        self._np = None
-        self.vec_min_batch = _MIN_VEC_BATCH
-        #: Deferred crossings of the slot being drained, keyed
-        #: ``(id(link), direction)`` →
-        #: ``(link, direction, [row, ...])`` where a row is
-        #: ``(domain, next_router, dst_label, datagram, on_deliver,
-        #: on_drop, hops, wire_bytes)``.
-        self._vec_pending: dict[tuple[int, int], tuple] = {}
-        #: Deferred final deliveries of the slot being drained, keyed by
-        #: quantized delivery instant → ``[(datagram, on_deliver), ...]``.
+        #: The batched tier's deliveries settled during the slot being
+        #: drained, keyed by quantized delivery instant →
+        #: ``[(datagram, on_deliver), ...]``; each instant becomes one
+        #: :meth:`_bulk_deliver` event when the slot ends.
         self._vec_deliveries: dict[float, list] = {}
-        #: Path fast-forward groups of the slot being drained, keyed
-        #: ``(domain, router, dst_label)`` → ``(profile, [row, ...])``
-        #: where a row is ``(datagram, on_deliver, on_drop, wire_bytes,
-        #: dst_access_delay)``. A whole capacity-free underlay transit
-        #: settles as one batch — no per-fiber continuation events.
-        self._vec_path_pending: dict[tuple, tuple] = {}
-        #: Resolved transit profiles of both tiers, keyed like the
-        #: pending groups → ``(tables_epoch, profile or None)``. The
-        #: stamp makes reconvergence (or any table rebuild) invalidate
-        #: them, so a settled transit sees exactly the stale tables a
-        #: hop-by-hop walk sees. Keyed on the domain *object*: a dropped
-        #: native domain's ``id`` can be handed to its replacement.
+        #: Resolved transit profiles of both tiers, keyed
+        #: ``(domain, router, dst_label)`` → ``(tables_epoch, profile or
+        #: None)``. The stamp makes reconvergence (or any table rebuild)
+        #: invalidate them, so a settled transit sees exactly the stale
+        #: tables a hop-by-hop walk sees. Keyed on the domain *object*:
+        #: a dropped native domain's ``id`` can be handed to its
+        #: replacement.
         self._path_cache: dict[tuple, tuple] = {}
-        #: Teardown epoch stamped when a slot's first row is deferred;
-        #: a mismatch at flush time means ``sim.clear()`` ran mid-slot
-        #: and the rows are discarded like any other in-flight event.
+        #: Teardown epoch stamped when a slot's first delivery is
+        #: deferred; a mismatch at flush time means ``sim.clear()`` ran
+        #: mid-slot and the rows are discarded like any other in-flight
+        #: event.
         self._vec_epoch = 0
         #: Fluid engines (:class:`repro.core.fluid.FluidEngine`) whose
         #: rate intervals depend on this underlay. Empty (the default)
@@ -429,22 +399,8 @@ class Internet:
         datagram = Datagram(src, dst, payload, size, sent_at=self.sim.now)
         self.counters.add("datagrams-sent")
         self.counters.add("bytes-sent", datagram.wire_size)
-        src_host = self.hosts[src]
-        if (
-            self._vectorized
-            and self.sim._drain_bucket is not None
-            and src_host.access_delay <= self.columnar_window
-        ):
-            # Vectorized inline injection: an access delay inside the
-            # quantization window is absorbed into it (the same bound
-            # every hop's arrival already carries), so the first hop
-            # joins the current slot's batch directly — no per-datagram
-            # injection event at all.
-            self._hop(domain, src_label, dst_label, datagram,
-                      on_deliver, on_drop, 0)
-            return datagram
         event = self.sim.schedule(
-            src_host.access_delay,
+            self.hosts[src].access_delay,
             self._hop_cb,
             domain,
             src_label,
@@ -467,7 +423,8 @@ class Internet:
     ) -> Datagram:
         """:meth:`send` through a pre-resolved :class:`Channel` — the
         control-plane fast path (identical delivery semantics, counters,
-        and event ordering; no per-frame carrier resolution)."""
+        and event ordering; no per-frame carrier resolution). On the
+        batched tier a quiet channel settles here in one step."""
         # Reads the simulator's _now directly: this is the per-frame
         # fast path, and the property indirection shows up in profiles.
         datagram = Datagram(chan.src, chan.dst, payload, size,
@@ -475,53 +432,36 @@ class Internet:
         add = self.counters.add
         add("datagrams-sent")
         add("bytes-sent", size + HEADER_BYTES)
-        if (
-            self._vectorized
-            and self.sim._drain_bucket is not None
-            and chan.src_access <= self.columnar_window
-        ):
-            # Trivial-transit fast lane: a fixed channel whose whole
-            # forwarding path is capacity-free, loss-free, and
-            # jitter-free has a fully deterministic outcome, so a
-            # single send settles inline — per-fiber counters plus one
-            # append to the slot's bulk-delivery batch — skipping
-            # _hop and the per-group settle machinery entirely.
-            # Liveness (fiber failure, loss-model swap) is re-checked
-            # per send at the slot instant, the same quantization the
-            # flush-time check carries.
+        w = self.columnar_window
+        if w and self.sim._drain_bucket is not None and chan.src_access <= w:
+            # Quiet-channel lane (batched tier): a channel whose every
+            # fiber is quiet right now has a fixed outcome, so the send
+            # settles here — per-fiber counters plus one row in the
+            # slot's delivery batch at the quantized arrival instant
+            # (the access delay, inside the window, is absorbed by the
+            # quantization). Anything else takes the hop walk below.
             entry = self._path_cache.get(chan.path_key)
             if entry is None or entry[0] != chan.domain.tables_epoch:
                 entry = self._resolve_path(*chan.path_key)
             profile = entry[1]
-            if profile is not None and profile.trivial \
-                    and profile.n_hops <= _MAX_HOPS:
+            if profile is not None and profile.n_hops <= _MAX_HOPS \
+                    and _quiet(profile.links):
+                wire = size + HEADER_BYTES
                 for link in profile.links:
-                    if link._failed or type(link._loss) is not NoLoss:
-                        break
-                else:
-                    wire = size + HEADER_BYTES
-                    for link in profile.links:
-                        link.packets_carried += 1
-                        link.bytes_carried += wire
-                    deliv = self._vec_deliveries
-                    if not deliv and not self._vec_pending \
-                            and not self._vec_path_pending:
-                        self._vec_epoch = self.sim._cleared
-                    now = self.sim._now
-                    w = self.columnar_window
-                    t = ceil((now + profile.total_delay
-                              + chan.dst_access) / w) * w
-                    if t < now:
-                        t = now
-                    rows = deliv.get(t)
-                    if rows is None:
-                        deliv[t] = rows = []
-                    rows.append((datagram, on_deliver))
-                    return datagram
-            # Vectorized inline injection (see :meth:`send`).
-            self._hop(chan.domain, chan.src_label, chan.dst_label,
-                      datagram, on_deliver, on_drop, 0)
-            return datagram
+                    link.packets_carried += 1
+                    link.bytes_carried += wire
+                deliv = self._vec_deliveries
+                if not deliv:
+                    self._vec_epoch = self.sim._cleared
+                now = self.sim._now
+                t = ceil((now + profile.total_delay + chan.dst_access) / w) * w
+                if t < now:
+                    t = now
+                rows = deliv.get(t)
+                if rows is None:
+                    deliv[t] = rows = []
+                rows.append((datagram, on_deliver))
+                return datagram
         event = self.sim.schedule(
             chan.src_access,
             self._hop_cb,
@@ -547,25 +487,6 @@ class Internet:
         hops: int,
     ) -> None:
         if router == dst_label:
-            if self._vectorized and self.sim._drain_bucket is not None:
-                # Defer to this slot's bulk-delivery batch: all frames
-                # landing on the same quantized instant ride one event
-                # (:meth:`_bulk_deliver`) instead of one each.
-                deliv = self._vec_deliveries
-                if not deliv and not self._vec_pending \
-                        and not self._vec_path_pending:
-                    self._vec_epoch = self.sim._cleared
-                now = self.sim._now
-                w = self.columnar_window
-                t = now + self.hosts[datagram.dst].access_delay
-                t = ceil(t / w) * w
-                if t < now:
-                    t = now
-                rows = deliv.get(t)
-                if rows is None:
-                    deliv[t] = rows = []
-                rows.append((datagram, on_deliver))
-                return
             dst_host = self.hosts[datagram.dst]
             chain = datagram._chain
             if chain is not None:
@@ -585,37 +506,6 @@ class Internet:
         if hops >= _MAX_HOPS:
             self._drop(datagram, DROP_TTL, on_drop)
             return
-        if self._vectorized and self.sim._drain_bucket is not None:
-            # Path fast-forward: when the whole remaining transit is
-            # capacity-free (pure delay + loss + jitter — no queueing
-            # order to preserve), the entire multi-fiber chain settles
-            # as ONE batch at flush time: per-fiber vectorized loss
-            # draws, summed delays and jitter, survivors straight into
-            # the bulk-delivery batch. No per-fiber continuation events
-            # at all. Profiles are cached per (domain, router, dst) and
-            # stamped with ``tables_epoch`` so forwarding reflects the
-            # same (possibly stale) tables a hop-by-hop walk would use.
-            ck = (domain, router, dst_label)
-            entry = self._path_cache.get(ck)
-            if entry is None or entry[0] != domain.tables_epoch:
-                entry = self._resolve_path(domain, router, dst_label)
-            profile = entry[1]
-            if profile is not None and hops + profile.n_hops <= _MAX_HOPS:
-                ppend = self._vec_path_pending
-                if not ppend and not self._vec_pending \
-                        and not self._vec_deliveries:
-                    self._vec_epoch = self.sim._cleared
-                group = ppend.get(ck)
-                if group is None:
-                    ppend[ck] = group = (profile, [])
-                group[1].append((
-                    datagram, on_deliver, on_drop,
-                    datagram.size + HEADER_BYTES,
-                    self.hosts[datagram.dst].access_delay,
-                ))
-                return
-            # Unprofilable transit (queued fiber on path, routing loop,
-            # or TTL would expire en route): hop-by-hop below.
         nxt = domain.next_hop(router, dst_label)
         if nxt is None:
             self._drop(datagram, DROP_NO_ROUTE, on_drop)
@@ -635,48 +525,22 @@ class Internet:
                 entry = self._resolve_path(domain, router, dst_label)
             profile = entry[1]
             chain = datagram._chain
-            if profile is not None and profile.trivial and chain is not None \
-                    and hops + profile.n_hops <= _MAX_HOPS:
-                links = profile.links
-                for link in links:
-                    if link._failed or link.jitter \
-                            or link.capacity_bps is not None \
-                            or type(link._loss) is not NoLoss:
-                        break
-                else:
-                    wire = datagram.size + HEADER_BYTES
-                    t = t0 = self.sim._now
-                    for link in links:
-                        link.packets_carried += 1
-                        link.bytes_carried += wire
-                        t = t + link.delay
-                    self.sim.repush(
-                        chain, t + self.hosts[datagram.dst].access_delay,
-                        self._deliver_cb,
-                        (datagram, on_deliver, t0, profile, on_drop, hops),
-                    )
-                    return
+            if profile is not None and chain is not None \
+                    and hops + profile.n_hops <= _MAX_HOPS \
+                    and _quiet(profile.links):
+                wire = datagram.size + HEADER_BYTES
+                t = t0 = self.sim._now
+                for link in profile.links:
+                    link.packets_carried += 1
+                    link.bytes_carried += wire
+                    t = t + link.delay
+                self.sim.repush(
+                    chain, t + self.hosts[datagram.dst].access_delay,
+                    self._deliver_cb,
+                    (datagram, on_deliver, t0, profile, on_drop, hops),
+                )
+                return
         link, direction = domain.link_on_path(router, nxt)
-        if self._vectorized and self.sim._drain_bucket is not None:
-            # Vectorized tier: defer this crossing into the slot's
-            # per-(link, direction) batch; the slot-flush hook settles
-            # the whole group in one pass (vector loss draws, prefix-sum
-            # queueing, bulk continuation events). Outside a drain —
-            # sends made before the run loop starts, or from a flush
-            # callback — fall through to the immediate scalar settle.
-            pend = self._vec_pending
-            if not pend and not self._vec_deliveries \
-                    and not self._vec_path_pending:
-                self._vec_epoch = self.sim._cleared
-            group_key = (id(link), direction)
-            group = pend.get(group_key)
-            if group is None:
-                pend[group_key] = group = (link, direction, [])
-            group[2].append((
-                domain, nxt, dst_label, datagram, on_deliver, on_drop,
-                hops, datagram.size + HEADER_BYTES,
-            ))
-            return
         # The loss stream for a link never changes identity; cache it on
         # the link itself rather than re-deriving "loss:<name>" per hop.
         rng = link._loss_rng
@@ -687,18 +551,16 @@ class Internet:
         if arrival is None:
             self._drop(datagram, DROP_LINK, on_drop)
             return
-        if self._columnar and self.columnar_window > 0.0:
-            w = self.columnar_window
+        w = self.columnar_window
+        if w:
             arrival = ceil(arrival / w) * w
         chain = datagram._chain
         if chain is not None:
-            if nxt == dst_label and not self._vectorized:
+            if nxt == dst_label:
                 # The fiber just crossed ends at the destination router:
                 # all that is left is the constant egress access delay,
                 # so the chain goes straight to the delivery instant —
-                # k fibers cost k + 1 events, not k + 2. (The vectorized
-                # tier instead re-enters at the router to join its
-                # quantized bulk delivery.)
+                # k fibers cost k + 1 events, not k + 2.
                 self.sim.repush(
                     chain, arrival + self.hosts[datagram.dst].access_delay,
                     self._deliver_cb, (datagram, on_deliver),
@@ -784,54 +646,35 @@ class Internet:
         if on_drop is not None:
             on_drop(datagram, reason)
 
-    # --------------------------------------- vectorized settlement tier
+    # ------------------------------------ transit profiles, batched tier
 
     def _path_profile(
         self, domain: RoutingDomain, router: Any, dst_label: Any
     ) -> _PathProfile | None:
         """Resolve the current forwarding path ``router -> dst_label``
-        into a fast-forwardable transit profile, or ``None`` when the
-        transit must stay hop-by-hop: a queued (capacity-limited) fiber
-        anywhere on the path, a routing loop in the (possibly stale)
-        tables, or no route at all. Failed fibers do *not* disqualify a
-        path — stale tables keep forwarding into them, and the settle
-        step drops there, exactly like the per-hop walk."""
+        into a transit profile, or ``None`` when there is none to settle
+        on: a routing loop in the (possibly stale) tables, or no route
+        at all. A cut, lossy, jittery or queued fiber does *not*
+        disqualify a path — the lanes read fiber state live
+        (:func:`_quiet`), so a profile holds for as long as the tables
+        it was resolved from."""
         links: list = []
-        dirs: list = []
         routers: list = []
-        jitters: list = []
         total_delay = 0.0
-        any_jitter = False
-        trivial = True
         seen = {router}
         cur = router
         while cur != dst_label:
             nxt = domain.next_hop(cur, dst_label)
             if nxt is None or nxt in seen:
                 return None
-            link, direction = domain.link_on_path(cur, nxt)
-            if link.capacity_bps is not None:
-                return None
+            link = domain.link_on_path(cur, nxt)[0]
             links.append(link)
-            dirs.append(direction)
             routers.append(nxt)
-            jitters.append(link.jitter)
             total_delay += link.delay
-            any_jitter = any_jitter or link.jitter > 0.0
-            if type(link._loss) is not NoLoss:
-                trivial = False
             seen.add(nxt)
             cur = nxt
         return _PathProfile(
-            domain,
-            tuple(links),
-            tuple(dirs),
-            tuple(routers),
-            total_delay,
-            len(links),
-            tuple(jitters) if any_jitter else None,
-            trivial and not any_jitter,
-        )
+            domain, tuple(links), tuple(routers), total_delay, len(links))
 
     def _resolve_path(self, domain: RoutingDomain, router: Any,
                       dst_label: Any) -> tuple:
@@ -846,311 +689,71 @@ class Internet:
     def prime_path(self, chan: Channel) -> None:
         """Pre-resolve the transit profile for a channel.
 
-        A no-op unless the vectorized tier is armed. Benchmarks prime
+        A no-op unless the batched tier is armed. Benchmarks prime
         every steady-state channel after a warm start for the same
         reason they pre-fill Dijkstra tables: a restored overlay should
         not pay lazy cache fills inside the measured window that an
         organically-warmed overlay already paid during warm-up."""
-        if self._vectorized:
+        if self.columnar_window:
             self._resolve_path(*chan.path_key)
 
-    def _settle_path_group(self, profile, rows, now, np) -> None:
-        """Settle one fast-forward batch: every row crosses the whole
-        multi-fiber transit in this pass — per-fiber loss verdicts
-        (vectorized for groups worth the array overhead, scalar
-        otherwise), per-fiber counters with first-loss attribution,
-        summed delay and jitter, survivors appended to the slot's
-        bulk-delivery batches. All draws happen at the slot instant
-        (the crossing times are ``now + cumulative delay`` in the exact
-        engine) — one more quantization the statistical calibration
-        harness is in charge of bounding."""
-        links = profile.links
-        dirs = profile.dirs
-        jitters = profile.jitters
-        w = self.columnar_window
-        deliv = self._vec_deliveries
-        drop = self._drop
-        k = len(rows)
-        if profile.trivial:
-            # Deterministic transit (every fiber loss-free and
-            # jitter-free at resolve time): re-verify against live
-            # state, then settle with pure arithmetic — per-fiber
-            # counters and one arrival sum per row. No draws, no
-            # per-fiber work per row at all.
-            for link in links:
-                if link._failed or type(link._loss) is not NoLoss:
-                    break
-            else:
-                wire_total = 0
-                for row in rows:
-                    wire_total += row[3]
-                for link in links:
-                    link.packets_carried += k
-                    link.bytes_carried += wire_total
-                base = now + profile.total_delay
-                for row in rows:
-                    t = ceil((base + row[4]) / w) * w
-                    if t < now:
-                        t = now
-                    bulk = deliv.get(t)
-                    if bulk is None:
-                        deliv[t] = bulk = []
-                    bulk.append((row[0], row[1]))
-                return
-        if k < self.vec_min_batch:
-            # Scalar fast-forward: still no per-fiber events — the whole
-            # transit folds into one loop per row.
-            for datagram, on_deliver, on_drop, wire, access in rows:
-                delay = 0.0
-                for link, direction in zip(links, dirs):
-                    rng = link._loss_rng
-                    if rng is None:
-                        rng = link._loss_rng = self.rngs.stream(
-                            f"loss:{link.name}")
-                    arrival = link.traverse(now, wire, direction, rng)
-                    if arrival is None:
-                        drop(datagram, DROP_LINK, on_drop)
-                        break
-                    delay += arrival - now
-                else:
-                    t = ceil((now + delay + access) / w) * w
-                    if t < now:
-                        t = now
-                    bulk = deliv.get(t)
-                    if bulk is None:
-                        deliv[t] = bulk = []
-                    bulk.append((datagram, on_deliver))
-            return
-        alive = np.ones(k, dtype=bool)
-        wires = np.array([row[3] for row in rows], dtype=np.float64)
-        extra = np.zeros(k, dtype=np.float64)
-        for i, (link, direction) in enumerate(zip(links, dirs)):
-            if link._failed:
-                idxs = np.nonzero(alive)[0]
-                link.packets_dropped += len(idxs)
-                for j in idxs.tolist():
-                    row = rows[j]
-                    drop(row[0], DROP_LINK, row[2])
-                return
-            rng = link._loss_rng
-            if rng is None:
-                rng = link._loss_rng = self.rngs.stream(f"loss:{link.name}")
-            gen = link._vec_gen
-            if gen is None:
-                gen = link._vec_gen = np.random.default_rng(
-                    rng.getrandbits(64))
-            lost = link._loss.batch_draws(now, rng, k, gen, np)
-            if lost is None:
-                # Unvectorizable loss model on this fiber: settle it (and
-                # only it) per row; later fibers may batch again.
-                lost = np.fromiter(
-                    (link._loss.should_drop(now, rng) for __ in range(k)),
-                    dtype=bool, count=k,
-                )
-            died = alive & lost
-            if died.any():
-                idxs = np.nonzero(died)[0]
-                link.packets_dropped += len(idxs)
-                alive &= ~lost
-                for j in idxs.tolist():
-                    row = rows[j]
-                    drop(row[0], DROP_LINK, row[2])
-                if not alive.any():
-                    return
-            n_alive = int(alive.sum())
-            link.packets_carried += n_alive
-            link.bytes_carried += int(wires[alive].sum())
-            if jitters is not None and jitters[i] > 0.0:
-                extra += gen.random(k) * jitters[i]
-        access = np.array([row[4] for row in rows], dtype=np.float64)
-        arrivals = now + profile.total_delay + extra + access
-        arrivals = np.maximum(np.ceil(arrivals / w) * w, now)
-        times = arrivals.tolist()
-        for j in np.nonzero(alive)[0].tolist():
-            row = rows[j]
-            t = times[j]
-            bulk = deliv.get(t)
-            if bulk is None:
-                deliv[t] = bulk = []
-            bulk.append((row[0], row[1]))
-
-    def enable_vectorized(self) -> None:
-        """Arm the vectorized approximate settlement tier: the hop path
-        defers same-slot link crossings into per-(link, direction)
-        batches and a :meth:`Simulator.on_slot_flush` hook settles each
-        batch in numpy columns — one loss/jitter RNG call per group,
-        cumulative-sum queueing folds, and bulk continuation/delivery
-        events. Requires a columnar simulator, a positive
-        ``columnar_window`` (the grid that makes batches worth
-        settling in bulk), and numpy (``pip install 'repro[fast]'``).
-        Approximation semantics: arrivals are quantized to the window
-        grid exactly as with ``columnar_window`` alone, access delays
-        within the window are absorbed into it, per-packet RNG draws move to
-        a per-link numpy stream, and callback order within an instant
-        is grouped by (link, batch) instead of per packet — validated
-        statistically by :mod:`repro.analysis.calibrate`, never
-        byte-identical.
-        """
-        from repro.vector import require_numpy
-
-        if not self._columnar:
+    def enable_vectorized(self, window: float) -> None:
+        """Arm the batched approximate tier with coalescing window
+        ``window`` (seconds). Every hop arrival is quantized up to the
+        window grid, and a :meth:`send_via` made inside a slot drain
+        whose channel is quiet end to end settles in one step: its
+        delivery joins every other delivery landing on the same grid
+        instant in one bulk event (:meth:`_flush_slot`). Everything
+        else — loss, jitter, capacity, cut fibers, routing loops, TTL —
+        takes the ordinary hop walk with quantized arrivals. A datagram
+        therefore lands at most one window late per fiber it walks, or
+        one window per transit on the quiet-channel lane. Requires a
+        columnar simulator (the slot being drained is what the lane
+        batches into). Validated statistically against the exact tier by
+        :mod:`repro.analysis.calibrate`, never byte-identical."""
+        if not self.sim.columnar:
             raise ValueError(
                 "columnar_vectorized requires a columnar simulator "
                 "(Simulator(columnar=True) / OverlayConfig(columnar=True))"
             )
-        if not self.columnar_window > 0.0:
+        if not window > 0.0:
             raise ValueError(
                 "columnar_vectorized requires columnar_window > 0 — "
                 "window 0 is the byte-identical exact mode, which the "
-                "vectorized tier cannot honour"
+                "batched tier cannot honour"
             )
-        np = require_numpy("columnar_vectorized")
-        if self._vectorized:
+        if self.columnar_window:
+            if window != self.columnar_window:
+                raise ValueError(
+                    f"the batched tier is armed with window "
+                    f"{self.columnar_window}, not {window}")
             return
-        self._vectorized = True
-        self._np = np
+        self.columnar_window = window
         self.sim.on_slot_flush(self._flush_slot)
 
     def _flush_slot(self) -> None:
-        """Slot-flush hook: settle every (link, direction) batch the
-        just-drained slot deferred, then schedule its bulk deliveries.
-        Runs between slots (``_drain_bucket`` is None), so protocol
-        callbacks fired from here — drop handlers, delivery handlers —
-        send through the ordinary scheduled path rather than appending
-        to the batches being flushed."""
-        pend = self._vec_pending
-        ppend = self._vec_path_pending
+        """Slot-flush hook: schedule the deliveries the just-drained
+        slot settled, one :meth:`_bulk_deliver` event per quantized
+        instant."""
         deliv = self._vec_deliveries
-        if not pend and not deliv and not ppend:
+        if not deliv:
             return
-        sim = self.sim
-        if self._vec_epoch != sim._cleared:
-            # clear() ran while this slot's batches accumulated; the
-            # scalar engines wipe in-flight continuation events in the
-            # same situation, so discard silently (break the
-            # datagram <-> chain cycles on the way out).
-            for __, __, rows in pend.values():
-                for row in rows:
-                    row[3]._chain = None
-            for __, rows in ppend.values():
-                for row in rows:
-                    row[0]._chain = None
-            for rows in deliv.values():
-                for datagram, __ in rows:
-                    datagram._chain = None
-            pend.clear()
-            ppend.clear()
-            deliv.clear()
+        items = list(deliv.items())
+        deliv.clear()
+        if self._vec_epoch != self.sim._cleared:
+            # clear() ran while this slot's deliveries accumulated; the
+            # event queue dropped every other datagram in flight in the
+            # same situation, so these go too.
             return
-        now = sim._now
-        np = self._np
-        if ppend:
-            settle_path = self._settle_path_group
-            groups = list(ppend.values())
-            ppend.clear()
-            for profile, rows in groups:
-                settle_path(profile, rows, now, np)
-        if pend:
-            settle = self._settle_group
-            groups = list(pend.values())
-            pend.clear()
-            for link, direction, rows in groups:
-                settle(link, direction, rows, now, np)
-        if deliv:
-            schedule_at = sim.schedule_at
-            cb = self._bulk_deliver
-            items = list(deliv.items())
-            deliv.clear()
-            for t, rows in items:
-                schedule_at(t, cb, rows)
-
-    def _settle_group(self, link, direction, rows, now, np) -> None:
-        """Settle one (link, direction) batch at the slot instant:
-        numpy columns for groups worth the array overhead, the scalar
-        loop otherwise (same semantics, different arithmetic engine)."""
-        if link._failed:
-            link.packets_dropped += len(rows)
-            drop = self._drop
-            for row in rows:
-                drop(row[3], DROP_LINK, row[5])
-            return
-        rng = link._loss_rng
-        if rng is None:
-            rng = link._loss_rng = self.rngs.stream(f"loss:{link.name}")
-        k = len(rows)
-        if k < self.vec_min_batch:
-            self._settle_rows_scalar(link, direction, rows, now, rng)
-            return
-        gen = link._vec_gen
-        if gen is None:
-            gen = link._vec_gen = np.random.default_rng(rng.getrandbits(64))
-        lost = link._loss.batch_draws(now, rng, k, gen, np)
-        if lost is None:
-            # Unvectorizable loss model (unknown subclass): per-packet
-            # scalar calls, still batched into bulk dispatch.
-            self._settle_rows_scalar(link, direction, rows, now, rng)
-            return
-        wires = np.array([row[7] for row in rows], dtype=np.float64)
-        arrivals, dropped = link.batch_traverse(
-            now, wires, direction, gen, lost, np
-        )
-        w = self.columnar_window
-        arrivals = np.maximum(np.ceil(arrivals / w) * w, now)
-        self._dispatch_rows(rows, arrivals.tolist(), dropped.tolist())
-
-    def _settle_rows_scalar(self, link, direction, rows, now, rng) -> None:
-        """Per-row :meth:`FiberLink.traverse` settle for groups too
-        small (or too exotic) for numpy — arrivals are quantized and
-        dispatched in bulk exactly like the vector path."""
-        w = self.columnar_window
-        traverse = link.traverse
-        arrivals = []
-        dropped = []
-        for row in rows:
-            arrival = traverse(now, row[7], direction, rng)
-            if arrival is None:
-                dropped.append(True)
-                arrivals.append(now)
-            else:
-                arrival = ceil(arrival / w) * w
-                dropped.append(False)
-                arrivals.append(arrival if arrival > now else now)
-        self._dispatch_rows(rows, arrivals, dropped)
-
-    def _dispatch_rows(self, rows, arrivals, dropped) -> None:
-        """Fan a settled batch back into the event stream: drops fire
-        their callbacks now (the slot instant), survivors sharing a
-        quantized arrival ride one bulk continuation event."""
         schedule_at = self.sim.schedule_at
-        cb = self._bulk_hop
-        drop = self._drop
-        bulks: dict[float, list] = {}
-        for i, row in enumerate(rows):
-            if dropped[i]:
-                drop(row[3], DROP_LINK, row[5])
-                continue
-            t = arrivals[i]
-            bulk = bulks.get(t)
-            if bulk is None:
-                bulks[t] = bulk = []
-                schedule_at(t, cb, bulk)
-            bulk.append(row)
-
-    def _bulk_hop(self, rows) -> None:
-        """One continuation event for every batched crossing that
-        arrived at this instant: re-enter :meth:`_hop` per row (routing,
-        TTL, and delivery logic unchanged — survivors just defer into
-        the *next* slot's batches)."""
-        hop = self._hop
-        for domain, nxt, dst_label, datagram, on_deliver, on_drop, hops, __ in rows:
-            hop(domain, nxt, dst_label, datagram, on_deliver, on_drop, hops + 1)
+        cb = self._bulk_deliver
+        for t, rows in items:
+            schedule_at(t, cb, rows)
 
     def _bulk_deliver(self, rows) -> None:
-        """One event for every delivery landing at this instant —
-        the vectorized tier's replacement for per-datagram
-        :meth:`_deliver` events."""
+        """One event for every batched-tier delivery landing at this
+        instant — the quiet-channel lane's :meth:`_deliver`."""
         add = self.counters.add
         for datagram, on_deliver in rows:
-            datagram._chain = None
             add("datagrams-delivered")
             on_deliver(datagram)

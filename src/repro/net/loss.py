@@ -11,29 +11,9 @@ All models are queried per traversal with ``should_drop(now, rng)`` and
 advance their internal state lazily, so they work with packets arriving
 at arbitrary simulated times.
 
-Vectorized draws (the approximate tier)
----------------------------------------
-
-The exact tier consumes a link's loss stream strictly per packet, in
-firing order (``should_drop``). The *vectorized* columnar tier
-(``columnar_vectorized=True``) drops that draw order — it is validated
-statistically, not byte-for-byte — and asks a model for all ``k``
-verdicts of a (slot, link) group at once via
-:meth:`LossModel.batch_draws`, splitting the two kinds of randomness a
-model uses:
-
-* *state-advance draws* (Gilbert–Elliott's exponential run lengths)
-  are shared by every packet of an instant and still come from the
-  link's **scalar** loss stream (``rng``) — one advance per
-  (slot, link), exactly what one ``should_drop`` at that instant would
-  consume — so the burst process walks the same run lengths whether a
-  group is settled vectorized or through the scalar fallback;
-* *per-packet draws* come from the link's **numpy** generator (``gen``)
-  in a single ``gen.random(k)`` call (none when the state's drop
-  probability is 0), replacing ``k`` scalar draws with one vector draw.
-
-Composites batch component-wise: each component contributes its own
-vector and the results are OR-ed.
+The batched tier asks the same question the same way: a lossy fiber
+takes the per-packet walk there too, so on every packet tier a link's
+loss stream is drawn strictly per packet, in firing order.
 """
 
 from __future__ import annotations
@@ -48,26 +28,6 @@ class LossModel:
 
     def should_drop(self, now: float, rng: random.Random) -> bool:
         raise NotImplementedError
-
-    def batch_draws(self, now, rng, k, gen, np):
-        """Vectorized verdicts for ``k`` same-instant crossings — the
-        approximate tier's one-call-per-group loss evaluation.
-
-        Returns a length-``k`` boolean array (``True`` = dropped), or
-        ``None`` when the model cannot be vectorized (this default, for
-        unknown subclasses) — the caller then falls back to per-packet
-        scalar ``should_drop`` calls on ``rng``.
-
-        Contract: a call may consume from ``rng`` exactly the shared
-        state-advance draws one scalar ``should_drop(now, rng)`` would
-        (so the scalar burst process stays on its trajectory), and at
-        most one vector draw from ``gen`` (``gen.random(k)``; none when
-        the instant is deterministically draw-free). ``np`` is the
-        numpy module, passed in so models stay import-clean without it.
-        Draw-order identity with the scalar path is explicitly *not*
-        claimed — this tier is validated statistically.
-        """
-        return None
 
     def expected_loss_rate(self) -> float:
         """Long-run stationary loss probability (for tests/reporting)."""
@@ -103,9 +63,6 @@ class NoLoss(LossModel):
     def should_drop(self, now: float, rng: random.Random) -> bool:
         return False
 
-    def batch_draws(self, now, rng, k, gen, np):
-        return np.zeros(k, dtype=bool)
-
     def expected_loss_rate(self) -> float:
         return 0.0
 
@@ -120,11 +77,6 @@ class BernoulliLoss(LossModel):
 
     def should_drop(self, now: float, rng: random.Random) -> bool:
         return rng.random() < self.rate
-
-    def batch_draws(self, now, rng, k, gen, np):
-        if self.rate <= 0.0:
-            return np.zeros(k, dtype=bool)
-        return gen.random(k) < self.rate
 
     def expected_loss_rate(self) -> float:
         return self.rate
@@ -183,16 +135,6 @@ class GilbertElliottLoss(LossModel):
         p = self.bad_loss if self._in_bad else self.good_loss
         return p > 0.0 and rng.random() < p
 
-    def batch_draws(self, now, rng, k, gen, np):
-        # The burst process advances on the scalar stream (same
-        # exponential run-length draws as one should_drop at `now`);
-        # the k per-packet verdicts collapse to one vector draw.
-        self._advance(now, rng)
-        p = self.bad_loss if self._in_bad else self.good_loss
-        if p <= 0.0:
-            return np.zeros(k, dtype=bool)
-        return gen.random(k) < p
-
     def in_bad_state(self, now: float, rng: random.Random) -> bool:
         """Expose the current state (used by tests)."""
         self._advance(now, rng)
@@ -232,9 +174,6 @@ class ScheduledOutages(LossModel):
             if start > now:
                 break
         return False
-
-    def batch_draws(self, now, rng, k, gen, np):
-        return np.full(k, self.should_drop(now, rng), dtype=bool)
 
     def expected_loss_rate(self) -> float:
         # Not stationary; report NaN so nobody misuses it.
@@ -276,18 +215,6 @@ class CompositeLoss(LossModel):
             if model.should_drop(now, rng):
                 dropped = True
         return dropped
-
-    def batch_draws(self, now, rng, k, gen, np):
-        # Each component contributes its own vector and the results are
-        # OR-ed — the per-packet draws live on `gen`, so several
-        # stochastic components never interleave on the scalar stream.
-        out = None
-        for model in self.models:
-            draws = model.batch_draws(now, rng, k, gen, np)
-            if draws is None:
-                return None
-            out = draws if out is None else (out | draws)
-        return out
 
     def expected_loss_rate(self) -> float:
         keep = 1.0

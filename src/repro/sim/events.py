@@ -45,8 +45,8 @@ the *timer wheel*: the heap holds **one entry per distinct timestamp**
 — ``(time, first_seq, bucket)`` — and each bucket is the *slot* of that
 instant, a plain list of ``(seq, event)`` records in append order.
 Popping one slot hands the run loop every event of that instant, which
-is what the batched (numpy) data plane needs: it defers the slot's link
-crossings and settles them in bulk from a slot-flush hook
+is what the batched data plane needs: it collects the deliveries the
+slot's sends settled and schedules them in bulk from a slot-flush hook
 (:meth:`Simulator.on_slot_flush`). With no hook registered the wheel is
 byte-identical to the heap and no faster (DESIGN.md "Event engines"
 carries the measurements), so it is kept runnable on its own only as
@@ -68,7 +68,7 @@ Determinism is preserved exactly, not approximately:
   never shadow a live one.
 
 The run loop exposes the slot being drained (``_drain_bucket``) so the
-batched data plane can tell a send made *inside* a drain (deferred into
+batched data plane can tell a send made *inside* a drain (settled into
 the slot's batch) from one made between slots (scheduled normally).
 """
 
@@ -260,12 +260,12 @@ class Simulator:
         #: slots, not events, in this mode).
         self._entries = 0
         #: Columnar mode: the slot currently being drained (None
-        #: between slots) — the batched data plane defers a link
-        #: crossing into the slot's batch only while this is set.
+        #: between slots) — the batched data plane settles a send into
+        #: the slot's batch only while this is set.
         self._drain_bucket: list | None = None
         #: Columnar mode: callbacks run after each slot bucket finishes
-        #: draining (see :meth:`on_slot_flush`) — the vectorized data
-        #: plane settles its deferred per-slot batches there.
+        #: draining (see :meth:`on_slot_flush`) — the batched data
+        #: plane schedules the slot's bulk deliveries there.
         self._flush_hooks: list = []
         #: Teardown epoch: bumped by clear(). A periodic timer firing
         #: while clear() runs is not in the queue, so the cancellation
@@ -302,8 +302,8 @@ class Simulator:
         (columnar mode only). Flush hooks see ``_drain_bucket`` already
         reset — they are *between* slots — and may schedule new events
         (at or after the drained instant), which land in fresh buckets.
-        The vectorized data plane uses this to settle the link-crossing
-        batches it deferred while the slot drained."""
+        The batched data plane uses this to schedule the deliveries its
+        sends settled while the slot drained."""
         if not self._columnar:
             raise SimulationError("slot-flush hooks require columnar mode")
         self._flush_hooks.append(hook)

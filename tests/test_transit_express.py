@@ -48,8 +48,8 @@ ENGINES = pytest.mark.parametrize("columnar", [False, True],
 
 
 class WalkInternet(Internet):
-    """The parent commit's hop walk: ``Internet._hop`` verbatim, minus
-    the batched tier's deferral arms (never armed here)."""
+    """The hop walk before quiet transits: ``Internet._hop`` without
+    its one-step lane."""
 
     def _hop(self, domain, router, dst_label, datagram, on_deliver, on_drop,
              hops):
@@ -84,7 +84,7 @@ class WalkInternet(Internet):
             return
         chain = datagram._chain
         if chain is not None:
-            if nxt == dst_label and not self._vectorized:
+            if nxt == dst_label:
                 self.sim.repush(
                     chain, arrival + self.hosts[datagram.dst].access_delay,
                     self._deliver, (datagram, on_deliver),

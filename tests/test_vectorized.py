@@ -1,28 +1,32 @@
-"""The vectorized approximate columnar tier (``columnar_vectorized``).
+"""The batched approximate tier (``columnar_vectorized``).
 
-Unlike exact columnar mode (byte-identical, fuzzed in
-``test_properties_columnar.py``), the vectorized tier is *approximate*:
-per-packet loss/jitter draws move to a per-link numpy stream and
-arrivals are settled in bulk. Its contract is statistical — delivery
-ratio and mean latency within the documented calibration tolerances —
-plus some exact obligations these tests pin down directly:
+Unlike the wheel at window 0 (byte-identical, fuzzed in
+``test_properties_columnar.py``), the batched tier is *approximate*:
+every hop arrival is quantized up to the window grid, and a quiet
+channel's send settles at once into one bulk delivery per grid instant.
+Its contract is statistical — delivery ratio and mean latency within
+the documented calibration tolerances of the exact tier — plus some
+exact obligations these tests pin down directly:
 
-* batched loss draws advance the scalar RNG stream by exactly the
-  documented amounts (the burst process stays on the scalar stream,
-  per-packet verdicts move to the vector stream);
-* ``batch_traverse`` reproduces the scalar queueing recurrence
-  (including bounded-queue overflow) and advances the link counters
-  exactly as k scalar traverses would;
+* a multi-fiber transit that is not quiet walks fiber by fiber and
+  lands within one window per fiber of its exact instant, serializing
+  on a capacity fiber;
+* the quiet-channel lane reads fiber state live, so a cut, a loss swap
+  or a capacity written after the profile was resolved sends the
+  datagram down the walk, and a reconvergence re-resolves the profile;
 * ``columnar_window=0`` remains the byte-identical exact mode;
-* configuration errors (no columnar, no window, no numpy) are clear.
+* configuration errors (no columnar, no window, a window without the
+  tier) are clear, and the tier runs on an interpreter without numpy.
 """
 
-import random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.vector as vector
 from repro.analysis.calibrate import (
     DELIVERY_TOL,
     DELIVERY_TOL_LOSSY,
@@ -36,20 +40,10 @@ from repro.audit.diff import assert_identical
 from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
-from repro.net.backbone import FWD, FiberLink
-from repro.net.internet import HEADER_BYTES, Internet
-from repro.net.loss import (
-    BernoulliLoss,
-    CompositeLoss,
-    GilbertElliottLoss,
-    LossModel,
-    NoLoss,
-)
+from repro.net.internet import HEADER_BYTES, Internet, _quiet
+from repro.net.loss import BernoulliLoss, CompositeLoss, GilbertElliottLoss
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
-from repro.vector import MissingNumpyError
-
-np = pytest.importorskip("numpy")
 
 WINDOW = 0.00025
 
@@ -64,7 +58,7 @@ def test_vectorized_requires_columnar():
             overlay.internet,
             ["n00", "n01"],
             [("n00", "n01")],
-            OverlayConfig(columnar_vectorized=True),
+            OverlayConfig(columnar_vectorized=True, columnar_window=WINDOW),
         )
 
 
@@ -74,193 +68,52 @@ def test_vectorized_requires_positive_window():
             columnar=True, columnar_window=0.0, columnar_vectorized=True))
 
 
-def test_vectorized_without_numpy_raises_clear_error(monkeypatch):
-    monkeypatch.setattr(vector, "_numpy", None)
-    monkeypatch.setattr(vector, "_probed", True)
-    with pytest.raises(MissingNumpyError, match=r"repro\[fast\]"):
+@pytest.mark.parametrize("columnar", [False, True])
+def test_window_without_the_batched_tier_is_rejected(columnar):
+    """A positive window means the batched tier; on its own it would
+    only quantize the exact walk, a configuration nothing runs."""
+    with pytest.raises(ValueError, match="requires columnar_vectorized"):
         build_overlay(config=OverlayConfig(
-            columnar=True, columnar_window=WINDOW, columnar_vectorized=True))
+            columnar=columnar, columnar_window=WINDOW))
 
 
-def test_require_numpy_returns_module():
-    assert vector.require_numpy("test") is np
+def test_batched_tier_runs_without_numpy():
+    """The batched tier is plain Python: a child interpreter in which
+    ``import numpy`` fails builds a batched overlay and delivers over
+    it."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    script = f"""
+import sys
+sys.modules["numpy"] = None
+from repro.analysis.calibrate import build_overlay
+from repro.analysis.workloads import CbrSource
+from repro.core.config import OverlayConfig
+from repro.core.message import Address
+overlay = build_overlay(config=OverlayConfig(
+    columnar=True, columnar_window={WINDOW!r}, columnar_vectorized=True))
+sim = overlay.sim
+overlay.warm_up(2.0)
+overlay.client("n08", 7)
+CbrSource(sim, overlay.client("n00"), Address("n08", 7),
+          rate_pps=20.0, duration=1.0).start()
+sim.run(until=sim.now + 2.0)
+print(len(overlay.trace.records))
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.strip()) >= 20
 
 
-# ------------------------------------------------- batched loss draws
-
-
-def _twin_rngs(seed=1234):
-    return random.Random(seed), random.Random(seed)
-
-
-def _twin_gens(seed=99):
-    return np.random.default_rng(seed), np.random.default_rng(seed)
-
-
-def test_ge_batch_draws_stream_positions():
-    """The burst process advances on the scalar stream exactly as one
-    ``should_drop`` at the same instant would (the documented amount);
-    the k per-packet verdicts come off the vector stream."""
-    k = 32
-    ge = GilbertElliottLoss(mean_good=0.5, mean_bad=0.05,
-                            good_loss=0.1, bad_loss=0.9)
-    twin = GilbertElliottLoss(mean_good=0.5, mean_bad=0.05,
-                              good_loss=0.1, bad_loss=0.9)
-    rng, rng_ref = _twin_rngs()
-    gen, gen_ref = _twin_gens()
-    lost = ge.batch_draws(5.0, rng, k, gen, np)
-    # Scalar stream: advanced by exactly one `_advance(now)` — no
-    # per-packet draws were consumed from it.
-    twin._advance(5.0, rng_ref)
-    assert rng.getstate() == rng_ref.getstate()
-    assert twin._in_bad == ge._in_bad
-    # Vector stream: exactly one k-wide uniform draw.
-    p = ge.bad_loss if ge._in_bad else ge.good_loss
-    expected = gen_ref.random(k) < p
-    assert lost.shape == (k,)
-    assert (lost == expected).all()
-    assert gen.random() == gen_ref.random()  # streams still aligned
-
-
-def test_bernoulli_batch_draws_consume_no_scalar_randomness():
-    k = 16
-    model = BernoulliLoss(0.25)
-    rng, rng_ref = _twin_rngs()
-    gen, gen_ref = _twin_gens()
-    lost = model.batch_draws(0.0, rng, k, gen, np)
-    assert rng.getstate() == rng_ref.getstate()
-    assert (lost == (gen_ref.random(k) < 0.25)).all()
-
-
-def test_zero_rate_batch_draws_consume_nothing():
-    rng, rng_ref = _twin_rngs()
-    gen, gen_ref = _twin_gens()
-    for model in (NoLoss(), BernoulliLoss(0.0)):
-        lost = model.batch_draws(0.0, rng, 8, gen, np)
-        assert not lost.any()
-    assert rng.getstate() == rng_ref.getstate()
-    assert gen.random() == gen_ref.random()
-
-
-def test_composite_batch_draws_or_children():
-    k = 64
-    comp = CompositeLoss(BernoulliLoss(0.3),
-                         GilbertElliottLoss(mean_good=0.5, mean_bad=0.5,
-                                            good_loss=0.2, bad_loss=0.8))
-    twin = CompositeLoss(BernoulliLoss(0.3),
-                         GilbertElliottLoss(mean_good=0.5, mean_bad=0.5,
-                                            good_loss=0.2, bad_loss=0.8))
-    rng, rng_ref = _twin_rngs()
-    gen, gen_ref = _twin_gens()
-    lost = comp.batch_draws(2.0, rng, k, gen, np)
-    expected = np.zeros(k, dtype=bool)
-    for child in twin.models:
-        expected |= child.batch_draws(2.0, rng_ref, k, gen_ref, np)
-    assert (lost == expected).all()
-    assert rng.getstate() == rng_ref.getstate()
-
-
-def test_unknown_loss_subclass_is_unbatchable():
-    class Weird(LossModel):
-        def should_drop(self, now, rng):
-            return False
-
-    rng = random.Random(0)
-    gen = np.random.default_rng(0)
-    assert Weird().batch_draws(0.0, rng, 4, gen, np) is None
-    assert CompositeLoss(Weird(), BernoulliLoss(0.1)).batch_draws(
-        0.0, rng, 4, gen, np) is None
-
-
-# ----------------------------------------------------- batch_traverse
-
-
-def _reference_recurrence(link, now, wires, lost):
-    """The scalar per-packet queueing recurrence, spelled out."""
-    busy = link._busy_until[FWD]
-    arrivals, dropped = [], []
-    for wire, was_lost in zip(wires, lost):
-        if was_lost:
-            arrivals.append(None)
-            dropped.append(True)
-            continue
-        tx = wire * 8.0 / link.capacity_bps
-        qd = max(0.0, busy - now)
-        if qd > link.MAX_QUEUE_DELAY:
-            arrivals.append(None)
-            dropped.append(True)
-            continue
-        busy = now + qd + tx
-        arrivals.append(now + qd + tx + link.delay)
-        dropped.append(False)
-    return arrivals, dropped, busy
-
-
-@pytest.mark.parametrize("lost_pattern", [
-    [False] * 6,
-    [False, True, False, True, True, False],
-    [True] * 6,
-])
-def test_batch_traverse_matches_scalar_recurrence(lost_pattern):
-    link = FiberLink("f", delay=0.010, capacity_bps=8_000_000.0)
-    wires = np.array([1500.0, 300.0, 9000.0, 1500.0, 64.0, 40000.0])
-    lost = np.array(lost_pattern)
-    gen = np.random.default_rng(7)
-    arrivals, dropped = link.batch_traverse(1.0, wires, FWD, gen, lost, np)
-    ref = FiberLink("f", delay=0.010, capacity_bps=8_000_000.0)
-    ref_arrivals, ref_dropped, ref_busy = _reference_recurrence(
-        ref, 1.0, wires, lost)
-    assert list(dropped) == ref_dropped
-    for got, want in zip(arrivals, ref_arrivals):
-        if want is not None:
-            assert got == pytest.approx(want, abs=1e-12)
-    assert link._busy_until[FWD] == pytest.approx(ref_busy, abs=1e-12)
-    n_dropped = sum(ref_dropped)
-    assert link.packets_dropped == n_dropped
-    assert link.packets_carried == len(wires) - n_dropped
-    assert link.bytes_carried == int(
-        wires.sum() - wires[np.array(ref_dropped)].sum())
-
-
-def test_batch_traverse_overflow_falls_back_to_exact_recurrence():
-    # 8 Mbit/s, 0.2 s max queue => 200 KB of backlog overflows; these
-    # frames serialize 0.1 s each, so the 4th and later overflow.
-    link = FiberLink("f", delay=0.001, capacity_bps=8_000_000.0)
-    wires = np.full(6, 100_000.0)
-    lost = np.zeros(6, dtype=bool)
-    gen = np.random.default_rng(7)
-    arrivals, dropped = link.batch_traverse(0.0, wires, FWD, gen, lost, np)
-    ref = FiberLink("f", delay=0.001, capacity_bps=8_000_000.0)
-    ref_arrivals, ref_dropped, ref_busy = _reference_recurrence(
-        ref, 0.0, wires, lost)
-    assert any(ref_dropped), "scenario must actually overflow"
-    assert list(dropped) == ref_dropped
-    for got, want in zip(arrivals, ref_arrivals):
-        if want is not None:
-            assert got == pytest.approx(want, abs=1e-12)
-    # Overflowed packets must not have advanced the busy horizon.
-    assert link._busy_until[FWD] == pytest.approx(ref_busy, abs=1e-12)
-
-
-def test_batch_traverse_no_capacity_and_jitter_stream():
-    link = FiberLink("f", delay=0.010, jitter=0.002)
-    gen, gen_ref = _twin_gens()
-    wires = np.full(5, 1500.0)
-    lost = np.zeros(5, dtype=bool)
-    arrivals, dropped = link.batch_traverse(2.0, wires, FWD, gen, lost, np)
-    expected = 2.0 + link.delay + gen_ref.uniform(0.0, 0.002, 5)
-    assert not dropped.any()
-    assert np.allclose(arrivals, expected)
-
-
-# ------------------------------------------------ path fast-forward
+# ------------------------------------------------ multi-fiber transits
 
 
 def _line_internet(n_fibers=3, *, window=WINDOW, capacity_mid=False,
                    convergence_delay=10.0):
     """A host at each end of a chain of 10 ms fibers — the smallest
-    topology where the vectorized tier's path fast-forward settles a
-    whole multi-fiber transit as one batch."""
+    topology with a multi-fiber underlay transit."""
     sim = Simulator(columnar=True)
     rngs = RngRegistry(4242)
     inet = Internet(sim, rngs)
@@ -274,8 +127,7 @@ def _line_internet(n_fibers=3, *, window=WINDOW, capacity_mid=False,
     inet.add_host("b", access_delay=0.0)
     inet.attach("a", "line", "r0")
     inet.attach("b", "line", f"r{n_fibers}")
-    inet.columnar_window = window
-    inet.enable_vectorized()
+    inet.enable_vectorized(window)
     return sim, inet, isp
 
 
@@ -292,31 +144,38 @@ class _Sink:
         self.dropped.append((datagram, reason))
 
 
+#: Serialization time of one 1200-byte payload on the 8 Mbit/s fiber.
+_TX = (1200 + HEADER_BYTES) * 8.0 / 8_000_000.0
+
+
 def test_path_profile_resolves_multifiber_transit():
     __, inet, isp = _line_internet(3)
     profile = inet._path_profile(isp, "r0", "r3")
     assert profile is not None
     assert profile.n_hops == 3
+    assert profile.routers == ("r1", "r2", "r3")
     assert profile.total_delay == pytest.approx(0.030)
-    assert profile.trivial
-    assert profile.jitters is None
-    # Loss on a fiber keeps the path profilable but not trivial.
+    assert _quiet(profile.links)
+    # Loss or jitter on a fiber leaves the transit as it is — the
+    # profile is the route, and whether it is quiet is asked live.
     isp.link_between("r1", "r2").loss = BernoulliLoss(0.1)
-    lossy = inet._path_profile(isp, "r0", "r3")
-    assert lossy is not None and not lossy.trivial
-    # Jitter anywhere materializes the per-fiber jitter column.
     isp.link_between("r2", "r3").jitter = 0.001
-    jittery = inet._path_profile(isp, "r0", "r3")
-    assert jittery.jitters == (0.0, 0.0, 0.001)
-    assert not jittery.trivial
+    assert inet._path_profile(isp, "r0", "r3").links == profile.links
+    assert not _quiet(profile.links)
 
 
-def test_path_profile_rejects_capacity_fiber():
+def test_capacity_fiber_resolves_but_is_not_quiet():
     __, inet, isp = _line_internet(3, capacity_mid=True)
-    assert inet._path_profile(isp, "r0", "r3") is None
+    profile = inet._path_profile(isp, "r0", "r3")
+    assert profile is not None and profile.n_hops == 3
+    assert not _quiet(profile.links)
+    assert _quiet(profile.links[:1])
 
 
 def test_path_fast_forward_delivers_whole_chain():
+    """A multi-fiber transit off the quiet-channel lane walks fiber by
+    fiber on the window grid: it lands within one window per fiber of
+    its exact instant, and no profile is resolved for it."""
     sim, inet, isp = _line_internet(3)
     sink = _Sink(sim)
     for __ in range(5):
@@ -324,20 +183,21 @@ def test_path_fast_forward_delivers_whole_chain():
     sim.run(until=1.0)
     assert len(sink.delivered) == 5
     assert not sink.dropped
+    exact = 0.0 + 0.010 + 0.010 + 0.010
     for __, at in sink.delivered:
-        # Sum of the fiber delays, quantized up to the window grid.
-        assert 0.030 <= at <= 0.030 + 3 * WINDOW
+        assert exact <= at <= exact + 3 * WINDOW
     for i in range(3):
         link = isp.link_between(f"r{i}", f"r{i + 1}")
         assert link.packets_carried == 5
         assert link.packets_dropped == 0
         assert link.bytes_carried == 5 * (1200 + HEADER_BYTES)
-    epoch, profile = inet._path_cache[(isp, "r0", "r3")]
-    assert epoch == isp.tables_epoch
-    assert profile is not None and profile.n_hops == 3
+    assert not inet._path_cache
 
 
 def test_path_fast_forward_falls_back_on_capacity():
+    """A capacity fiber serializes a same-instant burst: each frame
+    leaves it one transmission time after the one before (give or take
+    the window the quantized arrivals carry)."""
     sim, inet, isp = _line_internet(3, capacity_mid=True)
     sink = _Sink(sim)
     for __ in range(5):
@@ -345,10 +205,10 @@ def test_path_fast_forward_falls_back_on_capacity():
     sim.run(until=1.0)
     assert len(sink.delivered) == 5
     assert not sink.dropped
-    # The capacity fiber disqualified the transit: the cache pins the
-    # negative verdict and the per-(link, direction) machinery carried
-    # the frames (serialization order preserved).
-    assert inet._path_cache[(isp, "r0", "r3")][1] is None
+    arrivals = [at for __, at in sink.delivered]
+    assert arrivals == sorted(arrivals)
+    for earlier, later in zip(arrivals, arrivals[1:]):
+        assert _TX - WINDOW <= later - earlier <= _TX + WINDOW
     assert isp.link_between("r1", "r2").packets_carried == 5
 
 
@@ -359,9 +219,8 @@ def test_trivial_path_demoted_by_live_loss_swap():
         inet.send("a", "b", "x", 1200, "line", sink.deliver, sink.drop)
     sim.run(until=0.5)
     assert len(sink.delivered) == 4
-    # Swap a total-loss model onto the middle fiber. No reconvergence:
-    # the cached profile (resolved trivial) stays epoch-valid, so only
-    # the settle-time live check can notice.
+    # Swap a total-loss model onto the middle fiber. No reconvergence,
+    # so nothing but the crossing itself notices.
     isp.link_between("r1", "r2").loss = BernoulliLoss(1.0)
     for __ in range(10):
         inet.send("a", "b", "x", 1200, "line", sink.deliver, sink.drop)
@@ -369,8 +228,8 @@ def test_trivial_path_demoted_by_live_loss_swap():
     assert len(sink.delivered) == 4
     assert len(sink.dropped) == 10
     assert all(reason == "link-loss" for __, reason in sink.dropped)
-    # First-loss attribution: the first fiber carried the batch, the
-    # lossy fiber ate it, the last fiber never saw it.
+    # The first fiber carried them, the lossy fiber ate them, the last
+    # fiber never saw them.
     assert isp.link_between("r0", "r1").packets_carried == 14
     assert isp.link_between("r1", "r2").packets_dropped == 10
     assert isp.link_between("r2", "r3").packets_carried == 4
@@ -384,9 +243,8 @@ def test_trivial_path_demoted_by_fiber_failure():
     sim.run(until=0.5)
     epoch_before = isp.tables_epoch
     isp.fail_link("r1", "r2")
-    # Stale-table window (convergence_delay is 10 s): the cached
-    # profile still routes into the cut fiber and frames die there,
-    # exactly as a hop-by-hop walk over the same stale tables would.
+    # Stale-table window (convergence_delay is 10 s): the tables still
+    # route into the cut fiber and frames die there.
     assert isp.tables_epoch == epoch_before
     for __ in range(5):
         inet.send("a", "b", "x", 1200, "line", sink.deliver, sink.drop)
@@ -398,6 +256,9 @@ def test_trivial_path_demoted_by_fiber_failure():
 
 
 def test_path_cache_invalidated_by_reconvergence():
+    """The quiet-channel lane's profile follows the tables: a cut
+    fiber is not quiet, so sends walk into it and die until the domain
+    reconverges, and the epoch bump then re-resolves the detour."""
     sim = Simulator(columnar=True)
     rngs = RngRegistry(4242)
     inet = Internet(sim, rngs)
@@ -412,55 +273,63 @@ def test_path_cache_invalidated_by_reconvergence():
     inet.add_host("b", access_delay=0.0)
     inet.attach("a", "sq", "r0")
     inet.attach("b", "sq", "r3")
-    inet.columnar_window = WINDOW
-    inet.enable_vectorized()
+    inet.enable_vectorized(WINDOW)
+    chan = inet.channel("a", "b", "sq")
     sink = _Sink(sim)
-    for __ in range(3):
-        inet.send("a", "b", "x", 1200, "sq", sink.deliver, sink.drop)
+    sent = []
+
+    def burst(n=3):
+        sent.append(sim.now)
+        for __ in range(n):
+            inet.send_via(chan, "x", 1200, sink.deliver, sink.drop)
+
+    sim.schedule_at(0.1, burst)
     sim.run(until=0.3)
     assert len(sink.delivered) == 3
     for __, at in sink.delivered:
-        assert 0.020 <= at <= 0.020 + 3 * WINDOW
+        assert 0.020 - 1e-9 <= at - sent[0] <= 0.020 + WINDOW + 1e-9
     epoch_before = isp.tables_epoch
-    assert inet._path_cache[(isp, "r0", "r3")][1].n_hops == 2
+    assert inet._path_cache[chan.path_key][1].n_hops == 2
     isp.fail_link("r1", "r3")
+    sim.schedule_at(0.31, burst, 2)  # stale tables: into the cut
     # Run past convergence_delay: the reconvergence bumps tables_epoch,
     # which invalidates the cached fast-route profile.
     sim.run(until=0.5)
     assert isp.tables_epoch > epoch_before
-    sent_at = sim.now
-    for __ in range(3):
-        inet.send("a", "b", "x", 1200, "sq", sink.deliver, sink.drop)
+    assert len(sink.dropped) == 2
+    sim.schedule_at(0.6, burst)
     sim.run(until=1.0)
     assert len(sink.delivered) == 6
-    assert not sink.dropped
+    assert len(sink.dropped) == 2
     for __, at in sink.delivered[3:]:
-        assert 0.100 - 1e-9 <= at - sent_at <= 0.100 + 3 * WINDOW
-    __, profile = inet._path_cache[(isp, "r0", "r3")]
+        assert 0.100 - 1e-9 <= at - sent[2] <= 0.100 + WINDOW + 1e-9
+    __, profile = inet._path_cache[chan.path_key]
     assert profile.n_hops == 2
     assert profile.total_delay == pytest.approx(0.100)
 
 
 def test_channel_fast_lane_settles_trivial_sends():
-    """A send through a primed channel with a trivial profile settles
-    inline — straight into the bulk-delivery batch, with per-fiber
-    counters — without touching the path-group machinery."""
+    """A send through a primed channel whose fibers are all quiet
+    settles at send time — straight into the bulk-delivery batch, with
+    per-fiber counters — and is delivered by one event per instant."""
     sim, inet, isp = _line_internet(3)
     sink = _Sink(sim)
     chan = inet.channel("a", "b", "line")
     inet.prime_path(chan)
     epoch, profile = inet._path_cache[chan.path_key]
-    assert epoch == isp.tables_epoch and profile.trivial
+    assert epoch == isp.tables_epoch and profile.n_hops == 3
 
     def burst():
         for __ in range(5):
             inet.send_via(chan, "x", 1200, sink.deliver, sink.drop)
 
     sim.schedule(0.1, burst)
+    events = sim.events_processed
     sim.run(until=0.5)
+    assert sim.events_processed - events == 2  # the burst, one delivery
     assert len(sink.delivered) == 5
     for __, at in sink.delivered:
-        assert 0.130 - 1e-9 <= at <= 0.130 + 3 * WINDOW
+        assert 0.130 - 1e-9 <= at <= 0.130 + WINDOW + 1e-9
     for pair in (("r0", "r1"), ("r1", "r2"), ("r2", "r3")):
         link = isp.link_between(*pair)
         assert link.packets_carried == 5
@@ -468,9 +337,9 @@ def test_channel_fast_lane_settles_trivial_sends():
 
 
 def test_channel_fast_lane_demoted_by_loss_swap():
-    """The channel lane re-checks fiber liveness per send: a loss model
-    swapped onto a mid-path fiber demotes the send to the ordinary
-    fast-forward path, which drops it there."""
+    """The channel lane re-checks fiber state per send: a loss model
+    swapped onto a mid-path fiber sends the datagram down the hop walk,
+    which drops it there."""
     sim, inet, isp = _line_internet(3)
     sink = _Sink(sim)
     chan = inet.channel("a", "b", "line")
@@ -491,12 +360,36 @@ def test_channel_fast_lane_demoted_by_loss_swap():
     assert isp.link_between("r2", "r3").packets_carried == 0
 
 
+def test_channel_lane_serializes_on_capacity_written_after_priming():
+    """Capacity is read live too: a cap written on a fiber of a primed,
+    epoch-valid profile makes the next burst queue on that fiber
+    instead of landing all at once."""
+    sim, inet, isp = _line_internet(3)
+    sink = _Sink(sim)
+    chan = inet.channel("a", "b", "line")
+    inet.prime_path(chan)
+
+    def cap_then_send():
+        isp.link_between("r1", "r2").capacity_bps = 8_000_000.0
+        for __ in range(5):
+            inet.send_via(chan, "x", 1200, sink.deliver, sink.drop)
+
+    sim.schedule(0.1, cap_then_send)
+    sim.run(until=0.5)
+    assert not sink.dropped
+    arrivals = [at for __, at in sink.delivered]
+    assert len(arrivals) == 5
+    assert arrivals == sorted(arrivals)
+    for earlier, later in zip(arrivals, arrivals[1:]):
+        assert _TX - WINDOW <= later - earlier <= _TX + WINDOW
+
+
 # ----------------------------------------- exact mode stays exact
 
 
 def test_window_zero_byte_identity():
     """``columnar_window=0`` is still the byte-identical exact mode with
-    all the vectorized machinery compiled in but disarmed."""
+    the batched tier compiled in but disarmed."""
     traces = []
     for config in (None, OverlayConfig(columnar=True)):
         overlay = build_overlay(lossy=True, config=config)
@@ -511,7 +404,7 @@ def test_window_zero_byte_identity():
     assert_identical(
         traces[1], traces[0],
         header="columnar_window=0 must remain byte-identical to the "
-        "per-packet path even with the vectorized tier present",
+        "per-packet path even with the batched tier present",
     )
 
 
@@ -523,12 +416,13 @@ def test_vector_calibration_loss_free():
     result.check()
     assert result.max_delivery_delta <= DELIVERY_TOL
     assert result.max_latency_delta <= LATENCY_TOL
-    # The whole point: bulk settlement eliminates per-packet events.
+    # The whole point: quiet channels settle at send time and share
+    # one delivery event per grid instant.
     assert result.vectorized_wall_events < result.exact_wall_events
 
 
 def test_vectorized_counters_conserved():
-    """Every datagram sent through the vectorized tier is accounted:
+    """Every datagram sent through the batched tier is accounted:
     delivered or dropped, never lost in a batch."""
     overlay = build_overlay(lossy=True, config=OverlayConfig(
         columnar=True, columnar_window=WINDOW, columnar_vectorized=True))
@@ -588,8 +482,8 @@ def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
     if spaced:
         # Overlay neighbors 2-3 ring steps apart: every overlay link
         # spans a multi-fiber underlay transit, so the comparison
-        # exercises the path fast-forward, not just single-crossing
-        # batches. Spacings 2 and 3 are coprime — connected for any n.
+        # covers the quiet-channel lane, not just single crossings.
+        # Spacings 2 and 3 are coprime — connected for any n.
         olinks = sorted(
             {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in (2, 3)}
         )
@@ -599,7 +493,8 @@ def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
         inet,
         [f"h{i}" for i in range(n)],
         [(f"h{a}", f"h{b}") for a, b in olinks],
-        OverlayConfig(columnar=True, columnar_window=window,
+        OverlayConfig(columnar=True,
+                      columnar_window=window if vectorized else 0.0,
                       columnar_vectorized=vectorized),
     )
     overlay.warm_up(2.0)
@@ -636,8 +531,8 @@ def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
 def test_vectorized_matches_exact_statistically(
         n, chord, loss_kind, window, spaced):
     """Property: on random ring+chord meshes with mixed loss stacks the
-    vectorized tier stays within the documented calibration tolerances
-    of the exact columnar run.
+    batched tier stays within the documented calibration tolerances
+    of the exact tier (window 0).
 
     Delivery holds unconditionally. Latency holds at the tight
     calibration tolerance whenever routing is deterministic (loss-free:
@@ -650,7 +545,7 @@ def test_vectorized_matches_exact_statistically(
     mesh, where routes are stable (``run_vector_calibration``).
 
     With ``spaced`` set, the overlay links span multi-fiber underlay
-    transits, so the comparison covers the path fast-forward; its
+    transits, so the comparison covers the quiet-channel lane; its
     alternate routes differ by up to two fibers, widening the lossy
     latency allowance accordingly.
 
