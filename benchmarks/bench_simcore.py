@@ -1,25 +1,21 @@
-"""Simulator-core throughput: the two event engines, and the tiers
-built on them, at scale.
+"""Simulator-core throughput: the event engine, and the tiers built on
+it, at scale.
 
-The recycled heap (the default ``Simulator()``) is the one exact
-engine: the slot-bucket wheel ties or loses to it at every size
-measured and exists as the batched tier's substrate (DESIGN.md,
+The recycled heap (``Simulator()``) is the one event engine (DESIGN.md,
 "Event engines").
 
 Steady state is where the simulator lives: a 16-node overlay (ring +
 chords, one ISP) with every link endpoint probing two carriers at 10 Hz
 plus check ticks, LSU refreshes, and reliable-protocol ack timers. No
 churn, no loss — the wall clock is pure event-engine and control-plane
-cost. The n=16 table runs it on the **heap** and on the **wheel**
-(``Simulator(columnar=True)`` + ``OverlayConfig(columnar=True)``, one
-heap entry per distinct instant): both allocate event sequence numbers
-at identical points, so the delivery traces are asserted
-**byte-identical**; the wall clocks are reported, not gated. The run
-writes ``BENCH_simcore.json`` next to the repo root.
+cost. The n=16 run is repeated and every repeat's delivery trace is
+asserted **byte-identical** to the first; the best wall clock is
+reported, not gated. The run writes ``BENCH_simcore.json`` next to the
+repo root.
 
 The scaling table (``SCALE_LEGS``) runs the same 64-flow CBR fleet at
-n=100/300/1000, once per engine (packet / columnar / vectorized /
-fluid), recording steady-state events/s plus the wall clock of each
+n=100/300/1000, once per tier (packet / vectorized / fluid), recording
+steady-state events/s plus the wall clock of each
 leg's warm phase. The scale topology follows the paper's
 Internet-overlay model: a ring+chords *fiber* mesh underneath, and an
 overlay whose neighbors sit ``SCALE_OVERLAY_SPACINGS`` (11 and 13)
@@ -33,9 +29,9 @@ the first leg per mesh size *constructs* the converged state directly
 from the topology spec (the uniform overlay carrier profile makes
 that legal — the organic storm on the multi-fiber mesh is 4.5 M events,
 ~105 s at n=1000) and captures a snapshot into the shared store; every
-later leg restores it (seq-exact for the exact engines — the columnar
-leg's measured-window trace is asserted byte-identical to the packet
-leg's). After warming, every leg pre-fills the underlay's lazy
+later leg restores it (seq-exact — in quick mode a second, restored
+packet leg's measured-window trace is asserted byte-identical to the
+first's). After warming, every leg pre-fills the underlay's lazy
 Dijkstra tables and the batched tier's path-profile cache
 (:func:`_prime_tables`) so restored twins do not pay lazy fills
 inside the measured window that organically-warmed runs pay during
@@ -45,7 +41,7 @@ constructed) and snapshot build/restore walls in
 restore-vs-storm ratio is gated >= 2x at n=1000 (``WARM_GATE_N1000``).
 
 The ``vectorized`` scaling leg is the approximate batched tier
-(``columnar_vectorized=True``, window ``SCALE_VEC_WINDOW``): it runs
+(window ``SCALE_VEC_WINDOW`` > 0): it runs
 the identical workload but eliminates per-packet events — a quiet
 overlay link's send settles at once, whatever fibers it rides, and
 deliveries share one event per grid instant — so its raw events/s is
@@ -57,8 +53,9 @@ calibration deltas (``vector_calibration``,
 :mod:`repro.analysis.calibrate`) that bound what the approximation
 costs in fidelity.
 
-Expected shape: byte-identical traces and equal ``timer.fired`` on
-both engines.
+Expected shape: byte-identical repeat traces, and a vectorized leg
+with fewer events than the packet leg delivering within a few percent
+of it.
 """
 
 import json
@@ -100,7 +97,7 @@ RUN_TIME = 30.0
 QUICK_RUN_TIME = 6.0
 
 #: Scaling legs: ring+chords overlays carrying the same 64-flow client
-#: fleet per-packet, columnar, and fluid, recording events/s and wall
+#: fleet per-packet, batched, and fluid, recording events/s and wall
 #: clock for each. ``(n_nodes, run_time_s, warmup_s)`` — the warm-up
 #: must outlast the link-state convergence storm, whose duration grows
 #: with the mesh diameter (~n/6 hops at 10.5 ms per hop: the n=1000
@@ -116,13 +113,14 @@ SCALE_LEGS = ((100, 10.0, 2.0), (300, 3.0, 2.0), (1000, 2.0, 2.5))
 #: 2.1 GHz Xeon VM — restore recomputes n^2 content digests, the storm
 #: no longer dwarfs it.
 WARM_GATE_N1000 = 2.0
-#: CI smoke coverage: columnar round trip + vectorized leg at n=300.
+#: CI smoke coverage: packet + vectorized legs at n=300, plus a
+#: snapshot-restored packet twin.
 SCALE_QUICK_LEGS = ((300, 3.0, 2.0),)
-SCALE_ENGINES = ("packet", "columnar", "vectorized", "fluid")
-SCALE_QUICK_ENGINES = ("columnar",)
+SCALE_ENGINES = ("packet", "vectorized", "fluid")
+SCALE_QUICK_ENGINES = ("packet", "vectorized")
 SCALE_FLOWS = 64
 SCALE_RATE_PPS = 5.0
-#: Columnar window for the vectorized scaling legs (and the documented
+#: Window for the vectorized scaling legs (and the documented
 #: calibration operating point, ``repro.analysis.calibrate.VEC_WINDOW``).
 SCALE_VEC_WINDOW = 0.00025
 #: Overlay-link ring spacings for the scaling meshes. 11 and 13 are
@@ -157,14 +155,13 @@ def _mesh_internet(sim, rngs):
     return inet
 
 
-def _run_once(columnar: bool, run_time: float) -> dict:
-    sim = Simulator(columnar=columnar)
+def _run_once(run_time: float) -> dict:
+    sim = Simulator()
     rngs = RngRegistry(SEED)
     internet = _mesh_internet(sim, rngs)
     sites = [f"n{i:02d}" for i in range(N_NODES)]
     links = [(f"n{a[1:]}", f"n{b[1:]}") for a, b in FIBERS]
-    config = OverlayConfig(columnar=columnar)
-    overlay = OverlayNetwork(internet, sites, links, config)
+    overlay = OverlayNetwork(internet, sites, links)
     with bench_phase("warmup"):
         overlay.warm_up(2.0)
 
@@ -208,7 +205,6 @@ def _run_once(columnar: bool, run_time: float) -> dict:
 _SCALE_CONFIGS = {
     "packet": lambda: OverlayConfig(),
     "fluid": lambda: OverlayConfig(),
-    "columnar": lambda: OverlayConfig(columnar=True),
     "vectorized": lambda: OverlayConfig(
         columnar=True, columnar_window=SCALE_VEC_WINDOW,
         columnar_vectorized=True),
@@ -229,7 +225,7 @@ def _build_scale_overlay(n_nodes: int, engine: str = "packet") -> OverlayNetwork
     to the same underlay carrier profile (constructed convergence
     requires a uniform profile across all overlay links)."""
     config = _SCALE_CONFIGS[engine]()
-    sim = Simulator(columnar=config.columnar)
+    sim = Simulator()
     rngs = RngRegistry(SEED)
     inet = Internet(sim, rngs)
     domain = inet.add_isp(ISP, convergence_delay=10.0)
@@ -296,11 +292,9 @@ def _prime_tables(overlay: OverlayNetwork) -> None:
 def _scaling_leg(engine: str, n_nodes: int, run_time: float, warmup: float,
                  store=None, fingerprint: str = "") -> dict:
     """One scaling leg: the same flow fleet on one engine —
-    ``"packet"`` (per-datagram heap events), ``"columnar"`` (the
-    slot-bucket wheel at window 0, byte-identical traces),
-    ``"vectorized"`` (the approximate batched tier, statistically
-    calibrated), or ``"fluid"`` (flow-level rate intervals over the
-    packet control plane).
+    ``"packet"`` (per-datagram heap events), ``"vectorized"`` (the
+    approximate batched tier, statistically calibrated), or ``"fluid"``
+    (flow-level rate intervals over the packet control plane).
 
     Every leg reaches the converged steady state through
     :func:`repro.core.warmstart.ensure_warm`: a store hit restores the
@@ -393,19 +387,18 @@ def _scaling_leg(engine: str, n_nodes: int, run_time: float, warmup: float,
 
 
 def run_scaling(quick: bool = False) -> list:
-    """The scaling table: packet vs columnar vs fluid events/s on
-    ring+chords meshes at n=100/300/1000 (tracked in BENCH_simcore.json
-    alongside the 16-node engine numbers).
+    """The scaling table: packet vs vectorized vs fluid on ring+chords
+    meshes at n=100/300/1000 (tracked in BENCH_simcore.json alongside
+    the 16-node engine numbers).
 
     The convergence cost is paid **once per mesh size**: the first leg
     constructs the converged state directly from the topology spec and
     captures it into the shared store; every later leg (including the
     vectorized leg, whose positive window cannot construct) restores
-    that snapshot seq-exact — the columnar leg's measured-window trace
-    is asserted byte-identical to the packet leg's. Quick mode (the CI
-    smoke subset) runs the n=300 columnar leg via construction plus a
-    snapshot-restored twin, asserts their traces identical, and adds
-    the vectorized leg.
+    that snapshot seq-exact. Quick mode (the CI smoke subset) runs the
+    n=300 packet and vectorized legs, then a snapshot-restored packet
+    twin whose measured-window trace is asserted identical to the
+    first packet leg's.
     """
     legs = SCALE_QUICK_LEGS if quick else SCALE_LEGS
     fingerprint = source_fingerprint()
@@ -421,45 +414,27 @@ def run_scaling(quick: bool = False) -> list:
             "warm_key": _scale_warm_key(n_nodes, warmup, fingerprint),
             "engines": {},
         }
+        engines = entry["engines"]
+        for engine in SCALE_QUICK_ENGINES if quick else SCALE_ENGINES:
+            engines[engine] = _scaling_leg(
+                engine, n_nodes, run_time, warmup, store, fingerprint)
         if quick:
-            # Cold store: the first columnar leg constructs convergence
-            # and captures; the second restores it — the snapshot round
+            # Cold store: the packet leg constructed convergence and
+            # captured it; this twin restores it — the snapshot round
             # trip CI smoke covers. (A pre-warmed store makes both legs
             # restore, which asserts the same identity claim.)
-            first = _scaling_leg("columnar", n_nodes, run_time, warmup,
-                                 store, fingerprint)
-            restored = _scaling_leg("columnar", n_nodes, run_time, warmup,
+            restored = _scaling_leg("packet", n_nodes, run_time, warmup,
                                     store, fingerprint)
             assert_identical(
-                restored.pop("deliveries"), first.pop("deliveries"),
+                restored["deliveries"], engines["packet"]["deliveries"],
                 label="deliveries",
                 header=f"n={n_nodes}: the snapshot-restored leg's measured "
-                "window diverged from the organic leg's — warm-start "
+                "window diverged from the first leg's — warm-start "
                 "restore must be behaviourally invisible",
             )
-            entry["engines"]["columnar"] = first
-            entry["engines"]["columnar-restored"] = restored
-            vectorized = _scaling_leg("vectorized", n_nodes, run_time,
-                                      warmup, store, fingerprint)
-            vectorized.pop("deliveries")
-            entry["engines"]["vectorized"] = vectorized
-        else:
-            for engine in SCALE_ENGINES:
-                entry["engines"][engine] = _scaling_leg(
-                    engine, n_nodes, run_time, warmup, store, fingerprint)
-            engines = entry["engines"]
-            # Exact engines must agree byte for byte, however each leg
-            # was warmed; the vectorized leg is approximate (its
-            # delivered count is bounded in _check_shape instead).
-            assert_identical(
-                engines["columnar"].pop("deliveries"),
-                engines["packet"].pop("deliveries"),
-                label="deliveries",
-                header=f"n={n_nodes}: columnar leg diverged from the "
-                "packet leg — exact engines must stay byte-identical",
-            )
-            engines["vectorized"].pop("deliveries")
-            engines["fluid"].pop("deliveries")
+            engines["packet-restored"] = restored
+        for leg in engines.values():
+            del leg["deliveries"]
         table.append(entry)
     return table
 
@@ -467,9 +442,8 @@ def run_scaling(quick: bool = False) -> list:
 def _scaling_summary(table: list) -> dict:
     """Cross-leg ratios the acceptance gates track.
 
-    ``columnar_vs_packet_n*`` compares events/s (both engines process
-    the identical event stream). The vectorized tier *eliminates*
-    events, so its ratios are same-workload wall-clock ratios:
+    The vectorized tier *eliminates* events, so its ratios are
+    same-workload wall-clock ratios:
     ``vectorized_vs_packet_n*`` = packet wall / vectorized wall for
     the identical flow fleet and run window (equivalently: packet-leg
     events per vectorized wall second vs packet events/s).
@@ -479,23 +453,10 @@ def _scaling_summary(table: list) -> dict:
     """
     by_n = {entry["n_nodes"]: entry["engines"] for entry in table}
     summary = {}
-    packet300 = by_n.get(300, {}).get("packet")
-    col1000 = by_n.get(1000, {}).get("columnar")
-    if packet300 and col1000:
-        summary["columnar_n1000_vs_packet_n300"] = (
-            col1000["events_per_s"] / packet300["events_per_s"])
     for n_nodes, engines in by_n.items():
-        if "packet" in engines and "columnar" in engines:
-            summary[f"columnar_vs_packet_n{n_nodes}"] = (
-                engines["columnar"]["events_per_s"]
-                / engines["packet"]["events_per_s"])
         if "packet" in engines and "vectorized" in engines:
             summary[f"vectorized_vs_packet_n{n_nodes}"] = (
                 engines["packet"]["wall_s"]
-                / engines["vectorized"]["wall_s"])
-        if "columnar" in engines and "vectorized" in engines:
-            summary[f"vectorized_vs_columnar_n{n_nodes}"] = (
-                engines["columnar"]["wall_s"]
                 / engines["vectorized"]["wall_s"])
         organic = next((leg for leg in engines.values()
                         if leg["warm_source"] == "organic"), None)
@@ -531,30 +492,18 @@ def _vector_calibration_block(run_time: float) -> dict:
 
 def run_simcore(run_time: float = RUN_TIME, repeats: int = 3,
                 quick: bool = False) -> dict:
-    # Wall time is best-of-``repeats``, legs interleaved, so an OS
-    # scheduling hiccup costs one sample rather than skewing one whole
-    # engine — every leg is deterministic, so min is the honest
+    # Wall time is best-of-``repeats``: every run is deterministic, so
+    # an OS scheduling hiccup costs one sample and min is the honest
     # estimator.
-    heap = _run_once(False, run_time)
-    wheel = _run_once(True, run_time)
-    assert_identical(
-        wheel["deliveries"], heap["deliveries"], label="deliveries",
-        header="the wheel changed behaviour — delivery traces must be "
-        "byte-identical with the heap (columnar=False)",
-    )
-    assert wheel["timer_fired"] == heap["timer_fired"], (
-        "the slot-bucket wheel must fire the same periodic timers the "
-        "same number of times as the heap engine"
-    )
-    wall = {False: heap["wall_s"], True: wheel["wall_s"]}
+    heap = _run_once(run_time)
+    wall = heap["wall_s"]
     for _ in range(repeats - 1):
-        for columnar in (False, True):
-            again = _run_once(columnar, run_time)
-            assert_identical(again["deliveries"], heap["deliveries"],
-                             label="deliveries",
-                             header="repeat run diverged from the first "
-                             "heap run")
-            wall[columnar] = min(wall[columnar], again["wall_s"])
+        again = _run_once(run_time)
+        assert_identical(again["deliveries"], heap["deliveries"],
+                         label="deliveries",
+                         header="repeat run diverged from the first "
+                         "heap run")
+        wall = min(wall, again["wall_s"])
     scaling = run_scaling(quick=quick)
     summary = _scaling_summary(scaling)
     vector_calibration = _vector_calibration_block(
@@ -575,10 +524,8 @@ def run_simcore(run_time: float = RUN_TIME, repeats: int = 3,
         "run_time_s": run_time,
         "delivered_msgs": len(heap["deliveries"]),
         "events": heap["events"],
-        "heap_wall_s": wall[False],
-        "heap_events_per_s": heap["events"] / wall[False],
-        "wheel_wall_s": wall[True],
-        "wheel_events_per_s": wheel["events"] / wall[True],
+        "heap_wall_s": wall,
+        "heap_events_per_s": heap["events"] / wall,
         "timer_fired": heap["timer_fired"],
         "timer_rearmed": heap["timer_rearmed"],
     }
@@ -619,7 +566,7 @@ def _check_shape(result: dict) -> None:
                            * entry["run_time_s"] + entry["flows"])
             assert (engines["packet"]["delivered"]
                     <= fluid_leg["delivered"] <= offered_cap), entry
-        exact = engines.get("packet") or engines.get("columnar")
+        exact = engines.get("packet")
         if "vectorized" in engines and exact is not None:
             vec = engines["vectorized"]
             assert vec["events"] < exact["events"], entry
@@ -641,14 +588,9 @@ def bench_simcore(benchmark):
         benchmark, lambda: run_simcore(quick=True))
     print_table(
         "Simulator core, steady-state 16-node overlay "
-        f"({result['delivered_msgs']} identical deliveries both engines)",
+        f"({result['delivered_msgs']} deliveries, identical every repeat)",
         ["engine", "wall s", "events/s"],
-        [
-            ("heap (exact)", result["heap_wall_s"],
-             result["heap_events_per_s"]),
-            ("wheel (columnar, window 0)", result["wheel_wall_s"],
-             result["wheel_events_per_s"]),
-        ],
+        [("heap", result["heap_wall_s"], result["heap_events_per_s"])],
     )
     for entry in result["scaling"]:
         print_table(

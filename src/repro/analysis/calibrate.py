@@ -14,9 +14,9 @@ The hybrid fluid mode (:mod:`repro.core.fluid`) claims two things:
    **byte-identical** traces whether or not fluid flows share the
    overlay.
 
-The batched tier (``columnar_vectorized=True``,
-:mod:`repro.net.internet`) is likewise approximate: every hop arrival
-is quantized up to the columnar window grid, and a quiet channel's
+The batched tier (``columnar_window > 0``, :mod:`repro.net.internet`)
+is likewise approximate: every hop arrival is quantized up to the
+window grid, and a quiet channel's
 send settles at once into one bulk delivery per grid instant. Its
 claim is the same shape — delivery ratio and mean latency match the
 exact tier (window 0) on the identical scenario within the *same*
@@ -62,8 +62,8 @@ DELIVERY_TOL = 0.02       #: |delivery-ratio delta|, loss-free
 DELIVERY_TOL_LOSSY = 0.05  #: |delivery-ratio delta| under G-E loss
 LATENCY_TOL = 0.002       #: |mean-latency delta| in seconds
 
-#: Columnar window used by the batched-vs-exact calibration. 0.25 ms
-#: keeps quantization well under LATENCY_TOL while giving slot buckets
+#: Window used by the batched-vs-exact calibration. 0.25 ms keeps
+#: quantization well under LATENCY_TOL while giving grid instants
 #: enough fanout for bulk deliveries to actually engage.
 VEC_WINDOW = 0.00025
 
@@ -151,7 +151,7 @@ def build_overlay(lossy: bool = False,
     Gilbert–Elliott loss (stationary expectation ~2.4%), so calibration
     also exercises the analytic loss path.
     """
-    sim = Simulator(columnar=config.columnar if config is not None else False)
+    sim = Simulator()
     rngs = RngRegistry(SEED)
     inet = Internet(sim, rngs)
     domain = inet.add_isp(ISP, convergence_delay=10.0)

@@ -30,13 +30,6 @@ from repro.sim.rng import RngRegistry
 LossFactory = Callable[[], LossModel]
 
 
-def _sim_for(config: OverlayConfig | None) -> Simulator:
-    """The simulator a scenario's config asks for — columnar mode is an
-    engine-level property, so the builder (which owns the Simulator)
-    must translate the config switch."""
-    return Simulator(columnar=config.columnar if config is not None else False)
-
-
 @dataclass
 class Scenario:
     """A warmed-up experiment environment."""
@@ -67,7 +60,7 @@ def line_scenario(
     (one overlay link whose underlay path is the whole 50 ms chain) —
     the end-to-end baseline *on identical fiber*.
     """
-    sim = _sim_for(config)
+    sim = Simulator()
     rngs = RngRegistry(seed)
     internet = line_internet(sim, rngs, n_hops, hop_delay, loss_factory,
                              jitter=jitter)
@@ -100,7 +93,7 @@ def continental_scenario(
     multihomed across the shared ISPs with the native path as fallback.
     """
     names = isps if isps is not None else ["ispA", "ispB"]
-    sim = _sim_for(config)
+    sim = Simulator()
     rngs = RngRegistry(seed)
     internet = continental_internet(
         sim,
@@ -154,7 +147,7 @@ def triangle_scenario(
 ) -> Scenario:
     """A 3-node full-triangle overlay (10 ms legs) — the smallest
     topology with an alternate path; the unit-test workhorse."""
-    sim = _sim_for(config)
+    sim = Simulator()
     rngs = RngRegistry(seed)
     loss_factory = None
     if loss_rate > 0:
@@ -183,7 +176,7 @@ def endpoints_scenario(
     'overlay' consisting only of the two endpoints, connected by a
     single logical link riding the end-to-end underlay path. Any
     protocol run on it behaves like an end-to-end deployment."""
-    sim = _sim_for(config)
+    sim = Simulator()
     rngs = RngRegistry(seed)
     internet = continental_internet(sim, rngs, isps=isps, loss_factory=loss_factory)
     src, dst = site_name(src_city), site_name(dst_city)

@@ -184,11 +184,8 @@ class Auditor:
 def _scan_heap(sim) -> tuple[int, int]:
     """Directly count (live, dead) entries in the simulator's queue.
 
-    Uses :meth:`~repro.sim.events.Simulator.iter_queued`, which
-    normalizes over the two engines: per-event heap entries and wheel
-    slot buckets (where a dead record is either a cancelled event or a
-    *stale* one — a record whose event has since been rescheduled under
-    a fresh seq).
+    Uses :meth:`~repro.sim.events.Simulator.iter_queued`, where a dead
+    entry is a cancelled event awaiting lazy deletion.
     """
     live = dead = 0
     for __, is_live in sim.iter_queued():
@@ -253,9 +250,9 @@ def _in_flight_datagrams(internet) -> int:
     """Count queued, non-cancelled underlay continuation events — each
     one is exactly one datagram currently walking its hop chain (or
     riding a quiet transit's single event to its delivery). On the
-    batched tier a quiet-channel send is instead one row of a
-    ``_bulk_deliver`` event, or — for an audit probe firing mid-drain —
-    of the slot's delivery map awaiting the flush hook."""
+    batched tier a quiet-channel send is instead one row of a queued
+    ``_bulk_deliver`` event. ``Internet._vec_deliveries`` indexes those
+    same events, so it is not counted again."""
     sim = internet.sim
     count = 0
     for event, is_live in sim.iter_queued():
@@ -271,8 +268,6 @@ def _in_flight_datagrams(internet) -> int:
             elif name == "_bulk_deliver":
                 # One event, many datagrams: the batch rides args[0].
                 count += len(event.args[0])
-    for rows in internet._vec_deliveries.values():
-        count += len(rows)
     return count
 
 
@@ -367,17 +362,14 @@ class AuditedForwardingCache(ForwardingCache):
 
     __slots__ = ("auditor", "node", "_audit_hits")
 
-    def __init__(self, auditor: Auditor, node, enabled: bool = True,
-                 capacity: int = 65_536) -> None:
-        super().__init__(node.counters, enabled=enabled, capacity=capacity)
+    def __init__(self, auditor: Auditor, node, capacity: int = 65_536) -> None:
+        super().__init__(node.counters, capacity=capacity)
         self.auditor = auditor
         self.node = node
         self._audit_hits = 0
 
     def lookup(self, generation: int, key, compute):
         """As the base lookup, plus sampled cold re-derivation of hits."""
-        if not self.enabled:
-            return compute()
         hit = generation == self._generation and key in self._decisions
         value = super().lookup(generation, key, compute)
         if hit:

@@ -47,14 +47,11 @@ class OverlayConfig:
             routing artifact twice and asserts the results are equal,
             guarding the determinism that route sharing (and hop-by-hop
             multicast) requires.
-        forwarding_cache: Enable the per-node data-plane
-            :class:`repro.core.pipeline.ForwardingCache` — memoized
-            decide-stage results invalidated wholesale when the shared
-            databases' content fingerprints move. Disabling recomputes
-            every forwarding decision (used by equivalence tests and the
-            ``bench_forwarding_cache`` baseline).
-        forwarding_cache_size: Bound on cached forwarding decisions per
-            node; the table is cleared when exceeded.
+        forwarding_cache_size: Bound on the per-node data-plane
+            :class:`repro.core.pipeline.ForwardingCache` (memoized
+            decide-stage results, invalidated wholesale when the shared
+            databases' content fingerprints move); the table is cleared
+            when exceeded.
         audit: Arm the runtime invariant auditor
             (:mod:`repro.audit`): the overlay is built with audited
             cache variants that re-derive a sampled fraction of hits
@@ -83,33 +80,24 @@ class OverlayConfig:
     crypto_verify_delay: float = 0.0
     route_cache_size: int = 128
     route_debug_check: bool = False
-    forwarding_cache: bool = True
     forwarding_cache_size: int = 65_536
     audit: bool = False
-    #: Run over a simulator in columnar mode
-    #: (``Simulator(columnar=True)``), where the event queue keeps one
-    #: heap entry per distinct instant (a slot bucket) — the substrate
-    #: of the batched tier below. On its own (window 0) traces are
-    #: byte-identical to ``columnar=False`` and no faster: the default
-    #: heap is the exact engine. Builders pass this to the Simulator
-    #: they construct, and :class:`repro.core.network.OverlayNetwork`
-    #: rejects a mismatch between this flag and the simulator it is
-    #: deployed on.
-    columnar: bool = False
-    #: The batched tier's coalescing window (seconds): hop arrivals are
-    #: quantized *up* to this grid, so a datagram lands at most one
-    #: window late per fiber it walks. Must be > 0 with
-    #: ``columnar_vectorized`` and 0 without it (the overlay rejects
-    #: any other pairing) — byte-identical traces are only claimed at 0.
-    columnar_window: float = 0.0
-    #: The batched approximate tier (``Internet.enable_vectorized``):
-    #: arrivals on the ``columnar_window`` grid, a quiet overlay-link
-    #: channel settled in one step at send time, and one bulk delivery
-    #: event per grid instant instead of one per datagram. Requires
-    #: ``columnar=True`` and ``columnar_window > 0``; validated
+    #: The three ``columnar*`` fields spell one bit: the batched
+    #: approximate tier is armed iff ``columnar_window > 0``, and
+    #: :class:`repro.core.network.OverlayNetwork` rejects any config in
+    #: which ``columnar`` and ``columnar_vectorized`` do not say the
+    #: same (the names are historical; ROADMAP A's fidelity selector
+    #: replaces all three). On the tier (``Internet.enable_vectorized``)
+    #: hop arrivals are quantized *up* to the window grid, so a datagram
+    #: lands at most one window late per fiber it walks, and a quiet
+    #: overlay-link channel settles in one step at send time into one
+    #: bulk delivery event per grid instant. It is validated
     #: statistically against the exact tier by
-    #: :mod:`repro.analysis.calibrate`, never byte-identical. (The name
-    #: is historical: nothing in the tier is vectorized any more.)
+    #: :mod:`repro.analysis.calibrate`, never byte-identical.
+    columnar: bool = False
+    #: The batched tier's coalescing window in seconds (0: exact tier).
+    columnar_window: float = 0.0
+    #: Must equal ``columnar``: see above.
     columnar_vectorized: bool = False
     #: Settle fluid rate intervals into the per-node FlowTables (the
     #: classify stage's fluid half), so operators see one aggregate

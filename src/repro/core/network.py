@@ -26,6 +26,29 @@ from repro.net.internet import Internet
 from repro.sim.trace import Counter, TraceCollector
 
 
+def _check_fidelity(config: OverlayConfig) -> None:
+    """The three ``columnar*`` fields are one bit — the batched tier is
+    armed iff ``columnar_window`` is set — and must say the same thing.
+    (A window that is set but not positive is rejected by
+    :meth:`~repro.net.internet.Internet.enable_vectorized`.)"""
+    columnar, vectorized = config.columnar, config.columnar_vectorized
+    batched = config.columnar_window != 0
+    if columnar == vectorized == batched:
+        return
+    if columnar and not (vectorized or batched):
+        raise ValueError(
+            "columnar=True on its own selected the timer-wheel engine, "
+            "which was deleted: the heap is the one event engine. The "
+            "batched tier is columnar=True, columnar_vectorized=True and "
+            "columnar_window > 0 together"
+        )
+    raise ValueError(
+        f"columnar={columnar}, columnar_vectorized={vectorized} and "
+        f"columnar_window={config.columnar_window!r} disagree: the batched "
+        "tier needs all three (columnar_window > 0), the exact tier none"
+    )
+
+
 class OverlayNetwork:
     """A deployed structured overlay.
 
@@ -54,23 +77,9 @@ class OverlayNetwork:
         self.sim = internet.sim
         self.rngs = internet.rngs
         self.config = config if config is not None else OverlayConfig()
-        if self.config.columnar != self.sim.columnar:
-            raise ValueError(
-                "config.columnar={} but the simulator was built with "
-                "columnar={} — construct the Simulator with the same "
-                "columnar flag as the OverlayConfig".format(
-                    self.config.columnar, self.sim.columnar
-                )
-            )
-        if self.config.columnar_vectorized:
-            # Validates a columnar simulator and a positive window.
+        _check_fidelity(self.config)
+        if self.config.columnar_window:
             internet.enable_vectorized(self.config.columnar_window)
-        elif self.config.columnar_window:
-            raise ValueError(
-                "columnar_window > 0 requires columnar_vectorized=True — "
-                "the window is the batched tier's grid, and without the "
-                "tier it would only quantize the exact walk"
-            )
         self.trace = TraceCollector()
         self.counters = Counter()
         #: The runtime invariant auditor (:mod:`repro.audit`), armed by

@@ -78,20 +78,17 @@ class ForwardingCache:
     Args:
         counters: Sink for ``fwd.hit`` / ``fwd.miss`` /
             ``fwd.invalidate`` / ``fwd.overflow``.
-        enabled: When False, every lookup recomputes (the pre-refactor
-            behaviour; used by benchmarks and equivalence tests).
         capacity: Bound on cached decisions; exceeding it clears the
             table (counted as ``fwd.overflow``) — decisions rebuild on
             the next messages.
     """
 
-    __slots__ = ("counters", "enabled", "capacity", "_generation", "_decisions")
+    __slots__ = ("counters", "capacity", "_generation", "_decisions")
 
-    def __init__(self, counters, enabled: bool = True, capacity: int = 65_536):
+    def __init__(self, counters, capacity: int = 65_536):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.counters = counters
-        self.enabled = enabled
         self.capacity = capacity
         self._generation: int | None = None
         self._decisions: dict = {}
@@ -99,8 +96,6 @@ class ForwardingCache:
     def lookup(self, generation: int, key, compute: Callable):
         """The decision named ``key`` for shared-state ``generation``,
         computing (and caching) it on a miss."""
-        if not self.enabled:
-            return compute()
         if generation != self._generation:
             if self._decisions:
                 self.counters.add("fwd.invalidate")
@@ -157,16 +152,11 @@ class DataPlane:
             from repro.audit import AuditedForwardingCache
 
             self.cache = AuditedForwardingCache(
-                auditor,
-                node,
-                enabled=node.config.forwarding_cache,
-                capacity=node.config.forwarding_cache_size,
+                auditor, node, capacity=node.config.forwarding_cache_size
             )
         else:
             self.cache = ForwardingCache(
-                node.counters,
-                enabled=node.config.forwarding_cache,
-                capacity=node.config.forwarding_cache_size,
+                node.counters, capacity=node.config.forwarding_cache_size
             )
 
     # ----------------------------------------------------------- entries

@@ -3,7 +3,7 @@ convergence.
 
 The paper's service-level results all assume a *converged* link-state
 substrate; reaching it organically is a flood storm replayed once per
-engine leg. With the flood packed into per-instant bundles
+run. With the flood packed into per-instant bundles
 (:mod:`repro.core.node`) the n=1000 storm on the scaling mesh (five
 fibers per overlay link) is 4.5 M events, 106 host seconds on a 2-vCPU
 2.1 GHz Xeon VM (one run; unpacked it was 12.3 M events / 87 s already
@@ -18,8 +18,8 @@ canonically recomputed blake2b content fingerprints), link endpoint
 and carrier-monitor state, fiber counters, RNG stream positions, and
 the pending timer schedule — serializes to a versioned, JSON-shaped
 payload. Restored into a *fresh* overlay on the same topology, the
-continuation is byte-identical to the straight-through run: both
-engines (heap and wheel) replay the exact sequence numbers.
+continuation is byte-identical to the straight-through run: the
+restored simulator replays the exact sequence numbers.
 
 **Tier 2 — constructed convergence** (:func:`construct_converged`).
 For static, loss-free, uniform topologies the converged state is a
@@ -38,7 +38,7 @@ Snapshots live in a gitignored store (:class:`SnapshotStore`, default
 ``.warmstart/``) keyed by :func:`warm_key` — blake2b of (topology
 spec, :class:`~repro.core.config.OverlayConfig`, repro-tree source
 fingerprint) — so sweep campaigns and the scaling bench share one
-warm-up across engine legs. Stale-source snapshots are never restored.
+warm-up across fidelity tiers. Stale-source snapshots are never restored.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class WarmStartError(RuntimeError):
 def warm_key(spec, config, source_fingerprint: str = "") -> str:
     """Content key for one warm-start artifact: blake2b over the
     topology spec, the overlay config, and the repro-tree source
-    fingerprint. ``columnar`` (with its window / vectorized knobs) and
-    ``audit`` are excluded — all are engine/observer choices that do
-    not move the converged state, which is exactly what lets every
-    engine leg (packet, wheel, vectorized, fluid) share one snapshot."""
+    fingerprint. The batched tier's ``columnar*`` fields and ``audit``
+    are excluded — fidelity and observer choices that do not move the
+    converged state, which is exactly what lets every tier (exact,
+    batched, fluid) share one snapshot."""
     cfg = dataclasses.asdict(config)
     cfg.pop("columnar", None)
     cfg.pop("columnar_window", None)
@@ -98,10 +98,6 @@ def warm_key(spec, config, source_fingerprint: str = "") -> str:
         source_fingerprint,
     ))
     return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
-
-
-def _engine_mode(sim) -> str:
-    return "wheel" if sim.columnar else "heap"
 
 
 # -------------------------------------------------------------- helpers
@@ -268,7 +264,6 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
         "meta": {
             "key": key,
             "source_fingerprint": source_fingerprint,
-            "engine": _engine_mode(sim),
             "t0": t0,
             "master_seed": overlay.rngs.master_seed,
             "topo_fingerprint": topo_fp,
@@ -331,7 +326,7 @@ def restore(overlay, payload: dict) -> float:
     """Install a :func:`capture` payload into a fresh, unstarted
     overlay on the same topology; returns the resumed instant ``t0``.
 
-    The restored simulator may run either engine regardless of which
+    The restored overlay may run either tier regardless of which
     produced the snapshot; restores are seq-exact. Restored
     database fingerprints are recomputed canonically and checked
     against the snapshot's — a corrupt or mismatched payload fails
@@ -831,7 +826,7 @@ def ensure_warm(
             if store is not None:
                 # Persist the constructed state so configs that cannot
                 # construct themselves (a positive columnar_window, say)
-                # can restore it under the same engine-normalized key.
+                # can restore it under the same tier-normalized key.
                 started = _time.perf_counter()
                 payload = capture(
                     overlay, key=key, source_fingerprint=source_fingerprint

@@ -159,11 +159,12 @@ class Internet:
         #: deliveries — an approximation validated statistically (see
         #: :mod:`repro.analysis.calibrate`), never byte-identical.
         self.columnar_window = 0.0
-        #: The batched tier's deliveries settled during the slot being
-        #: drained, keyed by quantized delivery instant →
-        #: ``[(datagram, on_deliver), ...]``; each instant becomes one
-        #: :meth:`_bulk_deliver` event when the slot ends.
-        self._vec_deliveries: dict[float, list] = {}
+        #: The batched tier's pending bulk deliveries, keyed by
+        #: quantized delivery instant → the queued :meth:`_bulk_deliver`
+        #: event whose ``args[0]`` collects that instant's
+        #: ``(datagram, on_deliver)`` rows. An entry whose event is no
+        #: longer queued (``sim.clear()`` dropped it) is replaced.
+        self._vec_deliveries: dict[float, Any] = {}
         #: Resolved transit profiles of both tiers, keyed
         #: ``(domain, router, dst_label)`` → ``(tables_epoch, profile or
         #: None)``. The stamp makes reconvergence (or any table rebuild)
@@ -172,11 +173,6 @@ class Internet:
         #: a dropped native domain's ``id`` can be handed to its
         #: replacement.
         self._path_cache: dict[tuple, tuple] = {}
-        #: Teardown epoch stamped when a slot's first delivery is
-        #: deferred; a mismatch at flush time means ``sim.clear()`` ran
-        #: mid-slot and the rows are discarded like any other in-flight
-        #: event.
-        self._vec_epoch = 0
         #: Fluid engines (:class:`repro.core.fluid.FluidEngine`) whose
         #: rate intervals depend on this underlay. Empty (the default)
         #: costs one truthiness check on the rare mutation paths below —
@@ -433,12 +429,12 @@ class Internet:
         add("datagrams-sent")
         add("bytes-sent", size + HEADER_BYTES)
         w = self.columnar_window
-        if w and self.sim._drain_bucket is not None and chan.src_access <= w:
+        if w and self.sim._running and chan.src_access <= w:
             # Quiet-channel lane (batched tier): a channel whose every
             # fiber is quiet right now has a fixed outcome, so the send
-            # settles here — per-fiber counters plus one row in the
-            # slot's delivery batch at the quantized arrival instant
-            # (the access delay, inside the window, is absorbed by the
+            # settles here — per-fiber counters plus one row of the bulk
+            # delivery at the quantized arrival instant (the access
+            # delay, inside the window, is absorbed by the
             # quantization). Anything else takes the hop walk below.
             entry = self._path_cache.get(chan.path_key)
             if entry is None or entry[0] != chan.domain.tables_epoch:
@@ -450,17 +446,15 @@ class Internet:
                 for link in profile.links:
                     link.packets_carried += 1
                     link.bytes_carried += wire
-                deliv = self._vec_deliveries
-                if not deliv:
-                    self._vec_epoch = self.sim._cleared
                 now = self.sim._now
                 t = ceil((now + profile.total_delay + chan.dst_access) / w) * w
                 if t < now:
                     t = now
-                rows = deliv.get(t)
-                if rows is None:
-                    deliv[t] = rows = []
-                rows.append((datagram, on_deliver))
+                event = self._vec_deliveries.get(t)
+                if event is None or not event._queued:
+                    event = self._vec_deliveries[t] = self.sim.schedule_at(
+                        t, self._bulk_deliver, [])
+                event.args[0].append((datagram, on_deliver))
                 return datagram
         event = self.sim.schedule(
             chan.src_access,
@@ -700,22 +694,17 @@ class Internet:
     def enable_vectorized(self, window: float) -> None:
         """Arm the batched approximate tier with coalescing window
         ``window`` (seconds). Every hop arrival is quantized up to the
-        window grid, and a :meth:`send_via` made inside a slot drain
-        whose channel is quiet end to end settles in one step: its
-        delivery joins every other delivery landing on the same grid
-        instant in one bulk event (:meth:`_flush_slot`). Everything
-        else — loss, jitter, capacity, cut fibers, routing loops, TTL —
-        takes the ordinary hop walk with quantized arrivals. A datagram
-        therefore lands at most one window late per fiber it walks, or
-        one window per transit on the quiet-channel lane. Requires a
-        columnar simulator (the slot being drained is what the lane
-        batches into). Validated statistically against the exact tier by
-        :mod:`repro.analysis.calibrate`, never byte-identical."""
-        if not self.sim.columnar:
-            raise ValueError(
-                "columnar_vectorized requires a columnar simulator "
-                "(Simulator(columnar=True) / OverlayConfig(columnar=True))"
-            )
+        window grid, and a :meth:`send_via` made inside a run whose
+        channel is quiet end to end settles in one step: its delivery
+        joins every other delivery landing on the same grid instant in
+        one bulk event (:meth:`_bulk_deliver`), scheduled when the
+        instant's first row is appended. Everything else — loss,
+        jitter, capacity, cut fibers, routing loops, TTL — takes the
+        ordinary hop walk with quantized arrivals. A datagram therefore
+        lands at most one window late per fiber it walks, or one window
+        per transit on the quiet-channel lane. Validated statistically
+        against the exact tier by :mod:`repro.analysis.calibrate`, never
+        byte-identical."""
         if not window > 0.0:
             raise ValueError(
                 "columnar_vectorized requires columnar_window > 0 — "
@@ -729,30 +718,11 @@ class Internet:
                     f"{self.columnar_window}, not {window}")
             return
         self.columnar_window = window
-        self.sim.on_slot_flush(self._flush_slot)
-
-    def _flush_slot(self) -> None:
-        """Slot-flush hook: schedule the deliveries the just-drained
-        slot settled, one :meth:`_bulk_deliver` event per quantized
-        instant."""
-        deliv = self._vec_deliveries
-        if not deliv:
-            return
-        items = list(deliv.items())
-        deliv.clear()
-        if self._vec_epoch != self.sim._cleared:
-            # clear() ran while this slot's deliveries accumulated; the
-            # event queue dropped every other datagram in flight in the
-            # same situation, so these go too.
-            return
-        schedule_at = self.sim.schedule_at
-        cb = self._bulk_deliver
-        for t, rows in items:
-            schedule_at(t, cb, rows)
 
     def _bulk_deliver(self, rows) -> None:
         """One event for every batched-tier delivery landing at this
         instant — the quiet-channel lane's :meth:`_deliver`."""
+        del self._vec_deliveries[self.sim._now]
         add = self.counters.add
         for datagram, on_deliver in rows:
             add("datagrams-delivered")

@@ -3,7 +3,9 @@
 The :class:`Simulator` owns the simulated clock and a binary-heap event
 queue. Events fire in (time, insertion-order) order, so two events
 scheduled for the same instant run in the order they were scheduled —
-this makes every run fully deterministic given the same inputs.
+this makes every run fully deterministic given the same inputs. It is
+the one event engine: every fidelity tier — exact, batched, fluid —
+runs on it.
 
 Events are cancellable: protocol code keeps the :class:`Event` handle
 returned by :meth:`Simulator.schedule` and calls :meth:`Event.cancel`
@@ -35,41 +37,6 @@ themselves: heap sifting then compares floats and ints at C level
 instead of calling a Python ``__lt__`` once per sift step, which is the
 single largest cost in a steady-state run. ``seq`` is unique, so the
 event object itself is never compared.
-
-Two engines
------------
-
-The per-event heap above is **the exact engine** — the default, and
-what every exact-tier workload runs on. ``Simulator(columnar=True)`` is
-the *timer wheel*: the heap holds **one entry per distinct timestamp**
-— ``(time, first_seq, bucket)`` — and each bucket is the *slot* of that
-instant, a plain list of ``(seq, event)`` records in append order.
-Popping one slot hands the run loop every event of that instant, which
-is what the batched data plane needs: it collects the deliveries the
-slot's sends settled and schedules them in bulk from a slot-flush hook
-(:meth:`Simulator.on_slot_flush`). With no hook registered the wheel is
-byte-identical to the heap and no faster (DESIGN.md "Event engines"
-carries the measurements), so it is kept runnable on its own only as
-the heap's differential-test twin.
-
-Determinism is preserved exactly, not approximately:
-
-* ``seq`` allocation is monotone and every enqueue appends immediately,
-  so bucket order *is* ``seq`` order — draining a slot front-to-back
-  replays the ``(time, seq)`` heap order byte for byte;
-* the accepting slot is detached from the wheel before draining, so a
-  callback scheduling at the *current* instant opens a fresh bucket
-  that fires after the one being drained — exactly where its larger
-  ``seq`` would have placed it in the heap;
-* ``reschedule`` of a queued timer does not remove its record (that
-  would be O(n)); it allocates a fresh ``seq`` and appends a new
-  record, and the drain loop skips any record whose ``seq`` no longer
-  matches its event — seqs are never reused, so a stale record can
-  never shadow a live one.
-
-The run loop exposes the slot being drained (``_drain_bucket``) so the
-batched data plane can tell a send made *inside* a drain (settled into
-the slot's batch) from one made between slots (scheduled normally).
 """
 
 from __future__ import annotations
@@ -182,33 +149,17 @@ class PeriodicEvent(Event):
             raise SimulationError("auto-re-arming timers need a positive interval")
         sim = self._sim
         self.interval = interval
-        if sim._columnar:
-            if self._queued and not self._cancelled:
-                # The old record stays in its slot but turns stale the
-                # moment this timer gets a fresh seq below — the drain
-                # loop skips records whose seq no longer matches, so
-                # count it dead now. (A cancelled record was already
-                # counted dead by _on_cancel.)
-                sim._live -= 1
-                sim._dead += 1
-            self._cancelled = False
-            self.time = sim._now + interval
-            self.seq = sim._seq
-            sim._seq += 1
-            self._queued = True
-            sim._enqueue(self.time, self.seq, self)
-        else:
-            if self._queued:
-                # Remove BEFORE clearing _cancelled so the live/dead
-                # accounting matches how the entry was counted.
-                sim._remove_queued(self)
-            self._cancelled = False
-            self.time = sim._now + interval
-            self.seq = sim._seq
-            sim._seq += 1
-            self._queued = True
-            heapq.heappush(sim._queue, (self.time, self.seq, self))
-            sim._live += 1
+        if self._queued:
+            # Remove BEFORE clearing _cancelled so the live/dead
+            # accounting matches how the entry was counted.
+            sim._remove_queued(self)
+        self._cancelled = False
+        self.time = sim._now + interval
+        self.seq = sim._seq
+        sim._seq += 1
+        self._queued = True
+        heapq.heappush(sim._queue, (self.time, self.seq, self))
+        sim._live += 1
         self.rearmed += 1
         sim.timer_rearmed += 1
 
@@ -232,41 +183,20 @@ class Simulator:
         sim.run(until=10.0)
 
     Args:
-        columnar: When True, the heap holds one entry per distinct
-            timestamp (a *slot*) and same-instant events share the
-            slot's bucket — the timer wheel the batched data plane
-            settles on (see the module docstring). Byte-identical
-            traces to the default heap.
+        columnar: Selects nothing: the heap is the one event engine.
+            The parameter is kept only because ``perf/tiers.py`` still
+            passes it; ROADMAP A's fidelity selector deletes it.
     """
 
     def __init__(self, columnar: bool = False) -> None:
         self._now = 0.0
-        #: The heap queues (time, seq, event) triples (C-level heap
-        #: ordering); the wheel queues (time, first_seq, bucket) slots
-        #: where each bucket is a list of (seq, event) records in seq
-        #: order.
+        #: (time, seq, event) triples — C-level heap ordering.
         self._queue: list = []
         self._seq = 0
         self._running = False
         self._processed = 0
         self._live = 0  # queued events that are not cancelled
-        self._dead = 0  # queued entries that are cancelled or stale
-        self._columnar = columnar
-        #: Columnar mode: time -> the slot currently accepting appends
-        #: for that instant (detached when the slot starts draining).
-        self._wheel: dict[float, list] | None = {} if columnar else None
-        #: Columnar mode: physical (seq, event) records queued across
-        #: all slots — the compaction denominator (len(_queue) counts
-        #: slots, not events, in this mode).
-        self._entries = 0
-        #: Columnar mode: the slot currently being drained (None
-        #: between slots) — the batched data plane settles a send into
-        #: the slot's batch only while this is set.
-        self._drain_bucket: list | None = None
-        #: Columnar mode: callbacks run after each slot bucket finishes
-        #: draining (see :meth:`on_slot_flush`) — the batched data
-        #: plane schedules the slot's bulk deliveries there.
-        self._flush_hooks: list = []
+        self._dead = 0  # queued entries that are cancelled
         #: Teardown epoch: bumped by clear(). A periodic timer firing
         #: while clear() runs is not in the queue, so the cancellation
         #: sweep cannot reach it — the run loop compares this epoch
@@ -283,11 +213,6 @@ class Simulator:
         return self._now
 
     @property
-    def columnar(self) -> bool:
-        """Whether the slot-bucket (timer wheel) engine is enabled."""
-        return self._columnar
-
-    @property
     def events_processed(self) -> int:
         """Number of events that have fired so far."""
         return self._processed
@@ -297,33 +222,9 @@ class Simulator:
         """Number of live (non-cancelled) events still queued — O(1)."""
         return self._live
 
-    def on_slot_flush(self, hook: Callable[[], None]) -> None:
-        """Register ``hook()`` to run after every drained slot bucket
-        (columnar mode only). Flush hooks see ``_drain_bucket`` already
-        reset — they are *between* slots — and may schedule new events
-        (at or after the drained instant), which land in fresh buckets.
-        The batched data plane uses this to schedule the deliveries its
-        sends settled while the slot drained."""
-        if not self._columnar:
-            raise SimulationError("slot-flush hooks require columnar mode")
-        self._flush_hooks.append(hook)
-
     def timer_stats(self) -> dict[str, int]:
         """Aggregate periodic-timer counters, keyed ``timer.*``."""
         return {"timer.fired": self.timer_fired, "timer.rearmed": self.timer_rearmed}
-
-    def _enqueue(self, time: float, seq: int, event: Event) -> None:
-        """Columnar enqueue: append to the instant's accepting slot, or
-        open a new slot (one heap entry per distinct timestamp)."""
-        wheel = self._wheel
-        bucket = wheel.get(time)
-        if bucket is None:
-            wheel[time] = bucket = [(seq, event)]
-            heapq.heappush(self._queue, (time, seq, bucket))
-        else:
-            bucket.append((seq, event))
-        self._live += 1
-        self._entries += 1
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -334,18 +235,7 @@ class Simulator:
         event = Event(time, seq, fn, args, sim=self)
         event._queued = True
         self._seq = seq + 1
-        if self._columnar:
-            # Inlined _enqueue: this is the hottest allocation site.
-            wheel = self._wheel
-            bucket = wheel.get(time)
-            if bucket is None:
-                wheel[time] = bucket = [(seq, event)]
-                heapq.heappush(self._queue, (time, seq, bucket))
-            else:
-                bucket.append((seq, event))
-            self._entries += 1
-        else:
-            heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -358,11 +248,8 @@ class Simulator:
         event = Event(time, self._seq, fn, args, sim=self)
         event._queued = True
         self._seq += 1
-        if self._columnar:
-            self._enqueue(time, event.seq, event)
-        else:
-            heapq.heappush(self._queue, (time, event.seq, event))
-            self._live += 1
+        heapq.heappush(self._queue, (time, event.seq, event))
+        self._live += 1
         return event
 
     # -------------------------------------------------- recurring timers
@@ -389,11 +276,8 @@ class Simulator:
         )
         self._seq += 1
         event._queued = True
-        if self._columnar:
-            self._enqueue(event.time, event.seq, event)
-        else:
-            heapq.heappush(self._queue, (event.time, event.seq, event))
-            self._live += 1
+        heapq.heappush(self._queue, (event.time, event.seq, event))
+        self._live += 1
         return event
 
     def timer(self, fn: Callable[..., Any], *args: Any) -> PeriodicEvent:
@@ -443,9 +327,8 @@ class Simulator:
         absolute ``time`` with its original ``seq``, or a freshly
         allocated one (``seq=None`` — constructed convergence, where no
         organic seqs exist). Callers must adopt timers in ascending-seq
-        order: wheel slot buckets append in call order and fresh seqs
-        are handed out in call order — both replay the snapshot's
-        relative order only if the calls arrive sorted."""
+        order: fresh seqs are handed out in call order, which replays
+        the snapshot's relative order only if the calls arrive sorted."""
         if time < self._now:
             raise SimulationError(
                 f"cannot adopt a timer at {time} before current time {self._now}"
@@ -463,11 +346,8 @@ class Simulator:
         event.fired = fired
         event.rearmed = rearmed
         event._queued = True
-        if self._columnar:
-            self._enqueue(time, seq, event)
-        else:
-            heapq.heappush(self._queue, (time, seq, event))
-            self._live += 1
+        heapq.heappush(self._queue, (time, seq, event))
+        self._live += 1
         return event
 
     def repush(
@@ -498,19 +378,7 @@ class Simulator:
             event.args = args
         event._cancelled = False
         event._queued = True
-        if self._columnar:
-            # Inlined _enqueue: the datagram hop chain repushes here
-            # once per hop, and crossings cluster on shared instants.
-            wheel = self._wheel
-            bucket = wheel.get(time)
-            if bucket is None:
-                wheel[time] = bucket = [(seq, event)]
-                heapq.heappush(self._queue, (time, seq, bucket))
-            else:
-                bucket.append((seq, event))
-            self._entries += 1
-        else:
-            heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -521,43 +389,13 @@ class Simulator:
         compact the heap once dead entries dominate."""
         self._live -= 1
         self._dead += 1
-        size = self._entries if self._columnar else len(self._queue)
+        size = len(self._queue)
         if self._dead * 2 > size and size >= COMPACT_MIN_QUEUE:
             self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled events. ``heapify`` keeps
-        pop order deterministic because (time, seq) is a total order.
-
-        On the wheel the slot being drained is already off the heap, so
-        its dead records are out of reach here: compaction subtracts
-        exactly the records it removed, and the drain loop settles the
-        rest as it skips them."""
-        if self._columnar:
-            wheel = self._wheel
-            removed = 0
-            for entry in self._queue:
-                bucket = entry[2]
-                kept = [
-                    rec for rec in bucket
-                    if rec[1].seq == rec[0] and not rec[1]._cancelled
-                ]
-                if len(kept) != len(bucket):
-                    for eseq, event in bucket:
-                        # Only records still owned by their event may
-                        # flip _queued — a stale record's event lives
-                        # on in another slot (or already fired).
-                        if event.seq == eseq and event._cancelled:
-                            event._queued = False
-                    removed += len(bucket) - len(kept)
-                    bucket[:] = kept  # in place: the wheel may alias it
-                if not kept and wheel.get(entry[0]) is bucket:
-                    del wheel[entry[0]]
-            self._queue = [e for e in self._queue if e[2]]
-            heapq.heapify(self._queue)
-            self._dead -= removed
-            self._entries -= removed
-            return
+        pop order deterministic because (time, seq) is a total order."""
         for __, __, event in self._queue:
             if event._cancelled:
                 event._queued = False
@@ -586,8 +424,6 @@ class Simulator:
         this call. The clock is advanced to ``until`` if given, even if
         the queue drains earlier.
         """
-        if self._columnar:
-            return self._columnar_run(until, max_events)
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
@@ -643,139 +479,16 @@ class Simulator:
             self._now = until
         return processed
 
-    def _columnar_run(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> int:
-        """The slot-bucket run loop: pop one slot per heap operation,
-        drain its records front-to-back (append order == seq order, so
-        the firing sequence is byte-identical to the per-event heap).
-        Stale records (seq mismatch after a reschedule) and cancelled
-        records are skipped with the matching dead-count adjustment."""
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        processed = 0
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        wheel = self._wheel
-        try:
-            while self._queue:
-                entry = self._queue[0]
-                now = entry[0]
-                if until is not None and now > until:
-                    break
-                heappop(self._queue)
-                bucket = entry[2]
-                # Detach the accepting slot: same-instant schedules made
-                # by the callbacks below open a *fresh* bucket, which
-                # fires after this one — exactly where their larger seqs
-                # would have landed in a per-event heap.
-                if wheel.get(now) is bucket:
-                    del wheel[now]
-                self._now = now
-                self._drain_bucket = bucket
-                i = 0
-                n = len(bucket)
-                stop = False
-                while i < n:
-                    eseq, event = bucket[i]
-                    i += 1
-                    if event.seq != eseq:
-                        # Stale: the event was rescheduled away.
-                        self._dead -= 1
-                        self._entries -= 1
-                        continue
-                    if event._cancelled:
-                        event._queued = False
-                        self._dead -= 1
-                        self._entries -= 1
-                        continue
-                    event._queued = False
-                    self._live -= 1
-                    self._entries -= 1
-                    epoch = self._cleared
-                    if event.periodic:
-                        event.fired += 1
-                        self.timer_fired += 1
-                        event.fn(*event.args)
-                        if (
-                            event.auto
-                            and epoch == self._cleared
-                            and not (event._cancelled or event._queued)
-                        ):
-                            event.time = time = event.time + event.interval
-                            seq = event.seq = self._seq
-                            self._seq = seq + 1
-                            event._queued = True
-                            slot = wheel.get(time)
-                            if slot is None:
-                                wheel[time] = [(seq, event)]
-                                heappush(self._queue, (time, seq, wheel[time]))
-                            else:
-                                slot.append((seq, event))
-                            self._live += 1
-                            self._entries += 1
-                            event.rearmed += 1
-                            self.timer_rearmed += 1
-                    else:
-                        event.fn(*event.args)
-                    processed += 1
-                    stop = max_events is not None and processed >= max_events
-                    if epoch != self._cleared:
-                        # clear() ran inside the callback. The rest of
-                        # this bucket was already popped off the heap,
-                        # so the teardown sweep could not reach it —
-                        # finish its job here and drop the slot.
-                        for j in range(i, n):
-                            seq_j, event_j = bucket[j]
-                            if event_j.seq == seq_j:
-                                event_j._queued = False
-                                if event_j.periodic:
-                                    event_j._cancelled = True
-                        break
-                    if stop:
-                        if i < n:
-                            # Re-queue the unfired remainder as its own
-                            # slot; its first (oldest) seq keeps it
-                            # ahead of anything scheduled afterwards.
-                            heappush(self._queue, (now, bucket[i][0], bucket[i:]))
-                        break
-                self._drain_bucket = None
-                for hook in self._flush_hooks:
-                    hook()
-                if stop:
-                    break
-        finally:
-            self._drain_bucket = None
-            self._processed += processed
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return processed
-
     def step(self) -> bool:
         """Run a single (non-cancelled) event. Returns False if none left."""
         return self.run(max_events=1) == 1
 
     def iter_queued(self):
-        """Yield ``(event, live)`` for every physical queue record, in
-        no particular order — the audit checkers' engine-agnostic view.
-        ``live`` is False for lazily deleted records: cancelled events
-        and (columnar mode) stale records left behind by a reschedule,
-        whose event lives on in another slot. From inside a callback
-        the rest of the instant counts as queued on either engine: the
-        wheel's slot being drained is off the heap, so its unfired
-        records are reported from there (its stale ones are not)."""
-        if self._columnar:
-            for eseq, event in self._drain_bucket or ():
-                if event._queued and event.seq == eseq:
-                    yield event, not event._cancelled
-            for entry in self._queue:
-                for eseq, event in entry[2]:
-                    yield event, event.seq == eseq and not event._cancelled
-        else:
-            for entry in self._queue:
-                yield entry[2], not entry[2]._cancelled
+        """Yield ``(event, live)`` for every queue entry, in no
+        particular order — the audit checkers' view of the queue.
+        ``live`` is False for lazily deleted (cancelled) entries."""
+        for entry in self._queue:
+            yield entry[2], not entry[2]._cancelled
 
     def clear(self) -> None:
         """Drop all pending events (the clock is left as-is). Periodic
@@ -784,23 +497,6 @@ class Simulator:
         suppresses the auto re-arm of the timer currently firing (which
         is not in the queue, so the sweep below cannot cancel it)."""
         self._cleared += 1
-        if self._columnar:
-            for entry in self._queue:
-                for eseq, event in entry[2]:
-                    # Stale records are skipped: their event is either
-                    # queued elsewhere (another record will reach it)
-                    # or already fired.
-                    if event.seq != eseq:
-                        continue
-                    event._queued = False
-                    if event.periodic:
-                        event._cancelled = True
-            self._wheel.clear()
-            self._entries = 0
-            self._queue.clear()
-            self._live = 0
-            self._dead = 0
-            return
         for __, __, event in self._queue:
             event._queued = False
             if event.periodic:

@@ -6,11 +6,11 @@ LSU refresh, metric drift) — no datagrams in flight, no one-shot
 continuations, no floods mid-propagation. :func:`quiesce` drives a
 simulation to such an instant; the capture helpers then serialize the
 clock and the live timer schedule, and the adopt helpers re-materialize
-them into a **fresh** :class:`~repro.sim.events.Simulator` on either
-engine (heap or wheel), preserving the deterministic (time, seq) total
-order: a restore re-uses the snapshot's exact seqs, so the continuation
-is *seq-exact* — the restored run allocates the same sequence numbers
-the straight-through run would have.
+them into a **fresh** :class:`~repro.sim.events.Simulator`, preserving
+the deterministic (time, seq) total order: a restore re-uses the
+snapshot's exact seqs, so the continuation is *seq-exact* — the
+restored run allocates the same sequence numbers the straight-through
+run would have.
 
 The orchestration that knows *what* the timers mean (which overlay
 link's hello tick, which node's refresh) lives in

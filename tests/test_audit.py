@@ -11,7 +11,7 @@ The contract under test (DESIGN.md "Audit and divergence detection"):
   plain cache classes and no auditor at all, and an audited run's
   delivery trace is byte-identical to an unaudited one;
 * the ``clear()``-during-callback teardown leak the auditor originally
-  surfaced stays fixed, in both simulator engine modes.
+  surfaced stays fixed.
 """
 
 from __future__ import annotations
@@ -202,9 +202,13 @@ def test_audit_enabled_switch(monkeypatch):
 
 # ------------------------------------------------------------- heap checks
 
-@pytest.mark.parametrize("columnar", [False, True])
+#: The heap is the one engine; the ``[False]`` id (once "not the wheel")
+#: is kept so the suite reports these tests under their established names.
+HEAP = pytest.mark.parametrize("columnar", [False])
+
+@HEAP
 def test_heap_accounting_passes_on_healthy_sim(columnar):
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     handles = [sim.schedule(0.1 * (i + 1), lambda: None) for i in range(80)]
     for handle in handles[::3]:
         handle.cancel()
@@ -215,9 +219,9 @@ def test_heap_accounting_passes_on_healthy_sim(columnar):
     assert sim._dead == 0
 
 
-@pytest.mark.parametrize("columnar", [False, True])
+@HEAP
 def test_heap_accounting_fires_on_corrupted_counters(columnar):
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     for i in range(10):
         sim.schedule(0.1 * (i + 1), lambda: None)
     sim._live += 1  # deliberately broken fixture
@@ -228,9 +232,9 @@ def test_heap_accounting_fires_on_corrupted_counters(columnar):
     assert "counters say" in violation.detail
 
 
-@pytest.mark.parametrize("columnar", [False, True])
+@HEAP
 def test_teardown_check_passes_after_clear(columnar):
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     sim.schedule_periodic(0.05, lambda: None)
     sim.schedule(0.2, lambda: None)
     sim.run(until=0.3)
@@ -239,9 +243,9 @@ def test_teardown_check_passes_after_clear(columnar):
     assert check_teardown(sim, auditor)
 
 
-@pytest.mark.parametrize("columnar", [False, True])
+@HEAP
 def test_teardown_check_fires_on_post_clear_event(columnar):
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     sim.clear()
     sim.schedule_periodic(0.05, lambda: None)  # leaked past teardown
     auditor = Auditor(register=False)
@@ -252,14 +256,14 @@ def test_teardown_check_fires_on_post_clear_event(columnar):
     assert "1 periodic" in violation.detail
 
 
-@pytest.mark.parametrize("columnar", [False, True])
+@HEAP
 def test_clear_during_periodic_callback_does_not_leak(columnar):
     """Regression: a periodic timer whose callback tears the simulator
     down used to be re-armed *after* ``clear()`` swept the queue (the
     firing event is off-heap during its own callback), leaking a live
     timer into the next run. The teardown epoch in ``Simulator.clear``
     suppresses that re-arm."""
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     fired = []
 
     def tick():
@@ -275,11 +279,11 @@ def test_clear_during_periodic_callback_does_not_leak(columnar):
     assert check_teardown(sim, auditor), auditor.report.format()
 
 
-@pytest.mark.parametrize("columnar", [False, True])
+@HEAP
 def test_manual_timer_survives_clear_then_reschedule(columnar):
     """clear() cancels, it does not destroy: a manual timer can still be
     re-armed afterwards (restart-style reuse keeps working)."""
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     fired = []
     timer = sim.timer(lambda: fired.append(sim.now))
     timer.reschedule(0.1)

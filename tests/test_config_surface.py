@@ -39,7 +39,6 @@ OVERLAY_CONFIG_FIELDS = {
     "crypto_verify_delay",
     "route_cache_size",
     "route_debug_check",
-    "forwarding_cache",
     "forwarding_cache_size",
     "audit",
     "columnar",

@@ -4,8 +4,9 @@ Small, seeded scenarios whose delivery record streams are pinned by
 committed blake2b digests (``tests/golden/delivery_digests.json``): a
 change that claims to leave the modelled overlay's data-plane outcome
 alone — a simulator speed-up, a different packing of the shared-state
-flood, a deleted engine — must reproduce them bit for bit, on the heap
-and on the wheel (``columnar=True``) simulator.
+flood, a deleted engine — must reproduce them bit for bit. They were
+recorded on the heap and held on the timer wheel too until the wheel was
+deleted; the heap carries them alone since.
 
 The three loss-free scenarios were recorded on the commit *before* the
 state flood was packed into bundles (PR 14); they are the committed
@@ -46,7 +47,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.workloads import CbrSource
-from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.net.internet import Internet
@@ -102,11 +102,11 @@ LOSSY_FIBERS = {
 }
 
 
-def _mesh(columnar: bool, lossy: bool = False) -> OverlayNetwork:
+def _mesh(lossy: bool = False) -> OverlayNetwork:
     """Ring+chords fibers with three distinct delays (so floods arrive
     at several instants per hop), overlay links at spacings 1 and 4
     (one- and two-fiber transits)."""
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     inet = Internet(sim, RngRegistry(SEED))
     domain = inet.add_isp("mesh", convergence_delay=0.5)
     for i in range(N):
@@ -124,8 +124,7 @@ def _mesh(columnar: bool, lossy: bool = False) -> OverlayNetwork:
         inet.attach(_site(i), "mesh", _router(i))
     links = sorted({tuple(sorted((_site(i), _site(i + d))))
                     for i in range(N) for d in OVERLAY_SPACINGS})
-    return OverlayNetwork(inet, [_site(i) for i in range(N)], links,
-                          OverlayConfig(columnar=columnar))
+    return OverlayNetwork(inet, [_site(i) for i in range(N)], links)
 
 
 def _start_traffic(overlay: OverlayNetwork) -> None:
@@ -167,12 +166,12 @@ SCENARIOS = {
 LOSSY = {"lossy_mixed_fibers"}
 
 
-def delivery_digest(name: str, columnar: bool) -> dict:
+def delivery_digest(name: str) -> dict:
     """Run one scenario; the digest recipe is ``perf``'s ``trace_digest``
     (plus, on the lossy mesh, the underlay's counters and every fiber's
     carried/dropped totals)."""
     lossy = name in LOSSY
-    overlay = _mesh(columnar, lossy)
+    overlay = _mesh(lossy)
     overlay.start()
     _start_traffic(overlay)
     SCENARIOS[name](overlay)
@@ -195,13 +194,14 @@ def delivery_digest(name: str, columnar: bool) -> dict:
             "digest": digest.hexdigest(), "sorted_digest": twin.hexdigest()}
 
 
-@pytest.mark.parametrize("columnar", [False, True],
-                         ids=["default", "columnar"])
+#: The ``-default`` suffix of the test ids names the engine axis the
+#: wheel once shared; it is kept so the ids stay stable.
+@pytest.mark.parametrize("engine", ["default"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_delivery_digest_matches_golden(name, columnar):
+def test_delivery_digest_matches_golden(name, engine):
     golden = json.loads(GOLDEN.read_text())["scenarios"][name]
     golden.pop("note", None)
-    assert delivery_digest(name, columnar) == golden
+    assert delivery_digest(name) == golden
 
 
 def test_golden_scenarios_exercise_what_they_claim():
@@ -227,8 +227,7 @@ if __name__ == "__main__":
     # their digest and the commit they were recorded at.
     payload = json.loads(GOLDEN.read_text())
     for scenario in sys.argv[1:] or sorted(SCENARIOS):
-        default = delivery_digest(scenario, columnar=False)
-        assert default == delivery_digest(scenario, columnar=True), scenario
+        default = delivery_digest(scenario)
         old = payload["scenarios"][scenario]
         # The sorted twin only moves when a delivery or an instant does:
         # a re-record for a changed *order* must leave it alone.

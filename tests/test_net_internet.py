@@ -156,7 +156,7 @@ def test_rebuilt_native_domain_never_serves_the_old_domains_profiles(tier):
     the old profile, made of the old route's fibers, was served for the
     new domain. On the batched tier the lane that reads the cache is
     the quiet channel of :meth:`Internet.send_via`."""
-    sim = Simulator(columnar=tier == "batched")
+    sim = Simulator()
     inet = Internet(sim, RngRegistry(1), native_convergence_delay=0.5)
     if tier == "batched":
         inet.enable_vectorized(0.00025)

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.audit import Auditor, check_heap_accounting
 from repro.sim.events import SimulationError, Simulator
+from repro.sim.trace import Counter
 
 
 def test_clock_starts_at_zero():
@@ -223,3 +225,83 @@ def test_property_cancelled_events_never_fire(items):
     sim.run()
     expected = {idx for idx, (__, cancel) in enumerate(items) if not cancel}
     assert set(fired) == expected
+
+
+def test_same_instant_schedule_from_a_callback_fires_last():
+    # A callback scheduling at the current instant gets the largest seq
+    # so far, so it fires after every event already queued for it.
+    sim = Simulator()
+    fired = []
+
+    def first():
+        fired.append("first")
+        sim.schedule(0.0, fired.append, "nested")
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, fired.append, "second")
+    sim.run()
+    assert fired == ["first", "second", "nested"]
+
+
+def test_max_events_stops_mid_instant_and_resumes():
+    sim = Simulator()
+    fired = []
+    for i in range(6):
+        sim.schedule(1.0, fired.append, i)
+    sim.run(max_events=3)
+    assert fired == [0, 1, 2]
+    sim.run()
+    assert fired == [0, 1, 2, 3, 4, 5]
+
+
+def test_iter_queued_reports_liveness():
+    sim = Simulator()
+    keep = sim.schedule(1.0, lambda: None)
+    victim = sim.schedule(1.0, lambda: None)
+    victim.cancel()
+    by_live = {}
+    for event, live in sim.iter_queued():
+        by_live.setdefault(live, []).append(event)
+    assert by_live == {True: [keep], False: [victim]}
+
+
+def test_compaction_during_a_drain_keeps_the_accounting():
+    # One event at t=1 cancels 60 of the 100 events queued behind it at
+    # the same instant, which trips the compaction threshold mid-run.
+    sim = Simulator()
+    fired = []
+    victims = []
+    sim.schedule(1.0, lambda: [v.cancel() for v in victims[:60]])
+    victims.extend(sim.schedule(1.0, fired.append, i) for i in range(100))
+    for i in range(10):
+        sim.schedule(2.0, fired.append, 100 + i)
+    sim.run(until=1.5)
+    assert fired == list(range(60, 100))
+    assert (sim.pending_events, sim._dead) == (10, 0)
+    auditor = Auditor(counters=Counter(), register=False)
+    assert check_heap_accounting(sim, auditor), auditor.report.format()
+    sim.run()
+    assert fired == list(range(60, 110))
+    assert (sim.pending_events, sim._dead) == (0, 0)
+
+
+def test_max_events_holds_when_a_callback_clears_and_reschedules():
+    # step() is run(max_events=1): a callback that tears the queue down
+    # and schedules follow-up work must still end the call after one
+    # event, with the follow-up left queued.
+    sim = Simulator()
+    fired = []
+
+    def teardown():
+        fired.append("teardown")
+        sim.clear()
+        sim.schedule(0.0, fired.append, "follow-up")
+
+    sim.schedule(1.0, teardown)
+    sim.schedule(1.0, fired.append, "swept")
+    assert sim.step()
+    assert fired == ["teardown"]
+    assert sim.pending_events == 1
+    assert sim.step()
+    assert not sim.step()
+    assert fired == ["teardown", "follow-up"]

@@ -1,49 +1,44 @@
-"""Unit tests for recurring timers and event recycling.
-
-Every behaviour is checked on both engines — the recycled heap (the
-exact engine) and the slot-bucket wheel (``columnar=True``, the batched
-tier's substrate) — since the engine decides how events are queued,
-never what fires when.
-"""
+"""Unit tests for recurring timers and event recycling."""
 
 import pytest
 
 from repro.sim.events import SimulationError, Simulator
 
-BOTH_MODES = pytest.mark.parametrize("columnar", [False, True],
-                                     ids=["recycled", "wheel"])
+#: The recycled heap is the one engine; the ``[recycled]`` id is kept so
+#: the suite reports these tests under their established names.
+RECYCLED = pytest.mark.parametrize("engine", ["recycled"])
 
 
-@BOTH_MODES
-def test_periodic_fires_on_cadence(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_periodic_fires_on_cadence(engine):
+    sim = Simulator()
     times = []
     sim.schedule_periodic(0.5, lambda: times.append(sim.now))
     sim.run(until=2.25)
     assert times == [0.5, 1.0, 1.5, 2.0]
 
 
-@BOTH_MODES
-def test_periodic_first_offset(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_periodic_first_offset(engine):
+    sim = Simulator()
     times = []
     sim.schedule_periodic(1.0, lambda: times.append(sim.now), first=0.0)
     sim.run(until=2.5)
     assert times == [0.0, 1.0, 2.0]
 
 
-@BOTH_MODES
-def test_periodic_passes_args(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_periodic_passes_args(engine):
+    sim = Simulator()
     seen = []
     sim.schedule_periodic(1.0, lambda a, b: seen.append((a, b)), 7, "x")
     sim.run(until=2.0)
     assert seen == [(7, "x"), (7, "x")]
 
 
-@BOTH_MODES
-def test_periodic_counters(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_periodic_counters(engine):
+    sim = Simulator()
     timer = sim.schedule_periodic(1.0, lambda: None)
     sim.run(until=3.5)
     assert timer.fired == 3
@@ -52,9 +47,9 @@ def test_periodic_counters(columnar):
     assert sim.timer_stats() == {"timer.fired": 3, "timer.rearmed": 3}
 
 
-@BOTH_MODES
-def test_periodic_cancel_stops_future_firings(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_periodic_cancel_stops_future_firings(engine):
+    sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     sim.schedule(2.5, timer.cancel)
@@ -63,9 +58,9 @@ def test_periodic_cancel_stops_future_firings(columnar):
     assert not timer.active
 
 
-@BOTH_MODES
-def test_periodic_self_cancel_suppresses_rearm(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_periodic_self_cancel_suppresses_rearm(engine):
+    sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: None)
 
@@ -79,9 +74,9 @@ def test_periodic_self_cancel_suppresses_rearm(columnar):
     assert times == [1.0, 2.0]
 
 
-@BOTH_MODES
-def test_cancel_while_queued_keeps_accounting(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_cancel_while_queued_keeps_accounting(engine):
+    sim = Simulator()
     timer = sim.schedule_periodic(1.0, lambda: None)
     one_shot = sim.schedule(5.0, lambda: None)
     timer.cancel()
@@ -93,9 +88,9 @@ def test_cancel_while_queued_keeps_accounting(columnar):
     assert sim.pending_events == 0
 
 
-@BOTH_MODES
-def test_reschedule_changes_cadence(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_reschedule_changes_cadence(engine):
+    sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     sim.schedule(2.5, timer.reschedule, 0.25)
@@ -103,9 +98,9 @@ def test_reschedule_changes_cadence(columnar):
     assert times == [1.0, 2.0, 2.75, 3.0]
 
 
-@BOTH_MODES
-def test_reschedule_revives_cancelled_timer(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_reschedule_revives_cancelled_timer(engine):
+    sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     timer.cancel()
@@ -114,9 +109,9 @@ def test_reschedule_revives_cancelled_timer(columnar):
     assert times == [2.0, 4.0]
 
 
-@BOTH_MODES
-def test_rearm_after_clear(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_rearm_after_clear(engine):
+    sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
     sim.run(until=1.5)
@@ -129,12 +124,12 @@ def test_rearm_after_clear(columnar):
     assert times == [1.0, 5.0, 6.0]
 
 
-@BOTH_MODES
-def test_periodic_interleaves_with_one_shots_at_same_instant(columnar):
+@RECYCLED
+def test_periodic_interleaves_with_one_shots_at_same_instant(engine):
     # A periodic firing at time T and one-shots scheduled for T must
     # run in seq order, exactly as if the timer were a chain of
     # one-shots ending with "schedule the next tick".
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, "before")  # scheduled first
     sim.schedule_periodic(1.0, fired.append, "tick")
@@ -146,9 +141,9 @@ def test_periodic_interleaves_with_one_shots_at_same_instant(columnar):
     assert fired == ["before", "tick", "after", "next-round", "tick"]
 
 
-@BOTH_MODES
-def test_manual_timer_arms_fires_once_and_rearms(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_manual_timer_arms_fires_once_and_rearms(engine):
+    sim = Simulator()
     times = []
     timer = sim.timer(lambda: times.append(sim.now))
     assert not timer.active
@@ -162,9 +157,9 @@ def test_manual_timer_arms_fires_once_and_rearms(columnar):
     assert times == [1.0, 5.5]
 
 
-@BOTH_MODES
-def test_manual_timer_cancel_before_firing(columnar):
-    sim = Simulator(columnar=columnar)
+@RECYCLED
+def test_manual_timer_cancel_before_firing(engine):
+    sim = Simulator()
     fired = []
     timer = sim.timer(fired.append, "x")
     timer.reschedule(1.0)
@@ -207,10 +202,10 @@ def test_repush_while_queued_raises():
         sim.repush(event, 2.0)
 
 
-def _trace(columnar: bool) -> list:
+def _trace() -> list:
     """A mixed workload: two periodic cadences, a self-cancelling
     timer, a manual timer, and one-shot chains, all recorded."""
-    sim = Simulator(columnar=columnar)
+    sim = Simulator()
     trace = []
 
     def record(tag):
@@ -234,12 +229,5 @@ def _trace(columnar: bool) -> list:
     return trace
 
 
-def test_heap_and_wheel_traces_are_identical():
-    # The engine invariant: both engines allocate (time, seq) at the
-    # same points, so a mixed periodic/one-shot workload produces the
-    # same trace event-for-event.
-    assert _trace(False) == _trace(True)
-
-
 def test_recycled_trace_is_deterministic():
-    assert _trace(False) == _trace(False)
+    assert _trace() == _trace()

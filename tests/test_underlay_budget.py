@@ -32,11 +32,13 @@ from repro.sim.rng import RngRegistry
 
 GOLDEN = Path(__file__).parent / "golden" / "underlay_delivery_instants.json"
 FIBERS = (1, 2, 4)
-ENGINES = pytest.mark.parametrize("columnar", [False, True], ids=["heap", "wheel"])
+#: The heap is the one engine; the ``heap`` id is kept so the suite
+#: reports these tests under their established names.
+ENGINES = pytest.mark.parametrize("engine", ["heap"])
 
 
-def _line(n_fibers: int, columnar: bool, **kwargs):
-    sim = Simulator(columnar=columnar)
+def _line(n_fibers: int, **kwargs):
+    sim = Simulator()
     inet = line_internet(sim, RngRegistry(1601), n_hops=n_fibers, **kwargs)
     # Distinct, non-zero access delays at either end, so the instants
     # carry both constants the chain adds.
@@ -45,11 +47,11 @@ def _line(n_fibers: int, columnar: bool, **kwargs):
     return sim, inet
 
 
-def _instants(n_fibers: int, columnar: bool) -> list[float]:
+def _instants(n_fibers: int) -> list[float]:
     """Delivery instants of eight datagrams sent 0.4 ms apart over a
     jittery, capacity-limited line (so queueing, serialization and the
     per-fiber noise draw are all inside the sums)."""
-    sim, inet = _line(n_fibers, columnar, hop_delay=0.0101,
+    sim, inet = _line(n_fibers, hop_delay=0.0101,
                       capacity_bps=2_000_000.0, jitter=0.003)
     got: list[float] = []
     for i in range(8):
@@ -85,38 +87,38 @@ def _send_one(sim, inet, n_fibers: int) -> int:
 
 @ENGINES
 @pytest.mark.parametrize("n_fibers", FIBERS)
-def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers, columnar):
+def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers, engine):
     """A fiber that is not quiet keeps every router up to it on the
     per-fiber walk — all of them when it is the last one; past it the
     rest of the line is a quiet transit again (two events when two or
     more fibers remain, which is what one or none cost anyway)."""
     for why, spoil in NOT_QUIET.items():
         for at in range(n_fibers):
-            sim, inet = _line(n_fibers, columnar)
+            sim, inet = _line(n_fibers)
             spoil(inet.isps["line"].link_between(f"r{at}", f"r{at + 1}"))
             assert _send_one(sim, inet, n_fibers) == min(
                 n_fibers + 1, at + 3), (why, at)
     # A single fiber is a first hop and a delivery however quiet it is.
-    assert _send_one(*_line(1, columnar), 1) == 2
+    assert _send_one(*_line(1), 1) == 2
 
 
 @ENGINES
 @pytest.mark.parametrize("n_fibers", [k for k in FIBERS if k >= 2] + [7])
-def test_quiet_transit_costs_two_events(n_fibers, columnar):
-    assert _send_one(*_line(n_fibers, columnar), n_fibers) == 2
+def test_quiet_transit_costs_two_events(n_fibers, engine):
+    assert _send_one(*_line(n_fibers), n_fibers) == 2
 
 
 @ENGINES
 @pytest.mark.parametrize("n_fibers", FIBERS)
-def test_delivery_instants_match_the_parent_commit(n_fibers, columnar):
+def test_delivery_instants_match_the_parent_commit(n_fibers, engine):
     recorded = json.loads(GOLDEN.read_text())["instants"][str(n_fibers)]
-    assert _instants(n_fibers, columnar) == recorded
+    assert _instants(n_fibers) == recorded
 
 
 @ENGINES
 @pytest.mark.parametrize("n_fibers", FIBERS)
-def test_loss_on_the_last_fiber_reaches_on_drop(n_fibers, columnar):
-    sim, inet = _line(n_fibers, columnar)
+def test_loss_on_the_last_fiber_reaches_on_drop(n_fibers, engine):
+    sim, inet = _line(n_fibers)
     last = inet.isps["line"].link_between(f"r{n_fibers - 1}", f"r{n_fibers}")
     last.failed = True  # tables still forward into it
     delivered, dropped = [], []
@@ -129,8 +131,8 @@ def test_loss_on_the_last_fiber_reaches_on_drop(n_fibers, columnar):
 
 
 @ENGINES
-def test_looped_datagram_still_dies_of_ttl(columnar):
-    sim, inet = _line(2, columnar)
+def test_looped_datagram_still_dies_of_ttl(engine):
+    sim, inet = _line(2)
     domain = inet.isps["line"]
     domain._tables["r2"] = {"r0": "r1", "r1": "r0"}  # a forwarding loop
     delivered, dropped = [], []
@@ -150,6 +152,6 @@ if __name__ == "__main__":
             "proof that the k + 1 chain delivers at the same floats."
         ),
         "recorded_at": "44375e2 (parent of PR 16), default heap simulator",
-        "instants": {str(k): _instants(k, False) for k in FIBERS},
+        "instants": {str(k): _instants(k) for k in FIBERS},
     }, indent=2) + "\n")
     print(f"wrote {GOLDEN}")

@@ -1,9 +1,9 @@
-"""The batched approximate tier (``columnar_vectorized``).
+"""The batched approximate tier (``columnar_window > 0``).
 
-Unlike the wheel at window 0 (byte-identical, fuzzed in
-``test_properties_columnar.py``), the batched tier is *approximate*:
-every hop arrival is quantized up to the window grid, and a quiet
-channel's send settles at once into one bulk delivery per grid instant.
+Unlike the exact tier, the batched tier is *approximate*: every hop
+arrival is quantized up to the window grid, and a quiet channel's send
+settles at once into one bulk delivery per grid instant — one queued
+heap event that collects that instant's rows.
 Its contract is statistical — delivery ratio and mean latency within
 the documented calibration tolerances of the exact tier — plus some
 exact obligations these tests pin down directly:
@@ -14,11 +14,13 @@ exact obligations these tests pin down directly:
 * the quiet-channel lane reads fiber state live, so a cut, a loss swap
   or a capacity written after the profile was resolved sends the
   datagram down the walk, and a reconvergence re-resolves the profile;
-* ``columnar_window=0`` remains the byte-identical exact mode;
-* configuration errors (no columnar, no window, a window without the
-  tier) are clear, and the tier runs on an interpreter without numpy.
+* a pending batch is an ordinary queued event: the auditor counts its
+  rows once, and ``sim.clear()`` drops it;
+* the three ``columnar*`` fields are one bit, any disagreement among
+  them is rejected, and the tier runs on an interpreter without numpy.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -36,7 +38,7 @@ from repro.analysis.calibrate import (
 )
 from repro.analysis.metrics import flow_stats
 from repro.analysis.workloads import CbrSource
-from repro.audit.diff import assert_identical
+from repro.audit import Auditor, check_datagram_conservation
 from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
@@ -51,30 +53,42 @@ WINDOW = 0.00025
 # ------------------------------------------------------- configuration
 
 
-def test_vectorized_requires_columnar():
-    overlay = build_overlay()  # plain packet scenario builder
-    with pytest.raises(ValueError, match="columnar_vectorized"):
-        OverlayNetwork(
-            overlay.internet,
-            ["n00", "n01"],
-            [("n00", "n01")],
-            OverlayConfig(columnar_vectorized=True, columnar_window=WINDOW),
-        )
+def _fidelity_id(bits):
+    columnar, vectorized, window = bits
+    return (f"columnar={columnar:d}-vectorized={vectorized:d}"
+            f"-window={'W' if window else '0'}")
 
 
-def test_vectorized_requires_positive_window():
-    with pytest.raises(ValueError, match="columnar_window > 0"):
+@pytest.mark.parametrize(
+    "bits", list(itertools.product((False, True), (False, True), (0.0, WINDOW))),
+    ids=_fidelity_id)
+def test_fidelity_is_one_bit(bits):
+    """The three ``columnar*`` fields spell one bit — the batched tier
+    is armed iff the window is positive — so exactly two of the eight
+    combinations build: the exact tier (none set) and the batched tier
+    (all set). A lone ``columnar=True`` once selected the timer wheel;
+    its message says the wheel is gone."""
+    columnar, vectorized, window = bits
+    config = OverlayConfig(columnar=columnar, columnar_vectorized=vectorized,
+                           columnar_window=window)
+    if columnar == vectorized == (window > 0):
+        overlay = build_overlay(config=config)
+        assert overlay.internet.columnar_window == window
+    else:
+        lone_columnar = columnar and not (vectorized or window)
+        with pytest.raises(ValueError,
+                           match="deleted" if lone_columnar else "disagree"):
+            build_overlay(config=config)
+
+
+@pytest.mark.parametrize("armed", [False, True])
+def test_negative_window_is_rejected(armed):
+    """A window that is set but not positive arms nothing silently: it
+    disagrees with unset flags, and the tier itself refuses it."""
+    with pytest.raises(ValueError, match="columnar_window"):
         build_overlay(config=OverlayConfig(
-            columnar=True, columnar_window=0.0, columnar_vectorized=True))
-
-
-@pytest.mark.parametrize("columnar", [False, True])
-def test_window_without_the_batched_tier_is_rejected(columnar):
-    """A positive window means the batched tier; on its own it would
-    only quantize the exact walk, a configuration nothing runs."""
-    with pytest.raises(ValueError, match="requires columnar_vectorized"):
-        build_overlay(config=OverlayConfig(
-            columnar=columnar, columnar_window=WINDOW))
+            columnar=armed, columnar_vectorized=armed,
+            columnar_window=-WINDOW))
 
 
 def test_batched_tier_runs_without_numpy():
@@ -114,7 +128,7 @@ def _line_internet(n_fibers=3, *, window=WINDOW, capacity_mid=False,
                    convergence_delay=10.0):
     """A host at each end of a chain of 10 ms fibers — the smallest
     topology with a multi-fiber underlay transit."""
-    sim = Simulator(columnar=True)
+    sim = Simulator()
     rngs = RngRegistry(4242)
     inet = Internet(sim, rngs)
     isp = inet.add_isp("line", convergence_delay=convergence_delay)
@@ -259,7 +273,7 @@ def test_path_cache_invalidated_by_reconvergence():
     """The quiet-channel lane's profile follows the tables: a cut
     fiber is not quiet, so sends walk into it and die until the domain
     reconverges, and the epoch bump then re-resolves the detour."""
-    sim = Simulator(columnar=True)
+    sim = Simulator()
     rngs = RngRegistry(4242)
     inet = Internet(sim, rngs)
     isp = inet.add_isp("sq", convergence_delay=0.05)
@@ -384,28 +398,66 @@ def test_channel_lane_serializes_on_capacity_written_after_priming():
         assert _TX - WINDOW <= later - earlier <= _TX + WINDOW
 
 
-# ----------------------------------------- exact mode stays exact
+# ------------------------------------- pending batches on the heap
 
 
-def test_window_zero_byte_identity():
-    """``columnar_window=0`` is still the byte-identical exact mode with
-    the batched tier compiled in but disarmed."""
-    traces = []
-    for config in (None, OverlayConfig(columnar=True)):
-        overlay = build_overlay(lossy=True, config=config)
-        sim = overlay.sim
-        overlay.warm_up(2.0)
-        for src, sink in (("n00", "n08"), ("n05", "n13")):
-            overlay.client(sink, 7)
-            CbrSource(sim, overlay.client(src), Address(sink, 7),
-                      rate_pps=20.0, duration=3.0).start()
-        sim.run(until=sim.now + 4.0)
-        traces.append(overlay.trace)
-    assert_identical(
-        traces[1], traces[0],
-        header="columnar_window=0 must remain byte-identical to the "
-        "per-packet path even with the batched tier present",
-    )
+def _primed_line():
+    sim, inet, isp = _line_internet(3)
+    chan = inet.channel("a", "b", "line")
+    inet.prime_path(chan)
+    return sim, inet, chan, _Sink(sim)
+
+
+def test_pending_batch_rows_are_counted_once_in_flight():
+    """A quiet-channel send is one row of a queued bulk-delivery event
+    until that event fires; an audit probe between the send and the
+    delivery — at the send's own instant and mid-transit — finds every
+    datagram accounted for exactly once."""
+    sim, inet, chan, sink = _primed_line()
+    auditor = Auditor(register=False)
+    probes = []
+
+    def probe():
+        probes.append((len(inet._vec_deliveries),
+                       check_datagram_conservation(inet, auditor)))
+
+    def burst():
+        for __ in range(5):
+            inet.send_via(chan, "x", 1200, sink.deliver, sink.drop)
+        sim.schedule(0.0, probe)
+
+    sim.schedule(0.1, burst)
+    sim.schedule(0.115, probe)
+    sim.run(until=0.5)
+    assert probes == [(1, True), (1, True)], auditor.report.format()
+    assert len(sink.delivered) == 5
+    assert not inet._vec_deliveries
+    assert check_datagram_conservation(inet, auditor)
+
+
+def test_clear_drops_pending_rows_and_a_later_send_lands_once():
+    """``sim.clear()`` drops a pending bulk delivery like any other
+    event: its rows are never delivered, and a send landing on the same
+    grid instant afterwards opens a fresh batch, delivered exactly
+    once."""
+    sim, inet, chan, sink = _primed_line()
+    instants = []
+
+    def send_clear_send():
+        for __ in range(3):
+            inet.send_via(chan, "cleared", 1200, sink.deliver, sink.drop)
+        instants.extend(inet._vec_deliveries)
+        sim.clear()
+        inet.send_via(chan, "kept", 1200, sink.deliver, sink.drop)
+        instants.extend(inet._vec_deliveries)
+
+    sim.schedule(0.1, send_clear_send)
+    sim.run(until=0.5)
+    assert len(instants) == 2 and instants[0] == instants[1]
+    assert [(d.payload, at) for d, at in sink.delivered] == [
+        ("kept", instants[0])]
+    assert not sink.dropped
+    assert not inet._vec_deliveries
 
 
 # --------------------------------------------- statistical contract
@@ -452,7 +504,7 @@ STAT_SECONDS = 30.0
 
 
 def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
-    sim = Simulator(columnar=True)
+    sim = Simulator()
     rngs = RngRegistry(2024)
     inet = Internet(sim, rngs)
     domain = inet.add_isp("isp", convergence_delay=10.0)
@@ -493,7 +545,7 @@ def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
         inet,
         [f"h{i}" for i in range(n)],
         [(f"h{a}", f"h{b}") for a, b in olinks],
-        OverlayConfig(columnar=True,
+        OverlayConfig(columnar=vectorized,
                       columnar_window=window if vectorized else 0.0,
                       columnar_vectorized=vectorized),
     )
