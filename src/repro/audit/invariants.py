@@ -437,9 +437,9 @@ class AuditedTopologyDatabase(TopologyDatabase):
     """A :class:`~repro.core.linkstate.TopologyDatabase` that holds
     every ``sample_every``-th patch of its adjacency / reverse views,
     content and key order, against the same views of a cold replica
-    loaded with its records (whose first read builds everything in one
-    pass). Instantiated by :class:`~repro.core.node.OverlayNode` only
-    when audited."""
+    loaded with its records without a memo (every row derived afresh,
+    the reverse view built in one pass). Instantiated by
+    :class:`~repro.core.node.OverlayNode` only when audited."""
 
     def __init__(self, auditor: Auditor, counters=None) -> None:
         super().__init__(counters)

@@ -30,6 +30,23 @@ def content_digest(payload: object) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=16).digest(), "big")
 
 
+def _topo_part(origin: str, costs: Mapping) -> int:
+    """One topology record's share of the replica fingerprint."""
+    return content_digest((origin, tuple(sorted(costs.items()))))
+
+
+def _group_part(origin: str, members: frozenset) -> int:
+    """One group record's share of the replica fingerprint."""
+    return content_digest((origin, tuple(sorted(members))))
+
+
+def _adjacency_row(costs: Mapping) -> Mapping:
+    """A record's read-only adjacency row: its up links, sorted."""
+    return MappingProxyType(
+        {v: costs[v] for v in sorted(costs) if costs[v] is not None}
+    )
+
+
 _NEVER = object()  # sentinel: cached view not built yet
 _INF = float("inf")
 
@@ -110,7 +127,7 @@ class TopologyDatabase:
         return True
 
     def _set_part(self, origin: str, costs: dict) -> None:
-        part = content_digest((origin, tuple(sorted(costs.items()))))
+        part = _topo_part(origin, costs)
         self.fingerprint ^= self._parts.get(origin, 0) ^ part
         self._parts[origin] = part
         self._adj_stale.add(origin)
@@ -147,10 +164,7 @@ class TopologyDatabase:
             rows = self._adj_view.copy()
             patched = len(stale & rows.keys())
             for origin in stale:
-                nbrs = self._records[origin][1]
-                rows[origin] = MappingProxyType({
-                    v: nbrs[v] for v in sorted(nbrs) if nbrs[v] is not None
-                })
+                rows[origin] = _adjacency_row(self._records[origin][1])
             if patched:
                 self.counters.add("topo.rows_patched", patched)
             if patched < len(stale):  # first rows: restore the sorted order
@@ -229,19 +243,38 @@ class TopologyDatabase:
         or shares them without copying."""
         return dict(self._records)
 
-    def load_state(self, records: Mapping, version: int) -> None:
+    def load_state(self, records: Mapping, version: int,
+                   memo: dict | None = None) -> None:
         """Install a snapshotted record table into an **empty** replica,
-        recomputing the per-origin content parts and fingerprint from
-        scratch (the canonical derivation — not trusted from the
-        snapshot). ``records`` may alias dicts shared across replicas;
-        updates replace records rather than mutating them, so sharing
-        is safe. ``version`` restores the replica's local update
-        counter."""
+        deriving each origin's content part and adjacency row from the
+        record itself (the canonical derivation — nothing is trusted
+        from the snapshot) and the fingerprint and adjacency view from
+        those. ``records`` may alias ``(seq, costs)`` tuples shared
+        across replicas; updates replace records rather than mutating
+        them, so sharing is safe. ``version`` restores the replica's
+        local update counter.
+
+        ``memo`` (``{origin: (record, part, row)}``, one per restore)
+        lets replicas loading the *same record object* share its part
+        and its read-only row: an entry is reused only when the record
+        is the memo's, so a record that merely looks alike derives its
+        own."""
         if self._records:
             raise ValueError("load_state requires an empty database")
-        for origin, (seq, costs) in records.items():
-            self._records[origin] = (seq, costs)
-            self._set_part(origin, costs)
+        memo = {} if memo is None else memo
+        rows = {}
+        for origin, record in records.items():
+            entry = memo.get(origin)
+            if entry is None or entry[0] is not record:
+                costs = record[1]
+                entry = (record, _topo_part(origin, costs),
+                         _adjacency_row(costs))
+                memo.setdefault(origin, entry)
+            self._records[origin] = record
+            self._parts[origin] = entry[1]
+            self.fingerprint ^= entry[1]
+            rows[origin] = entry[2]
+        self._adj_view = MappingProxyType({u: rows[u] for u in sorted(rows)})
         self.version = version
 
 
@@ -278,7 +311,7 @@ class GroupDatabase:
             self._records[origin] = (seq, current[1])
             return True
         self._records[origin] = (seq, new)
-        part = content_digest((origin, tuple(sorted(new))))
+        part = _group_part(origin, new)
         self.fingerprint ^= self._parts.get(origin, 0) ^ part
         self._parts[origin] = part
         self._members_cache.clear()
@@ -321,23 +354,26 @@ class GroupDatabase:
         :meth:`TopologyDatabase.export_state`."""
         return dict(self._records)
 
-    def load_state(self, records: Mapping, version: int) -> None:
+    def load_state(self, records: Mapping, version: int,
+                   memo: dict | None = None) -> None:
         """Install a snapshotted record table into an **empty** replica,
-        recomputing parts and fingerprint canonically (mirror of
-        :meth:`TopologyDatabase.load_state`)."""
+        deriving parts and fingerprint from the records (mirror of
+        :meth:`TopologyDatabase.load_state`, ``memo`` entries being
+        ``{origin: (record, (seq, members), part)}``)."""
         if self._records:
             raise ValueError("load_state requires an empty database")
-        parts: dict[str, int] = {}
-        fingerprint = 0
-        for origin, (seq, groups) in records.items():
-            members = frozenset(groups)
-            self._records[origin] = (seq, members)
-            part = content_digest((origin, tuple(sorted(members))))
-            fingerprint ^= part
-            parts[origin] = part
+        memo = {} if memo is None else memo
+        for origin, record in records.items():
+            entry = memo.get(origin)
+            if entry is None or entry[0] is not record:
+                seq, groups = record
+                members = frozenset(groups)
+                entry = (record, (seq, members), _group_part(origin, members))
+                memo.setdefault(origin, entry)
+            self._records[origin] = entry[1]
+            self._parts[origin] = entry[2]
+            self.fingerprint ^= entry[2]
         self.version = version
-        self._parts = parts
-        self.fingerprint = fingerprint
 
 
 class DedupCache:

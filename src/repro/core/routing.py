@@ -11,7 +11,7 @@ constrained flooding with a single forwarding rule.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.core.compute import (
     GRAPH_DESTINATION_PROBLEM,
@@ -33,6 +33,8 @@ from repro.core.message import (
 #: An edge is "degraded" when its cost exceeds its best-ever cost by
 #: this factor (link costs fold measured loss, so loss shows up here).
 DEGRADED_FACTOR = 1.5
+
+_INF = float("inf")
 
 
 class LinkIndex:
@@ -121,7 +123,11 @@ class RoutingService:
         self._fingerprint: int | None = None
         self._adj: dict = {}
         self._masks: dict[tuple, int] = {}
-        self._cost_baselines: dict[tuple, float] = {}
+        #: Best-ever cost of every edge seen up, one row per origin:
+        #: ``{u: {v: best}}``. A row first aliases the immutable
+        #: adjacency row it was seen in and is copied only when one of
+        #: its costs drops below the baseline (copy-on-write).
+        self._cost_baselines: dict[str, Mapping] = {}
 
     # ------------------------------------------------------- state sync
 
@@ -132,24 +138,26 @@ class RoutingService:
         seen, self._adj = self._adj, self.topo.adjacency()
         self._masks.clear()
         self._fingerprint = fingerprint
+        baselines = self._cost_baselines
         for u, nbrs in self._adj.items():
             # A row the replica did not patch is the same object as last
             # time and has nothing new to fold into the baselines.
             if seen.get(u) is nbrs:
                 continue
-            for v, cost in nbrs.items():
-                key = (u, v)
-                best = self._cost_baselines.get(key)
-                if best is None or cost < best:
-                    self._cost_baselines[key] = cost
+            base = baselines.get(u)
+            if base is None:
+                baselines[u] = nbrs
+                continue
+            drops = {v: cost for v, cost in nbrs.items()
+                     if cost < base.get(v, _INF)}
+            if drops:
+                baselines[u] = {**base, **drops}
 
     def _degraded_at(self, node: str) -> bool:
         """True if any link incident to ``node`` currently costs well
         above its best-ever cost (or is down while its peer is up)."""
         reported = self._adj.get(node, {})
-        for (u, v), baseline in self._cost_baselines.items():
-            if u != node:
-                continue
+        for v, baseline in self._cost_baselines.get(node, {}).items():
             current = reported.get(v)
             if current is None:
                 return True  # a known link at this node is down

@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import time as _time
+import zlib
 from pathlib import Path
 from typing import Callable
 
@@ -353,7 +354,8 @@ def restore(overlay, payload: dict) -> float:
     overlay.rngs.import_states(payload["rng"])
 
     # Shared parse: one record tuple per origin, aliased by every
-    # replica (records are replaced, never mutated, so sharing is safe);
+    # replica (records are replaced, never mutated, so sharing is safe),
+    # whose part and adjacency row the memos derive once per restore;
     # per-node insertion order is replayed so ``origins()`` — the
     # database-sync iteration order — matches the organic run.
     topo_shared = {
@@ -364,15 +366,19 @@ def restore(overlay, payload: dict) -> float:
         origin: (entry[0], frozenset(entry[1]))
         for origin, entry in payload["groups"]["records"].items()
     }
+    topo_memo: dict = {}
+    group_memo: dict = {}
     for node_id, node in overlay.nodes.items():
         node.restore_warm(payload["nodes"][node_id])
         node.topo_db.load_state(
             {o: topo_shared[o] for o in payload["topo"]["order"][node_id]},
             payload["topo"]["versions"][node_id],
+            topo_memo,
         )
         node.group_db.load_state(
             {o: group_shared[o] for o in payload["groups"]["order"][node_id]},
             payload["groups"]["versions"][node_id],
+            group_memo,
         )
         for nbr, link in node.links.items():
             link.restore_warm(payload["links"][node_id][nbr])
@@ -623,6 +629,8 @@ def construct_converged(overlay, warmup: float) -> float:
     )
     rx_state = [n_ticks - 1, last_arrival, monitor.loss_est,
                 monitor.latency_est, monitor.version]
+    topo_memo: dict = {}
+    group_memo: dict = {}
     for node in overlay.nodes.values():
         node.restore_warm({
             "lsu_seq": 1 + degree[node.id],
@@ -630,8 +638,8 @@ def construct_converged(overlay, warmup: float) -> float:
             "advertised": dict(topo_shared[node.id][1]),
             "protocol_epochs": 0,
         })
-        node.topo_db.load_state(topo_shared, topo_version)
-        node.group_db.load_state(group_shared, len(node_ids))
+        node.topo_db.load_state(topo_shared, topo_version, topo_memo)
+        node.group_db.load_state(group_shared, len(node_ids), group_memo)
         for link in node.links.values():
             names = link.carriers
             link.restore_warm({
@@ -756,9 +764,11 @@ class SnapshotStore:
         try:
             with gzip.open(path, "rt", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if payload.get("format") != FORMAT_VERSION:
+        except (OSError, ValueError, EOFError, zlib.error):
+            return None  # missing, truncated, bit-flipped or not JSON
+        if (not isinstance(payload, dict)
+                or payload.get("format") != FORMAT_VERSION
+                or not isinstance(payload.get("meta"), dict)):
             return None
         if (source_fingerprint is not None
                 and payload["meta"].get("source_fingerprint")

@@ -15,7 +15,12 @@ from __future__ import annotations
 import random
 from typing import Callable, Hashable
 
-from repro.alg.dijkstra import extract_path, dijkstra, next_hops
+from repro.alg.dijkstra import (
+    ShortestPathSearch,
+    dijkstra,
+    extract_path,
+    reversed_graph,
+)
 from repro.net.loss import LossModel, NoLoss
 from repro.sim.events import Simulator
 
@@ -164,11 +169,14 @@ class RoutingDomain:
         self.sim = sim
         self.convergence_delay = convergence_delay
         self._adj: dict[NodeId, dict[NodeId, tuple[FiberLink, int]]] = {}
-        #: The delay adjacency the tables are computed from, as of the
-        #: last convergence; ``None`` = not built yet (built by the first
-        #: table miss, or just before a fiber changes state).
-        self._route_adj: dict[NodeId, dict[NodeId, float]] | None = None
-        self._tables: dict[NodeId, dict[NodeId, NodeId]] = {}
+        #: The delay adjacency as of the last convergence, reversed —
+        #: what every table searches; ``None`` = not built yet (built by
+        #: the first table miss, or just before a fiber changes state).
+        self._route_rev: dict[NodeId, dict[NodeId, float]] | None = None
+        #: Per destination, a search from it over ``_route_rev`` settled
+        #: only as far as lookups have asked (a settled router's
+        #: predecessor is its next hop).
+        self._tables: dict[NodeId, ShortestPathSearch] = {}
         self._converge_listeners: list[Callable[[], None]] = []
         self._watchers: list[Callable[[], None]] = []
         self._pending_reconverge = False
@@ -247,7 +255,7 @@ class RoutingDomain:
         itself is rebuilt by whoever needs it first — a table miss, or
         :meth:`_fiber_changing` pinning the pre-change view — so wiring
         n fibers costs one rebuild, not n."""
-        self._route_adj = None
+        self._route_rev = None
         self._tables.clear()
         self.tables_epoch += 1
         for watcher in self._watchers:
@@ -257,10 +265,15 @@ class RoutingDomain:
         """One of the domain's fibers is about to be cut, repaired or
         given another loss process: the tables must keep describing the
         topology *before* the change until the domain reconverges."""
-        if self._route_adj is None:
-            self._route_adj = self._current_adjacency()
+        self._routing_graph()
         for watcher in self._watchers:
             watcher()
+
+    def _routing_graph(self) -> dict:
+        """``_route_rev``, built from the live topology if not yet."""
+        if self._route_rev is None:
+            self._route_rev = reversed_graph(self._current_adjacency())
+        return self._route_rev
 
     def watch(self, watcher: Callable[[], None]) -> None:
         """Call ``watcher()`` whenever something a datagram already in
@@ -270,12 +283,17 @@ class RoutingDomain:
         self._watchers.append(watcher)
 
     def next_hop(self, router: NodeId, dst: NodeId) -> NodeId | None:
-        """Next hop from ``router`` toward ``dst`` per current tables."""
-        if dst not in self._tables:
-            if self._route_adj is None:
-                self._route_adj = self._current_adjacency()
-            self._tables[dst] = next_hops(self._route_adj, dst)
-        return self._tables[dst].get(router)
+        """Next hop from ``router`` toward ``dst`` per current tables —
+        ``next_hops(adjacency, dst).get(router)``, settled only until
+        ``router`` is final (a paused search agrees with the finished
+        one on every node it has settled)."""
+        table = self._tables.get(dst)
+        if table is None:
+            table = ShortestPathSearch(self._routing_graph(), dst)
+            self._tables[dst] = table
+        if router not in table.done and table.heap:
+            table.settle(router)
+        return table.prev.get(router)
 
     def current_path(self, src: NodeId, dst: NodeId) -> list[NodeId] | None:
         """The router path forwarding would take right now (may include a

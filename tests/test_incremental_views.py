@@ -6,7 +6,8 @@ service folds cost baselines from changed rows only. Each is held here
 against the code it replaced — the whole-graph rebuild, the finished
 Dijkstra table, the full baseline scan — kept verbatim below as the
 oracle, in content **and in key order** (Dijkstra's tie-breaks follow
-dict order, so order is behaviour).
+dict order, so order is behaviour). The baselines, whose order nothing
+reads, are held in content only.
 """
 
 from __future__ import annotations
@@ -369,8 +370,10 @@ class TestBaselines:
     def test_changed_row_fold_equals_the_full_scan(self, steps):
         """Random degradations / repairs / outages of ``test_adaptive_
         routing``'s mesh, one or both directions, refreshing the service
-        at random points: the baselines (keys in insertion order too)
-        and the degraded-link verdicts equal the full rescan's."""
+        at random points: the baselines, flattened to ``{(u, v): best}``,
+        and the degraded-link verdicts equal the full rescan's. (Their
+        order is unobservable: ``_degraded_at`` returns a boolean.) No
+        fold ever writes into an adjacency row a baseline aliases."""
         nodes: dict = {}
         for a, b, w in MESH:
             nodes.setdefault(a, {})[b] = w
@@ -381,12 +384,18 @@ class TestBaselines:
         svc = RoutingService("s", topo, GroupDatabase(),
                              LinkIndex([(u, v) for u, v, __ in MESH]))
         expected: dict = {}
+        rows_read: list = []
         seq = 1
 
         def look():
             svc.adjacency()
             oracle_baselines(expected, topo.adjacency())
-            assert list(svc._cost_baselines.items()) == list(expected.items())
+            assert {(u, v): best
+                    for u, row in svc._cost_baselines.items()
+                    for v, best in row.items()} == expected
+            rows_read.extend((row, dict(row))
+                             for row in topo.adjacency().values())
+            assert all(dict(row) == content for row, content in rows_read)
 
         look()
         for edge, cost, both, refresh in steps:

@@ -4,8 +4,10 @@ stale-tables-until-reconvergence behaviour that E2 measures against."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.alg.dijkstra import next_hops
+from repro.net import backbone
 from repro.net.backbone import FWD, REV, FiberLink, RoutingDomain
 from repro.net.loss import BernoulliLoss
 from repro.sim.events import Simulator
@@ -222,3 +224,95 @@ def test_fiber_watchers_hear_changes_not_rewrites():
     # Called before the write lands.
     assert heard == [(False, "NoLoss"), (True, "NoLoss")]
     assert link.failed and isinstance(link.loss, BernoulliLoss)
+
+
+# ------------------------------------------------ lazily settled tables
+
+
+@st.composite
+def _graphs(draw):
+    """A router count, an edge list (possibly disconnected, ties
+    likely) and a sequence of fiber cuts / repairs by edge index."""
+    n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs)))
+    edges = [(a, b, draw(st.sampled_from([1.0, 2.0, 3.0])))
+             for a, b in chosen]
+    flips = draw(st.lists(st.integers(0, max(len(edges) - 1, 0)),
+                          max_size=6)) if edges else []
+    return n, edges, flips
+
+
+def _oracle_adjacency(n, edges, failed) -> dict:
+    """The delay adjacency, built independently of the domain in the
+    order the domain wires it (routers, then fibers as added)."""
+    adj = {r: {} for r in range(n)}
+    for i, (a, b, delay) in enumerate(edges):
+        if i not in failed:
+            adj[a][b] = delay
+            adj[b][a] = delay
+    return adj
+
+
+@given(_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_lazy_tables_equal_finished_ones_in_any_query_order(graph, rnd):
+    """``next_hop`` settles only as far as asked, yet every answer —
+    for any query order, before and after each reconvergence, stale
+    tables included — is the finished table's."""
+    n, edges, flips = graph
+    sim = Simulator()
+    domain = RoutingDomain("g", sim, convergence_delay=1.0)
+    for r in range(n):
+        domain.add_router(r)
+    for a, b, delay in edges:
+        domain.add_link(a, b, delay)
+    failed: set = set()
+    pairs = [(r, d) for r in range(n) for d in range(n)]
+
+    def check(adj):
+        asked = rnd.sample(pairs, rnd.randint(1, len(pairs)))
+        for router, dst in asked:
+            assert domain.next_hop(router, dst) == next_hops(adj, dst).get(router)
+
+    converged = _oracle_adjacency(n, edges, failed)
+    check(converged)
+    for i in flips:
+        a, b, __ = edges[i]
+        if i in failed:
+            failed.discard(i)
+            domain.repair_link(a, b)
+        else:
+            failed.add(i)
+            domain.fail_link(a, b)
+        check(converged)  # stale until the domain reconverges
+        sim.run()
+        converged = _oracle_adjacency(n, edges, failed)
+        check(converged)
+
+
+def test_one_reversed_graph_per_convergence(monkeypatch):
+    calls = []
+    real = backbone.reversed_graph
+
+    def counted(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(backbone, "reversed_graph", counted)
+    sim = Simulator()
+    domain = _chain(sim, n=6)
+    every = [(r, d) for r in domain.routers for d in domain.routers]
+    for router, dst in every:
+        domain.next_hop(router, dst)
+    assert calls == [6]
+    domain.fail_link("r2", "r3")
+    for router, dst in every:  # stale tables: the same reversed graph
+        domain.next_hop(router, dst)
+    assert calls == [6]
+    sim.run()
+    for router, dst in every:
+        domain.next_hop(router, dst)
+    assert calls == [6, 6]
+    assert domain.next_hop("r0", "r5") is None

@@ -23,6 +23,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.alg.dijkstra import ShortestPathSearch
 from repro.audit import Auditor
 from repro.audit.invariants import check_datagram_conservation
 from repro.net import internet as internet_mod
@@ -456,7 +457,10 @@ def test_ttl_edge(engine):
 def test_looped_tables_still_die_of_max_hops(engine):
     def act(sim, inet, domain, fates):
         domain.next_hop("r0", "r3")
-        domain._tables["r3"] = {"r0": "r1", "r1": "r2", "r2": "r1"}
+        looped = ShortestPathSearch({}, "r3")  # no frontier: finished
+        looped.prev.update({"r0": "r1", "r1": "r2", "r2": "r1"})
+        looped.done.update(looped.prev)
+        domain._tables["r3"] = looped
 
     fates, __, events = _both(3, act)
     assert fates["x"][:2] == ("dropped", DROP_TTL)

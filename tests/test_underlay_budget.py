@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.alg.dijkstra import ShortestPathSearch
 from repro.net import internet as internet_mod
 from repro.net.internet import DROP_LINK, DROP_TTL
 from repro.net.loss import BernoulliLoss
@@ -134,7 +135,10 @@ def test_loss_on_the_last_fiber_reaches_on_drop(n_fibers, engine):
 def test_looped_datagram_still_dies_of_ttl(engine):
     sim, inet = _line(2)
     domain = inet.isps["line"]
-    domain._tables["r2"] = {"r0": "r1", "r1": "r0"}  # a forwarding loop
+    looped = ShortestPathSearch({}, "r2")  # no frontier: finished
+    looped.prev.update({"r0": "r1", "r1": "r0"})  # a forwarding loop
+    looped.done.update(looped.prev)
+    domain._tables["r2"] = looped
     delivered, dropped = [], []
     inet.send("h0", "h2", "x", 100, "line", delivered.append,
               lambda d, reason: dropped.append(reason))

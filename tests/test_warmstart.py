@@ -14,8 +14,9 @@ snapshots"):
   schedules, identical continuations — and a settle window moves
   nothing (the constructed state is a fixed point);
 * the :class:`~repro.core.warmstart.SnapshotStore` never serves
-  stale-source or format-incompatible payloads, and
-  ``REPRO_WARMSTART_FRESH`` invalidates on sight;
+  stale-source, format-incompatible or corrupt payloads (a corrupt
+  file is a miss, not an exception), and ``REPRO_WARMSTART_FRESH``
+  invalidates on sight;
 * sweep cells carrying a ``warm_key`` fold it into the cache digest,
   hand it to ``run_cell``, and force fresh warm-starts when the
   result cache is disabled (``--fresh`` semantics).
@@ -35,6 +36,7 @@ from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.core.warmstart import (
+    FORMAT_VERSION,
     SnapshotStore,
     WarmStartError,
     capture,
@@ -327,6 +329,57 @@ def test_store_round_trip_and_staleness(tmp_path, monkeypatch):
     monkeypatch.setenv(WARMSTART_FRESH_ENV, "0")  # "0" means off
     store.save(key, payload)
     assert store.load(key, "fp0") is not None
+
+
+def _corrupt_truncated(store, key):
+    raw = store.path(key).read_bytes()
+    store.path(key).write_bytes(raw[: len(raw) // 2])
+
+
+def _corrupt_bit_flipped(store, key):
+    raw = bytearray(store.path(key).read_bytes())
+    raw[len(raw) // 2] ^= 0xFF  # inside the deflate stream
+    store.path(key).write_bytes(bytes(raw))
+
+
+def _corrupt_not_a_dict(store, key):
+    store.save(key, [FORMAT_VERSION, "fp0"])
+
+
+def _corrupt_no_meta(store, key):
+    store.save(key, {"format": FORMAT_VERSION})
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_truncated, _corrupt_bit_flipped,
+    _corrupt_not_a_dict, _corrupt_no_meta,
+], ids=["truncated", "bit_flipped", "not_a_dict", "no_meta"])
+def test_store_load_returns_none_on_a_corrupt_file(tmp_path, monkeypatch,
+                                                  corrupt):
+    """An unreadable snapshot is a miss, never an exception: the caller
+    falls back and re-captures."""
+    monkeypatch.delenv(WARMSTART_FRESH_ENV, raising=False)
+    store = SnapshotStore(tmp_path)
+    store.save("k", {"format": FORMAT_VERSION,
+                     "meta": {"source_fingerprint": "fp0"},
+                     "pad": list(range(2000))})
+    assert store.load("k", "fp0") is not None
+    corrupt(store, "k")
+    assert store.load("k", "fp0") is None
+    assert store.load("k") is None
+
+
+def test_ensure_warm_recaptures_over_a_corrupt_snapshot(tmp_path, monkeypatch):
+    monkeypatch.delenv(WARMSTART_FRESH_ENV, raising=False)
+    store = SnapshotStore(tmp_path)
+    spec = ("mesh", N, SEED, WARMUP)
+    __, info = ensure_warm(_mesh, spec, WARMUP, store=store,
+                           source_fingerprint="fp0")
+    _corrupt_bit_flipped(store, info["key"])
+    overlay, again = ensure_warm(_mesh, spec, WARMUP, store=store,
+                                 source_fingerprint="fp0")
+    assert again["warm_source"] != "snapshot" and overlay.converged()
+    assert store.load(info["key"], "fp0") is not None
 
 
 def test_warm_key_ignores_engine_and_tracks_spec():
