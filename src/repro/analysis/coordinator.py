@@ -30,11 +30,13 @@ CI leg use it to act mid-campaign at a deterministic point.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Callable
+
+from repro.core.fileio import atomic_write
 
 #: Keep this many slowest cells in the status snapshot.
 DEFAULT_SLOWEST = 5
@@ -213,14 +215,6 @@ class Coordinator:
     def _write_status(self, snap: dict) -> None:
         path = self.status_path
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique per process: a reader (or a second campaign pointed at
-        # the same file) never sees a torn or interleaved write.
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        text = json.dumps(snap, indent=2, sort_keys=True) + "\n"
+        with contextlib.suppress(OSError):
+            atomic_write(path, lambda tmp: tmp.write_text(text))

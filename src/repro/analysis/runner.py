@@ -71,7 +71,6 @@ from __future__ import annotations
 import atexit
 import hashlib
 import inspect
-import itertools
 import json
 import math
 import multiprocessing
@@ -85,6 +84,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.analysis.coordinator import Coordinator
+from repro.core.fileio import atomic_write
 from repro.analysis.sweep import (
     Cell,
     CellOutput,
@@ -228,21 +228,6 @@ def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
 
 
-_TMP_COUNTER = itertools.count()
-
-
-def _unique_tmp(path: Path) -> Path:
-    """A tmp name unique per process *and* per call, in ``path``'s own
-    directory (same filesystem, so ``os.replace`` stays atomic).
-
-    ``path.with_suffix(".tmp")`` was a real race: two concurrent
-    campaigns storing the same digest interleaved writes into one
-    shared tmp file before either ``os.replace`` ran, and the survivor
-    could publish the torn result.
-    """
-    return path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
-
-
 def cell_digest(sweep: Sweep, cell: Cell, seed: int, replicate: int,
                 fingerprint: str) -> str:
     """Stable digest of one (sweep, cell spec, seed, replicate, source
@@ -304,15 +289,9 @@ class SweepCache:
             return False  # non-JSON cell values are simply never cached
         path = self._path(sweep, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = _unique_tmp(path)
         try:
-            tmp.write_text(text + "\n")
-            os.replace(tmp, path)  # atomic: readers never see torn files
+            atomic_write(path, lambda tmp: tmp.write_text(text + "\n"))
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             return False
         return True
 

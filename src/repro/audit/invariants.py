@@ -436,9 +436,10 @@ class AuditedRouteComputeEngine(RouteComputeEngine):
 class AuditedTopologyDatabase(TopologyDatabase):
     """A :class:`~repro.core.linkstate.TopologyDatabase` that holds
     every ``sample_every``-th patch of its adjacency / reverse views,
-    content and key order, against the same views of a cold replica
-    loaded with its records without a memo (every row derived afresh,
-    the reverse view built in one pass). Instantiated by
+    content and key order, and its fingerprint against a cold replica
+    loaded with fresh records built out of its exported costs (every
+    part and row derived afresh, never read from a shared record's
+    cache; the reverse view built in one pass). Instantiated by
     :class:`~repro.core.node.OverlayNode` only when audited."""
 
     def __init__(self, auditor: Auditor, counters=None) -> None:
@@ -454,6 +455,12 @@ class AuditedTopologyDatabase(TopologyDatabase):
             if self._audit_patches % self.auditor.sample_every == 0:
                 cold = TopologyDatabase()
                 cold.load_state(self.export_state(), 0)
+                self.auditor.check(
+                    "topology-fingerprint",
+                    self.fingerprint == cold.fingerprint,
+                    f"fingerprint {self.fingerprint:#x} differs from "
+                    f"{cold.fingerprint:#x}, rederived from the records",
+                )
                 self.auditor.check(
                     "topology-views",
                     [(u, list(row.items())) for u, row in view.items()]

@@ -11,8 +11,8 @@ the basis of sub-second rerouting.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Hashable, Mapping, Set
 from types import MappingProxyType
-from typing import Hashable, Mapping
 
 from repro.alg.dijkstra import reversed_graph
 from repro.sim.trace import Counter
@@ -30,34 +30,132 @@ def content_digest(payload: object) -> int:
     return int.from_bytes(hashlib.blake2b(blob, digest_size=16).digest(), "big")
 
 
-def _topo_part(origin: str, costs: Mapping) -> int:
-    """One topology record's share of the replica fingerprint."""
-    return content_digest((origin, tuple(sorted(costs.items()))))
-
-
-def _group_part(origin: str, members: frozenset) -> int:
-    """One group record's share of the replica fingerprint."""
-    return content_digest((origin, tuple(sorted(members))))
-
-
-def _adjacency_row(costs: Mapping) -> Mapping:
-    """A record's read-only adjacency row: its up links, sorted."""
-    return MappingProxyType(
-        {v: costs[v] for v in sorted(costs) if costs[v] is not None}
-    )
-
-
-_NEVER = object()  # sentinel: cached view not built yet
 _INF = float("inf")
+_NEVER = object()  # sentinel: cached view not built yet
+_set = object.__setattr__
+
+
+class _Record:
+    """A frozen ``(origin, content)`` shared-state record whose share of
+    a replica fingerprint (:attr:`part`) is derived on first use and
+    cached on the object. The originator builds one per announcement;
+    the flood carries it and every accepting replica stores it, so what
+    a record means is derived once network-wide. Equality is content."""
+
+    __slots__ = ("origin", "_body", "_part")
+
+    def __init__(self, origin: str, body) -> None:
+        _set(self, "origin", origin)
+        _set(self, "_body", body)
+        _set(self, "_part", None)
+
+    @classmethod
+    def of(cls, origin: str, content):
+        """``content`` as ``origin``'s record: the object itself when it
+        already is one, else a record wrapped around it once."""
+        if type(content) is cls and content.origin == origin:
+            return content
+        return cls(origin, content)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    def __iter__(self):
+        return iter(self._body)
+
+    def __len__(self) -> int:
+        return len(self._body)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            other = other._body
+        return self._body == other
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.origin!r}, {self._body!r})"
+
+    @property
+    def part(self) -> int:
+        """This record's share of the replica fingerprint."""
+        part = self._part
+        if part is None:
+            part = content_digest((self.origin, self._canonical()))
+            _set(self, "_part", part)
+        return part
+
+
+class TopologyRecord(_Record, Mapping):
+    """One origin's link-state record: a read-only ``{neighbor:
+    cost-or-None}`` mapping (``None`` = link down) that also caches its
+    adjacency :attr:`row` and its cost verdict (:attr:`valid`)."""
+
+    __slots__ = ("_row", "_valid")
+
+    def __init__(self, origin: str, costs: Mapping) -> None:
+        super().__init__(origin, dict(costs))
+        _set(self, "_row", None)
+        _set(self, "_valid", None)
+
+    def __getitem__(self, nbr: str) -> float | None:
+        return self._body[nbr]
+
+    def _canonical(self) -> tuple:
+        return tuple(sorted(self._body.items()))
+
+    @property
+    def row(self) -> Mapping:
+        """The read-only adjacency row: the up links, sorted."""
+        row = self._row
+        if row is None:
+            costs = self._body
+            row = MappingProxyType(
+                {v: costs[v] for v in sorted(costs) if costs[v] is not None})
+            _set(self, "_row", row)
+        return row
+
+    @property
+    def valid(self) -> bool:
+        """False when a cost is negative or not finite: such a record
+        would raise out of whichever search first crossed that edge."""
+        valid = self._valid
+        if valid is None:
+            valid = all(c is None or 0 <= c < _INF
+                        for c in self._body.values())
+            _set(self, "_valid", valid)
+        return valid
+
+
+class GroupRecord(_Record, Set):
+    """One origin's group-interest record: a read-only set of the groups
+    it has interested clients in."""
+
+    __slots__ = ()
+
+    def __init__(self, origin: str, groups) -> None:
+        super().__init__(origin, frozenset(groups))
+
+    def __contains__(self, group) -> bool:
+        return group in self._body
+
+    @property
+    def members(self) -> frozenset[str]:
+        return self._body
+
+    def _canonical(self) -> tuple:
+        return tuple(sorted(self._body))
 
 
 class TopologyDatabase:
     """Per-node replica of the global connectivity graph.
 
     Records are keyed by origin node; each carries the origin's local
-    view ``{neighbor: cost-or-None}`` (``None`` = link down) and a
-    sequence number. Higher sequence numbers win; stale or duplicate
-    updates are ignored (and not re-flooded).
+    view as a :class:`TopologyRecord` — shared with the flood and every
+    replica that accepted it, so its part, row and cost verdict are
+    derived once — and a sequence number. Higher sequence numbers win;
+    stale or duplicate updates are ignored (and not re-flooded).
 
     Alongside the local ``version`` counter (which ticks on *every*
     accepted update) the database maintains an incrementally-updated
@@ -85,14 +183,13 @@ class TopologyDatabase:
 
     def __init__(self, counters: Counter | None = None) -> None:
         self.counters = counters if counters is not None else Counter()
-        self._records: dict[str, tuple[int, dict[str, float | None]]] = {}
+        self._records: dict[str, tuple[int, TopologyRecord]] = {}
         self.version = 0
         #: Content digest of the current connectivity graph (order- and
         #: sequence-number-independent; see class docstring). A plain
         #: attribute — every forwarding decision reads it — that only
         #: this class writes.
         self.fingerprint = 0
-        self._parts: dict[str, int] = {}
         #: The adjacency view, the origins whose content moved since it
         #: was built, the reverse view and the adjacency it reverses.
         self._adj_view: Mapping = MappingProxyType({})
@@ -102,42 +199,38 @@ class TopologyDatabase:
         self._sym_fp: object = _NEVER
         self._sym_view: Mapping = MappingProxyType({})
 
-    def update(self, origin: str, seq: int, neighbor_costs: dict) -> bool:
-        """Apply an update; returns True if it was new (should re-flood).
-        A newer record repeating the stored content (the periodic
-        refresh) only advances seq and ``version``; one with a negative
-        or non-finite cost is refused — it would otherwise raise out of
-        whichever forwarding decision first searched across that edge."""
+    def update(self, origin: str, seq: int, neighbor_costs: Mapping) -> bool:
+        """Apply an update (``origin``'s :class:`TopologyRecord`, or a
+        mapping wrapped into one); returns True if it was new (should
+        re-flood). A newer record repeating the stored content (the
+        periodic refresh) only advances seq and ``version``; one with a
+        negative or non-finite cost is refused — it would otherwise
+        raise out of whichever search first crossed that edge."""
         current = self._records.get(origin)
         if current is not None:
             if current[0] >= seq:
                 return False
-            if current[1] == neighbor_costs:
-                self._records[origin] = (seq, current[1])
+            stored = current[1]
+            if stored is neighbor_costs or stored == neighbor_costs:
+                self._records[origin] = (seq, stored)
                 self.version += 1
                 return True
-        costs = dict(neighbor_costs)
-        for cost in costs.values():
-            if cost is not None and not 0 <= cost < _INF:
-                self.counters.add("lsu-rejected")
-                return False
-        self._records[origin] = (seq, costs)
+        record = TopologyRecord.of(origin, neighbor_costs)
+        if not record.valid:
+            self.counters.add("lsu-rejected")
+            return False
+        self._records[origin] = (seq, record)
         self.version += 1
-        self._set_part(origin, costs)
+        old = current[1].part if current is not None else 0
+        self.fingerprint ^= old ^ record.part
+        self._adj_stale.add(origin)
         return True
 
-    def _set_part(self, origin: str, costs: dict) -> None:
-        part = _topo_part(origin, costs)
-        self.fingerprint ^= self._parts.get(origin, 0) ^ part
-        self._parts[origin] = part
-        self._adj_stale.add(origin)
-
-    def record(self, origin: str) -> Mapping | None:
-        """The origin's current ``{neighbor: cost-or-None}`` record as a
-        read-only view (the stored record is never mutated in place, so
-        the view is a stable snapshot)."""
+    def record(self, origin: str) -> TopologyRecord | None:
+        """The origin's current record (a read-only mapping that is
+        never mutated, so it is a stable snapshot)."""
         entry = self._records.get(origin)
-        return MappingProxyType(entry[1]) if entry else None
+        return entry[1] if entry else None
 
     def seq(self, origin: str) -> int:
         entry = self._records.get(origin)
@@ -164,7 +257,7 @@ class TopologyDatabase:
             rows = self._adj_view.copy()
             patched = len(stale & rows.keys())
             for origin in stale:
-                rows[origin] = _adjacency_row(self._records[origin][1])
+                rows[origin] = self._records[origin][1].row
             if patched:
                 self.counters.add("topo.rows_patched", patched)
             if patched < len(stale):  # first rows: restore the sorted order
@@ -237,44 +330,28 @@ class TopologyDatabase:
     # ------------------------------------------------- warm-start support
 
     def export_state(self) -> dict[str, tuple[int, dict]]:
-        """The record table as ``{origin: (seq, {nbr: cost-or-None})}``
-        (insertion order preserved). Stored cost dicts are never mutated
-        in place, so the export aliases them — snapshot code serializes
-        or shares them without copying."""
-        return dict(self._records)
+        """The record table as plain ``{origin: (seq, {nbr:
+        cost-or-None})}`` (insertion order preserved), with no derived
+        value attached. The cost dicts are the records' own, never
+        mutated, so snapshot code serializes them without copying."""
+        return {origin: (seq, record._body)
+                for origin, (seq, record) in self._records.items()}
 
-    def load_state(self, records: Mapping, version: int,
-                   memo: dict | None = None) -> None:
-        """Install a snapshotted record table into an **empty** replica,
-        deriving each origin's content part and adjacency row from the
-        record itself (the canonical derivation — nothing is trusted
-        from the snapshot) and the fingerprint and adjacency view from
-        those. ``records`` may alias ``(seq, costs)`` tuples shared
-        across replicas; updates replace records rather than mutating
-        them, so sharing is safe. ``version`` restores the replica's
-        local update counter.
-
-        ``memo`` (``{origin: (record, part, row)}``, one per restore)
-        lets replicas loading the *same record object* share its part
-        and its read-only row: an entry is reused only when the record
-        is the memo's, so a record that merely looks alike derives its
-        own."""
+    def load_state(self, records: Mapping, version: int) -> None:
+        """Install a ``{origin: (seq, costs)}`` record table into an
+        **empty** replica, storing shared :class:`TopologyRecord` values
+        as they are and wrapping any other mapping; fingerprint and
+        views come from the records (nothing derived is trusted from a
+        snapshot). ``version`` restores the replica's update counter."""
         if self._records:
             raise ValueError("load_state requires an empty database")
-        memo = {} if memo is None else memo
-        rows = {}
-        for origin, record in records.items():
-            entry = memo.get(origin)
-            if entry is None or entry[0] is not record:
-                costs = record[1]
-                entry = (record, _topo_part(origin, costs),
-                         _adjacency_row(costs))
-                memo.setdefault(origin, entry)
-            self._records[origin] = record
-            self._parts[origin] = entry[1]
-            self.fingerprint ^= entry[1]
-            rows[origin] = entry[2]
-        self._adj_view = MappingProxyType({u: rows[u] for u in sorted(rows)})
+        for origin, entry in records.items():
+            record = TopologyRecord.of(origin, entry[1])
+            self._records[origin] = (
+                entry if record is entry[1] else (entry[0], record))
+            self.fingerprint ^= record.part
+        self._adj_view = MappingProxyType(
+            {u: self._records[u][1].row for u in sorted(self._records)})
         self.version = version
 
 
@@ -285,37 +362,41 @@ class GroupDatabase:
     clients in. Only node-level interest is shared (the two-level
     hierarchy keeps per-client membership local to each node).
 
-    Like :class:`TopologyDatabase`, maintains a content
-    :attr:`fingerprint` over the membership records (ignoring sequence
-    numbers and arrival order) so converged replicas produce identical
-    cache keys for shared group-derived artifacts.
+    Like :class:`TopologyDatabase`, stores shared :class:`GroupRecord`
+    values and maintains a content :attr:`fingerprint` over them
+    (ignoring sequence numbers and arrival order) so converged replicas
+    produce identical cache keys for shared group-derived artifacts.
     """
 
     def __init__(self) -> None:
-        self._records: dict[str, tuple[int, frozenset[str]]] = {}
+        self._records: dict[str, tuple[int, GroupRecord]] = {}
         self.version = 0
         #: Content digest of the current group state (written only here).
         self.fingerprint = 0
-        self._parts: dict[str, int] = {}
         self._members_cache: dict[str, tuple[str, ...]] = {}
 
     def update(self, origin: str, seq: int, groups) -> bool:
-        """Apply a membership update; True if new (should re-flood)."""
+        """Apply a membership update (``origin``'s :class:`GroupRecord`
+        or group names wrapped into one); True if new (should re-flood)."""
         current = self._records.get(origin)
         if current is not None and current[0] >= seq:
             return False
-        new = frozenset(groups)
+        record = GroupRecord.of(origin, groups)
         self.version += 1
-        if current is not None and current[1] == new:
+        if current is not None and current[1] == record:
             # A refresh: same interest, so every derived view stands.
             self._records[origin] = (seq, current[1])
             return True
-        self._records[origin] = (seq, new)
-        part = _group_part(origin, new)
-        self.fingerprint ^= self._parts.get(origin, 0) ^ part
-        self._parts[origin] = part
+        self._records[origin] = (seq, record)
+        old = current[1].part if current is not None else 0
+        self.fingerprint ^= old ^ record.part
         self._members_cache.clear()
         return True
+
+    def record(self, origin: str) -> GroupRecord | None:
+        """The origin's current record, or ``None``."""
+        entry = self._records.get(origin)
+        return entry[1] if entry else None
 
     def seq(self, origin: str) -> int:
         entry = self._records.get(origin)
@@ -332,8 +413,8 @@ class GroupDatabase:
         if cached is None:
             cached = tuple(sorted(
                 origin
-                for origin, (__, groups) in self._records.items()
-                if group in groups
+                for origin, (__, record) in self._records.items()
+                if group in record.members
             ))
             self._members_cache[group] = cached
         return cached
@@ -344,35 +425,28 @@ class GroupDatabase:
 
     def groups_of(self, origin: str) -> frozenset[str]:
         entry = self._records.get(origin)
-        return entry[1] if entry else frozenset()
+        return entry[1].members if entry else frozenset()
 
     # ------------------------------------------------- warm-start support
 
     def export_state(self) -> dict[str, tuple[int, frozenset]]:
-        """The record table as ``{origin: (seq, frozenset(groups))}``
-        (insertion order preserved); see
+        """The record table as plain ``{origin: (seq,
+        frozenset(groups))}`` (insertion order preserved); see
         :meth:`TopologyDatabase.export_state`."""
-        return dict(self._records)
+        return {origin: (seq, record.members)
+                for origin, (seq, record) in self._records.items()}
 
-    def load_state(self, records: Mapping, version: int,
-                   memo: dict | None = None) -> None:
-        """Install a snapshotted record table into an **empty** replica,
-        deriving parts and fingerprint from the records (mirror of
-        :meth:`TopologyDatabase.load_state`, ``memo`` entries being
-        ``{origin: (record, (seq, members), part)}``)."""
+    def load_state(self, records: Mapping, version: int) -> None:
+        """Install a ``{origin: (seq, groups)}`` record table into an
+        **empty** replica (mirror of :meth:`TopologyDatabase.load_state`:
+        shared :class:`GroupRecord` values are stored as they are)."""
         if self._records:
             raise ValueError("load_state requires an empty database")
-        memo = {} if memo is None else memo
-        for origin, record in records.items():
-            entry = memo.get(origin)
-            if entry is None or entry[0] is not record:
-                seq, groups = record
-                members = frozenset(groups)
-                entry = (record, (seq, members), _group_part(origin, members))
-                memo.setdefault(origin, entry)
-            self._records[origin] = entry[1]
-            self._parts[origin] = entry[2]
-            self.fingerprint ^= entry[2]
+        for origin, entry in records.items():
+            record = GroupRecord.of(origin, entry[1])
+            self._records[origin] = (
+                entry if record is entry[1] else (entry[0], record))
+            self.fingerprint ^= record.part
         self.version = version
 
 

@@ -26,7 +26,13 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.link import OverlayLink
 from repro.core.flows import FlowTable
-from repro.core.linkstate import DedupCache, GroupDatabase, TopologyDatabase
+from repro.core.linkstate import (
+    DedupCache,
+    GroupDatabase,
+    GroupRecord,
+    TopologyDatabase,
+    TopologyRecord,
+)
 from repro.core.message import (
     LINK_HEADER_BYTES,
     Frame,
@@ -167,19 +173,28 @@ class OverlayNode:
 
     def originate_lsu(self) -> None:
         """Flood this node's current link-state record (Connectivity
-        Graph Maintenance)."""
+        Graph Maintenance). The flood carries one
+        :class:`~repro.core.linkstate.TopologyRecord` that every
+        accepting replica stores; a refresh re-sends the stored one."""
         self._lsu_seq += 1
         costs = {nbr: link.cost() for nbr, link in self.links.items()}
-        self._advertised = dict(costs)
-        info = {"origin": self.id, "seq": self._lsu_seq, "costs": costs}
+        self._advertised = costs
+        record = self.topo_db.record(self.id)
+        if record != costs:
+            record = TopologyRecord(self.id, costs)
+        info = {"origin": self.id, "seq": self._lsu_seq, "costs": record}
         self._apply("lsu", info)
         self._flood("lsu", info)
 
     def originate_gsu(self) -> None:
-        """Flood this node's group-interest record (Group State)."""
+        """Flood this node's group-interest record (Group State), one
+        shared :class:`~repro.core.linkstate.GroupRecord` like an LSU."""
         self._gsu_seq += 1
-        groups = sorted(self.session.local_groups())
-        info = {"origin": self.id, "seq": self._gsu_seq, "groups": groups}
+        groups = self.session.local_groups()
+        record = self.group_db.record(self.id)
+        if record != groups:
+            record = GroupRecord(self.id, groups)
+        info = {"origin": self.id, "seq": self._gsu_seq, "groups": record}
         self._apply("gsu", info)
         self._flood("gsu", info)
 
@@ -268,7 +283,7 @@ class OverlayNode:
         for origin in self.group_db.origins():
             self._queue(nbr, "gsu", {
                 "origin": origin, "seq": self.group_db.seq(origin),
-                "groups": sorted(self.group_db.groups_of(origin)),
+                "groups": self.group_db.record(origin),
             })
 
     # ------------------------------------------------- warm-start support

@@ -53,7 +53,9 @@ import zlib
 from pathlib import Path
 from typing import Callable
 
+from repro.core.fileio import atomic_write
 from repro.core.link import MIN_SWITCH_INTERVAL, _CarrierMonitor
+from repro.core.linkstate import GroupRecord, TopologyRecord
 from repro.net.backbone import FWD, REV
 from repro.net.loss import NoLoss
 from repro.sim import snapshot as snap
@@ -196,29 +198,17 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
     for node_id, node in overlay.nodes.items():
         if not node._started:
             raise WarmStartError(f"node {node_id} never started")
-        for nbr, link in node.links.items():
-            for kind, timer in (("hello", link._hello_timer),
-                                ("check", link._check_timer)):
+        owners = [(link, nbr, ("hello", "check"))
+                  for nbr, link in node.links.items()]
+        for owner, nbr, kinds in owners + [(node, None, ("refresh", "metric"))]:
+            for kind in kinds:
+                timer = getattr(owner, f"_{kind}_timer")
                 if timer is None or not timer.active:
-                    raise WarmStartError(
-                        f"{kind} timer of {node_id}->{nbr} is not armed"
-                    )
+                    where = node_id if nbr is None else f"{node_id}->{nbr}"
+                    raise WarmStartError(f"{kind} timer of {where} is not armed")
                 owned.add(id(timer))
-                entries.append({
-                    "kind": kind, "node": node_id, "nbr": nbr,
-                    **snap.timer_schedule(timer),
-                })
-        for kind, timer in (("refresh", node._refresh_timer),
-                            ("metric", node._metric_timer)):
-            if timer is None or not timer.active:
-                raise WarmStartError(
-                    f"{kind} timer of {node_id} is not armed"
-                )
-            owned.add(id(timer))
-            entries.append({
-                "kind": kind, "node": node_id, "nbr": None,
-                **snap.timer_schedule(timer),
-            })
+                entries.append({"kind": kind, "node": node_id, "nbr": nbr,
+                                **snap.timer_schedule(timer)})
     foreign = [t for t in queued if id(t) not in owned]
     if foreign or len(queued) != len(owned):
         raise WarmStartError(
@@ -302,25 +292,23 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
 # -------------------------------------------------------------- restore
 
 
-def _adopt_schedule(overlay, entries: list[dict]) -> None:
-    """Re-arm a snapshot's timer schedule into the restored overlay, in
-    ascending-seq order (required by the simulator's adoption API)."""
+def _adopt_schedule(overlay, entries: list[dict], exact_seq: bool = True) -> None:
+    """Re-arm a timer schedule into the restored overlay: a snapshot's
+    in ascending-seq order (required by the simulator's adoption API),
+    a constructed one (``exact_seq=False``, fresh seqs) in list order."""
     sim = overlay.sim
-    for entry in sorted(entries, key=lambda e: e["seq"]):
-        node = overlay.nodes[entry["node"]]
+    if exact_seq:
+        entries = sorted(entries, key=lambda e: e["seq"])
+    for entry in entries:
         kind = entry["kind"]
-        if kind == "hello":
-            link = node.links[entry["nbr"]]
-            link._hello_timer = snap.adopt_timer(sim, entry, link._hello_tick)
-        elif kind == "check":
-            link = node.links[entry["nbr"]]
-            link._check_timer = snap.adopt_timer(sim, entry, link._check_tick)
-        elif kind == "refresh":
-            node._refresh_timer = snap.adopt_timer(sim, entry, node._refresh_tick)
-        elif kind == "metric":
-            node._metric_timer = snap.adopt_timer(sim, entry, node._metric_tick)
-        else:
+        owner = overlay.nodes[entry["node"]]  # refresh / metric timers
+        if kind in ("hello", "check"):
+            owner = owner.links[entry["nbr"]]
+        elif kind not in ("refresh", "metric"):
             raise WarmStartError(f"unknown timer kind {kind!r} in snapshot")
+        tick = getattr(owner, f"_{kind}_tick")
+        setattr(owner, f"_{kind}_timer",
+                snap.adopt_timer(sim, entry, tick, exact_seq=exact_seq))
 
 
 def restore(overlay, payload: dict) -> float:
@@ -353,33 +341,22 @@ def restore(overlay, payload: dict) -> float:
     snap.restore_clock(sim, payload["clock"])
     overlay.rngs.import_states(payload["rng"])
 
-    # Shared parse: one record tuple per origin, aliased by every
-    # replica (records are replaced, never mutated, so sharing is safe),
-    # whose part and adjacency row the memos derive once per restore;
-    # per-node insertion order is replayed so ``origins()`` — the
-    # database-sync iteration order — matches the organic run.
-    topo_shared = {
-        origin: (entry[0], entry[1])
-        for origin, entry in payload["topo"]["records"].items()
+    # One record value per origin, shared by every replica (each part
+    # and row is derived once, from the record itself); per-node
+    # insertion order is replayed so ``origins()`` — the database-sync
+    # iteration order — matches the organic run.
+    shared = {
+        kind: {origin: (seq, record(origin, body))
+               for origin, (seq, body) in payload[kind]["records"].items()}
+        for kind, record in (("topo", TopologyRecord), ("groups", GroupRecord))
     }
-    group_shared = {
-        origin: (entry[0], frozenset(entry[1]))
-        for origin, entry in payload["groups"]["records"].items()
-    }
-    topo_memo: dict = {}
-    group_memo: dict = {}
     for node_id, node in overlay.nodes.items():
         node.restore_warm(payload["nodes"][node_id])
-        node.topo_db.load_state(
-            {o: topo_shared[o] for o in payload["topo"]["order"][node_id]},
-            payload["topo"]["versions"][node_id],
-            topo_memo,
-        )
-        node.group_db.load_state(
-            {o: group_shared[o] for o in payload["groups"]["order"][node_id]},
-            payload["groups"]["versions"][node_id],
-            group_memo,
-        )
+        for kind, db in (("topo", node.topo_db), ("groups", node.group_db)):
+            db.load_state(
+                {o: shared[kind][o] for o in payload[kind]["order"][node_id]},
+                payload[kind]["versions"][node_id],
+            )
         for nbr, link in node.links.items():
             link.restore_warm(payload["links"][node_id][nbr])
 
@@ -607,13 +584,11 @@ def construct_converged(overlay, warmup: float) -> float:
     node_ids = list(overlay.nodes)
     degree = {nid: len(overlay.nodes[nid].links) for nid in node_ids}
     topo_shared = {
-        nid: (
-            1 + degree[nid],
-            {nbr: advertised_cost for nbr in overlay.nodes[nid].links},
-        )
+        nid: (1 + degree[nid], TopologyRecord(
+            nid, {nbr: advertised_cost for nbr in overlay.nodes[nid].links}))
         for nid in node_ids
     }
-    group_shared = {nid: (1, frozenset()) for nid in node_ids}
+    group_shared = {nid: (1, GroupRecord(nid, ())) for nid in node_ids}
     # Local version counters tick once per *accepted* update; how many
     # of each origin's intermediate LSU generations a replica accepted
     # is a flood-race artifact nothing reads back — use the all-accepted
@@ -629,8 +604,6 @@ def construct_converged(overlay, warmup: float) -> float:
     )
     rx_state = [n_ticks - 1, last_arrival, monitor.loss_est,
                 monitor.latency_est, monitor.version]
-    topo_memo: dict = {}
-    group_memo: dict = {}
     for node in overlay.nodes.values():
         node.restore_warm({
             "lsu_seq": 1 + degree[node.id],
@@ -638,8 +611,8 @@ def construct_converged(overlay, warmup: float) -> float:
             "advertised": dict(topo_shared[node.id][1]),
             "protocol_epochs": 0,
         })
-        node.topo_db.load_state(topo_shared, topo_version, topo_memo)
-        node.group_db.load_state(group_shared, len(node_ids), group_memo)
+        node.topo_db.load_state(topo_shared, topo_version)
+        node.group_db.load_state(group_shared, len(node_ids))
         for link in node.links.values():
             names = link.carriers
             link.restore_warm({
@@ -666,59 +639,27 @@ def construct_converged(overlay, warmup: float) -> float:
     # at every shared tick instant the failure checks fire before the
     # hellos (checks re-arm first), so adopt all checks, then all
     # hellos, then the per-node metric/refresh cadences.
-    entries: list[tuple[str, str, str | None, dict]] = []
-    for nid in node_ids:
-        for nbr in overlay.nodes[nid].links:
-            entries.append((
-                "check", nid, nbr,
-                {"time": check_next, "seq": None, "interval": interval,
-                 "fired": check_fired, "rearmed": check_fired},
-            ))
-    for nid in node_ids:
-        for nbr in overlay.nodes[nid].links:
-            entries.append((
-                "hello", nid, nbr,
-                {"time": hello_next, "seq": None, "interval": interval,
-                 "fired": hello_fired, "rearmed": hello_fired},
-            ))
-    for nid in node_ids:
-        entries.append((
-            "metric", nid, None,
-            {"time": metric_next, "seq": None,
-             "interval": METRIC_CHECK_INTERVAL,
-             "fired": metric_fired, "rearmed": metric_fired},
-        ))
-        entries.append((
-            "refresh", nid, None,
-            {"time": refresh_next, "seq": None,
-             "interval": config.lsu_refresh, "fired": 0, "rearmed": 0},
-        ))
-    for kind, nid, nbr, entry in entries:
-        node = overlay.nodes[nid]
-        if kind == "hello":
-            link = node.links[nbr]
-            link._hello_timer = snap.adopt_timer(
-                sim, entry, link._hello_tick, exact_seq=False
-            )
-        elif kind == "check":
-            link = node.links[nbr]
-            link._check_timer = snap.adopt_timer(
-                sim, entry, link._check_tick, exact_seq=False
-            )
-        elif kind == "metric":
-            node._metric_timer = snap.adopt_timer(
-                sim, entry, node._metric_tick, exact_seq=False
-            )
-        else:
-            node._refresh_timer = snap.adopt_timer(
-                sim, entry, node._refresh_tick, exact_seq=False
-            )
-    sim.timer_fired = sum(e[3]["fired"] for e in entries)
-    sim.timer_rearmed = sum(e[3]["rearmed"] for e in entries)
+    def timer(kind, nid, nbr, time, every, fired):
+        return {"kind": kind, "node": nid, "nbr": nbr, "time": time, "seq": None,
+                "interval": every, "fired": fired, "rearmed": fired}
 
-    link_ups = sum(degree.values())
-    if link_ups:
-        overlay.counters.add("link-up", float(link_ups))
+    entries = [
+        timer(kind, nid, nbr, time, interval, fired)
+        for kind, time, fired in (("check", check_next, check_fired),
+                                  ("hello", hello_next, hello_fired))
+        for nid in node_ids for nbr in overlay.nodes[nid].links
+    ] + [
+        entry for nid in node_ids for entry in (
+            timer("metric", nid, None, metric_next, METRIC_CHECK_INTERVAL,
+                  metric_fired),
+            timer("refresh", nid, None, refresh_next, config.lsu_refresh, 0),
+        )
+    ]
+    _adopt_schedule(overlay, entries, exact_seq=False)
+    sim.timer_fired = sum(e["fired"] for e in entries)
+    sim.timer_rearmed = sum(e["rearmed"] for e in entries)
+
+    overlay.counters.add("link-up", float(sum(degree.values())))
 
     if not overlay.converged():
         raise WarmStartError("constructed overlay failed the convergence check")
@@ -779,10 +720,12 @@ class SnapshotStore:
     def save(self, key: str, payload: dict) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(key)
-        tmp = path.with_suffix(".tmp")
-        with gzip.open(tmp, "wt", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-        os.replace(tmp, path)
+
+        def write(tmp: Path) -> None:
+            with gzip.open(tmp, "wt", encoding="utf-8") as fh:
+                json.dump(payload, fh, separators=(",", ":"))
+
+        atomic_write(path, write)
         return path
 
 

@@ -40,7 +40,7 @@ from repro.audit import (
 )
 from repro.core.compute import RouteComputeEngine
 from repro.core.config import OverlayConfig
-from repro.core.linkstate import TopologyDatabase
+from repro.core.linkstate import TopologyDatabase, TopologyRecord
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.core.pipeline import ForwardingCache
@@ -484,6 +484,32 @@ def test_topology_views_audit_passes_and_fires():
     violation = auditor.report.violations[0]
     assert violation.invariant == "topology-views"
     assert "adjacency()" in violation.detail
+
+
+@pytest.mark.parametrize("stale, invariant", [
+    ("_part", "topology-fingerprint"),
+    ("_row", "topology-views"),
+])
+def test_a_record_with_a_stale_cache_is_caught(stale, invariant):
+    """A shared record whose cached part or row no longer matches its
+    costs (a derivation gone stale) is caught: the audit rebuilds from
+    fresh records built out of the exported costs, never from the
+    cache it is checking."""
+    from types import MappingProxyType
+
+    auditor = Auditor(counters=Counter(), sample_every=1, register=False)
+    db = AuditedTopologyDatabase(auditor, auditor.counters)
+    old = TopologyRecord("a", {"b": 1.0})
+    db.update("a", 1, old)
+    db.update("b", 1, {"a": 1.0})
+    db.adjacency()
+    assert auditor.report.ok
+    new = TopologyRecord("a", {"b": 5.0})
+    cached = {"_part": old.part, "_row": MappingProxyType({"b": 1.0})}
+    object.__setattr__(new, stale, cached[stale])
+    assert db.update("a", 2, new)
+    db.adjacency()
+    assert [v.invariant for v in auditor.report.violations] == [invariant]
 
 
 # ----------------------------------------------------- switch + end-to-end

@@ -1,6 +1,13 @@
 """Shared-state replicas: topology database, group database, dedup."""
 
-from repro.core.linkstate import DedupCache, GroupDatabase, TopologyDatabase
+import pytest
+
+from repro.core.linkstate import (
+    DedupCache,
+    GroupDatabase,
+    TopologyDatabase,
+    TopologyRecord,
+)
 
 
 def test_topology_update_accepts_newer_seq():
@@ -155,6 +162,30 @@ def test_topology_refuses_negative_and_non_finite_costs():
     assert db.record("a") == {"b": 1.0}
     assert db.counters.get("lsu-rejected") == 4
     assert db.update("a", 2, {"b": 0.0, "c": None})  # zero and down are fine
+
+
+def test_every_replica_refuses_and_counts_a_shared_bad_record():
+    """The cost verdict is derived once, on the record; the refusal and
+    its ``lsu-rejected`` count stay per replica."""
+    from repro.sim.trace import Counter
+
+    bad = TopologyRecord("a", {"b": float("nan"), "c": 1.0})
+    counters = Counter()
+    dbs = [TopologyDatabase(counters) for _ in range(3)]
+    assert not any(db.update("a", 1, bad) for db in dbs)
+    assert counters.get("lsu-rejected") == 3
+    assert not bad.valid and all(db.record("a") is None for db in dbs)
+
+
+def test_records_are_frozen_values():
+    record = TopologyRecord("a", {"b": 1.0})
+    with pytest.raises(AttributeError):
+        record.origin = "b"
+    with pytest.raises(AttributeError):
+        del record._part
+    with pytest.raises(TypeError):
+        record["b"] = 2.0  # a read-only mapping
+    assert record == {"b": 1.0} and record.row == {"b": 1.0}
 
 
 def test_dedup_capacity_validation():

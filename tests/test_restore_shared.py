@@ -1,19 +1,22 @@
-"""Restoring converged state pays per record, not per replica.
+"""Shared state pays per record, not per replica.
 
 A converged n-node overlay holds n replicas of the same n link-state
-and group records. :func:`~repro.core.warmstart.restore` hands every
-replica the same record objects plus one per-restore memo, so each
-record's content digest and adjacency row are derived once and shared.
-The contract held here (DESIGN.md "Warm-start"):
+and group records. Each record is one frozen value
+(:class:`~repro.core.linkstate.TopologyRecord` /
+:class:`~repro.core.linkstate.GroupRecord`) that derives its content
+digest and adjacency row once, on first use, and every replica storing
+it shares them — whether it arrived by the live flood or by
+:func:`~repro.core.warmstart.restore`. The contract held here
+(DESIGN.md "Warm-start", "Shared records"):
 
 * ``content_digest`` runs once per distinct record, not once per
-  (replica, record) pair;
-* every replica's fingerprint and views equal a cold, memo-less
-  ``load_state`` of its own records, row by row and in order;
+  (replica, record) pair — on restore and on the live flood, where
+  every replica's stored record for an origin *is* one object;
+* every replica's fingerprint and views equal a cold ``load_state``
+  of its own exported records, row by row and in order;
 * the shared rows are never written: an update at one replica moves
   only that replica's view;
-* the memo matches records by identity, so two different records for
-  one origin never share a digest;
+* two different records for one origin never share a part or a row;
 * an audited restored overlay, driven through a fiber cut and repair,
   re-derives every patched view cold without a violation.
 """
@@ -23,7 +26,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import linkstate
-from repro.core.linkstate import GroupDatabase, TopologyDatabase
+from repro.core.linkstate import (
+    GroupDatabase,
+    GroupRecord,
+    TopologyDatabase,
+    TopologyRecord,
+)
+from repro.core.node import OverlayNode
 from repro.core.warmstart import capture, restore
 from tests.test_warmstart import WARMUP, _mesh
 
@@ -42,13 +51,9 @@ def payload():
     return capture(overlay, key="shared", source_fingerprint="fp0")
 
 
-def _restored(payload):
-    overlay = _mesh(N)
-    restore(overlay, payload)
-    return overlay
-
-
-def test_one_digest_per_distinct_record(payload, monkeypatch):
+@pytest.fixture
+def digests(monkeypatch) -> list:
+    """Every ``content_digest`` payload hashed while the test runs."""
     calls: list = []
     real = linkstate.content_digest
 
@@ -56,15 +61,49 @@ def test_one_digest_per_distinct_record(payload, monkeypatch):
         calls.append(blob)
         return real(blob)
 
-    overlay = _mesh(N)
     monkeypatch.setattr(linkstate, "content_digest", counting)
+    return calls
+
+
+def _restored(payload):
+    overlay = _mesh(N)
+    restore(overlay, payload)
+    return overlay
+
+
+def test_one_digest_per_distinct_record(payload, digests):
+    overlay = _mesh(N)
     restore(overlay, payload)
     topo = {(o, tuple(sorted(costs.items())))
             for o, (__, costs) in payload["topo"]["records"].items()}
     groups = {(o, tuple(sorted(gs)))
               for o, (__, gs) in payload["groups"]["records"].items()}
     assert len(topo) == len(groups) == N
-    assert sorted(calls) == sorted(topo | groups)
+    assert sorted(digests) == sorted(topo | groups)
+
+
+def test_the_live_flood_shares_one_record_per_origin(digests, monkeypatch):
+    flooded: dict = {}
+    real_flood = OverlayNode._flood
+
+    def collecting(node, kind, info, exclude=None):
+        body = info["costs"] if kind == "lsu" else info["groups"]
+        flooded[id(body)] = body  # holds the object: ids stay unique
+        real_flood(node, kind, info, exclude)
+
+    monkeypatch.setattr(OverlayNode, "_flood", collecting)
+    overlay = _mesh(N)
+    overlay.warm_up(WARMUP)
+    assert overlay.converged()
+    nodes = list(overlay.nodes.values())
+    for origin in overlay.nodes:
+        topo = {id(n.topo_db.record(origin)) for n in nodes}
+        groups = {id(n.group_db.record(origin)) for n in nodes}
+        assert len(topo) == len(groups) == 1, origin
+        assert topo <= flooded.keys() and groups <= flooded.keys()
+    # One digest per originated record, however many replicas hold it.
+    assert len(digests) == len(flooded)
+    assert len(flooded) < N * N
 
 
 def test_every_replica_equals_a_cold_load(payload):
@@ -107,31 +146,37 @@ def test_an_update_moves_only_its_own_replica(payload):
         assert view[origin][nbr] != costs[nbr]
 
 
-def test_the_memo_never_conflates_two_records():
-    memo: dict = {}
-    cheap = {"a": (1, {"b": 1.0, "c": None})}
-    dear = {"a": (1, {"b": 9.0, "c": None})}
-    alike = {"a": (1, {"b": 1.0, "c": None})}  # equal, but not the object
+def test_two_records_never_share_a_derivation(digests):
+    cheap = TopologyRecord("a", {"b": 1.0, "c": None})
+    dear = TopologyRecord("a", {"b": 9.0, "c": None})
+    alike = TopologyRecord("a", {"b": 1.0, "c": None})  # equal, not the object
     dbs = []
-    for records in (cheap, dear, alike, cheap):
+    for record in (cheap, dear, alike, cheap):
         db = TopologyDatabase()
-        db.load_state(records, 1, memo)
+        db.load_state({"a": (1, record)}, 1)
+        assert db.record("a") is record
         cold = TopologyDatabase()
-        cold.load_state(records, 1)
+        cold.load_state({"a": (1, dict(record))}, 1)
         assert db.fingerprint == cold.fingerprint
         assert ordered(db.adjacency()) == ordered(cold.adjacency())
         dbs.append(db)
+    assert cheap.part != dear.part and cheap.row != dear.row
     assert dbs[0].fingerprint != dbs[1].fingerprint
     assert dbs[0].fingerprint == dbs[2].fingerprint == dbs[3].fingerprint
-    assert dbs[0].adjacency()["a"] is dbs[3].adjacency()["a"]
+    assert dbs[0].adjacency()["a"] is dbs[3].adjacency()["a"] is cheap.row
+    assert dbs[2].adjacency()["a"] is alike.row is not cheap.row
     assert dbs[1].adjacency()["a"]["b"] == 9.0
+    # Three records, three digests (the second load of ``cheap`` adds
+    # none), plus one for each of the four cold loads' fresh copies.
+    assert len(digests) == 3 + 4
 
-    gmemo: dict = {}
     one, two = GroupDatabase(), GroupDatabase()
-    one.load_state({"a": (1, frozenset({"g"}))}, 1, gmemo)
-    two.load_state({"a": (1, frozenset({"h"}))}, 1, gmemo)
-    assert one.fingerprint != two.fingerprint
+    g, h = GroupRecord("a", {"g"}), GroupRecord("a", {"h"})
+    one.load_state({"a": (1, g)}, 1)
+    two.load_state({"a": (1, h)}, 1)
+    assert g.part != h.part and one.fingerprint != two.fingerprint
     assert one.members("g") == ["a"] and two.members("g") == []
+    assert one.record("a") is g
 
 
 def test_audited_restore_through_a_cut_and_repair(payload, monkeypatch):

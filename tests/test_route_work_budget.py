@@ -5,9 +5,11 @@ convergence, the EWMA-settling refresh at t=5, a pure refresh flood at
 t=10, one fiber cut, its repair — holds the incremental path to what it
 promises:
 
-* a changed LSU costs each replica **one** adjacency row (not n), and a
-  refresh flood that repeats stored content costs no row and no digest
-  (``topo.rows_patched``, and a count of ``content_digest`` calls);
+* a changed LSU costs each replica **one** adjacency row (not n) and
+  the whole overlay **one** content digest (not one per replica): the
+  flooded record is one shared value. A refresh flood that repeats
+  stored content costs no row and no digest (``topo.rows_patched``, a
+  count of ``content_digest`` calls, and of originated records);
 * a next-hop table is searched only as far as it is asked
   (``route.settled`` per ``route.compute`` well under n);
 * none of it changes *what* is computed: ``route.compute`` /
@@ -30,6 +32,7 @@ import repro.core.linkstate as linkstate
 from repro.analysis.workloads import CbrSource
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
+from repro.core.node import OverlayNode
 from repro.net.internet import Internet
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
@@ -72,11 +75,19 @@ def run_scenario() -> dict:
     adjacency views read just before and after the cut."""
     sim, inet, overlay = _build()
     digests = [0]
+    originated = [0]
     real_digest = linkstate.content_digest
+    real_originate = OverlayNode.originate_lsu, OverlayNode.originate_gsu
 
     def counting_digest(payload):
         digests[0] += 1
         return real_digest(payload)
+
+    def counting(originate):
+        def wrapper(node):
+            originated[0] += 1
+            originate(node)
+        return wrapper
 
     def read_all() -> dict:
         return {node.id: node.routing.adjacency()
@@ -90,11 +101,14 @@ def run_scenario() -> dict:
             "topo.rows_patched": counters.get("topo.rows_patched", 0.0),
             "route.settled": counters.get("route.settled", 0.0),
             "digests": digests[0],
+            "originated": originated[0],
             "versions": sum(n.topo_db.version for n in overlay.nodes.values()),
         })
         return row
 
     linkstate.content_digest = counting_digest
+    OverlayNode.originate_lsu = counting(real_originate[0])
+    OverlayNode.originate_gsu = counting(real_originate[1])
     try:
         for i in range(0, N, 3):
             overlay.client(_site(i + 17), 7)
@@ -120,6 +134,7 @@ def run_scenario() -> dict:
         phases["repair"] = snapshot()
     finally:
         linkstate.content_digest = real_digest
+        OverlayNode.originate_lsu, OverlayNode.originate_gsu = real_originate
     return {"phases": phases, "views": (views_before, views_after)}
 
 
@@ -144,10 +159,18 @@ def test_work_budget_and_unchanged_route_work():
     assert _delta(phases, "pure_refresh", "topo.rows_patched") == 0
     assert _delta(phases, "pure_refresh", "fwd.invalidate") == 0
 
-    # The cut: both ends re-announce once, every replica accepts two
-    # changed records and patches exactly those two rows.
+    # A record's digest is derived once, however many replicas store
+    # it: never more digests than originated records.
+    for phase, row in phases.items():
+        assert row["digests"] <= row["originated"], phase
+    assert (_delta(phases, "settling_refresh", "digests")
+            <= _delta(phases, "settling_refresh", "originated"))
+
+    # The cut: both ends re-announce once, every replica accepts the
+    # two changed records — one digest each, overlay-wide — and
+    # patches exactly those two rows.
     ends = sorted(_site(int(router[1:])) for router in CUT)
-    assert _delta(phases, "fiber_cut", "digests") == 2 * N
+    assert _delta(phases, "fiber_cut", "digests") == 2
     assert _delta(phases, "fiber_cut", "topo.rows_patched") == 2 * N
     before, after = result["views"]
     for node_id in before:

@@ -12,7 +12,6 @@ packing moved no delivery is pinned by ``test_golden_digests.py``.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 
 import pytest
 
@@ -262,14 +261,15 @@ def test_unknown_record_kind_is_counted_not_applied():
 def test_record_bytes_do_not_depend_on_flood_or_sync():
     """Parent bug: a synced LSU (``costs`` is the database's read-only
     view) was billed 40 B where the same record flooded was billed
-    64 B, and GSU group lists were never counted per entry."""
+    64 B, and GSU group lists were never counted per entry. Flooded or
+    synced, a record now travels as its one shared record value."""
     overlay = _mesh(N)
     sent = _spy(overlay)
     overlay.client("n03", 7).join("mcast:a")
     overlay.client("n03", 8).join("mcast:b")
     overlay.warm_up(WARMUP)
     cost: dict[tuple, set[int]] = {}
-    shapes: dict[tuple, set[type]] = {}
+    bodies: dict[tuple, set[int]] = {}
     for __, frame in sent:
         records = _records(frame)
         assert frame.wire_size == LINK_HEADER_BYTES + sum(
@@ -277,11 +277,13 @@ def test_record_bytes_do_not_depend_on_flood_or_sync():
         for kind, info in records:
             key = (kind, info["origin"], info["seq"])
             cost.setdefault(key, set()).add(state_record_bytes(kind, info))
-            if kind == "lsu":
-                shapes.setdefault(key, set()).add(type(info["costs"]))
+            body = info["costs"] if kind == "lsu" else info["groups"]
+            bodies.setdefault(key, set()).add(id(body))  # ``sent`` keeps it
     assert all(len(sizes) == 1 for sizes in cost.values())
-    # Some record really did travel both ways (flooded dict, synced view).
-    assert any(kinds == {dict, MappingProxyType} for kinds in shapes.values())
+    # Every link-up synced the whole database, and each (kind, origin,
+    # seq) still went out as one object, whichever path carried it.
+    assert overlay.counters.get("link-up") > 0
+    assert all(len(ids) == 1 for ids in bodies.values())
     degree = len(overlay.nodes["n03"].links)
     final = overlay.nodes["n03"]
     assert cost[("lsu", "n03", final._lsu_seq)] == {8 * (2 + degree)}

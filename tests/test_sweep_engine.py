@@ -558,7 +558,7 @@ def test_store_tmp_names_are_unique_and_never_leak(tmp_path):
     concurrent writer of one digest — interleaved writes could publish
     a torn file. Tmp names are now unique per process *and* per call,
     and no tmp droppings survive a store."""
-    from repro.analysis.runner import _unique_tmp
+    from repro.core.fileio import _unique_tmp
 
     target = tmp_path / "abc123.json"
     names = {_unique_tmp(target) for _ in range(50)}

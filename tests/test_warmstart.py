@@ -369,6 +369,59 @@ def test_store_load_returns_none_on_a_corrupt_file(tmp_path, monkeypatch,
     assert store.load("k") is None
 
 
+def test_concurrent_saves_of_one_key_never_tear(tmp_path, monkeypatch):
+    """Writers of one key each publish a whole file (a shared tmp name
+    let them interleave into one torn file, or fail its rename), and a
+    reader only ever loads one of the payloads written."""
+    import threading
+
+    monkeypatch.delenv(WARMSTART_FRESH_ENV, raising=False)
+    store = SnapshotStore(tmp_path)
+    payloads = [{"format": FORMAT_VERSION, "meta": {"writer": w},
+                 "pad": [w] * 20_000} for w in range(4)]
+    store.save("k", payloads[0])
+    errors: list = []
+    loaded: list = []
+    writing = threading.Event()
+
+    def writer(payload):
+        try:
+            for _ in range(10):
+                store.save("k", payload)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def reader():
+        while writing.is_set():
+            loaded.append(store.load("k"))
+
+    writers = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    writing.set()
+    watcher = threading.Thread(target=reader)
+    watcher.start()
+    for thread in writers:
+        thread.start()
+    for thread in writers:
+        thread.join()
+    writing.clear()
+    watcher.join()
+    assert errors == []
+    assert loaded and all(payload in payloads for payload in loaded)
+    assert store.load("k") in payloads
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_failed_save_leaves_no_tmp_and_the_old_file(tmp_path, monkeypatch):
+    monkeypatch.delenv(WARMSTART_FRESH_ENV, raising=False)
+    store = SnapshotStore(tmp_path)
+    good = {"format": FORMAT_VERSION, "meta": {}}
+    store.save("k", good)
+    with pytest.raises(TypeError):
+        store.save("k", {"format": FORMAT_VERSION, "meta": {}, "x": object()})
+    assert store.load("k") == good
+    assert [p.name for p in tmp_path.iterdir()] == [store.path("k").name]
+
+
 def test_ensure_warm_recaptures_over_a_corrupt_snapshot(tmp_path, monkeypatch):
     monkeypatch.delenv(WARMSTART_FRESH_ENV, raising=False)
     store = SnapshotStore(tmp_path)
