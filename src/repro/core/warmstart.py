@@ -50,6 +50,7 @@ import json
 import os
 import time as _time
 import zlib
+from collections import OrderedDict
 from pathlib import Path
 from typing import Callable
 
@@ -71,6 +72,14 @@ ENV_STORE_DIR = "REPRO_WARMSTART_DIR"
 ENV_FRESH = "REPRO_WARMSTART_FRESH"
 
 _TIMER_KINDS = ("hello", "check", "refresh", "metric")
+
+#: Snapshots decoded in this process, keyed by the blake2b of the
+#: file's bytes: ``[payload, its shared records or None]``. A sweep
+#: worker decodes its campaign's snapshot once, not once per cell, and
+#: every cell's restore stores the same record values. Bounded: the
+#: least recently loaded goes first.
+_DECODED: OrderedDict[bytes, list] = OrderedDict()
+DECODED_CAPACITY = 4
 
 
 class WarmStartError(RuntimeError):
@@ -311,6 +320,24 @@ def _adopt_schedule(overlay, entries: list[dict], exact_seq: bool = True) -> Non
                 snap.adopt_timer(sim, entry, tick, exact_seq=exact_seq))
 
 
+def _shared_records(payload: dict) -> dict:
+    """``{kind: {origin: (seq, record)}}`` for a payload: built once per
+    decoded snapshot and kept with it (records are frozen values, so
+    the overlays of every restore may share them), or afresh for a
+    payload that did not come out of :meth:`SnapshotStore.load`."""
+    entry = next((e for e in _DECODED.values() if e[0] is payload), None)
+    if entry is not None and entry[1] is not None:
+        return entry[1]
+    shared = {
+        kind: {origin: (seq, record(origin, body))
+               for origin, (seq, body) in payload[kind]["records"].items()}
+        for kind, record in (("topo", TopologyRecord), ("groups", GroupRecord))
+    }
+    if entry is not None:
+        entry[1] = shared
+    return shared
+
+
 def restore(overlay, payload: dict) -> float:
     """Install a :func:`capture` payload into a fresh, unstarted
     overlay on the same topology; returns the resumed instant ``t0``.
@@ -319,7 +346,8 @@ def restore(overlay, payload: dict) -> float:
     produced the snapshot; restores are seq-exact. Restored
     database fingerprints are recomputed canonically and checked
     against the snapshot's — a corrupt or mismatched payload fails
-    loudly instead of silently diverging.
+    loudly instead of silently diverging. ``payload`` is only read:
+    one decoded snapshot serves every restore in the process.
     """
     if payload.get("format") != FORMAT_VERSION:
         raise WarmStartError(
@@ -345,11 +373,7 @@ def restore(overlay, payload: dict) -> float:
     # and row is derived once, from the record itself); per-node
     # insertion order is replayed so ``origins()`` — the database-sync
     # iteration order — matches the organic run.
-    shared = {
-        kind: {origin: (seq, record(origin, body))
-               for origin, (seq, body) in payload[kind]["records"].items()}
-        for kind, record in (("topo", TopologyRecord), ("groups", GroupRecord))
-    }
+    shared = _shared_records(payload)
     for node_id, node in overlay.nodes.items():
         node.restore_warm(payload["nodes"][node_id])
         for kind, db in (("topo", node.topo_db), ("groups", node.group_db)):
@@ -677,6 +701,12 @@ class SnapshotStore:
     never restored (mirroring the sweep cache's contract). Setting
     ``REPRO_WARMSTART_FRESH`` (the sweep ``--fresh`` flag does this)
     deletes on sight instead of loading.
+
+    A load reads the file's bytes every time but decodes them once per
+    process: payloads are memoized by the blake2b of those bytes
+    (:data:`DECODED_CAPACITY` of them), so a rewritten file decodes
+    afresh and a corrupt one is a miss however often a good one with
+    the same key was read. A loaded payload is shared and read-only.
     """
 
     def __init__(self, root: str | os.PathLike | None = None) -> None:
@@ -703,14 +733,26 @@ class SnapshotStore:
                 pass
             return None
         try:
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError, EOFError, zlib.error):
-            return None  # missing, truncated, bit-flipped or not JSON
-        if (not isinstance(payload, dict)
-                or payload.get("format") != FORMAT_VERSION
-                or not isinstance(payload.get("meta"), dict)):
-            return None
+            blob = path.read_bytes()
+        except OSError:
+            return None  # missing
+        digest = hashlib.blake2b(blob, digest_size=16).digest()
+        entry = _DECODED.get(digest)
+        if entry is None:
+            try:
+                payload = json.loads(gzip.decompress(blob))
+            except (OSError, ValueError, EOFError, zlib.error):
+                return None  # truncated, bit-flipped or not JSON
+            if (not isinstance(payload, dict)
+                    or payload.get("format") != FORMAT_VERSION
+                    or not isinstance(payload.get("meta"), dict)):
+                return None
+            entry = _DECODED[digest] = [payload, None]
+            while len(_DECODED) > DECODED_CAPACITY:
+                _DECODED.popitem(last=False)
+        else:
+            _DECODED.move_to_end(digest)
+        payload = entry[0]
         if (source_fingerprint is not None
                 and payload["meta"].get("source_fingerprint")
                 != source_fingerprint):

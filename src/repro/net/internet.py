@@ -55,16 +55,19 @@ def _quiet(links) -> bool:
 
 
 class _PathProfile:
-    """A resolved underlay transit: the ordered fibers (and the router
-    at the far end of each) the current forwarding tables would walk,
-    and their summed delay. It records nothing about the fibers' state:
-    whoever settles on it asks :func:`_quiet` at that instant. Both
-    tiers read the same profiles out of :attr:`Internet._path_cache`."""
+    """A resolved underlay transit: the router it starts from, the
+    ordered fibers (and the router at the far end of each) the current
+    forwarding tables would walk, and their summed delay. It records
+    nothing about the fibers' state: whoever settles on it asks
+    :func:`_quiet` at that instant. Both tiers read the same profiles
+    out of :attr:`Internet._path_cache`."""
 
-    __slots__ = ("domain", "links", "routers", "total_delay", "n_hops")
+    __slots__ = ("domain", "start", "links", "routers", "total_delay",
+                 "n_hops")
 
-    def __init__(self, domain, links, routers, total_delay, n_hops):
+    def __init__(self, domain, start, links, routers, total_delay, n_hops):
         self.domain = domain
+        self.start = start
         self.links = links
         self.routers = routers
         self.total_delay = total_delay
@@ -395,8 +398,13 @@ class Internet:
         datagram = Datagram(src, dst, payload, size, sent_at=self.sim.now)
         self.counters.add("datagrams-sent")
         self.counters.add("bytes-sent", datagram.wire_size)
+        access = self.hosts[src].access_delay
+        if not access and not self.columnar_window and self._settle(
+                (domain, src_label, dst_label), datagram, on_deliver,
+                on_drop, 0, None):
+            return datagram
         event = self.sim.schedule(
-            self.hosts[src].access_delay,
+            access,
             self._hop_cb,
             domain,
             src_label,
@@ -429,7 +437,11 @@ class Internet:
         add("datagrams-sent")
         add("bytes-sent", size + HEADER_BYTES)
         w = self.columnar_window
-        if w and self.sim._running and chan.src_access <= w:
+        if not w:
+            if not chan.src_access and self._settle(
+                    chan.path_key, datagram, on_deliver, on_drop, 0, None):
+                return datagram
+        elif self.sim._running and chan.src_access <= w:
             # Quiet-channel lane (batched tier): a channel whose every
             # fiber is quiet right now has a fixed outcome, so the send
             # settles here — per-fiber counters plus one row of the bulk
@@ -505,34 +517,10 @@ class Internet:
             self._drop(datagram, DROP_NO_ROUTE, on_drop)
             return
         if nxt != dst_label and self.columnar_window == 0.0:
-            # Quiet transit (exact tier): two or more fibers to go, and
-            # on every one of them — un-cut, loss-free, jitter-free,
-            # uncapped, as of this instant — the walk would only add a
-            # constant and bump two counters. Settle all of them here
-            # and send the chain's event straight to the delivery
-            # instant (the same floats: one add per fiber, in order).
-            # The event carries what :meth:`_demote_transits` needs to
-            # put the datagram back on the walk should the underlay
-            # change before it lands.
-            entry = self._path_cache.get((domain, router, dst_label))
-            if entry is None or entry[0] != domain.tables_epoch:
-                entry = self._resolve_path(domain, router, dst_label)
-            profile = entry[1]
             chain = datagram._chain
-            if profile is not None and chain is not None \
-                    and hops + profile.n_hops <= _MAX_HOPS \
-                    and _quiet(profile.links):
-                wire = datagram.size + HEADER_BYTES
-                t = t0 = self.sim._now
-                for link in profile.links:
-                    link.packets_carried += 1
-                    link.bytes_carried += wire
-                    t = t + link.delay
-                self.sim.repush(
-                    chain, t + self.hosts[datagram.dst].access_delay,
-                    self._deliver_cb,
-                    (datagram, on_deliver, t0, profile, on_drop, hops),
-                )
+            if chain is not None and self._settle(
+                    (domain, router, dst_label), datagram, on_deliver,
+                    on_drop, hops, chain):
                 return
         link, direction = domain.link_on_path(router, nxt)
         # The loss stream for a link never changes identity; cache it on
@@ -577,12 +565,55 @@ class Internet:
                 hops + 1,
             )
 
+    def _settle(self, key: tuple, datagram: Datagram, on_deliver: DeliverFn,
+                on_drop: DropFn | None, hops: int, chain) -> bool:
+        """Settle a quiet transit in one step, if ``key`` = ``(domain,
+        router, dst_label)`` is one: two or more fibers to go, and on
+        every one of them — un-cut, loss-free, jitter-free, uncapped, as
+        of this instant — the walk would only add a constant and bump
+        two counters. Counts the datagram on all of them and queues its
+        delivery at the instant the walk would reach it (the same
+        floats: one add per fiber, in order), by recycling ``chain`` —
+        the hop settling it — or, from a send, as a new event that
+        takes the seq the access hop would have had. Returns False,
+        having touched nothing, for anything else. The one settle step
+        of the exact tier: the hop walk and both sends call it, and the
+        audit wraps it.
+
+        The delivery event carries what :meth:`_demote_transits` needs
+        to put the datagram back on the walk should the underlay change
+        before it lands: the start instant, the profile, ``on_drop``,
+        the hops at the start and the seq of the start's hop."""
+        entry = self._path_cache.get(key)
+        if entry is None or entry[0] != key[0].tables_epoch:
+            entry = self._resolve_path(*key)
+        profile = entry[1]
+        if profile is None or profile.n_hops < 2 \
+                or hops + profile.n_hops > _MAX_HOPS \
+                or not _quiet(profile.links):
+            return False
+        wire = datagram.size + HEADER_BYTES
+        sim = self.sim
+        t = t0 = sim._now
+        for link in profile.links:
+            link.packets_carried += 1
+            link.bytes_carried += wire
+            t = t + link.delay
+        t = t + self.hosts[datagram.dst].access_delay
+        if chain is None:
+            datagram._chain = sim.schedule_at(
+                t, self._deliver_cb, datagram, on_deliver, t0, profile,
+                on_drop, hops, sim._seq)
+        else:
+            sim.repush(chain, t, self._deliver_cb, (
+                datagram, on_deliver, t0, profile, on_drop, hops, chain.seq))
+        return True
+
     def _deliver(self, datagram: Datagram, on_deliver: DeliverFn,
                  *transit) -> None:
-        """Hand ``datagram`` to its destination host. ``transit``
-        (start instant, profile, ``on_drop``, hops at the start) rides
-        on a quiet transit's event for :meth:`_demote_transits` only; a
-        delivery does not look at it."""
+        """Hand ``datagram`` to its destination host. ``transit`` (see
+        :meth:`_settle`) rides on a quiet transit's event for
+        :meth:`_demote_transits` only; a delivery does not look at it."""
         # Break the datagram <-> chain-event reference cycle so both die
         # by refcount, not in a gc sweep.
         datagram._chain = None
@@ -600,8 +631,11 @@ class Internet:
         it has not reached, and re-queued as a plain ``_hop`` at the
         next router, so a drop at a cut fiber, forwarding by stale
         tables and rerouting by fresh ones happen when and where they
-        always did. A transit already on its last fiber is left alone:
-        nothing it has yet to do reads the underlay."""
+        always did. A transit settled at its send whose start hop has
+        not come up yet in this instant's (time, seq) order goes back to
+        that hop, under that hop's own seq. A transit already on its
+        last fiber is left alone: nothing it has yet to do reads the
+        underlay."""
         sim = self.sim
         now = sim._now
         deliver = self._deliver_cb
@@ -609,7 +643,10 @@ class Internet:
         for event, live in sim.iter_queued():
             if not live or event.fn is not deliver or len(event.args) == 2:
                 continue
-            __, __, t0, profile, __, __ = event.args
+            __, __, t0, profile, __, __, seq0 = event.args
+            if t0 == now and sim._firing < seq0:
+                demoted.append((now, seq0, 0, event))
+                continue
             links = profile.links
             # ``at`` = when the walk's hop at router ``crossed`` would
             # fire; hops due strictly before now have fired.
@@ -622,17 +659,20 @@ class Internet:
                 demoted.append((at, event.seq, crossed, event))
         demoted.sort(key=lambda row: row[:2])
         for at, __, crossed, event in demoted:
-            datagram, on_deliver, __, profile, on_drop, hops = event.args
+            datagram, on_deliver, __, profile, on_drop, hops, __ = event.args
             wire = datagram.size + HEADER_BYTES
             for link in profile.links[crossed:]:
                 link.packets_carried -= 1
                 link.bytes_carried -= wire
-            event.cancel()
-            datagram._chain = sim.schedule_at(
-                at, self._hop_cb, profile.domain,
-                profile.routers[crossed - 1], profile.routers[-1],
-                datagram, on_deliver, on_drop, hops + crossed,
-            )
+            args = (profile.domain,
+                    profile.routers[crossed - 1] if crossed else profile.start,
+                    profile.routers[-1], datagram, on_deliver, on_drop,
+                    hops + crossed)
+            if crossed:
+                event.cancel()
+                datagram._chain = sim.schedule_at(at, self._hop_cb, *args)
+            else:
+                datagram._chain = sim.requeue(event, at, self._hop_cb, *args)
 
     def _drop(self, datagram: Datagram, reason: str, on_drop: DropFn | None) -> None:
         datagram._chain = None
@@ -668,7 +708,8 @@ class Internet:
             seen.add(nxt)
             cur = nxt
         return _PathProfile(
-            domain, tuple(links), tuple(routers), total_delay, len(links))
+            domain, router, tuple(links), tuple(routers), total_delay,
+            len(links))
 
     def _resolve_path(self, domain: RoutingDomain, router: Any,
                       dst_label: Any) -> tuple:

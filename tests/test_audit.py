@@ -604,6 +604,7 @@ def test_audited_overlay_checks_its_quiet_transits_and_moves_nothing(
     report = collect_report()
     assert report.ok, report.format()
     assert seen.count("transit-express") > 100
+    assert "underlay-table" in seen
     assert "datagram-conservation" in seen
 
 

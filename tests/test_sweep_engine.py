@@ -433,6 +433,55 @@ def test_pool_is_rebuilt_after_worker_death():
         shutdown_pool()
 
 
+def _restoring_cell(seed: int, root: str, sink: int):
+    """A cell on one shared convergence snapshot: restore it, carry a
+    flow for a moment, report simulated-time facts only."""
+    import random
+
+    from repro.analysis.workloads import PoissonSource
+    from repro.core.message import Address
+    from repro.core.warmstart import SnapshotStore, ensure_warm
+    from tests.test_warmstart import WARMUP, _mesh
+
+    overlay, info = ensure_warm(_mesh, ("sweep-mesh",), WARMUP,
+                                store=SnapshotStore(root), key="campaign")
+    sim = overlay.sim
+    got = []
+    dst = f"n{sink:02d}"
+    overlay.client(dst, 9, on_message=lambda m: got.append(sim.now))
+    PoissonSource(sim, random.Random(seed), overlay.client("n00"),
+                  Address(dst, 9), rate_pps=40.0, duration=0.3).start()
+    sim.run(until=sim.now + 0.5)
+    return {"source": info["warm_source"], "delivered": got}
+
+
+def test_snapshot_restoring_cells_match_wherever_and_whenever_they_run(
+        tmp_path):
+    """A worker keeps what it decoded and the underlay tables it settled
+    from one cell to the next; no cell's table may tell which worker ran
+    it, or whether another campaign ran before it in the process."""
+    from repro.core.warmstart import SnapshotStore, ensure_warm
+    from tests.test_warmstart import WARMUP, _mesh
+
+    __, info = ensure_warm(_mesh, ("sweep-mesh",), WARMUP,
+                           store=SnapshotStore(tmp_path), key="campaign")
+    assert info["warm_source"] == "organic"
+    sweep = Sweep(
+        name="test_restoring",
+        run_cell=_restoring_cell,
+        cells=[Cell(key=(i,), params={"root": str(tmp_path), "sink": 3 + i})
+               for i in range(6)],
+        master_seed=3301,
+    )
+    first = run_sweep(sweep, workers=0, cache=False, journal=False)
+    pooled = run_sweep(sweep, workers=2, cache=False, journal=False)
+    again = run_sweep(sweep, workers=0, cache=False, journal=False)
+    assert _dump(first) == _dump(pooled) == _dump(again)
+    table = first.as_table()
+    assert all(v["source"] == "snapshot" and v["delivered"]
+               for v in table.values())
+
+
 def test_batched_tables_are_byte_identical_to_serial():
     sweep = _arith_sweep()
     serial = run_sweep(sweep, workers=0, cache=False)

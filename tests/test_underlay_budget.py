@@ -7,7 +7,9 @@ crossing of the last fiber goes straight to the delivery instant
 that only adds that constant. When every fiber ahead is *quiet* (un-cut,
 loss-free, jitter-free, uncapped) the hops past the first add nothing
 but constants either, and the whole transit costs two events: the first
-hop and the delivery. The instants themselves must not have moved:
+hop and the delivery — and one, the delivery, when the sending host
+sits on its router (zero access delay): the send settles the transit
+itself. The instants themselves must not have moved:
 ``tests/golden/underlay_delivery_instants.json`` holds the ones the
 k + 2 chain produced on the commit before the fold.
 
@@ -79,7 +81,8 @@ def _send_one(sim, inet, n_fibers: int) -> int:
     inet.send("h0", f"h{n_fibers}", "x", 100, "line", got.append)
     events = sim.run()
     assert [d.payload for d in got] == ["x"]
-    assert sim.now == pytest.approx(0.0007 + 0.010 * n_fibers + 0.0011)
+    assert sim.now == pytest.approx(
+        inet.hosts["h0"].access_delay + 0.010 * n_fibers + 0.0011)
     assert inet.counters.get("datagrams-delivered") == 1
     for link in inet.isps["line"].links():
         assert (link.packets_carried, link.bytes_carried) == (1, 128)
@@ -107,6 +110,64 @@ def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers, engine):
 @pytest.mark.parametrize("n_fibers", [k for k in FIBERS if k >= 2] + [7])
 def test_quiet_transit_costs_two_events(n_fibers, engine):
     assert _send_one(*_line(n_fibers), n_fibers) == 2
+
+
+def _on_its_router(n_fibers: int):
+    """The line with the sending host on its router: no access hop to
+    wait out, so a quiet transit is settled at the send."""
+    sim, inet = _line(n_fibers)
+    inet.hosts["h0"].access_delay = 0.0
+    return sim, inet
+
+
+@ENGINES
+@pytest.mark.parametrize("n_fibers", [k for k in FIBERS if k >= 2] + [7])
+def test_quiet_transit_from_a_host_on_its_router_costs_one_event(
+        n_fibers, engine):
+    assert _send_one(*_on_its_router(n_fibers), n_fibers) == 1
+
+
+@ENGINES
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_a_fiber_that_is_not_quiet_keeps_the_walk_from_a_host_on_its_router(
+        n_fibers, engine):
+    """The same counts as from a host one access hop away: the send
+    queues the first hop, and the walk goes as far as the fiber that
+    is not quiet."""
+    for why, spoil in NOT_QUIET.items():
+        for at in range(n_fibers):
+            sim, inet = _on_its_router(n_fibers)
+            spoil(inet.isps["line"].link_between(f"r{at}", f"r{at + 1}"))
+            assert _send_one(sim, inet, n_fibers) == min(
+                n_fibers + 1, at + 3), (why, at)
+    assert _send_one(*_on_its_router(1), 1) == 2
+
+
+@ENGINES
+@pytest.mark.parametrize("fiber", range(4))
+def test_cut_at_the_send_instant_drops_a_datagram_settled_at_its_send(
+        fiber, engine):
+    """A cut scheduled for the send instant fires after the send but
+    before the first hop the send used to queue: the datagram settled
+    at its send is put back at its source router and dies at the cut
+    fiber when the walk reaches it, as it did with the first hop."""
+    sim, inet = _on_its_router(4)
+    delivered, dropped = [], []
+    sim.schedule_at(0.5, inet.send, "h0", "h4", "x", 100, "line",
+                    delivered.append,
+                    lambda d, reason: dropped.append((reason, sim.now)))
+    sim.schedule_at(0.5, inet.isps["line"].fail_link, f"r{fiber}",
+                    f"r{fiber + 1}")
+    sim.run()
+    at = 0.5
+    for __ in range(fiber):
+        at = at + 0.010
+    assert delivered == [] and dropped == [(DROP_LINK, at)]
+    links = [inet.isps["line"].link_between(f"r{i}", f"r{i + 1}")
+             for i in range(4)]
+    assert [link.packets_carried for link in links] == \
+        [1] * fiber + [0] * (4 - fiber)
+    assert links[fiber].packets_dropped == 1
 
 
 @ENGINES
