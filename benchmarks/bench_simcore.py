@@ -28,7 +28,7 @@ reaches convergence through :func:`repro.core.warmstart.ensure_warm`:
 the first leg per mesh size *constructs* the converged state directly
 from the topology spec (the uniform overlay carrier profile makes
 that legal — the organic storm on the multi-fiber mesh is 4.5 M events,
-~105 s at n=1000) and captures a snapshot into the shared store; every
+~105 s at n=1000) and saves that payload into the shared store; every
 later leg restores it (seq-exact — in quick mode a second, restored
 packet leg's measured-window trace is asserted byte-identical to the
 first's). After warming, every leg pre-fills the underlay's lazy
@@ -301,8 +301,8 @@ def _scaling_leg(engine: str, n_nodes: int, run_time: float, warmup: float,
     captured snapshot (seq-exact); on a miss, a window-0 leg constructs
     the converged state directly from the topology spec (the scale
     meshes keep every overlay link on the same uniform 5-fiber carrier
-    profile precisely so construction is legal) and captures it into
-    the store for every later leg (and run). Only when both snapshot
+    profile precisely so construction is legal), restores that payload
+    and saves it into the store for every later leg (and run). Only when both snapshot
     and construction are unavailable does a leg pay the organic storm
     (at n=1000 on the multi-fiber mesh that is ~105 s — the
     constructed path is the designed-for warm source). The returned

@@ -160,7 +160,9 @@ def add_sweep_args(parser) -> None:
     """Install the shared sweep options: ``--workers``,
     ``--replicates N``, ``--fresh`` (ignore the result cache),
     ``--resume`` (serve cells from the campaign journal), and
-    ``--status-file`` (live campaign status JSON)."""
+    ``--status-file`` (live campaign status JSON). ``--fresh`` and
+    ``--resume`` exclude each other: with the cache off no journal is
+    opened, so there would be nothing to resume from."""
     add_workers_arg(parser)
     parser.add_argument(
         "--replicates",
@@ -170,12 +172,13 @@ def add_sweep_args(parser) -> None:
         help="seeds per cell; N > 1 prints mean ± spread cells "
         "(replicate 0 is the canonical pinned seed)",
     )
-    parser.add_argument(
+    cache_mode = parser.add_mutually_exclusive_group()
+    cache_mode.add_argument(
         "--fresh",
         action="store_true",
         help="ignore .sweep_cache/ and re-simulate every cell",
     )
-    parser.add_argument(
+    cache_mode.add_argument(
         "--resume",
         action="store_true",
         help="resume a killed/interrupted campaign: serve completed "

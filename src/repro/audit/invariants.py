@@ -441,10 +441,9 @@ class AuditedRouteComputeEngine(RouteComputeEngine):
     when audited.
     """
 
-    def __init__(self, auditor: Auditor, counters=None, capacity: int = 128,
-                 check_determinism: bool = False) -> None:
-        super().__init__(counters=counters, capacity=capacity,
-                         check_determinism=check_determinism)
+    def __init__(self, auditor: Auditor, counters=None,
+                 capacity: int = 128) -> None:
+        super().__init__(counters=counters, capacity=capacity)
         self.auditor = auditor
         self._audit_hits = 0
 

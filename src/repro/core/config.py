@@ -43,10 +43,6 @@ class OverlayConfig:
             :class:`repro.core.compute.RouteComputeEngine` (bounded LRU;
             churn-heavy scenarios evict old topologies instead of
             growing without limit).
-        route_debug_check: Debug mode — the engine computes every fresh
-            routing artifact twice and asserts the results are equal,
-            guarding the determinism that route sharing (and hop-by-hop
-            multicast) requires.
         forwarding_cache_size: Bound on the per-node data-plane
             :class:`repro.core.pipeline.ForwardingCache` (memoized
             decide-stage results, invalidated wholesale when the shared
@@ -79,7 +75,6 @@ class OverlayConfig:
     crypto_sign_delay: float = 0.0
     crypto_verify_delay: float = 0.0
     route_cache_size: int = 128
-    route_debug_check: bool = False
     forwarding_cache_size: int = 65_536
     audit: bool = False
     #: The three ``columnar*`` fields spell one bit: the batched

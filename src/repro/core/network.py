@@ -108,13 +108,11 @@ class OverlayNetwork:
                 self.auditor,
                 counters=self.counters,
                 capacity=self.config.route_cache_size,
-                check_determinism=self.config.route_debug_check,
             )
         else:
             self.route_engine = RouteComputeEngine(
                 counters=self.counters,
                 capacity=self.config.route_cache_size,
-                check_determinism=self.config.route_debug_check,
             )
         #: When set (a :class:`repro.security.crypto.KeyStore`), every
         #: frame is signed by its sending node and verified on receipt:

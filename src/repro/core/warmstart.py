@@ -21,18 +21,22 @@ payload. Restored into a *fresh* overlay on the same topology, the
 continuation is byte-identical to the straight-through run: the
 restored simulator replays the exact sequence numbers.
 
-**Tier 2 — constructed convergence** (:func:`construct_converged`).
+**Tier 2 — constructed convergence** (:func:`converged_payload`).
 For static, loss-free, uniform topologies the converged state is a
 *computable* function of the topology spec: hello grids and arrival
 instants follow exact float folds, carrier monitors fold a known
 latency series, link-up instants and final LSU sequence numbers drop
 out of the hello arithmetic. Scaffolding-style (Berns,
-arXiv:2109.14126), the converged databases are built directly —
+arXiv:2109.14126), a payload in the capture format is synthesized —
 skipping the storm — and validated by fingerprint equality against an
 organically converged twin plus a settle-window fixed-point check
-(`tests/test_warmstart.py`). Constructed overlays reproduce *protocol*
+(`tests/test_warmstart.py`). Constructed payloads reproduce *protocol*
 state exactly; historical traffic statistics (bytes/frames/datagram
 counters, event counts) are explicitly not replayed.
+
+:func:`restore` is the only installer of warm state, for either tier,
+and every adopted timer carries its seq. A stored payload that decodes
+but that :func:`restore` rejects is a miss for :func:`ensure_warm`.
 
 Snapshots live in a gitignored store (:class:`SnapshotStore`, default
 ``.warmstart/``) keyed by :func:`warm_key` — blake2b of (topology
@@ -55,11 +59,12 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.fileio import atomic_write
-from repro.core.link import MIN_SWITCH_INTERVAL, _CarrierMonitor
+from repro.core.link import _CarrierMonitor
 from repro.core.linkstate import GroupRecord, TopologyRecord
 from repro.net.backbone import FWD, REV
 from repro.net.loss import NoLoss
 from repro.sim import snapshot as snap
+from repro.sim.events import SimulationError
 
 #: On-disk payload format; bumped on any incompatible schema change.
 FORMAT_VERSION = 1
@@ -70,8 +75,6 @@ ENV_STORE_DIR = "REPRO_WARMSTART_DIR"
 #: When set (non-empty, non-"0"), existing snapshots are ignored and
 #: deleted — the warm-start analogue of the sweep cache's ``--fresh``.
 ENV_FRESH = "REPRO_WARMSTART_FRESH"
-
-_TIMER_KINDS = ("hello", "check", "refresh", "metric")
 
 #: Snapshots decoded in this process, keyed by the blake2b of the
 #: file's bytes: ``[payload, its shared records or None]``. A sweep
@@ -140,7 +143,7 @@ def _load_counter(counter, values: dict) -> None:
 
 
 def _check_steady_state(overlay) -> None:
-    """The capture/construct contract: a bare converged control plane —
+    """The capture/restore contract: a bare converged control plane —
     no clients, traffic, faults, adversaries, crypto, or fluid mode."""
     if overlay.keystore is not None:
         raise WarmStartError("cannot warm-start an overlay with a keystore")
@@ -178,6 +181,46 @@ def _check_fresh(overlay) -> None:
             raise WarmStartError(f"node {node.id} already started")
 
 
+def _payload(overlay, t0: float, fingerprints: tuple, key: str,
+             source_fingerprint: str, **parts) -> dict:
+    """A payload in the one format, shared by :func:`capture` and
+    :func:`converged_payload`: the caller's ``parts`` (clock, databases,
+    node and link state, timers), plus the parts read off the live
+    overlay as they stand — RNG stream positions, fiber state, counters,
+    route generations and the next auto port."""
+    return {
+        "format": FORMAT_VERSION,
+        "meta": {
+            "key": key,
+            "source_fingerprint": source_fingerprint,
+            "t0": t0,
+            "master_seed": overlay.rngs.master_seed,
+            "topo_fingerprint": fingerprints[0],
+            "group_fingerprint": fingerprints[1],
+        },
+        **parts,
+        "rng": overlay.rngs.export_states(),
+        "fibers": {
+            name: {
+                "failed": fiber.failed,
+                "busy": [fiber._busy_until[FWD], fiber._busy_until[REV]],
+                "bytes_carried": fiber.bytes_carried,
+                "packets_carried": fiber.packets_carried,
+                "packets_dropped": fiber.packets_dropped,
+                "fluid_bytes": fiber.fluid_bytes,
+            }
+            for name, fiber in _all_fibers(overlay.internet).items()
+        },
+        "counters": {
+            "overlay": overlay.counters.as_dict(),
+            "internet": overlay.internet.counters.as_dict(),
+            "trace": overlay.trace.counters.as_dict(),
+        },
+        "route_generations": list(overlay.route_engine._store),
+        "next_auto_port": overlay._next_auto_port,
+    }
+
+
 # -------------------------------------------------------------- capture
 
 
@@ -191,7 +234,6 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
     """
     _check_steady_state(overlay)
     sim = overlay.sim
-    internet = overlay.internet
     t0 = snap.quiesce(sim)
     queued = snap.queued_auto_timers(sim)
     for node in overlay.nodes.values():
@@ -247,68 +289,36 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
         origin: [seq, sorted(groups)]
         for origin, (seq, groups) in ref.group_db.export_state().items()
     }
-    fibers = {
-        name: {
-            "failed": fiber.failed,
-            "busy": [fiber._busy_until[FWD], fiber._busy_until[REV]],
-            "bytes_carried": fiber.bytes_carried,
-            "packets_carried": fiber.packets_carried,
-            "packets_dropped": fiber.packets_dropped,
-            "fluid_bytes": fiber.fluid_bytes,
-        }
-        for name, fiber in _all_fibers(internet).items()
-    }
-
-    return {
-        "format": FORMAT_VERSION,
-        "meta": {
-            "key": key,
-            "source_fingerprint": source_fingerprint,
-            "t0": t0,
-            "master_seed": overlay.rngs.master_seed,
-            "topo_fingerprint": topo_fp,
-            "group_fingerprint": group_fp,
-        },
-        "clock": snap.capture_clock(sim),
-        "rng": overlay.rngs.export_states(),
-        "topo": {
+    return _payload(
+        overlay, t0, (topo_fp, group_fp), key, source_fingerprint,
+        clock=snap.capture_clock(sim),
+        topo={
             "records": topo_records,
             "versions": {n.id: n.topo_db.version for n in nodes},
             "order": {n.id: n.topo_db.origins() for n in nodes},
         },
-        "groups": {
+        groups={
             "records": group_records,
             "versions": {n.id: n.group_db.version for n in nodes},
             "order": {n.id: n.group_db.origins() for n in nodes},
         },
-        "nodes": {n.id: n.warm_state() for n in nodes},
-        "links": {
+        nodes={n.id: n.warm_state() for n in nodes},
+        links={
             n.id: {nbr: link.warm_state() for nbr, link in n.links.items()}
             for n in nodes
         },
-        "timers": entries,
-        "fibers": fibers,
-        "counters": {
-            "overlay": overlay.counters.as_dict(),
-            "internet": internet.counters.as_dict(),
-            "trace": overlay.trace.counters.as_dict(),
-        },
-        "route_generations": list(overlay.route_engine._store),
-        "next_auto_port": overlay._next_auto_port,
-    }
+        timers=entries,
+    )
 
 
 # -------------------------------------------------------------- restore
 
 
-def _adopt_schedule(overlay, entries: list[dict], exact_seq: bool = True) -> None:
-    """Re-arm a timer schedule into the restored overlay: a snapshot's
-    in ascending-seq order (required by the simulator's adoption API),
-    a constructed one (``exact_seq=False``, fresh seqs) in list order."""
+def _adopt_schedule(overlay, entries: list[dict]) -> None:
+    """Re-arm a snapshot's timer schedule into the restored overlay, in
+    ascending-seq order, each timer with its own seq."""
     sim = overlay.sim
-    if exact_seq:
-        entries = sorted(entries, key=lambda e: e["seq"])
-    for entry in entries:
+    for entry in sorted(entries, key=lambda e: e["seq"]):
         kind = entry["kind"]
         owner = overlay.nodes[entry["node"]]  # refresh / metric timers
         if kind in ("hello", "check"):
@@ -316,8 +326,9 @@ def _adopt_schedule(overlay, entries: list[dict], exact_seq: bool = True) -> Non
         elif kind not in ("refresh", "metric"):
             raise WarmStartError(f"unknown timer kind {kind!r} in snapshot")
         tick = getattr(owner, f"_{kind}_tick")
-        setattr(owner, f"_{kind}_timer",
-                snap.adopt_timer(sim, entry, tick, exact_seq=exact_seq))
+        setattr(owner, f"_{kind}_timer", sim.adopt_periodic(
+            entry["time"], entry["interval"], tick, seq=entry["seq"],
+            fired=entry["fired"], rearmed=entry["rearmed"]))
 
 
 def _shared_records(payload: dict) -> dict:
@@ -366,7 +377,7 @@ def restore(overlay, payload: dict) -> float:
                 f"snapshot link set of {node_id} does not match the overlay"
             )
 
-    snap.restore_clock(sim, payload["clock"])
+    sim.restore_clock(**payload["clock"])
     overlay.rngs.import_states(payload["rng"])
 
     # One record value per origin, shared by every replica (each part
@@ -494,9 +505,12 @@ def _uniform_profile(overlay) -> tuple[float, tuple, float, int]:
     return (*profile, carriers)
 
 
-def construct_converged(overlay, warmup: float) -> float:
-    """Build the converged state a ``warm_up(warmup)`` + quiesce run
-    would reach, directly from the topology spec — no flood storm.
+def converged_payload(overlay, warmup: float, key: str = "",
+                      source_fingerprint: str = "") -> dict:
+    """The :func:`capture` payload of the converged state a
+    ``warm_up(warmup)`` + quiesce run would reach, computed from the
+    topology spec — no flood storm. :func:`restore` installs it; this
+    function only reads ``overlay`` (a fresh one on that topology).
 
     Only static, loss-free, capacity-free, jitter-free topologies whose
     carrier paths are uniform qualify (everything else raises
@@ -508,15 +522,11 @@ def construct_converged(overlay, warmup: float) -> float:
     organic run's, validated by content-fingerprint equality in the
     test suite. Historical traffic statistics (byte/frame/datagram
     counters, processed-event counts) are *not* replayed: constructed
-    overlays start those at zero (``link-up`` excepted), which is the
-    documented difference from an organic warm-up.
-
-    Returns the constructed instant ``t0`` (clock already advanced).
+    payloads carry those at zero (``link-up`` excepted), which is the
+    documented difference from an organic warm-up. Timers carry seqs
+    ``0..k-1`` in the organic per-instant order, and ``clock.seq`` is k.
     """
     config = overlay.config
-    _check_steady_state(overlay)
-    _check_fresh(overlay)
-    sim = overlay.sim
     if overlay.internet.columnar_window:
         raise WarmStartError(
             "constructed convergence requires columnar_window == 0"
@@ -607,67 +617,46 @@ def construct_converged(overlay, warmup: float) -> float:
     n_ticks = len(ticks)
     node_ids = list(overlay.nodes)
     degree = {nid: len(overlay.nodes[nid].links) for nid in node_ids}
-    topo_shared = {
-        nid: (1 + degree[nid], TopologyRecord(
-            nid, {nbr: advertised_cost for nbr in overlay.nodes[nid].links}))
-        for nid in node_ids
-    }
-    group_shared = {nid: (1, GroupRecord(nid, ())) for nid in node_ids}
+    costs = {nid: {nbr: advertised_cost for nbr in overlay.nodes[nid].links}
+             for nid in node_ids}
+    topo_fp = group_fp = 0
+    for nid in node_ids:
+        topo_fp ^= TopologyRecord(nid, costs[nid]).part
+        group_fp ^= GroupRecord(nid, ()).part
     # Local version counters tick once per *accepted* update; how many
     # of each origin's intermediate LSU generations a replica accepted
     # is a flood-race artifact nothing reads back — use the all-accepted
     # upper bound. Group state has exactly one generation per origin.
     topo_version = sum(1 + degree[nid] for nid in node_ids)
 
-    sim.restore_clock(
-        t0,
-        0,
-        processed=0,
-        timer_fired=0,
-        timer_rearmed=0,
-    )
     rx_state = [n_ticks - 1, last_arrival, monitor.loss_est,
                 monitor.latency_est, monitor.version]
-    for node in overlay.nodes.values():
-        node.restore_warm({
-            "lsu_seq": 1 + degree[node.id],
-            "gsu_seq": 1,
-            "advertised": dict(topo_shared[node.id][1]),
-            "protocol_epochs": 0,
-        })
-        node.topo_db.load_state(topo_shared, topo_version)
-        node.group_db.load_state(group_shared, len(node_ids))
-        for link in node.links.values():
-            names = link.carriers
-            link.restore_warm({
-                "up": True,
-                "muted": False,
-                "carrier_idx": 0,
-                "switch_count": 0,
-                "bytes_sent": 0,
-                "frames_sent": 0,
-                "data_bytes_sent": 0,
-                "data_frames_sent": 0,
-                "hello_seq": {name: n_ticks for name in names},
-                "rx": {name: list(rx_state) for name in names},
-                "peer_feedback": {name: 0.0 for name in names},
-                "last_rx_time": last_arrival,
-                "recover_count": 0,
-                "last_switch": -MIN_SWITCH_INTERVAL,
-                "feedback": {name: 0.0 for name in names},
-                "feedback_version": 0,
-                "hello_wire": 16 + 8 * (3 + len(names)),
-            })
 
-    # Timer adoption in the organic steady-state per-instant order:
-    # at every shared tick instant the failure checks fire before the
-    # hellos (checks re-arm first), so adopt all checks, then all
-    # hellos, then the per-node metric/refresh cadences.
+    def link_state(link) -> dict:
+        # What the warm-up moves; the rest (mute, carrier choice and
+        # switches, traffic statistics) keeps its fresh value.
+        names = link.carriers
+        return {
+            **link.warm_state(),
+            "up": True,
+            "hello_seq": {name: n_ticks for name in names},
+            "rx": {name: list(rx_state) for name in names},
+            "peer_feedback": {name: 0.0 for name in names},
+            "last_rx_time": last_arrival,
+            "feedback": {name: 0.0 for name in names},
+            "feedback_version": 0,
+            "hello_wire": 16 + 8 * (3 + len(names)),
+        }
+
+    # Timer seqs in the organic steady-state per-instant order: at
+    # every shared tick instant the failure checks fire before the
+    # hellos (checks re-arm first), so all checks, then all hellos,
+    # then the per-node metric/refresh cadences.
     def timer(kind, nid, nbr, time, every, fired):
-        return {"kind": kind, "node": nid, "nbr": nbr, "time": time, "seq": None,
+        return {"kind": kind, "node": nid, "nbr": nbr, "time": time,
                 "interval": every, "fired": fired, "rearmed": fired}
 
-    entries = [
+    timers = [
         timer(kind, nid, nbr, time, interval, fired)
         for kind, time, fired in (("check", check_next, check_fired),
                                   ("hello", hello_next, hello_fired))
@@ -679,15 +668,36 @@ def construct_converged(overlay, warmup: float) -> float:
             timer("refresh", nid, None, refresh_next, config.lsu_refresh, 0),
         )
     ]
-    _adopt_schedule(overlay, entries, exact_seq=False)
-    sim.timer_fired = sum(e["fired"] for e in entries)
-    sim.timer_rearmed = sum(e["rearmed"] for e in entries)
+    for seq, entry in enumerate(timers):
+        entry["seq"] = seq
+    fired = sum(entry["fired"] for entry in timers)
 
-    overlay.counters.add("link-up", float(sum(degree.values())))
-
-    if not overlay.converged():
-        raise WarmStartError("constructed overlay failed the convergence check")
-    return t0
+    order = dict.fromkeys(node_ids, node_ids)  # every replica: origin order
+    payload = _payload(
+        overlay, t0, (topo_fp, group_fp), key, source_fingerprint,
+        clock={"now": t0, "seq": len(timers), "processed": 0,
+               "timer_fired": fired, "timer_rearmed": fired},
+        topo={"records": {n: [1 + degree[n], costs[n]] for n in node_ids},
+              "versions": dict.fromkeys(node_ids, topo_version),
+              "order": order},
+        groups={"records": {n: [1, []] for n in node_ids},
+                "versions": dict.fromkeys(node_ids, len(node_ids)),
+                "order": order},
+        nodes={
+            nid: {"lsu_seq": 1 + degree[nid], "gsu_seq": 1,
+                  "advertised": costs[nid], "protocol_epochs": 0}
+            for nid in node_ids
+        },
+        links={
+            nid: {nbr: link_state(link)
+                  for nbr, link in overlay.nodes[nid].links.items()}
+            for nid in node_ids
+        },
+        timers=timers,
+    )
+    counters = payload["counters"]["overlay"]
+    counters["link-up"] = counters.get("link-up", 0.0) + sum(degree.values())
+    return payload
 
 
 # ---------------------------------------------------------------- store
@@ -790,13 +800,16 @@ def ensure_warm(
     ``build()`` must return a fresh, unstarted overlay for ``spec``.
     The warm path is tried in order: **snapshot** (store hit for the
     :func:`warm_key` of (spec, config, source)), **constructed**
-    (``construct=True`` and the topology qualifies), **organic**
-    (run the storm, then capture into the store for next time).
+    (``construct=True`` and the topology qualifies: its
+    :func:`converged_payload` is restored and stored as is), **organic**
+    (run the storm, then capture into the store for next time). A
+    stored payload :func:`restore` rejects is a miss, overwritten.
 
     Returns ``(overlay, info)`` where ``info`` records ``warm_source``
     (``"snapshot"`` / ``"constructed"`` / ``"organic"``), ``t0``, the
-    snapshot ``key``, and wall-clock costs: ``restore_s``,
-    ``construct_s``, or ``warm_s`` + ``capture_s`` as applicable.
+    snapshot ``key``, why a stored payload was ``rejected``, and
+    wall-clock costs: ``restore_s``, ``construct_s``, or ``warm_s`` +
+    ``capture_s`` (the save alone, after a construct) as applicable.
     """
     overlay = build()
     if key is None:
@@ -807,15 +820,29 @@ def ensure_warm(
         payload = store.load(key, source_fingerprint)
         if payload is not None:
             started = _time.perf_counter()
-            info["t0"] = restore(overlay, payload)
-            info["restore_s"] = _time.perf_counter() - started
-            info["warm_source"] = "snapshot"
-            return overlay, info
+            try:
+                info["t0"] = restore(overlay, payload)
+            except (WarmStartError, SimulationError, LookupError,
+                    TypeError, ValueError) as exc:
+                # A payload that decodes but lies (an edited record,
+                # another topology's node set, a mistyped field): a miss.
+                info["rejected"] = f"{type(exc).__name__}: {exc}"
+                overlay = build()  # restore may have half-installed it
+            else:
+                info["restore_s"] = _time.perf_counter() - started
+                info["warm_source"] = "snapshot"
+                return overlay, info
 
     if construct:
+        started = _time.perf_counter()
         try:
-            started = _time.perf_counter()
-            info["t0"] = construct_converged(overlay, warmup)
+            payload = converged_payload(
+                overlay, warmup, key=key, source_fingerprint=source_fingerprint
+            )
+        except WarmStartError:
+            pass
+        else:
+            info["t0"] = restore(overlay, payload)
             info["construct_s"] = _time.perf_counter() - started
             info["warm_source"] = "constructed"
             if store is not None:
@@ -823,15 +850,9 @@ def ensure_warm(
                 # construct themselves (a positive columnar_window, say)
                 # can restore it under the same tier-normalized key.
                 started = _time.perf_counter()
-                payload = capture(
-                    overlay, key=key, source_fingerprint=source_fingerprint
-                )
                 store.save(key, payload)
                 info["capture_s"] = _time.perf_counter() - started
             return overlay, info
-        except WarmStartError:
-            overlay = build()  # construction mutates nothing on the
-            # gate checks, but rebuild defensively for a clean organic run
 
     started = _time.perf_counter()
     overlay.warm_up(warmup)

@@ -330,26 +330,20 @@ class Simulator:
         interval: float,
         fn: Callable[..., Any],
         *args: Any,
-        seq: int | None = None,
+        seq: int,
         fired: int = 0,
         rearmed: int = 0,
     ) -> PeriodicEvent:
         """Re-materialize a snapshotted auto-periodic timer: queued at
-        absolute ``time`` with its original ``seq``, or a freshly
-        allocated one (``seq=None`` — constructed convergence, where no
-        organic seqs exist). Callers must adopt timers in ascending-seq
-        order: fresh seqs are handed out in call order, which replays
-        the snapshot's relative order only if the calls arrive sorted."""
+        absolute ``time`` with its snapshotted ``seq``, which must lie
+        below the restored allocator (:meth:`restore_clock`)."""
         if time < self._now:
             raise SimulationError(
                 f"cannot adopt a timer at {time} before current time {self._now}"
             )
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive ({interval})")
-        if seq is None:
-            seq = self._seq
-            self._seq = seq + 1
-        elif seq >= self._seq:
+        if seq >= self._seq:
             raise SimulationError(
                 f"adopted seq {seq} not below the restored allocator {self._seq}"
             )

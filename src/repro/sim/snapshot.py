@@ -5,12 +5,12 @@ queued event is an auto-periodic control timer (hello, failure-check,
 LSU refresh, metric drift) — no datagrams in flight, no one-shot
 continuations, no floods mid-propagation. :func:`quiesce` drives a
 simulation to such an instant; the capture helpers then serialize the
-clock and the live timer schedule, and the adopt helpers re-materialize
-them into a **fresh** :class:`~repro.sim.events.Simulator`, preserving
-the deterministic (time, seq) total order: a restore re-uses the
-snapshot's exact seqs, so the continuation is *seq-exact* — the
-restored run allocates the same sequence numbers the straight-through
-run would have.
+clock and the live timer schedule, which ``Simulator.restore_clock``
+and ``Simulator.adopt_periodic`` re-materialize into a **fresh**
+:class:`~repro.sim.events.Simulator`, preserving the deterministic
+(time, seq) total order: a restore re-uses the snapshot's exact seqs,
+so the continuation is *seq-exact* — the restored run allocates the
+same sequence numbers the straight-through run would have.
 
 The orchestration that knows *what* the timers mean (which overlay
 link's hello tick, which node's refresh) lives in
@@ -79,7 +79,8 @@ def queued_auto_timers(sim: Simulator) -> list[PeriodicEvent]:
 
 
 def capture_clock(sim: Simulator) -> dict:
-    """The simulator's clock/allocator/aggregate counters, JSON-shaped."""
+    """The simulator's clock/allocator/aggregate counters, JSON-shaped;
+    the keys are :meth:`Simulator.restore_clock`'s parameters."""
     return {
         "now": sim._now,
         "seq": sim._seq,
@@ -89,19 +90,9 @@ def capture_clock(sim: Simulator) -> dict:
     }
 
 
-def restore_clock(sim: Simulator, clock: dict) -> None:
-    """Install a :func:`capture_clock` snapshot into a fresh simulator."""
-    sim.restore_clock(
-        clock["now"],
-        clock["seq"],
-        processed=clock["processed"],
-        timer_fired=clock["timer_fired"],
-        timer_rearmed=clock["timer_rearmed"],
-    )
-
-
 def timer_schedule(timer: PeriodicEvent) -> dict:
-    """One armed auto-timer's schedule entry (JSON-shaped)."""
+    """One armed auto-timer's schedule entry (JSON-shaped), re-armed by
+    :meth:`Simulator.adopt_periodic` with its own seq."""
     return {
         "time": timer.time,
         "seq": timer.seq,
@@ -109,21 +100,3 @@ def timer_schedule(timer: PeriodicEvent) -> dict:
         "fired": timer.fired,
         "rearmed": timer.rearmed,
     }
-
-
-def adopt_timer(sim: Simulator, entry: dict, fn, *args,
-                exact_seq: bool = True) -> PeriodicEvent:
-    """Re-arm one :func:`timer_schedule` entry in a restored simulator.
-    Callers must adopt entries in ascending-seq order (see
-    :meth:`Simulator.adopt_periodic`). ``exact_seq=False`` allocates
-    fresh seqs instead — the constructed-convergence path, where no
-    organic seqs exist to replay."""
-    return sim.adopt_periodic(
-        entry["time"],
-        entry["interval"],
-        fn,
-        *args,
-        seq=entry["seq"] if exact_seq else None,
-        fired=entry["fired"],
-        rearmed=entry["rearmed"],
-    )

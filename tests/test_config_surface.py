@@ -38,7 +38,6 @@ OVERLAY_CONFIG_FIELDS = {
     "crypto_sign_delay",
     "crypto_verify_delay",
     "route_cache_size",
-    "route_debug_check",
     "forwarding_cache_size",
     "audit",
     "columnar",

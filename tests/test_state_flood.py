@@ -18,7 +18,12 @@ import pytest
 from repro.core.message import LINK_HEADER_BYTES, Frame, state_record_bytes
 from repro.core.network import OverlayNetwork
 from repro.core.node import STATE_FRAME_BYTES
-from repro.core.warmstart import WarmStartError, capture, construct_converged
+from repro.core.warmstart import (
+    WarmStartError,
+    capture,
+    converged_payload,
+    restore,
+)
 from repro.net.topologies import triangle_internet
 from repro.security.crypto import KeyStore
 from repro.sim.events import Simulator
@@ -344,7 +349,7 @@ def test_capture_refuses_unflushed_outboxes():
 def test_constructed_still_equals_organic_under_packing():
     organic, __ = _converged_mesh()
     twin = _mesh(N)
-    assert construct_converged(twin, WARMUP) == organic.sim.now
+    assert restore(twin, converged_payload(twin, WARMUP)) == organic.sim.now
     for nid, node in organic.nodes.items():
         built = twin.nodes[nid]
         assert built.topo_db.fingerprint == node.topo_db.fingerprint

@@ -340,6 +340,26 @@ def test_fingerprint_extras_folds_in_bench_util(tmp_path):
     assert fingerprint_extras(str(bench)) == (str(bench), str(util))
 
 
+def test_fresh_and_resume_are_mutually_exclusive():
+    """With the cache off no journal is opened, so ``--fresh --resume``
+    is refused instead of silently dropping ``--resume``."""
+    import argparse
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    try:
+        from bench_util import add_sweep_args
+    finally:
+        sys.path.pop(0)
+    parser = argparse.ArgumentParser()
+    add_sweep_args(parser)
+    assert parser.parse_args(["--fresh"]).fresh
+    assert parser.parse_args(["--resume"]).resume
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--fresh", "--resume"])
+
+
 def _none_cell(seed: int, bad: bool):
     """A cell that 'succeeds' but returns garbage when ``bad``."""
     if bad:

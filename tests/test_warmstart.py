@@ -8,15 +8,18 @@ snapshots"):
   fresh twin produces a **byte-identical continuation** — deliveries,
   counters, and event sequence numbers match a straight-through run
   exactly;
-* :func:`~repro.core.warmstart.construct_converged` builds, from the
-  topology spec alone, the very state an organic ``warm_up`` +
-  ``quiesce`` reaches: equal database fingerprints, equal timer
-  schedules, identical continuations — and a settle window moves
-  nothing (the constructed state is a fixed point);
+* :func:`~repro.core.warmstart.converged_payload` synthesizes, from
+  the topology spec alone, a payload that :func:`restore` turns into
+  the very state an organic ``warm_up`` + ``quiesce`` reaches: equal
+  database fingerprints, equal timer schedules, identical
+  continuations — and a settle window moves nothing (the constructed
+  state is a fixed point); ``capture`` right after that restore gives
+  the payload back;
 * the :class:`~repro.core.warmstart.SnapshotStore` never serves
   stale-source, format-incompatible or corrupt payloads (a corrupt
-  file is a miss, not an exception), and ``REPRO_WARMSTART_FRESH``
-  invalidates on sight;
+  file is a miss, not an exception), ``REPRO_WARMSTART_FRESH``
+  invalidates on sight, and a stored payload that decodes but that
+  ``restore`` rejects is a miss ``ensure_warm`` re-warms over;
 * sweep cells carrying a ``warm_key`` fold it into the cache digest,
   hand it to ``run_cell``, and force fresh warm-starts when the
   result cache is disabled (``--fresh`` semantics).
@@ -24,6 +27,7 @@ snapshots"):
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -39,8 +43,9 @@ from repro.core.warmstart import (
     FORMAT_VERSION,
     SnapshotStore,
     WarmStartError,
+    _check_fresh,
     capture,
-    construct_converged,
+    converged_payload,
     ensure_warm,
     restore,
     warm_key,
@@ -228,9 +233,17 @@ def test_restore_rejects_bad_payloads_and_dirty_targets():
     sim.schedule(0.1, lambda: None)
     with pytest.raises(SimulationError, match="fresh"):
         sim.restore_clock(1.0, 5)
+    # Every adopted timer carries its snapshotted seq.
+    with pytest.raises(TypeError, match="seq"):
+        Simulator().adopt_periodic(1.0, 0.5, lambda: None)
 
 
 # ---------------------------------------- tier 2: constructed convergence
+
+
+def _construct(overlay: OverlayNetwork, warmup: float = WARMUP) -> float:
+    """Warm ``overlay`` the tier-2 way: synthesize, then restore."""
+    return restore(overlay, converged_payload(overlay, warmup))
 
 
 def test_constructed_equals_organic_state():
@@ -238,7 +251,7 @@ def test_constructed_equals_organic_state():
     organic.warm_up(WARMUP)
     t0_organic = organic.quiesce()
     twin = _mesh()
-    t0 = construct_converged(twin, WARMUP)
+    t0 = _construct(twin)
     assert t0 == t0_organic == twin.sim.now
     assert twin.converged()
     for nid, node in organic.nodes.items():
@@ -264,13 +277,13 @@ def test_constructed_continuation_matches_organic():
     organic.warm_up(WARMUP)
     organic.quiesce()
     twin = _mesh()
-    construct_converged(twin, WARMUP)
+    _construct(twin)
     assert_identical(_drive(twin), _drive(organic), label="deliveries")
 
 
 def test_constructed_state_is_a_settle_fixed_point():
     overlay = _mesh()
-    construct_converged(overlay, WARMUP)
+    _construct(overlay)
     fingerprints = [
         (n.topo_db.fingerprint, n.group_db.fingerprint)
         for n in overlay.nodes.values()
@@ -289,15 +302,42 @@ def test_constructed_state_is_a_settle_fixed_point():
 
 def test_constructed_rejects_unconstructible_topologies():
     with pytest.raises(WarmStartError, match="loss"):
-        construct_converged(_mesh(lossy=True), WARMUP)
+        _construct(_mesh(lossy=True))
     with pytest.raises(WarmStartError, match="uniform"):
-        construct_converged(_mesh(ragged=True), WARMUP)
+        _construct(_mesh(ragged=True))
     with pytest.raises(WarmStartError, match="refresh"):
-        construct_converged(_mesh(), OverlayConfig().lsu_refresh + 1.0)
+        _construct(_mesh(), OverlayConfig().lsu_refresh + 1.0)
     warmed = _mesh()
     warmed.warm_up(WARMUP)
     with pytest.raises(WarmStartError, match="fresh"):
-        construct_converged(warmed, WARMUP)
+        _construct(warmed)
+
+
+def test_constructed_payload_round_trips_through_restore_and_capture():
+    overlay = _mesh()
+    payload = converged_payload(overlay, WARMUP, key="k", source_fingerprint="fp0")
+    _check_fresh(overlay)  # synthesizing only reads the overlay
+    restore(overlay, payload)
+    again = capture(overlay, key="k", source_fingerprint="fp0")
+    for p in (again, payload):
+        p["timers"] = sorted(p["timers"], key=lambda e: e["seq"])
+    assert again == payload
+    assert [e["seq"] for e in payload["timers"]] == \
+        list(range(payload["clock"]["seq"]))
+
+
+def test_stored_constructed_payload_restores_the_constructed_run(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv(WARMSTART_FRESH_ENV, raising=False)
+    store = SnapshotStore(tmp_path)
+    spec = ("mesh", N, SEED, WARMUP)
+    built, info = ensure_warm(_mesh, spec, WARMUP, store=store,
+                              source_fingerprint="fp0", construct=True)
+    assert info["warm_source"] == "constructed" and "capture_s" in info
+    twin, again = ensure_warm(_mesh, spec, WARMUP, store=store,
+                              source_fingerprint="fp0", construct=True)
+    assert again["warm_source"] == "snapshot" and again["t0"] == info["t0"]
+    assert_identical(_drive(twin), _drive(built), label="deliveries")
 
 
 # ----------------------------------------------------- store + front door
@@ -433,6 +473,45 @@ def test_ensure_warm_recaptures_over_a_corrupt_snapshot(tmp_path, monkeypatch):
                                  source_fingerprint="fp0")
     assert again["warm_source"] != "snapshot" and overlay.converged()
     assert store.load(info["key"], "fp0") is not None
+
+
+def _lie_edited_record(store, key):
+    payload = json.loads(json.dumps(store.load(key, "fp0")))
+    record = payload["topo"]["records"]["n03"][1]
+    record[next(iter(record))] *= 2.0
+    store.save(key, payload)
+
+
+def _lie_other_node_set(store, key):
+    other = _mesh(n=8)
+    other.warm_up(WARMUP)
+    store.save(key, capture(other, key=key, source_fingerprint="fp0"))
+
+
+@pytest.mark.parametrize("lie, construct", [
+    (_lie_edited_record, False), (_lie_other_node_set, True),
+], ids=["edited_record", "other_node_set"])
+def test_ensure_warm_rewarms_over_a_payload_restore_rejects(
+        tmp_path, monkeypatch, lie, construct):
+    """A stored payload that decodes but lies is a miss, not a crash:
+    the overlay is rebuilt, warmed the next way, and the file
+    overwritten, so the next call is a snapshot hit."""
+    monkeypatch.delenv(WARMSTART_FRESH_ENV, raising=False)
+    store = SnapshotStore(tmp_path)
+    spec = ("mesh", N, SEED, WARMUP)
+    __, info = ensure_warm(_mesh, spec, WARMUP, store=store,
+                           source_fingerprint="fp0")
+    lie(store, info["key"])
+    with pytest.raises(WarmStartError):
+        restore(_mesh(), store.load(info["key"], "fp0"))
+    overlay, again = ensure_warm(_mesh, spec, WARMUP, store=store,
+                                 source_fingerprint="fp0", construct=construct)
+    assert again["warm_source"] == ("constructed" if construct else "organic")
+    assert "rejected" in again and overlay.converged()
+    hit, third = ensure_warm(_mesh, spec, WARMUP, store=store,
+                             source_fingerprint="fp0")
+    assert third["warm_source"] == "snapshot" and "rejected" not in third
+    assert_identical(_drive(hit), _drive(overlay), label="deliveries")
 
 
 def test_warm_key_ignores_engine_and_tracks_spec():
