@@ -95,9 +95,7 @@ def _run_once(shared: bool, run_time: float = RUN_TIME) -> dict:
         # to the same counter sink for a comparable total.
         for node in overlay.nodes.values():
             node.routing.engine = RouteComputeEngine(
-                counters=overlay.counters,
-                capacity=overlay.config.route_cache_size,
-            )
+                counters=overlay.counters)
     tables = [0]
     for engine in {id(n.routing.engine): n.routing.engine
                    for n in overlay.nodes.values()}.values():

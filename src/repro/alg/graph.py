@@ -36,17 +36,3 @@ def subgraph(adj: dict, nodes: Iterable[Node]) -> dict:
         if u in keep
     }
 
-
-def remove_nodes(adj: dict, nodes: Iterable[Node]) -> dict:
-    """A copy of ``adj`` with ``nodes`` (and their incident edges) removed."""
-    drop = set(nodes)
-    return {
-        u: {v: w for v, w in nbrs.items() if v not in drop}
-        for u, nbrs in adj.items()
-        if u not in drop
-    }
-
-
-def edges_of(adj: dict) -> set[tuple[Node, Node]]:
-    """All directed edges present in ``adj``."""
-    return {(u, v) for u, nbrs in adj.items() for v in nbrs}

@@ -184,46 +184,6 @@ def fluid_flow_stats(
     )
 
 
-def hybrid_flow_stats(
-    trace: TraceCollector,
-    fluid_flow,
-    destination: str,
-    deadline: float | None = None,
-    after: float = 0.0,
-) -> FlowStats:
-    """Combined outcome of a hybrid flow: the fluid bulk plus its
-    sampled probe packets (which share the flow id and ride the packet
-    path, so they live in ``trace``). Probe deliveries enter the
-    weighted summary as weight-1 intervals."""
-    packet = flow_stats(trace, fluid_flow.flow, destination,
-                        deadline=deadline, after=after)
-    intervals = list(fluid_flow.intervals(destination))
-    probe_latencies = [
-        r.latency
-        for r in trace.records
-        if r.flow == fluid_flow.flow and r.destination == destination
-        and r.sent_at >= after and r.latency is not None
-    ]
-    intervals.extend((1.0, lat) for lat in probe_latencies)
-    sent = fluid_flow.offered + packet.sent
-    within = None
-    if deadline is not None and sent:
-        fluid_on_time = sum(
-            w for w, lat in fluid_flow.intervals(destination)
-            if lat <= deadline
-        )
-        probe_on_time = sum(1 for lat in probe_latencies if lat <= deadline)
-        within = (fluid_on_time + probe_on_time) / sent
-    return FlowStats(
-        flow=fluid_flow.flow,
-        destination=destination,
-        sent=sent,
-        delivered=fluid_flow.delivered(destination) + packet.delivered,
-        latency=weighted_latency_summary(intervals),
-        within_deadline=within,
-    )
-
-
 def availability_gaps(
     records: list[DeliveryRecord], expected_interval: float, factor: float = 3.0
 ) -> list[tuple[float, float]]:

@@ -162,24 +162,3 @@ def triangle_scenario(
     overlay.warm_up(warmup)
     return Scenario(sim, rngs, internet, overlay)
 
-
-def endpoints_scenario(
-    seed: int,
-    isps: list[str] | None = None,
-    loss_factory: LossFactory | None = None,
-    src_city: str = "NYC",
-    dst_city: str = "LAX",
-    warmup: float = 2.0,
-    config: OverlayConfig | None = None,
-) -> Scenario:
-    """The *native Internet* baseline on the continental fabric: an
-    'overlay' consisting only of the two endpoints, connected by a
-    single logical link riding the end-to-end underlay path. Any
-    protocol run on it behaves like an end-to-end deployment."""
-    sim = Simulator()
-    rngs = RngRegistry(seed)
-    internet = continental_internet(sim, rngs, isps=isps, loss_factory=loss_factory)
-    src, dst = site_name(src_city), site_name(dst_city)
-    overlay = OverlayNetwork(internet, [src, dst], [(src, dst)], config)
-    overlay.warm_up(warmup)
-    return Scenario(sim, rngs, internet, overlay)

@@ -404,8 +404,8 @@ class AuditedForwardingCache(ForwardingCache):
 
     __slots__ = ("auditor", "node", "_audit_hits")
 
-    def __init__(self, auditor: Auditor, node, capacity: int = 65_536) -> None:
-        super().__init__(node.counters, capacity=capacity)
+    def __init__(self, auditor: Auditor, node) -> None:
+        super().__init__(node.counters)
         self.auditor = auditor
         self.node = node
         self._audit_hits = 0
@@ -441,9 +441,8 @@ class AuditedRouteComputeEngine(RouteComputeEngine):
     when audited.
     """
 
-    def __init__(self, auditor: Auditor, counters=None,
-                 capacity: int = 128) -> None:
-        super().__init__(counters=counters, capacity=capacity)
+    def __init__(self, auditor: Auditor, counters=None) -> None:
+        super().__init__(counters=counters)
         self.auditor = auditor
         self._audit_hits = 0
 

@@ -49,6 +49,11 @@ from repro.alg.trees import multicast_tree
 from repro.core import dissemination
 from repro.sim.trace import Counter
 
+#: Fingerprint generations a :class:`RouteComputeEngine` keeps (bounded
+#: LRU: churn-heavy scenarios evict old topologies instead of growing
+#: without limit).
+ROUTE_CACHE_SIZE = 128
+
 #: Dissemination-graph variants the engine can compute (the adaptive
 #: policy picks among these per node; the graphs themselves are pure
 #: functions of (adjacency, src, dst) and therefore shareable).
@@ -136,7 +141,7 @@ class RouteComputeEngine:
     def __init__(
         self,
         counters: Counter | None = None,
-        capacity: int = 128,
+        capacity: int = ROUTE_CACHE_SIZE,
         check_determinism: bool = False,
     ) -> None:
         if capacity <= 0:

@@ -39,15 +39,6 @@ class OverlayConfig:
             ``None`` disables pacing.
         crypto_sign_delay / crypto_verify_delay: Per-message CPU cost of
             authentication in the intrusion-tolerant protocols.
-        route_cache_size: Fingerprint generations kept by the shared
-            :class:`repro.core.compute.RouteComputeEngine` (bounded LRU;
-            churn-heavy scenarios evict old topologies instead of
-            growing without limit).
-        forwarding_cache_size: Bound on the per-node data-plane
-            :class:`repro.core.pipeline.ForwardingCache` (memoized
-            decide-stage results, invalidated wholesale when the shared
-            databases' content fingerprints move); the table is cleared
-            when exceeded.
         audit: Arm the runtime invariant auditor
             (:mod:`repro.audit`): the overlay is built with audited
             cache variants that re-derive a sampled fraction of hits
@@ -74,8 +65,6 @@ class OverlayConfig:
     access_capacity_bps: float | None = 10_000_000.0
     crypto_sign_delay: float = 0.0
     crypto_verify_delay: float = 0.0
-    route_cache_size: int = 128
-    forwarding_cache_size: int = 65_536
     audit: bool = False
     #: The three ``columnar*`` fields spell one bit: the batched
     #: approximate tier is armed iff ``columnar_window > 0``, and

@@ -105,15 +105,9 @@ class OverlayNetwork:
         #: ``route.compute`` / ``route.hit`` / ``route.evict`` counters.
         if self.auditor is not None:
             self.route_engine = AuditedRouteComputeEngine(
-                self.auditor,
-                counters=self.counters,
-                capacity=self.config.route_cache_size,
-            )
+                self.auditor, counters=self.counters)
         else:
-            self.route_engine = RouteComputeEngine(
-                counters=self.counters,
-                capacity=self.config.route_cache_size,
-            )
+            self.route_engine = RouteComputeEngine(counters=self.counters)
         #: When set (a :class:`repro.security.crypto.KeyStore`), every
         #: frame is signed by its sending node and verified on receipt:
         #: only authorized overlay nodes can speak on the overlay

@@ -61,6 +61,10 @@ DoneFn = Callable[[], None]
 
 _MISS = object()  # sentinel: decision not cached (None is a valid decision)
 
+#: Bound on a node's :class:`ForwardingCache`; the table is cleared
+#: when it is exceeded.
+FORWARDING_CACHE_SIZE = 65_536
+
 
 class ForwardingCache:
     """Memoized forwarding decisions, invalidated wholesale by content
@@ -85,7 +89,7 @@ class ForwardingCache:
 
     __slots__ = ("counters", "capacity", "_generation", "_decisions")
 
-    def __init__(self, counters, capacity: int = 65_536):
+    def __init__(self, counters, capacity: int = FORWARDING_CACHE_SIZE):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.counters = counters
@@ -151,13 +155,9 @@ class DataPlane:
             # cost, paid once at construction).
             from repro.audit import AuditedForwardingCache
 
-            self.cache = AuditedForwardingCache(
-                auditor, node, capacity=node.config.forwarding_cache_size
-            )
+            self.cache = AuditedForwardingCache(auditor, node)
         else:
-            self.cache = ForwardingCache(
-                node.counters, capacity=node.config.forwarding_cache_size
-            )
+            self.cache = ForwardingCache(node.counters)
 
     # ----------------------------------------------------------- entries
 

@@ -13,6 +13,23 @@ chosen **carrier**:
 
 Physical fibers are shared between an ISP's domain and the interdomain
 domain, so one cut affects every path over that fiber.
+
+There is one send path: :meth:`Internet.send` is :meth:`Internet.send_via`
+over a cached :class:`Channel`. From there a datagram on the exact tier
+either walks fiber by fiber (one ``_hop`` event per router) or, over a
+quiet transit, is settled in one step at its send or at a hop
+(``_settle``) and demoted back to the walk when the underlay changes
+(``_demote_transits``). Whatever it does, ``datagram._chain`` is the one
+queued event that fires its next step — every send, demotion and
+``repush`` sets it — so a hop only ever re-queues its own event.
+
+The contract with the walk is what ``tests/test_underlay_model.py``
+checks on twin stacks, and nothing beyond it: the same fates and
+instants, counters, per-fiber totals once drained, heap accounting and
+conservation, and the same order of callbacks on a schedule whose sends,
+changes, markers and run boundaries tie on a grid — except the one case
+DESIGN.md "Per-hop budget" documents. Ties at intermediate hops (fiber
+delays on that grid) are outside it.
 """
 
 from __future__ import annotations
@@ -84,7 +101,8 @@ class Channel:
     sends through :meth:`Internet.send_via`, skipping per-frame
     resolution. Channels are invalidated wholesale (see
     :attr:`Internet.channel_gen`) when the carrier structure changes —
-    a new ISP, peering, or host attachment.
+    a new ISP, peering, or host attachment — or a host's access delay
+    does.
     """
 
     __slots__ = ("src", "dst", "domain", "src_label", "dst_label",
@@ -113,10 +131,19 @@ class Host:
         access_delay: One-way host-to-router delay in seconds.
     """
 
-    def __init__(self, name: str, access_delay: float = 0.0005) -> None:
+    def __init__(self, name: str, access_delay: float = 0.0005,
+                 internet: "Internet | None" = None) -> None:
+        self._internet = internet
         self.name = name
         self.access_delay = access_delay
         self.attachments: dict[str, Any] = {}
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        # A Channel holds both ends' access delays: a new one re-resolves
+        # every channel (reads stay plain attribute loads).
+        object.__setattr__(self, name, value)
+        if name == "access_delay" and self._internet is not None:
+            self._internet._invalidate_channels()
 
     @property
     def primary_isp(self) -> str:
@@ -146,8 +173,8 @@ class Internet:
         self._peerings: list[tuple[str, Any, str, Any, FiberLink]] = []
         self._native: RoutingDomain | None = None
         #: Bumped whenever carrier resolution may change (new ISP,
-        #: peering, attachment); cached :class:`Channel` holders compare
-        #: against it and re-fetch when stale.
+        #: peering, attachment, access delay); cached :class:`Channel`
+        #: holders compare against it and re-fetch when stale.
         self.channel_gen = 0
         self._channels: dict[tuple[str, str, str], Channel] = {}
         #: One stable bound method for the hop callback — allocated once
@@ -189,6 +216,14 @@ class Internet:
         for engine in self.fluid_listeners:
             engine.poke(reason)
 
+    def _fibers_changed(self, reason: str) -> None:
+        """Fibers were cut or repaired: the interdomain tables start
+        their (slower) reconvergence and fluid engines re-solve."""
+        if self._native is not None:
+            self._native.notify_topology_changed()
+        if self.fluid_listeners:
+            self._poke_fluid(reason)
+
     # --------------------------------------------------------- building
 
     def add_isp(self, name: str, convergence_delay: float = 10.0) -> RoutingDomain:
@@ -226,7 +261,7 @@ class Internet:
     def add_host(self, name: str, access_delay: float = 0.0005) -> Host:
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
-        host = Host(name, access_delay)
+        host = Host(name, access_delay, self)
         self.hosts[name] = host
         return host
 
@@ -290,11 +325,7 @@ class Internet:
     def fiber_route(self, src: str, dst: str, carrier: str) -> list[FiberLink]:
         """The fiber objects along the current route (for disjointness
         audits). Empty if there is no route."""
-        path = self.current_route(src, dst, carrier)
-        if not path or len(path) < 2:
-            return []
-        domain, __, __ = self._resolve(src, dst, carrier)
-        return [domain.link_on_path(u, v)[0] for u, v in zip(path, path[1:])]
+        return [link for link, __ in self.fluid_route(src, dst, carrier) or ()]
 
     def fluid_route(
         self, src: str, dst: str, carrier: str
@@ -319,17 +350,11 @@ class Internet:
         """Cut a fiber. The owning ISP reconverges on its own schedule;
         the interdomain tables reconverge on the (slower) BGP schedule."""
         self.isps[isp].fail_link(a, b)
-        if self._native is not None:
-            self._native.notify_topology_changed()
-        if self.fluid_listeners:
-            self._poke_fluid("fiber-fail")
+        self._fibers_changed("fiber-fail")
 
     def repair_fiber(self, isp: str, a: Any, b: Any) -> None:
         self.isps[isp].repair_link(a, b)
-        if self._native is not None:
-            self._native.notify_topology_changed()
-        if self.fluid_listeners:
-            self._poke_fluid("fiber-repair")
+        self._fibers_changed("fiber-repair")
 
     def fail_site(self, router: Any) -> list[tuple[str, Any, Any]]:
         """A whole data center goes dark: every fiber touching
@@ -343,20 +368,16 @@ class Internet:
                 if link is not None and not link.failed:
                     isp.fail_link(router, nbr)
                     cut.append((isp_name, router, nbr))
-        if self._native is not None and cut:
-            self._native.notify_topology_changed()
-        if cut and self.fluid_listeners:
-            self._poke_fluid("site-fail")
+        if cut:
+            self._fibers_changed("site-fail")
         return cut
 
     def repair_site(self, cut: list[tuple[str, Any, Any]]) -> None:
         """Undo a :meth:`fail_site` (pass its return value)."""
         for isp, a, b in cut:
             self.isps[isp].repair_link(a, b)
-        if self._native is not None and cut:
-            self._native.notify_topology_changed()
-        if cut and self.fluid_listeners:
-            self._poke_fluid("site-repair")
+        if cut:
+            self._fibers_changed("site-repair")
 
     def set_isp_loss(self, isp: str, factory: Callable[[], LossModel]) -> None:
         """Give every fiber of ``isp`` a fresh loss model from ``factory``
@@ -393,29 +414,10 @@ class Internet:
     ) -> Datagram:
         """Inject a datagram; ``on_deliver(datagram)`` fires at the
         destination host if it survives, ``on_drop(datagram, reason)``
-        (if given) fires when it dies."""
-        domain, src_label, dst_label = self._resolve(src, dst, carrier)
-        datagram = Datagram(src, dst, payload, size, sent_at=self.sim.now)
-        self.counters.add("datagrams-sent")
-        self.counters.add("bytes-sent", datagram.wire_size)
-        access = self.hosts[src].access_delay
-        if not access and not self.columnar_window and self._settle(
-                (domain, src_label, dst_label), datagram, on_deliver,
-                on_drop, 0, None):
-            return datagram
-        event = self.sim.schedule(
-            access,
-            self._hop_cb,
-            domain,
-            src_label,
-            dst_label,
-            datagram,
-            on_deliver,
-            on_drop,
-            0,
-        )
-        datagram._chain = event
-        return datagram
+        (if given) fires when it dies. :meth:`send_via` over the cached
+        :meth:`channel` — there is no other send path."""
+        return self.send_via(self.channel(src, dst, carrier), payload, size,
+                             on_deliver, on_drop)
 
     def send_via(
         self,
@@ -425,10 +427,13 @@ class Internet:
         on_deliver: DeliverFn,
         on_drop: DropFn | None = None,
     ) -> Datagram:
-        """:meth:`send` through a pre-resolved :class:`Channel` — the
-        control-plane fast path (identical delivery semantics, counters,
-        and event ordering; no per-frame carrier resolution). On the
-        batched tier a quiet channel settles here in one step."""
+        """Send through a pre-resolved :class:`Channel` — the one send
+        path (:meth:`send` resolves a cached channel and calls this).
+        On the exact tier a datagram from a host on its router with a
+        quiet transit ahead settles here (:meth:`_settle`); anything
+        else queues its first hop after the access delay. Either way
+        ``datagram._chain`` is the event that fires its next step. On
+        the batched tier a quiet channel settles here in one step."""
         # Reads the simulator's _now directly: this is the per-frame
         # fast path, and the property indirection shows up in profiles.
         datagram = Datagram(chan.src, chan.dst, payload, size,
@@ -492,22 +497,17 @@ class Internet:
         on_drop: DropFn | None,
         hops: int,
     ) -> None:
+        # ``datagram._chain`` is the event firing this hop (every send,
+        # demotion and repush sets it): each step re-queues it.
+        chain = datagram._chain
         if router == dst_label:
-            dst_host = self.hosts[datagram.dst]
-            chain = datagram._chain
-            if chain is not None:
-                # Recycle the chain's event for the final delivery step
-                # (fresh seq at the same allocation point — identical
-                # ordering to scheduling a new event).
-                self.sim.repush(
-                    chain, self.sim._now + dst_host.access_delay,
-                    self._deliver_cb, (datagram, on_deliver),
-                )
-            else:
-                self.sim.schedule(
-                    dst_host.access_delay, self._deliver_cb, datagram,
-                    on_deliver,
-                )
+            # Source and destination share a router: recycle the chain's
+            # event for the delivery (fresh seq at the same allocation
+            # point — identical ordering to scheduling a new event).
+            self.sim.repush(
+                chain, self.sim._now + self.hosts[datagram.dst].access_delay,
+                self._deliver_cb, (datagram, on_deliver),
+            )
             return
         if hops >= _MAX_HOPS:
             self._drop(datagram, DROP_TTL, on_drop)
@@ -516,12 +516,10 @@ class Internet:
         if nxt is None:
             self._drop(datagram, DROP_NO_ROUTE, on_drop)
             return
-        if nxt != dst_label and self.columnar_window == 0.0:
-            chain = datagram._chain
-            if chain is not None and self._settle(
-                    (domain, router, dst_label), datagram, on_deliver,
-                    on_drop, hops, chain):
-                return
+        if nxt != dst_label and not self.columnar_window and self._settle(
+                (domain, router, dst_label), datagram, on_deliver, on_drop,
+                hops, chain):
+            return
         link, direction = domain.link_on_path(router, nxt)
         # The loss stream for a link never changes identity; cache it on
         # the link itself rather than re-deriving "loss:<name>" per hop.
@@ -536,34 +534,20 @@ class Internet:
         w = self.columnar_window
         if w:
             arrival = ceil(arrival / w) * w
-        chain = datagram._chain
-        if chain is not None:
-            if nxt == dst_label:
-                # The fiber just crossed ends at the destination router:
-                # all that is left is the constant egress access delay,
-                # so the chain goes straight to the delivery instant —
-                # k fibers cost k + 1 events, not k + 2.
-                self.sim.repush(
-                    chain, arrival + self.hosts[datagram.dst].access_delay,
-                    self._deliver_cb, (datagram, on_deliver),
-                )
-                return
+        if nxt == dst_label:
+            # The fiber just crossed ends at the destination router: all
+            # that is left is the constant egress access delay, so the
+            # chain goes straight to the delivery instant — k fibers
+            # cost k + 1 events, not k + 2.
             self.sim.repush(
-                chain, arrival, None,
-                (domain, nxt, dst_label, datagram, on_deliver, on_drop, hops + 1),
+                chain, arrival + self.hosts[datagram.dst].access_delay,
+                self._deliver_cb, (datagram, on_deliver),
             )
-        else:
-            self.sim.schedule_at(
-                arrival,
-                self._hop_cb,
-                domain,
-                nxt,
-                dst_label,
-                datagram,
-                on_deliver,
-                on_drop,
-                hops + 1,
-            )
+            return
+        self.sim.repush(
+            chain, arrival, None,
+            (domain, nxt, dst_label, datagram, on_deliver, on_drop, hops + 1),
+        )
 
     def _settle(self, key: tuple, datagram: Datagram, on_deliver: DeliverFn,
                 on_drop: DropFn | None, hops: int, chain) -> bool:
@@ -577,7 +561,7 @@ class Internet:
         the hop settling it — or, from a send, as a new event that
         takes the seq the access hop would have had. Returns False,
         having touched nothing, for anything else. The one settle step
-        of the exact tier: the hop walk and both sends call it, and the
+        of the exact tier: the hop walk and the send call it, and the
         audit wraps it.
 
         The delivery event carries what :meth:`_demote_transits` needs

@@ -37,9 +37,9 @@ class Datagram:
     size: int
     sent_at: float = 0.0
     uid: int = field(default_factory=_ids.__next__)
-    #: Internal: the recycled continuation event carrying this datagram
-    #: through its hop chain (set by the Internet when the simulator
-    #: has event recycling enabled; never user-facing).
+    #: Internal: the queued event that fires this datagram's next step
+    #: (a hop or its delivery). Every send, demotion and repush sets it;
+    #: delivery and drop clear it. Never user-facing.
     _chain: Any = field(default=None, repr=False, compare=False)
 
     @property

@@ -37,8 +37,6 @@ OVERLAY_CONFIG_FIELDS = {
     "access_capacity_bps",
     "crypto_sign_delay",
     "crypto_verify_delay",
-    "route_cache_size",
-    "forwarding_cache_size",
     "audit",
     "columnar",
     "columnar_window",

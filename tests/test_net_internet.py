@@ -197,3 +197,30 @@ def test_rebuilt_native_domain_never_serves_the_old_domains_profiles(tier):
     assert served
     for profile in served:
         assert set(profile.links) <= set(live.links())
+
+
+def test_new_access_delay_reaches_held_channels(sim, rngs):
+    """A channel caches both ends' access delays: changing a host's
+    re-resolves every channel, so ``send_via`` and ``send`` (which is
+    ``send_via`` over a cached channel) both pay the new delay."""
+    inet = Internet(sim, rngs)
+    domain = inet.add_isp("line")
+    for i in range(3):
+        domain.add_link(f"r{i}", f"r{i + 1}", 0.010)
+    for host, router in (("a", "r0"), ("b", "r3")):
+        inet.add_host(host, access_delay=0.0)
+        inet.attach(host, "line", router)
+    arrivals = []
+    inet.send_via(inet.channel("a", "b", "line"), None, 100,
+                  lambda d: arrivals.append(sim.now))
+    sim.run(until=1.0)
+    generation = inet.channel_gen
+    inet.hosts["a"].access_delay = 0.005
+    inet.send_via(inet.channel("a", "b", "line"), None, 100,
+                  lambda d: arrivals.append(sim.now))
+    inet.send("a", "b", None, 100, "line", lambda d: arrivals.append(sim.now))
+    sim.run()
+    assert arrivals == [pytest.approx(0.030), pytest.approx(1.035),
+                        pytest.approx(1.035)]
+    # Held channels (an overlay link's) are re-fetched on a new generation.
+    assert inet.channel_gen == generation + 1

@@ -144,15 +144,16 @@ def _conserved(inet) -> bool:
 def _reached_totals(sim, inet, fates) -> dict:
     """Per-fiber totals mid-run, less the lead of the quiet transits in
     flight: a transit counts all its fibers at its first hop, the walk
-    counts each at the router before it."""
+    counts each at the router before it — the first one, at the start
+    instant, once the hop whose seq the transit carries has fired."""
     totals = {name: list(t) for name, t in fates.totals().items()}
     for event, live in sim.iter_queued():
         if live and event.fn is inet._deliver_cb and len(event.args) > 2:
-            datagram, __, t0, profile = event.args[:4]
+            datagram, __, t0, profile, __, __, seq0 = event.args
             at = t0
             for link in profile.links:
-                if at > sim.now or (at == sim.now and link is not
-                                    profile.links[0]):
+                if at > sim.now or (at == sim.now and (
+                        link is not profile.links[0] or seq0 > sim._firing)):
                     totals[link.name][0] -= 1
                     totals[link.name][1] -= datagram.size + HEADER_BYTES
                 at = at + link.delay
