@@ -8,7 +8,8 @@ package turns that promise into machine-checked predicates:
 * :mod:`repro.audit.invariants` — checkers hooked into the simulator
   and overlay (heap accounting, teardown leaks, datagram conservation,
   sampled forwarding-cache coherence, route-engine consistency,
-  incremental topology views, quiet underlay transits),
+  shared-state replicas' views and fingerprints, quiet underlay
+  transits),
   coordinated by an :class:`~repro.audit.invariants.Auditor`;
 * :mod:`repro.audit.diff` — a trace differ that localizes the *first*
   divergent record between two runs, with context;
@@ -31,6 +32,7 @@ from repro.audit.diff import (
 )
 from repro.audit.invariants import (
     AuditedForwardingCache,
+    AuditedGroupDatabase,
     AuditedRouteComputeEngine,
     AuditedTopologyDatabase,
     Auditor,
@@ -49,6 +51,7 @@ __all__ = [
     "AuditReport",
     "AuditViolation",
     "AuditedForwardingCache",
+    "AuditedGroupDatabase",
     "AuditedRouteComputeEngine",
     "AuditedTopologyDatabase",
     "Auditor",

@@ -25,9 +25,12 @@ holds those checkers:
   recomputed fresh and compared against the cached artifact (a lazy
   next-hop table against the from-scratch ``next_hops``; comparing
   finishes it, so ``route.settled`` moves under audit);
-* **topology views** (:class:`AuditedTopologyDatabase`) — every
-  ``sample_every``-th patch of a replica's adjacency / reverse views
-  is compared, content and key order, against a rebuild from records;
+* **shared-state replicas** (:class:`AuditedTopologyDatabase`,
+  :class:`AuditedGroupDatabase`) — at every ``sample_every``-th patch
+  of a topology replica's adjacency / reverse views, or rebuild of a
+  group replica's member view, the fingerprint is compared with a cold
+  replica's loaded from the records, and so are the topology views
+  (content and key order);
 * **quiet transits and underlay tables** (:func:`audit_transits`) — at
   sampled runs of the underlay's settle step, the next hop a domain
   reads from a search it shares with other domains is re-derived by a
@@ -61,7 +64,7 @@ import weakref
 from repro.alg.dijkstra import ShortestPathSearch, next_hops, reversed_graph
 from repro.audit.report import AuditReport, AuditViolation
 from repro.core.compute import NextHopTable, RouteComputeEngine
-from repro.core.linkstate import TopologyDatabase
+from repro.core.linkstate import GroupDatabase, TopologyDatabase
 from repro.core.pipeline import ForwardingCache
 from repro.net.internet import _MAX_HOPS
 from repro.net.loss import NoLoss
@@ -473,13 +476,28 @@ class AuditedRouteComputeEngine(RouteComputeEngine):
         return value
 
 
+def _cold_replica(auditor: Auditor, db, plain: type, invariant: str):
+    """A cold ``plain`` replica loaded with fresh records built out of
+    ``db``'s exported bodies (every part and derived value computed
+    afresh, never read from a shared record's cache), after checking
+    ``db``'s fingerprint against it as ``invariant``."""
+    cold = plain()
+    cold.load_state(db.export_state(), 0)
+    auditor.check(
+        invariant,
+        db.fingerprint == cold.fingerprint,
+        f"fingerprint {db.fingerprint:#x} differs from "
+        f"{cold.fingerprint:#x}, rederived from the records",
+    )
+    return cold
+
+
 class AuditedTopologyDatabase(TopologyDatabase):
     """A :class:`~repro.core.linkstate.TopologyDatabase` that holds
     every ``sample_every``-th patch of its adjacency / reverse views,
     content and key order, and its fingerprint against a cold replica
-    loaded with fresh records built out of its exported costs (every
-    part and row derived afresh, never read from a shared record's
-    cache; the reverse view built in one pass). Instantiated by
+    (``topology-views`` / ``topology-fingerprint``; the cold reverse
+    view is built in one pass). Instantiated by
     :class:`~repro.core.node.OverlayNode` only when audited."""
 
     def __init__(self, auditor: Auditor, counters=None) -> None:
@@ -493,14 +511,8 @@ class AuditedTopologyDatabase(TopologyDatabase):
             self._audit_seen[name] = view
             self._audit_patches += 1
             if self._audit_patches % self.auditor.sample_every == 0:
-                cold = TopologyDatabase()
-                cold.load_state(self.export_state(), 0)
-                self.auditor.check(
-                    "topology-fingerprint",
-                    self.fingerprint == cold.fingerprint,
-                    f"fingerprint {self.fingerprint:#x} differs from "
-                    f"{cold.fingerprint:#x}, rederived from the records",
-                )
+                cold = _cold_replica(self.auditor, self, TopologyDatabase,
+                                     "topology-fingerprint")
                 self.auditor.check(
                     "topology-views",
                     [(u, list(row.items())) for u, row in view.items()]
@@ -516,3 +528,27 @@ class AuditedTopologyDatabase(TopologyDatabase):
 
     def reverse_adjacency(self):
         return self._audit("reverse_adjacency", super().reverse_adjacency())
+
+
+class AuditedGroupDatabase(GroupDatabase):
+    """A :class:`~repro.core.linkstate.GroupDatabase` that, at every
+    ``sample_every``-th member-view rebuild, holds its fingerprint —
+    which keys every multicast / anycast artifact and the forwarding
+    cache's generation, and which nothing else re-derives — against a
+    cold replica (``group-fingerprint``). Instantiated by
+    :class:`~repro.core.node.OverlayNode` only when audited."""
+
+    def __init__(self, auditor: Auditor, counters=None) -> None:
+        super().__init__(counters)
+        self.auditor = auditor
+        self._audit_rebuilds = 0
+
+    def members_view(self, group: str) -> tuple[str, ...]:
+        rebuilt = group not in self._members_cache
+        view = super().members_view(group)
+        if rebuilt:
+            self._audit_rebuilds += 1
+            if self._audit_rebuilds % self.auditor.sample_every == 0:
+                _cold_replica(self.auditor, self, GroupDatabase,
+                              "group-fingerprint")
+        return view

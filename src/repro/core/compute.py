@@ -132,23 +132,17 @@ class RouteComputeEngine:
             ``route.evict``; a private :class:`Counter` is created when
             not given (standalone :class:`RoutingService` use).
         capacity: Maximum number of fingerprint generations retained.
-        check_determinism: When True, every fresh computation runs twice
-            and the engine asserts both results are equal — a debug-mode
-            guard on the determinism the whole sharing scheme (and
-            hop-by-hop multicast itself) rests on.
     """
 
     def __init__(
         self,
         counters: Counter | None = None,
         capacity: int = ROUTE_CACHE_SIZE,
-        check_determinism: bool = False,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.counters = counters if counters is not None else Counter()
         self.capacity = capacity
-        self.check_determinism = check_determinism
         self._store: OrderedDict[int, dict] = OrderedDict()
 
     # ------------------------------------------------------------- memo
@@ -171,12 +165,6 @@ class RouteComputeEngine:
             return entry[key]
         value = compute()
         self.counters.add("route.compute")
-        if self.check_determinism:
-            again = compute()
-            assert again == value, (
-                f"route computation for {key!r} is not deterministic — "
-                f"shared artifacts would desynchronize hop-by-hop forwarding"
-            )
         entry[key] = value
         return value
 

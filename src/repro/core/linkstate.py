@@ -1,11 +1,13 @@
-"""Connectivity Graph Maintenance — shared global state #1 (Sec II-B).
+"""Shared global state (Sec II-B): the connectivity graph and group
+interest, kept the same way.
 
 Every overlay node maintains a record of its own links' state (up/down
-and cost, where cost folds in measured latency and loss) and floods it
-to all other nodes as sequence-numbered link-state updates. Because the
-overlay has only a few tens of nodes, each node can hold the *global*
-connectivity graph and react to changes within a hello-detection time —
-the basis of sub-second rerouting.
+and cost, where cost folds in measured latency and loss) and of the
+groups its clients joined, and floods each to all other nodes as
+sequence-numbered updates; every node holds a replica of all of them
+(:class:`_Replica`). Because the overlay has only a few tens of nodes,
+each node can hold the *global* connectivity graph and react to changes
+within a hello-detection time — the basis of sub-second rerouting.
 """
 
 from __future__ import annotations
@@ -134,101 +136,93 @@ class GroupRecord(_Record, Set):
 
     __slots__ = ()
 
+    #: Any set of group names is a valid interest record.
+    valid = True
+
     def __init__(self, origin: str, groups) -> None:
         super().__init__(origin, frozenset(groups))
 
     def __contains__(self, group) -> bool:
         return group in self._body
 
-    @property
-    def members(self) -> frozenset[str]:
-        return self._body
-
     def _canonical(self) -> tuple:
         return tuple(sorted(self._body))
 
 
-class TopologyDatabase:
-    """Per-node replica of the global connectivity graph.
+class _Replica:
+    """One node's replica of a shared global state (Sec II-B): the
+    connectivity graph and group interest are kept the same way.
 
-    Records are keyed by origin node; each carries the origin's local
-    view as a :class:`TopologyRecord` — shared with the flood and every
-    replica that accepted it, so its part, row and cost verdict are
-    derived once — and a sequence number. Higher sequence numbers win;
-    stale or duplicate updates are ignored (and not re-flooded).
+    Records are keyed by origin node; each carries the origin's latest
+    announcement as a frozen :class:`_Record` (of :attr:`record_type`) —
+    shared with the flood and every replica that accepted it, so its
+    part and derived values are computed once — and a sequence number.
+    Higher sequence numbers win; stale or duplicate updates are ignored
+    (and not re-flooded).
 
     Alongside the local ``version`` counter (which ticks on *every*
-    accepted update) the database maintains an incrementally-updated
-    content :attr:`fingerprint` covering only the link-state content —
-    not sequence numbers, not arrival order. Two replicas that have
-    converged on the same connectivity graph therefore expose the same
-    fingerprint even though their version counters differ, which is the
-    cache key contract :class:`repro.core.compute.RouteComputeEngine`
-    relies on. A periodic refresh update that re-announces unchanged
-    costs bumps ``version`` but leaves the fingerprint (and thus every
-    derived routing artifact) intact.
-
-    The derived views are patched, not rebuilt: changed content marks
-    its origin stale and the next read rebuilds only stale rows. Rows
-    are replaced, never mutated, under a fresh outer mapping per
-    fingerprint (a pointer copy) — a view handed out earlier keeps
-    describing the graph it was read from, and untouched rows keep
-    their identity from one view to the next.
-
-    ``counters`` (the owning network's bag; private when not given)
-    receives ``lsu-rejected`` and ``topo.rows_patched`` — adjacency rows
-    rebuilt because their origin's content changed (a row's first build
-    is not a patch).
+    accepted update) the replica maintains an incrementally-updated
+    content :attr:`fingerprint` — the XOR of its records' parts,
+    covering content only: not sequence numbers, not arrival order. Two
+    replicas that have converged on the same records therefore expose
+    the same fingerprint even though their version counters differ,
+    which is the cache key contract
+    :class:`repro.core.compute.RouteComputeEngine` relies on. A periodic
+    refresh that re-announces unchanged content bumps ``version`` but
+    leaves the fingerprint (and thus every derived artifact) intact.
+    The subclass keeps the derived views and learns which origins'
+    content moved through :meth:`_moved`.
     """
+
+    record_type: type[_Record]
 
     def __init__(self, counters: Counter | None = None) -> None:
         self.counters = counters if counters is not None else Counter()
-        self._records: dict[str, tuple[int, TopologyRecord]] = {}
+        self._records: dict[str, tuple[int, _Record]] = {}
         self.version = 0
-        #: Content digest of the current connectivity graph (order- and
+        #: Content digest of the current records (order- and
         #: sequence-number-independent; see class docstring). A plain
         #: attribute — every forwarding decision reads it — that only
         #: this class writes.
         self.fingerprint = 0
-        #: The adjacency view, the origins whose content moved since it
-        #: was built, the reverse view and the adjacency it reverses.
-        self._adj_view: Mapping = MappingProxyType({})
-        self._adj_stale: set[str] = set()
-        self._rev_view: Mapping = MappingProxyType({})
-        self._rev_from: Mapping = MappingProxyType({})
-        self._sym_fp: object = _NEVER
-        self._sym_view: Mapping = MappingProxyType({})
 
-    def update(self, origin: str, seq: int, neighbor_costs: Mapping) -> bool:
-        """Apply an update (``origin``'s :class:`TopologyRecord`, or a
-        mapping wrapped into one); returns True if it was new (should
-        re-flood). A newer record repeating the stored content (the
-        periodic refresh) only advances seq and ``version``; one with a
-        negative or non-finite cost is refused — it would otherwise
+    def _moved(self, origin: str | None) -> None:
+        """``origin``'s content moved (``None``: every origin's, after a
+        load): views derived from it are stale."""
+        raise NotImplementedError
+
+    def update(self, origin: str, seq: int, content) -> bool:
+        """Apply an update (``origin``'s record, or content wrapped into
+        one); returns True if it was new (should re-flood). A newer
+        record repeating the stored content (the periodic refresh) only
+        advances seq and ``version``; an invalid one (a link-state cost
+        that is negative or not finite) is refused — it would otherwise
         raise out of whichever search first crossed that edge."""
         current = self._records.get(origin)
-        if current is not None:
-            if current[0] >= seq:
-                return False
-            stored = current[1]
-            if stored is neighbor_costs or stored == neighbor_costs:
-                self._records[origin] = (seq, stored)
-                self.version += 1
-                return True
-        record = TopologyRecord.of(origin, neighbor_costs)
-        if not record.valid:
-            self.counters.add("lsu-rejected")
+        if current is not None and current[0] >= seq:
             return False
-        self._records[origin] = (seq, record)
+        stored = current[1] if current is not None else None
+        # The flood re-sends the stored record, so identity settles a
+        # refresh; an equal cost dict compares as it is, and other
+        # content (group names in a list) once wrapped.
+        if stored is None or not (stored is content or stored == content):
+            record = self.record_type.of(origin, content)
+            if stored is None or not stored == record:
+                if not record.valid:
+                    self.counters.add("lsu-rejected")
+                    return False
+                self._records[origin] = (seq, record)
+                self.version += 1
+                old = stored.part if stored is not None else 0
+                self.fingerprint ^= old ^ record.part
+                self._moved(origin)
+                return True
+        self._records[origin] = (seq, stored)
         self.version += 1
-        old = current[1].part if current is not None else 0
-        self.fingerprint ^= old ^ record.part
-        self._adj_stale.add(origin)
         return True
 
-    def record(self, origin: str) -> TopologyRecord | None:
-        """The origin's current record (a read-only mapping that is
-        never mutated, so it is a stable snapshot)."""
+    def record(self, origin: str) -> _Record | None:
+        """The origin's current record (frozen, so a stable snapshot)."""
         entry = self._records.get(origin)
         return entry[1] if entry else None
 
@@ -238,6 +232,73 @@ class TopologyDatabase:
 
     def origins(self) -> list[str]:
         return list(self._records)
+
+    # ------------------------------------------------- warm-start support
+
+    def export_state(self) -> dict[str, tuple[int, object]]:
+        """The record table as plain ``{origin: (seq, body)}`` — a cost
+        dict or a frozenset of group names — in insertion order, with
+        no derived value attached. The bodies are the records' own,
+        never mutated, so snapshot code serializes them without
+        copying."""
+        return {origin: (seq, record._body)
+                for origin, (seq, record) in self._records.items()}
+
+    def load_state(self, records: Mapping, version: int) -> None:
+        """Install a ``{origin: (seq, body)}`` record table into an
+        **empty** replica, storing shared records as they are and
+        wrapping any other body; the fingerprint and every view come
+        from the records (nothing derived is trusted from a snapshot).
+        ``version`` restores the replica's update counter."""
+        if self._records:
+            raise ValueError("load_state requires an empty database")
+        for origin, entry in records.items():
+            record = self.record_type.of(origin, entry[1])
+            self._records[origin] = (
+                entry if record is entry[1] else (entry[0], record))
+            self.fingerprint ^= record.part
+        self._moved(None)
+        self.version = version
+
+
+class TopologyDatabase(_Replica):
+    """Per-node replica of the global connectivity graph (shared global
+    state #1), of :class:`TopologyRecord` values.
+
+    The derived views are patched, not rebuilt: changed content marks
+    its origin stale and the next read rebuilds only stale rows
+    (:meth:`load_state` builds every row at once). Rows are replaced,
+    never mutated, under a fresh outer mapping per fingerprint (a
+    pointer copy) — a view handed out earlier keeps describing the
+    graph it was read from, and untouched rows keep their identity from
+    one view to the next.
+
+    ``counters`` (the owning network's bag; private when not given)
+    receives ``lsu-rejected`` and ``topo.rows_patched`` — adjacency rows
+    rebuilt because their origin's content changed (a row's first build
+    is not a patch).
+    """
+
+    record_type = TopologyRecord
+
+    def __init__(self, counters: Counter | None = None) -> None:
+        super().__init__(counters)
+        #: The adjacency view, the origins whose content moved since it
+        #: was built, the reverse view and the adjacency it reverses,
+        #: the symmetric view and the fingerprint it is of.
+        self._adj_view: Mapping = MappingProxyType({})
+        self._stale: set[str] = set()
+        self._rev_view: Mapping = MappingProxyType({})
+        self._rev_from: Mapping = MappingProxyType({})
+        self._sym_fp: object = _NEVER
+        self._sym_view: Mapping = MappingProxyType({})
+
+    def _moved(self, origin: str | None) -> None:
+        if origin is not None:
+            self._stale.add(origin)
+        else:  # a load: every row at once, in sorted order
+            self._adj_view = MappingProxyType(
+                {u: self._records[u][1].row for u in sorted(self._records)})
 
     def adjacency(self) -> Mapping:
         """Directed, deterministic adjacency for routing.
@@ -252,7 +313,7 @@ class TopologyDatabase:
         changed origins' rows under a new one), and callers must not
         (and cannot) mutate it.
         """
-        stale = self._adj_stale
+        stale = self._stale
         if stale:
             rows = self._adj_view.copy()
             patched = len(stale & rows.keys())
@@ -327,127 +388,38 @@ class TopologyDatabase:
             self._sym_fp = self.fingerprint
         return self._sym_view
 
-    # ------------------------------------------------- warm-start support
 
-    def export_state(self) -> dict[str, tuple[int, dict]]:
-        """The record table as plain ``{origin: (seq, {nbr:
-        cost-or-None})}`` (insertion order preserved), with no derived
-        value attached. The cost dicts are the records' own, never
-        mutated, so snapshot code serializes them without copying."""
-        return {origin: (seq, record._body)
-                for origin, (seq, record) in self._records.items()}
-
-    def load_state(self, records: Mapping, version: int) -> None:
-        """Install a ``{origin: (seq, costs)}`` record table into an
-        **empty** replica, storing shared :class:`TopologyRecord` values
-        as they are and wrapping any other mapping; fingerprint and
-        views come from the records (nothing derived is trusted from a
-        snapshot). ``version`` restores the replica's update counter."""
-        if self._records:
-            raise ValueError("load_state requires an empty database")
-        for origin, entry in records.items():
-            record = TopologyRecord.of(origin, entry[1])
-            self._records[origin] = (
-                entry if record is entry[1] else (entry[0], record))
-            self.fingerprint ^= record.part
-        self._adj_view = MappingProxyType(
-            {u: self._records[u][1].row for u in sorted(self._records)})
-        self.version = version
-
-
-class GroupDatabase:
-    """Group State — shared global state #2 (Sec II-B).
+class GroupDatabase(_Replica):
+    """Group State — shared global state #2 (Sec II-B), of
+    :class:`GroupRecord` values.
 
     Tracks, per overlay node, the set of groups that node has interested
     clients in. Only node-level interest is shared (the two-level
     hierarchy keeps per-client membership local to each node).
-
-    Like :class:`TopologyDatabase`, stores shared :class:`GroupRecord`
-    values and maintains a content :attr:`fingerprint` over them
-    (ignoring sequence numbers and arrival order) so converged replicas
-    produce identical cache keys for shared group-derived artifacts.
     """
 
-    def __init__(self) -> None:
-        self._records: dict[str, tuple[int, GroupRecord]] = {}
-        self.version = 0
-        #: Content digest of the current group state (written only here).
-        self.fingerprint = 0
+    record_type = GroupRecord
+
+    def __init__(self, counters: Counter | None = None) -> None:
+        super().__init__(counters)
         self._members_cache: dict[str, tuple[str, ...]] = {}
 
-    def update(self, origin: str, seq: int, groups) -> bool:
-        """Apply a membership update (``origin``'s :class:`GroupRecord`
-        or group names wrapped into one); True if new (should re-flood)."""
-        current = self._records.get(origin)
-        if current is not None and current[0] >= seq:
-            return False
-        record = GroupRecord.of(origin, groups)
-        self.version += 1
-        if current is not None and current[1] == record:
-            # A refresh: same interest, so every derived view stands.
-            self._records[origin] = (seq, current[1])
-            return True
-        self._records[origin] = (seq, record)
-        old = current[1].part if current is not None else 0
-        self.fingerprint ^= old ^ record.part
+    def _moved(self, origin: str | None) -> None:
         self._members_cache.clear()
-        return True
-
-    def record(self, origin: str) -> GroupRecord | None:
-        """The origin's current record, or ``None``."""
-        entry = self._records.get(origin)
-        return entry[1] if entry else None
-
-    def seq(self, origin: str) -> int:
-        entry = self._records.get(origin)
-        return entry[0] if entry else 0
-
-    def origins(self) -> list[str]:
-        return list(self._records)
 
     def members_view(self, group: str) -> tuple[str, ...]:
         """Overlay nodes with clients in ``group`` as a sorted immutable
-        tuple, cached until the next accepted update — the hashable form
-        the route-computation engine keys shared artifacts on."""
+        tuple, cached until content next moves — the hashable form the
+        route-computation engine keys shared artifacts on."""
         cached = self._members_cache.get(group)
         if cached is None:
             cached = tuple(sorted(
                 origin
                 for origin, (__, record) in self._records.items()
-                if group in record.members
+                if group in record._body
             ))
             self._members_cache[group] = cached
         return cached
-
-    def members(self, group: str) -> list[str]:
-        """Overlay nodes with clients in ``group`` (sorted, deterministic)."""
-        return list(self.members_view(group))
-
-    def groups_of(self, origin: str) -> frozenset[str]:
-        entry = self._records.get(origin)
-        return entry[1].members if entry else frozenset()
-
-    # ------------------------------------------------- warm-start support
-
-    def export_state(self) -> dict[str, tuple[int, frozenset]]:
-        """The record table as plain ``{origin: (seq,
-        frozenset(groups))}`` (insertion order preserved); see
-        :meth:`TopologyDatabase.export_state`."""
-        return {origin: (seq, record.members)
-                for origin, (seq, record) in self._records.items()}
-
-    def load_state(self, records: Mapping, version: int) -> None:
-        """Install a ``{origin: (seq, groups)}`` record table into an
-        **empty** replica (mirror of :meth:`TopologyDatabase.load_state`:
-        shared :class:`GroupRecord` values are stored as they are)."""
-        if self._records:
-            raise ValueError("load_state requires an empty database")
-        for origin, entry in records.items():
-            record = GroupRecord.of(origin, entry[1])
-            self._records[origin] = (
-                entry if record is entry[1] else (entry[0], record))
-            self.fingerprint ^= record.part
-        self.version = version
 
 
 class DedupCache:

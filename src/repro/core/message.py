@@ -222,13 +222,12 @@ class Frame:
         return base + 8 * max(1, entries)
 
 
-def state_record_bytes(kind: str, info: Mapping) -> int:
+def state_record_bytes(info: Mapping) -> int:
     """Wire bytes of one shared-state record inside a ``state`` control
-    frame: 8 B per scalar — origin, seq, and one per neighbour cost
-    (``lsu``) or group name (``gsu``). The link header is paid once per
+    frame: 8 B per scalar — origin, seq, and one per entry of the record
+    (a neighbour cost or a group name). The link header is paid once per
     frame, so a frame costs ``LINK_HEADER_BYTES`` + the sum of these."""
-    body = info["costs"] if kind == "lsu" else info["groups"]
-    return 8 * (2 + len(body))
+    return 8 * (2 + len(info["record"]))
 
 
 def flow_id(src: Address, dst: Address, service: ServiceSpec) -> str:

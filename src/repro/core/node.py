@@ -26,13 +26,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.link import OverlayLink
 from repro.core.flows import FlowTable
-from repro.core.linkstate import (
-    DedupCache,
-    GroupDatabase,
-    GroupRecord,
-    TopologyDatabase,
-    TopologyRecord,
-)
+from repro.core.linkstate import DedupCache, GroupDatabase, TopologyDatabase
 from repro.core.message import (
     LINK_HEADER_BYTES,
     Frame,
@@ -63,7 +57,7 @@ def _pack(pending: dict[tuple[str, str], dict]):
     batch: list[tuple[str, dict]] = []
     size = LINK_HEADER_BYTES
     for (kind, __), info in pending.items():
-        nbytes = state_record_bytes(kind, info)
+        nbytes = state_record_bytes(info)
         if batch and size + nbytes > STATE_FRAME_BYTES:
             yield batch, size
             batch, size = [], LINK_HEADER_BYTES
@@ -83,14 +77,19 @@ class OverlayNode:
         self.config = network.config
         self.counters = network.counters
 
-        if network.auditor is not None:  # the plain class when off
-            from repro.audit import AuditedTopologyDatabase
+        if network.auditor is not None:  # the plain classes when off
+            from repro.audit import AuditedGroupDatabase, AuditedTopologyDatabase
 
             self.topo_db = AuditedTopologyDatabase(
                 network.auditor, network.counters)
+            self.group_db = AuditedGroupDatabase(
+                network.auditor, network.counters)
         else:
             self.topo_db = TopologyDatabase(network.counters)
-        self.group_db = GroupDatabase()
+            self.group_db = GroupDatabase(network.counters)
+        #: The shared-state replicas by record kind (Sec II-B): one
+        #: origination, flood, apply and sync path serves both.
+        self.replicas = {"lsu": self.topo_db, "gsu": self.group_db}
         self.routing = RoutingService(
             node_id, self.topo_db, self.group_db, network.link_index,
             engine=network.route_engine,
@@ -116,8 +115,8 @@ class OverlayNode:
         self._flush_armed = False
         self._superseded = 0
 
-        self._lsu_seq = 0
-        self._gsu_seq = 0
+        #: This node's last originated seq per record kind.
+        self._seqs = dict.fromkeys(self.replicas, 0)
         self._advertised: dict[str, float | None] = {}
         self._started = False
         self._refresh_timer = None
@@ -141,8 +140,7 @@ class OverlayNode:
         self._started = True
         for link in self.links.values():
             link.start()
-        self.originate_lsu()
-        self.originate_gsu()
+        self._refresh_tick()
         self._refresh_timer = self.sim.schedule_periodic(
             self.config.lsu_refresh, self._refresh_tick
         )
@@ -151,6 +149,7 @@ class OverlayNode:
         )
 
     def _refresh_tick(self) -> None:
+        """Announce both records (periodically, at start and recovery)."""
         self.originate_lsu()
         self.originate_gsu()
 
@@ -173,41 +172,35 @@ class OverlayNode:
 
     def originate_lsu(self) -> None:
         """Flood this node's current link-state record (Connectivity
-        Graph Maintenance). The flood carries one
-        :class:`~repro.core.linkstate.TopologyRecord` that every
-        accepting replica stores; a refresh re-sends the stored one."""
-        self._lsu_seq += 1
+        Graph Maintenance)."""
         costs = {nbr: link.cost() for nbr, link in self.links.items()}
         self._advertised = costs
-        record = self.topo_db.record(self.id)
-        if record != costs:
-            record = TopologyRecord(self.id, costs)
-        info = {"origin": self.id, "seq": self._lsu_seq, "costs": record}
-        self._apply("lsu", info)
-        self._flood("lsu", info)
+        self._originate("lsu", costs)
 
     def originate_gsu(self) -> None:
-        """Flood this node's group-interest record (Group State), one
-        shared :class:`~repro.core.linkstate.GroupRecord` like an LSU."""
-        self._gsu_seq += 1
-        groups = self.session.local_groups()
-        record = self.group_db.record(self.id)
-        if record != groups:
-            record = GroupRecord(self.id, groups)
-        info = {"origin": self.id, "seq": self._gsu_seq, "groups": record}
-        self._apply("gsu", info)
-        self._flood("gsu", info)
+        """Flood this node's group-interest record (Group State)."""
+        self._originate("gsu", self.session.local_groups())
+
+    def _originate(self, kind: str, content) -> None:
+        """Flood this node's ``kind`` record with ``content``. The flood
+        carries one record value that every accepting replica stores; a
+        refresh re-sends the stored one."""
+        self._seqs[kind] += 1
+        db = self.replicas[kind]
+        record = db.record(self.id)
+        if record != content:
+            record = db.record_type(self.id, content)
+        info = {"origin": self.id, "seq": self._seqs[kind], "record": record}
+        self._apply(kind, info)
+        self._flood(kind, info)
 
     def _apply(self, kind: str, info: dict) -> bool:
         """Fold one shared-state record into the local replica; True if
         it was new (should re-flood)."""
-        if kind == "lsu":
-            db, body = self.topo_db, info["costs"]
-        else:
-            db, body = self.group_db, info["groups"]
+        db = self.replicas[kind]
         fluid = self.network.internet.fluid_listeners
         before = db.fingerprint if fluid else 0
-        accepted = db.update(info["origin"], info["seq"], body)
+        accepted = db.update(info["origin"], info["seq"], info["record"])
         # Content (not just version) moved: the forwarding-cache
         # generation this node's fluid path assignments were resolved
         # under is stale — same invalidation moment the packet pipeline
@@ -275,16 +268,10 @@ class OverlayNode:
 
     def _sync_neighbor(self, link: OverlayLink) -> None:
         nbr = link.nbr_id
-        for origin in self.topo_db.origins():
-            self._queue(nbr, "lsu", {
-                "origin": origin, "seq": self.topo_db.seq(origin),
-                "costs": self.topo_db.record(origin),
-            })
-        for origin in self.group_db.origins():
-            self._queue(nbr, "gsu", {
-                "origin": origin, "seq": self.group_db.seq(origin),
-                "groups": self.group_db.record(origin),
-            })
+        for kind, db in self.replicas.items():
+            for origin in db.origins():
+                self._queue(nbr, kind, {"origin": origin, "seq": db.seq(origin),
+                                        "record": db.record(origin)})
 
     # ------------------------------------------------- warm-start support
 
@@ -294,8 +281,7 @@ class OverlayNode:
         captured by the snapshot layer, which owns their shared /
         queue-resident parts."""
         return {
-            "lsu_seq": self._lsu_seq,
-            "gsu_seq": self._gsu_seq,
+            **{f"{kind}_seq": seq for kind, seq in self._seqs.items()},
             "advertised": dict(self._advertised),
             "protocol_epochs": self._protocol_epochs,
         }
@@ -307,8 +293,7 @@ class OverlayNode:
         if self._started:
             raise RuntimeError(f"node {self.id} already started")
         self._started = True
-        self._lsu_seq = state["lsu_seq"]
-        self._gsu_seq = state["gsu_seq"]
+        self._seqs = {kind: state[f"{kind}_seq"] for kind in self._seqs}
         self._advertised = dict(state["advertised"])
         self._protocol_epochs = state["protocol_epochs"]
 
@@ -330,8 +315,7 @@ class OverlayNode:
         self.protocols.clear()
         for link in self.links.values():
             link.muted = False
-        self.originate_lsu()
-        self.originate_gsu()
+        self._refresh_tick()
 
     def receive_frame(self, frame: Frame) -> None:
         """Entry point for every frame arriving from the underlay."""
@@ -370,7 +354,7 @@ class OverlayNode:
                 link.on_hello(frame.info)
         elif frame.ftype == "state":
             for kind, info in frame.info["records"]:
-                if kind not in ("lsu", "gsu"):
+                if kind not in self.replicas:
                     self.counters.add("unknown-control")
                 elif self._apply(kind, info):
                     self._flood(kind, info, exclude=frame.src_node)

@@ -69,6 +69,12 @@ from repro.sim.events import SimulationError
 #: On-disk payload format; bumped on any incompatible schema change.
 FORMAT_VERSION = 1
 
+#: Per shared-state kind (:attr:`~repro.core.node.OverlayNode.replicas`):
+#: the payload part holding its records, the meta key of its
+#: fingerprint, and its record class.
+_PARTS = {"lsu": ("topo", "topo_fingerprint", TopologyRecord),
+          "gsu": ("groups", "group_fingerprint", GroupRecord)}
+
 #: Default snapshot directory (gitignored), overridable via env.
 DEFAULT_STORE_DIR = ".warmstart"
 ENV_STORE_DIR = "REPRO_WARMSTART_DIR"
@@ -181,13 +187,14 @@ def _check_fresh(overlay) -> None:
             raise WarmStartError(f"node {node.id} already started")
 
 
-def _payload(overlay, t0: float, fingerprints: tuple, key: str,
+def _payload(overlay, t0: float, fingerprints: dict, key: str,
              source_fingerprint: str, **parts) -> dict:
     """A payload in the one format, shared by :func:`capture` and
     :func:`converged_payload`: the caller's ``parts`` (clock, databases,
-    node and link state, timers), plus the parts read off the live
-    overlay as they stand — RNG stream positions, fiber state, counters,
-    route generations and the next auto port."""
+    node and link state, timers) and replica ``fingerprints`` by kind,
+    plus the parts read off the live overlay as they stand — RNG stream
+    positions, fiber state, counters, route generations and the next
+    auto port."""
     return {
         "format": FORMAT_VERSION,
         "meta": {
@@ -195,8 +202,8 @@ def _payload(overlay, t0: float, fingerprints: tuple, key: str,
             "source_fingerprint": source_fingerprint,
             "t0": t0,
             "master_seed": overlay.rngs.master_seed,
-            "topo_fingerprint": fingerprints[0],
-            "group_fingerprint": fingerprints[1],
+            **{meta_key: fingerprints[kind]
+               for kind, (__, meta_key, __) in _PARTS.items()},
         },
         **parts,
         "rng": overlay.rngs.export_states(),
@@ -270,38 +277,33 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
         )
 
     nodes = list(overlay.nodes.values())
-    ref = nodes[0]
-    topo_fp = ref.topo_db.fingerprint
-    group_fp = ref.group_db.fingerprint
+    fingerprints = {kind: db.fingerprint
+                    for kind, db in nodes[0].replicas.items()}
     for node in nodes:
-        if (node.topo_db.fingerprint != topo_fp
-                or node.group_db.fingerprint != group_fp):
+        if any(db.fingerprint != fingerprints[kind]
+               for kind, db in node.replicas.items()):
             raise WarmStartError(
                 f"replica databases disagree at {node.id} — the overlay "
                 "has not converged; run the warm-up longer"
             )
 
-    topo_records = {
-        origin: [seq, costs]
-        for origin, (seq, costs) in ref.topo_db.export_state().items()
-    }
-    group_records = {
-        origin: [seq, sorted(groups)]
-        for origin, (seq, groups) in ref.group_db.export_state().items()
+    # JSON has no sets: a group record's body is stored sorted.
+    replicas = {
+        part: {
+            "records": {
+                origin: [seq, body if type(body) is dict else sorted(body)]
+                for origin, (seq, body)
+                in nodes[0].replicas[kind].export_state().items()
+            },
+            "versions": {n.id: n.replicas[kind].version for n in nodes},
+            "order": {n.id: n.replicas[kind].origins() for n in nodes},
+        }
+        for kind, (part, __, __) in _PARTS.items()
     }
     return _payload(
-        overlay, t0, (topo_fp, group_fp), key, source_fingerprint,
+        overlay, t0, fingerprints, key, source_fingerprint,
         clock=snap.capture_clock(sim),
-        topo={
-            "records": topo_records,
-            "versions": {n.id: n.topo_db.version for n in nodes},
-            "order": {n.id: n.topo_db.origins() for n in nodes},
-        },
-        groups={
-            "records": group_records,
-            "versions": {n.id: n.group_db.version for n in nodes},
-            "order": {n.id: n.group_db.origins() for n in nodes},
-        },
+        **replicas,
         nodes={n.id: n.warm_state() for n in nodes},
         links={
             n.id: {nbr: link.warm_state() for nbr, link in n.links.items()}
@@ -341,8 +343,8 @@ def _shared_records(payload: dict) -> dict:
         return entry[1]
     shared = {
         kind: {origin: (seq, record(origin, body))
-               for origin, (seq, body) in payload[kind]["records"].items()}
-        for kind, record in (("topo", TopologyRecord), ("groups", GroupRecord))
+               for origin, (seq, body) in payload[part]["records"].items()}
+        for kind, (part, __, record) in _PARTS.items()
     }
     if entry is not None:
         entry[1] = shared
@@ -385,13 +387,18 @@ def restore(overlay, payload: dict) -> float:
     # insertion order is replayed so ``origins()`` — the database-sync
     # iteration order — matches the organic run.
     shared = _shared_records(payload)
+    meta = payload["meta"]
     for node_id, node in overlay.nodes.items():
         node.restore_warm(payload["nodes"][node_id])
-        for kind, db in (("topo", node.topo_db), ("groups", node.group_db)):
+        for kind, (part, meta_key, __) in _PARTS.items():
+            db = node.replicas[kind]
             db.load_state(
-                {o: shared[kind][o] for o in payload[kind]["order"][node_id]},
-                payload[kind]["versions"][node_id],
+                {o: shared[kind][o] for o in payload[part]["order"][node_id]},
+                payload[part]["versions"][node_id],
             )
+            if db.fingerprint != meta[meta_key]:
+                raise WarmStartError(
+                    f"restored {kind} fingerprint mismatch at {node_id}")
         for nbr, link in node.links.items():
             link.restore_warm(payload["links"][node_id][nbr])
 
@@ -415,16 +422,6 @@ def restore(overlay, payload: dict) -> float:
     overlay._next_auto_port = payload["next_auto_port"]
     overlay.route_engine.prime(payload.get("route_generations", []))
 
-    meta = payload["meta"]
-    for node in overlay.nodes.values():
-        if node.topo_db.fingerprint != meta["topo_fingerprint"]:
-            raise WarmStartError(
-                f"restored topology fingerprint mismatch at {node.id}"
-            )
-        if node.group_db.fingerprint != meta["group_fingerprint"]:
-            raise WarmStartError(
-                f"restored group fingerprint mismatch at {node.id}"
-            )
     if not overlay.converged():
         raise WarmStartError("restored overlay failed the convergence check")
     return meta["t0"]
@@ -674,7 +671,8 @@ def converged_payload(overlay, warmup: float, key: str = "",
 
     order = dict.fromkeys(node_ids, node_ids)  # every replica: origin order
     payload = _payload(
-        overlay, t0, (topo_fp, group_fp), key, source_fingerprint,
+        overlay, t0, {"lsu": topo_fp, "gsu": group_fp}, key,
+        source_fingerprint,
         clock={"now": t0, "seq": len(timers), "processed": 0,
                "timer_fired": fired, "timer_rearmed": fired},
         topo={"records": {n: [1 + degree[n], costs[n]] for n in node_ids},

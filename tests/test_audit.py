@@ -22,6 +22,7 @@ from repro.audit import (
     AuditReport,
     AuditViolation,
     AuditedForwardingCache,
+    AuditedGroupDatabase,
     AuditedRouteComputeEngine,
     AuditedTopologyDatabase,
     Auditor,
@@ -40,7 +41,7 @@ from repro.audit import (
 )
 from repro.core.compute import RouteComputeEngine
 from repro.core.config import OverlayConfig
-from repro.core.linkstate import TopologyDatabase, TopologyRecord
+from repro.core.linkstate import GroupRecord, TopologyDatabase, TopologyRecord
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.core.pipeline import ForwardingCache
@@ -510,6 +511,26 @@ def test_a_record_with_a_stale_cache_is_caught(stale, invariant):
     assert db.update("a", 2, new)
     db.adjacency()
     assert [v.invariant for v in auditor.report.violations] == [invariant]
+
+
+def test_a_group_record_with_a_stale_part_is_caught():
+    """Nothing else re-derives the group fingerprint, yet it keys every
+    multicast / anycast artifact and the forwarding-cache generation: a
+    shared group record whose cached part is poisoned is caught at the
+    next sampled member-view rebuild (``group-fingerprint``)."""
+    auditor = Auditor(counters=Counter(), sample_every=1, register=False)
+    db = AuditedGroupDatabase(auditor)
+    old = GroupRecord("a", {"g"})
+    db.update("a", 1, old)
+    db.update("b", 1, {"g", "h"})
+    assert db.members_view("g") == ("a", "b")
+    assert auditor.report.ok and auditor.report.checks == 1
+    new = GroupRecord("a", {"h"})
+    object.__setattr__(new, "_part", old.part)  # the derivation gone stale
+    assert db.update("a", 2, new)
+    assert db.members_view("g") == ("b",)
+    assert [v.invariant for v in auditor.report.violations] == [
+        "group-fingerprint"]
 
 
 # ----------------------------------------------------- switch + end-to-end

@@ -65,24 +65,24 @@ def test_group_membership():
     db = GroupDatabase()
     db.update("a", 1, ["g1", "g2"])
     db.update("b", 1, ["g1"])
-    assert db.members("g1") == ["a", "b"]
-    assert db.members("g2") == ["a"]
-    assert db.members("none") == []
+    assert db.members_view("g1") == ("a", "b")
+    assert db.members_view("g2") == ("a",)
+    assert db.members_view("none") == ()
 
 
 def test_group_update_replaces_set():
     db = GroupDatabase()
     db.update("a", 1, ["g1"])
     db.update("a", 2, ["g2"])
-    assert db.members("g1") == []
-    assert db.members("g2") == ["a"]
+    assert db.members_view("g1") == ()
+    assert db.members_view("g2") == ("a",)
 
 
 def test_group_stale_rejected():
     db = GroupDatabase()
     db.update("a", 2, ["g1"])
     assert not db.update("a", 1, ["g2"])
-    assert db.groups_of("a") == frozenset({"g1"})
+    assert db.record("a") == frozenset({"g1"})
 
 
 def test_dedup_delivery_once():

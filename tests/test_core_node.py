@@ -241,7 +241,7 @@ def test_malformed_lsu_is_refused_not_routed_on(cost):
     before = {n.id: (n.topo_db.fingerprint, n.topo_db.version)
               for n in overlay.nodes.values()}
     forged = {"origin": "hy", "seq": overlay.nodes["hy"].topo_db.seq("hy") + 1,
-              "costs": {"hx": cost, "hz": 0.01}}
+              "record": {"hx": cost, "hz": 0.01}}
     overlay.nodes["hx"].receive_frame(Frame(
         proto="control", ftype="state", src_node="hy", dst_node="hx",
         info={"records": [("lsu", forged)]}))

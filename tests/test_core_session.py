@@ -33,10 +33,10 @@ def test_close_withdraws_group_interest():
     rx.join("mcast:g")
     scn.run_for(1.0)
     node_x = scn.overlay.nodes["hx"]
-    assert node_x.group_db.members("mcast:g") == ["hy"]
+    assert node_x.group_db.members_view("mcast:g") == ("hy",)
     rx.close()
     scn.run_for(1.0)
-    assert node_x.group_db.members("mcast:g") == []
+    assert node_x.group_db.members_view("mcast:g") == ()
 
 
 def test_two_clients_same_group_same_node():
@@ -197,10 +197,10 @@ def test_noop_leave_floods_nothing():
     scn.run_for(0.5)
     node = scn.overlay.nodes["hy"]
     counters = scn.overlay.counters
-    before = (node._gsu_seq, node.group_db.fingerprint,
+    before = (node._seqs["gsu"], node.group_db.fingerprint,
               counters.get("flood.frames"))
     rx.leave("mcast:g")  # second leave
     rx.leave("mcast:never-joined")
     scn.run_for(0.5)
-    assert (node._gsu_seq, node.group_db.fingerprint,
+    assert (node._seqs["gsu"], node.group_db.fingerprint,
             counters.get("flood.frames")) == before

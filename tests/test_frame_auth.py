@@ -30,7 +30,7 @@ def _forged_lsu(auth=None):
     carry hx's link-state record at a sequence number far ahead."""
     return Frame(
         proto="control", ftype="state", src_node="hx", dst_node="hz",
-        info={"records": [("lsu", {"origin": "hx", "seq": 999, "costs": {}})]},
+        info={"records": [("lsu", {"origin": "hx", "seq": 999, "record": {}})]},
         auth=auth,
     )
 

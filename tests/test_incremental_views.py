@@ -16,6 +16,7 @@ import copy
 import heapq
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.alg.dijkstra import next_hops
@@ -151,6 +152,17 @@ UPDATES = st.lists(
 )
 
 
+#: Both replica kinds: the class, a content, the same content reordered
+#: and retyped (a refresh), a different content, and a derived view.
+REPLICAS = {
+    "topology": (TopologyDatabase, {"b": 1.0, "c": None},
+                 {"c": None, "b": 1.0}, {"b": 2.0},
+                 TopologyDatabase.adjacency),
+    "group": (GroupDatabase, ["g", "h"], ("h", "g"), ["h"],
+              lambda db: db.members_view("g")),
+}
+
+
 def _drive(updates, check, replicas=None):
     """Feed ``updates`` to a replica and to the oracle (fresh ones
     unless given); ``check`` runs wherever the flag says the views are
@@ -231,23 +243,26 @@ class TestPatchedViews:
         assert db.adjacency() is second and db.reverse_adjacency() is second_rev
 
     def test_refresh_computes_no_digest(self, monkeypatch):
+        """A refresh — the stored content again, reordered or retyped —
+        advances seq and ``version`` only: no digest, same fingerprint,
+        the same view object, for both kinds of replica."""
         import repro.core.linkstate as linkstate
 
-        db, groups = TopologyDatabase(), GroupDatabase()
-        db.update("a", 1, {"b": 1.0, "c": None})
-        groups.update("a", 1, ["g"])
-        members = groups.members_view("g")
+        replicas = []
+        for cls, content, refresh, __, view in REPLICAS.values():
+            db = cls()
+            db.update("a", 1, content)
+            replicas.append((db, refresh, view, view(db), db.fingerprint))
         calls: list = []
         monkeypatch.setattr(linkstate, "content_digest",
                             lambda payload: calls.append(payload) or 0)
-        fingerprints = (db.fingerprint, groups.fingerprint)
-        assert db.update("a", 2, {"c": None, "b": 1.0})
-        assert groups.update("a", 2, ("g",))
+        for db, refresh, view, before, fingerprint in replicas:
+            assert db.update("a", 2, refresh)
+            assert db.update("a", 3, db.record("a"))  # the flood's resend
+            assert (db.fingerprint, db.version, db.seq("a")) == (
+                fingerprint, 3, 3)
+            assert view(db) is before
         assert not calls
-        assert (db.fingerprint, groups.fingerprint) == fingerprints
-        assert (db.version, db.seq("a")) == (2, 2)
-        assert (groups.version, groups.seq("a")) == (2, 2)
-        assert groups.members_view("g") is members  # the cache survived
 
     @given(st.lists(st.tuples(st.sampled_from(NODES), st.integers(-1, 2),
                               st.frozensets(st.sampled_from("ghk"))),
@@ -269,8 +284,48 @@ class TestPatchedViews:
                 fingerprint ^= content_digest((o, tuple(sorted(gs))))
             assert (db.fingerprint, db.version) == (fingerprint, version)
             for group in "ghk":
-                assert db.members(group) == sorted(
-                    o for o, (__, gs) in records.items() if group in gs)
+                assert db.members_view(group) == tuple(sorted(
+                    o for o, (__, gs) in records.items() if group in gs))
+
+
+@pytest.mark.parametrize("kind", REPLICAS)
+class TestReplicaContract:
+    """What the shared-state base promises, held once for both kinds
+    (the refresh is held above, in ``test_refresh_computes_no_digest``)."""
+
+    def test_a_stale_seq_is_ignored(self, kind):
+        cls, content, __, other, view = REPLICAS[kind]
+        db = cls()
+        assert db.update("a", 2, content)
+        before = (db.fingerprint, db.version, view(db))
+        assert not db.update("a", 2, other)  # a duplicate seq
+        assert not db.update("a", 1, other)  # a stale one
+        assert (db.seq("a"), db.record("a")) == (2, cls.record_type("a", content))
+        assert (db.fingerprint, db.version) == before[:2]
+        assert view(db) is before[2]
+
+    def test_new_content_moves_the_fingerprint(self, kind):
+        cls, content, __, other, view = REPLICAS[kind]
+        db = cls()
+        db.update("a", 1, content)
+        fingerprint, first = db.fingerprint, view(db)
+        assert db.update("a", 2, other)
+        assert db.fingerprint != fingerprint and view(db) != first
+        assert db.update("a", 3, content)  # back again: XOR restores it
+        assert db.fingerprint == fingerprint and view(db) == first
+
+    def test_load_state_reproduces_fingerprint_and_views(self, kind):
+        cls, content, __, other, view = REPLICAS[kind]
+        db = cls()
+        db.update("b", 1, other)
+        db.update("a", 4, content)
+        loaded = cls()
+        loaded.load_state(db.export_state(), db.version)
+        assert (loaded.fingerprint, loaded.version) == (db.fingerprint, 2)
+        assert loaded.origins() == db.origins() == ["b", "a"]
+        assert [loaded.seq(o) for o in "ab"] == [4, 1]
+        assert view(loaded) == view(db)
+        assert loaded.record("a") == db.record("a")
 
 
 # ------------------------------------------------------------- lazy tables

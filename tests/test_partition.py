@@ -72,7 +72,7 @@ def test_merge_heals_state_and_service():
     east_rx.join("mcast:merge")
     scn.run_for(2.0)
     # East does not know about west's member yet (partition).
-    bos_view = scn.overlay.nodes["site-BOS"].group_db.members("mcast:merge")
+    bos_view = scn.overlay.nodes["site-BOS"].group_db.members_view("mcast:merge")
     assert "site-SEA" not in bos_view
     _heal(scn, applied)
     convergence = scn.internet.isps["ispA"].convergence_delay
@@ -80,9 +80,9 @@ def test_merge_heals_state_and_service():
     assert scn.overlay.converged()
     # Both sides now agree on membership...
     for node in scn.overlay.nodes.values():
-        assert node.group_db.members("mcast:merge") == [
+        assert node.group_db.members_view("mcast:merge") == (
             "site-BOS", "site-SEA"
-        ]
+        )
     # ...and cross-country multicast reaches both members.
     west_got = []
     west_rx.node.session.clients[7].on_message = lambda m: west_got.append(m.seq)

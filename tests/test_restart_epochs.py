@@ -97,8 +97,8 @@ def test_recovered_node_syncs_databases_from_neighbors():
     scn.run_for(1.0)
     den = overlay.nodes["site-DEN"]
     reference = overlay.nodes["site-DAL"]
-    assert den.group_db.members("mcast:sync-test") == (
-        reference.group_db.members("mcast:sync-test")
+    assert den.group_db.members_view("mcast:sync-test") == (
+        reference.group_db.members_view("mcast:sync-test")
     )
     # Structural agreement (link costs keep settling for a few seconds
     # after recovery as loss EWMAs decay, so compare edges, not floats).

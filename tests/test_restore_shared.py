@@ -87,8 +87,7 @@ def test_the_live_flood_shares_one_record_per_origin(digests, monkeypatch):
     real_flood = OverlayNode._flood
 
     def collecting(node, kind, info, exclude=None):
-        body = info["costs"] if kind == "lsu" else info["groups"]
-        flooded[id(body)] = body  # holds the object: ids stay unique
+        flooded[id(info["record"])] = info["record"]  # ids stay unique
         real_flood(node, kind, info, exclude)
 
     monkeypatch.setattr(OverlayNode, "_flood", collecting)
@@ -175,7 +174,7 @@ def test_two_records_never_share_a_derivation(digests):
     one.load_state({"a": (1, g)}, 1)
     two.load_state({"a": (1, h)}, 1)
     assert g.part != h.part and one.fingerprint != two.fingerprint
-    assert one.members("g") == ["a"] and two.members("g") == []
+    assert one.members_view("g") == ("a",) and two.members_view("g") == ()
     assert one.record("a") is g
 
 

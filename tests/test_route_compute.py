@@ -240,10 +240,21 @@ class TestPerNodeBehaviour:
         assert mask != clean_mask
 
     def test_determinism_debug_mode(self):
-        engine = RouteComputeEngine(check_determinism=True)
-        svc = self._mesh_service(engine, "s")
-        assert svc.next_hop("t") is not None
-        assert svc.source_bitmask("t", ServiceSpec(routing=ROUTING_ADAPTIVE))
+        """Sharing rests on deterministic computation: at
+        ``sample_every=1`` the audited engine recomputes every hit fresh
+        and compares it with the cached artifact (``route-consistency``)."""
+        from repro.audit import AuditedRouteComputeEngine, Auditor
+
+        auditor = Auditor(sample_every=1, register=False)
+        engine = AuditedRouteComputeEngine(auditor)
+        adaptive = ServiceSpec(routing=ROUTING_ADAPTIVE)
+        for node in ("s", "a"):  # same content: the second node's table hits
+            svc = self._mesh_service(engine, node)
+            assert svc.next_hop("t") is not None
+            assert svc.source_bitmask("t", adaptive)
+        hits = engine.counters.as_dict()["route.hit"]
+        assert hits > 0 and auditor.report.checks == hits
+        assert auditor.report.ok
 
 
 class TestNetworkIntegration:

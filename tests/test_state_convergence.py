@@ -2,84 +2,59 @@
 see the same set of updates in *any* order end in the same state — the
 property that makes flooding + seq numbers a sound replication scheme."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.linkstate import GroupDatabase, TopologyDatabase
 
-
-@st.composite
-def lsu_updates(draw):
-    """A batch of LSUs from a handful of origins with assorted seqs."""
-    updates = []
-    n = draw(st.integers(min_value=1, max_value=20))
-    for __ in range(n):
-        origin = draw(st.sampled_from(["a", "b", "c", "d"]))
-        seq = draw(st.integers(min_value=1, max_value=6))
-        nbrs = draw(
-            st.dictionaries(
-                st.sampled_from(["a", "b", "c", "d"]),
-                st.one_of(st.none(), st.floats(min_value=0.001, max_value=1.0)),
-                max_size=3,
-            )
-        )
-        updates.append((origin, seq, nbrs))
-    return updates
-
-
-@given(lsu_updates(), st.randoms(use_true_random=False))
-@settings(max_examples=60, deadline=None)
-def test_topology_db_is_order_independent(updates, rnd):
-    db1 = TopologyDatabase()
-    for origin, seq, nbrs in updates:
-        db1.update(origin, seq, nbrs)
-    shuffled = list(updates)
-    rnd.shuffle(shuffled)
-    db2 = TopologyDatabase()
-    for origin, seq, nbrs in shuffled:
-        db2.update(origin, seq, nbrs)
-    # Same highest-seq record per origin wins either way...
-    for origin in ("a", "b", "c", "d"):
-        if db1.seq(origin) != db2.seq(origin):
-            # ...unless the same (origin, seq) appeared with different
-            # payloads, which a correct origin never produces. Filter:
-            seqs = [(o, s) for o, s, __ in updates]
-            assert len(seqs) != len(set(seqs))
-            return
-    payloads = {}
-    consistent = True
-    for origin, seq, nbrs in updates:
-        if (origin, seq) in payloads and payloads[(origin, seq)] != nbrs:
-            consistent = False
-        payloads[(origin, seq)] = nbrs
-    if consistent:
-        assert db1.adjacency() == db2.adjacency()
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["a", "b", "c"]),
-            st.integers(min_value=1, max_value=5),
-            st.sets(st.sampled_from(["g1", "g2", "g3"]), max_size=3),
+ORIGINS = ["a", "b", "c", "d"]
+#: Per replica kind: its class, a strategy for one origin's content,
+#: and its derived views.
+KINDS = {
+    "topology": (
+        TopologyDatabase,
+        st.dictionaries(
+            st.sampled_from(ORIGINS),
+            st.one_of(st.none(), st.floats(min_value=0.001, max_value=1.0)),
+            max_size=3,
         ),
-        min_size=1,
-        max_size=15,
-        unique_by=lambda u: (u[0], u[1]),  # one payload per (origin, seq)
+        lambda db: [db.adjacency(), db.symmetric_adjacency()],
     ),
-    st.randoms(use_true_random=False),
-)
+    "group": (
+        GroupDatabase,
+        st.sets(st.sampled_from(["g1", "g2", "g3"]), max_size=3),
+        lambda db: [db.members_view(g) for g in ("g1", "g2", "g3")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data(), rnd=st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_group_db_is_order_independent(updates, rnd):
-    db1 = GroupDatabase()
-    for origin, seq, groups in updates:
-        db1.update(origin, seq, groups)
+def test_replica_is_order_independent(kind, data, rnd):
+    cls, content, views = KINDS[kind]
+    updates = data.draw(st.lists(
+        st.tuples(st.sampled_from(ORIGINS), st.integers(1, 6), content),
+        min_size=1, max_size=20,
+        unique_by=lambda u: (u[0], u[1]),  # one payload per (origin, seq)
+    ))
     shuffled = list(updates)
     rnd.shuffle(shuffled)
-    db2 = GroupDatabase()
-    for origin, seq, groups in shuffled:
-        db2.update(origin, seq, groups)
-    for group in ("g1", "g2", "g3"):
-        assert db1.members(group) == db2.members(group)
+    replicas = []
+    for order in (updates, shuffled):
+        db = cls()
+        for origin, seq, body in order:
+            db.update(origin, seq, body)
+        replicas.append(db)
+    one, two = replicas
+    # The same highest-seq record per origin wins either way, so the
+    # fingerprint and every derived view agree.
+    assert sorted(one.origins()) == sorted(two.origins())
+    for origin in one.origins():
+        assert (one.seq(origin), one.record(origin)) == (
+            two.seq(origin), two.record(origin))
+    assert one.fingerprint == two.fingerprint
+    assert views(one) == views(two)
 
 
 def test_overlay_replicas_converge_to_identical_databases():
@@ -94,13 +69,10 @@ def test_overlay_replicas_converge_to_identical_databases():
     scn.run_for(5.0)
     reference = None
     for node in scn.overlay.nodes.values():
-        topo = {o: (node.topo_db.seq(o), node.topo_db.record(o))
-                for o in node.topo_db.origins()}
-        groups = {o: node.group_db.groups_of(o)
-                  for o in node.group_db.origins()}
-        snapshot = (topo, groups)
+        snapshot = {kind: {o: db.record(o) for o in db.origins()}
+                    for kind, db in node.replicas.items()}
         if reference is None:
             reference = snapshot
         else:
-            assert snapshot[1] == reference[1]
-            assert set(snapshot[0]) == set(reference[0])
+            assert snapshot["gsu"] == reference["gsu"]
+            assert set(snapshot["lsu"]) == set(reference["lsu"])

@@ -69,7 +69,7 @@ def _converged_mesh():
 
 def _lsu(origin: str, seq: int = 1, degree: int = 4) -> dict:
     return {"origin": origin, "seq": seq,
-            "costs": {f"{origin}-nbr{k}": 0.01 for k in range(degree)}}
+            "record": {f"{origin}-nbr{k}": 0.01 for k in range(degree)}}
 
 
 # ------------------------------------------------------------ (a) the cap
@@ -85,7 +85,7 @@ def test_state_frames_respect_the_cap():
     mine = [f for __, f in sent if f.src_node == "n00"]
     assert all(f.wire_size <= STATE_FRAME_BYTES for f in mine)
     assert sum(len(_records(f)) for f in mine) == 100
-    per_record = state_record_bytes("lsu", _lsu("x"))
+    per_record = state_record_bytes(_lsu("x"))
     per_frame = (STATE_FRAME_BYTES - LINK_HEADER_BYTES) // per_record
     assert len(mine) == math.ceil(100 / per_frame) > 1
     # Order of queueing is the order on the wire.
@@ -126,9 +126,9 @@ def test_newer_record_of_one_origin_supersedes_within_an_instant():
     for frame in mine:
         assert [(kind, info["origin"], info["seq"])
                 for kind, info in _records(frame)] == \
-            [("lsu", "n00", node._lsu_seq)]
+            [("lsu", "n00", node._seqs["lsu"])]
     # Origination is not coalesced: both sequence numbers were spent.
-    assert node.topo_db.seq("n00") == node._lsu_seq
+    assert node.topo_db.seq("n00") == node._seqs["lsu"]
     assert overlay.counters.get("flood.superseded") - before == len(node.links)
 
 
@@ -214,7 +214,7 @@ def test_crash_between_queue_and_flush_sends_nothing():
     assert len(first) == len(node.links)
     for frame in first:
         assert [(kind, info["seq"]) for kind, info in _records(frame)] == \
-            [("lsu", node._lsu_seq), ("gsu", node._gsu_seq)]
+            [("lsu", node._seqs["lsu"]), ("gsu", node._seqs["gsu"])]
 
 
 # ---------------------------------------------------- (e) authentication
@@ -278,12 +278,12 @@ def test_record_bytes_do_not_depend_on_flood_or_sync():
     for __, frame in sent:
         records = _records(frame)
         assert frame.wire_size == LINK_HEADER_BYTES + sum(
-            state_record_bytes(kind, info) for kind, info in records)
+            state_record_bytes(info) for __, info in records)
         for kind, info in records:
             key = (kind, info["origin"], info["seq"])
-            cost.setdefault(key, set()).add(state_record_bytes(kind, info))
-            body = info["costs"] if kind == "lsu" else info["groups"]
-            bodies.setdefault(key, set()).add(id(body))  # ``sent`` keeps it
+            cost.setdefault(key, set()).add(state_record_bytes(info))
+            # ``sent`` keeps the record alive, so its id stays unique.
+            bodies.setdefault(key, set()).add(id(info["record"]))
     assert all(len(sizes) == 1 for sizes in cost.values())
     # Every link-up synced the whole database, and each (kind, origin,
     # seq) still went out as one object, whichever path carried it.
@@ -291,8 +291,8 @@ def test_record_bytes_do_not_depend_on_flood_or_sync():
     assert all(len(ids) == 1 for ids in bodies.values())
     degree = len(overlay.nodes["n03"].links)
     final = overlay.nodes["n03"]
-    assert cost[("lsu", "n03", final._lsu_seq)] == {8 * (2 + degree)}
-    assert cost[("gsu", "n03", final._gsu_seq)] == {8 * (2 + 2)}
+    assert cost[("lsu", "n03", final._seqs["lsu"])] == {8 * (2 + degree)}
+    assert cost[("gsu", "n03", final._seqs["gsu"])] == {8 * (2 + 2)}
 
 
 # ------------------------------------------- (f) the frame-count saving
@@ -313,8 +313,8 @@ def test_refresh_flood_frame_count_guard():
     directed_links = sum(len(node.links) for node in overlay.nodes.values())
     instants = len({t for t, __ in sent})
     db_bytes = sum(
-        state_record_bytes("lsu", {"costs": node.links}) +
-        state_record_bytes("gsu", {"groups": ()})
+        state_record_bytes({"record": node.links}) +
+        state_record_bytes({"record": ()})
         for node in overlay.nodes.values())
     per_instant = math.ceil(db_bytes / (STATE_FRAME_BYTES - LINK_HEADER_BYTES))
     assert 0 < frames <= directed_links * instants * per_instant
