@@ -256,7 +256,8 @@ def check_teardown(sim, auditor: Auditor) -> bool:
 def _in_flight_datagrams(internet) -> int:
     """Count queued, non-cancelled underlay continuation events — each
     one is exactly one datagram currently walking its hop chain (or
-    riding a quiet transit's single event to its delivery). On the
+    riding a quiet transit's single event to its delivery, or a hello
+    sent without one: ``_deliver_hello``). On the
     batched tier a quiet-channel send is instead one row of a queued
     ``_bulk_deliver`` event. ``Internet._vec_deliveries`` indexes those
     same events, so it is not counted again."""
@@ -268,7 +269,7 @@ def _in_flight_datagrams(internet) -> int:
         fn = event.fn
         if getattr(fn, "__self__", None) is internet:
             name = getattr(fn, "__name__", "")
-            if name in ("_hop", "_deliver", "_drop"):
+            if name in ("_hop", "_deliver", "_deliver_hello", "_drop"):
                 count += 1
             elif name == "_bulk_deliver":
                 # One event, many datagrams: the batch rides args[0].
@@ -312,7 +313,8 @@ def _sampled(internet, auditor: Auditor) -> bool:
 
 def audit_transits(internet, auditor: Auditor) -> None:
     """Arm the checks on ``internet``'s one settle step
-    (``Internet._settle``), at every sampled step:
+    (``Internet._transit``, which datagrams and hellos both ride), at
+    every sampled step:
 
     * ``underlay-table`` — the first next hop of the transit, read from
       the search the domain shares through the process-wide table store
@@ -326,14 +328,14 @@ def audit_transits(internet, auditor: Auditor) -> None:
       fibers in one step from a cached profile, at a hop or at the
       send) is walked again from the live forwarding tables and fiber
       state as pure arithmetic and compared — same fibers, each of them
-      quiet, same delivery instant, inside the hop budget.
+      quiet, same landing instant, inside the hop budget.
 
     Wraps the settle step, so an unaudited Internet pays nothing; reads
     only, so audited and unaudited runs stay byte-identical."""
-    settle = internet._settle
+    transit = internet._transit
     sim = internet.sim
 
-    def audited_settle(key, datagram, on_deliver, on_drop, hops, chain):
+    def audited_transit(key, hops, wire, dst_access):
         sampled = _sampled(internet, auditor)
         domain, router, dst_label = key
         if sampled:
@@ -354,12 +356,10 @@ def audit_transits(internet, auditor: Auditor) -> None:
                     f"{fresh.prev.get(router)!r}",
                     sim_time=sim.now,
                 )
-        if not settle(key, datagram, on_deliver, on_drop, hops, chain):
-            return False
-        if not sampled:
-            return True
-        chain = datagram._chain
-        profile = chain.args[3]
+        landed = transit(key, hops, wire, dst_access)
+        if landed is None or not sampled:
+            return landed
+        profile, t = landed
         fibers = []
         at = sim.now
         cur = router
@@ -374,20 +374,20 @@ def audit_transits(internet, auditor: Auditor) -> None:
             fibers.append(link)
             at = at + link.delay
             cur = nxt
-        at = at + internet.hosts[datagram.dst].access_delay
+        at = at + dst_access
         auditor.check(
             "transit-express",
             cur == dst_label and tuple(fibers) == profile.links
-            and at == chain.time and hops + len(fibers) <= _MAX_HOPS,
-            f"datagram {datagram.uid} settled {router!r} -> {dst_label!r} "
-            f"over {[f.name for f in profile.links]} landing at "
-            f"{chain.time!r}; a walk over the live tables gets as far as "
-            f"{cur!r} over {[f.name for f in fibers]}, landing at {at!r}",
+            and at == t and hops + len(fibers) <= _MAX_HOPS,
+            f"settled {router!r} -> {dst_label!r} over "
+            f"{[f.name for f in profile.links]} landing at {t!r}; a walk "
+            f"over the live tables gets as far as {cur!r} over "
+            f"{[f.name for f in fibers]}, landing at {at!r}",
             sim_time=sim.now,
         )
-        return True
+        return landed
 
-    internet._settle = audited_settle
+    internet._transit = audited_transit
 
 
 # ------------------------------------------------- audited cache variants

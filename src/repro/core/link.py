@@ -63,7 +63,7 @@ class _CarrierMonitor:
         self.last_seq = seq
         self.last_rx_time = now
         old_loss = self.loss_est
-        for __ in range(min(gap, 50)):
+        for __ in range(min(gap, 50)) if gap else ():
             self.loss_est = self.loss_est * (1 - loss_alpha) + loss_alpha
         self.loss_est *= 1 - loss_alpha
         if self.loss_est != old_loss:
@@ -125,6 +125,9 @@ class OverlayLink:
         #: Optional frame signer installed by the network when message
         #: authentication is deployed (Sec IV-B).
         self.sign_frame: Callable[[Frame], None] | None = None
+        #: The peer node's receive for a hello that is not a frame
+        #: (``OverlayNode.receive_hello``); ``None`` frames every hello.
+        self.hello_to_peer: Callable[..., None] | None = None
 
         self.up = False
         #: A muted link transmits nothing (its node has crashed).
@@ -260,42 +263,59 @@ class OverlayLink:
             self._hello_wire = 16 + 8 * (3 + len(self._feedback))
         feedback = self._feedback
         hello_wire = self._hello_wire
+        now = self.sim._now
+        seqs = self._hello_seq
+        # A signer needs a frame, and transmit decides what a muted or
+        # unwired endpoint does; the underlay frames the rest as needed.
+        lane = (self.sign_frame is None and not self.muted
+                and self.hello_to_peer is not None)
         for name in self.carriers:
-            frame = Frame(
-                proto="control",
-                ftype="hello",
-                src_node=self.node_id,
-                dst_node=self.nbr_id,
-                info={
-                    "carrier": name,
-                    "seq": self._hello_seq[name],
-                    "ts": self.sim.now,
-                    "feedback": feedback,
-                },
-                wire_override=hello_wire,
-            )
-            self._hello_seq[name] += 1
-            self.transmit(frame, carrier=name)
+            seq = seqs[name]
+            seqs[name] = seq + 1
+            if lane:
+                self.bytes_sent += hello_wire
+                self.frames_sent += 1
+                self.internet.send_hello(self._channel(name), self, name, seq,
+                                         feedback, hello_wire)
+            else:
+                self.transmit(self.hello_frame(name, seq, now, feedback,
+                                               hello_wire), carrier=name)
+
+    def hello_frame(self, carrier: str, seq: int, ts: float, feedback: dict,
+                    wire: int) -> Frame:
+        """This endpoint's hello as a frame — the one place one is built,
+        and only for what reads it: a signer, any transit but a quiet
+        one from the host's router, a receiver with a keystore or an
+        adversary behaviour, and a hello in flight when the underlay
+        changes."""
+        return Frame("control", "hello", self.node_id, self.nbr_id, info={
+            "carrier": carrier, "seq": seq, "ts": ts, "feedback": feedback,
+        }, wire_override=wire)
 
     def on_hello(self, info: dict) -> None:
-        """Handle a hello received from the neighbor on some carrier
+        """:meth:`hello` for a hello that arrived as a frame."""
+        self.hello(info["carrier"], info["seq"], info["ts"],
+                   info.get("feedback"))
+
+    def hello(self, carrier: str, seq: int, ts: float,
+              feedback: dict | None) -> None:
+        """Handle a hello received from the neighbor on ``carrier``
         (measures the neighbor->us direction of that carrier; simulated
         clocks are synchronized)."""
-        now = self.sim.now
-        monitor = self._rx.get(info["carrier"])
+        now = self.sim._now
+        monitor = self._rx.get(carrier)
         if monitor is None:
             return  # carrier lists disagree; ignore
         fresh = monitor.observe(
-            info["seq"], now - info["ts"], now,
+            seq, now - ts, now,
             self.config.loss_alpha, self.config.latency_alpha,
         )
         if not fresh:
             return
-        feedback = info.get("feedback")
-        if feedback is not None and feedback != self._peer_feedback:
-            # Store a copy (the sender reuses its dict across hellos);
-            # steady state is "unchanged", so compare before allocating.
-            self._peer_feedback = dict(feedback)
+        if feedback is not None:
+            # The sender never writes a feedback dict it has sent (a
+            # rebuild makes a new one), so keeping it needs no copy.
+            self._peer_feedback = feedback
         self._last_rx_time = now
         if not self.up:
             self._recover_count += 1
@@ -305,7 +325,7 @@ class OverlayLink:
     def _check_tick(self) -> None:
         timeout = self._silence_timeout
         silent = (
-            self._last_rx_time < 0 or self.sim.now - self._last_rx_time > timeout
+            self._last_rx_time < 0 or self.sim._now - self._last_rx_time > timeout
         )
         if self.up and silent:
             self._set_up(False)
@@ -331,13 +351,13 @@ class OverlayLink:
         monitor = self._rx[name]
         return (
             monitor.last_rx_time >= 0
-            and self.sim.now - monitor.last_rx_time <= self._silence_timeout
+            and self.sim._now - monitor.last_rx_time <= self._silence_timeout
         )
 
     def _maybe_switch_carrier(self) -> None:
         if len(self.carriers) < 2:
             return
-        if self.sim.now - self._last_switch < MIN_SWITCH_INTERVAL:
+        if self.sim._now - self._last_switch < MIN_SWITCH_INTERVAL:
             return
         current = self.carrier
         current_dead = not self._carrier_usable(current)

@@ -153,6 +153,8 @@ class OverlayNetwork:
         )
         link_ab.deliver_to_peer = node_b.receive_frame
         link_ba.deliver_to_peer = node_a.receive_frame
+        link_ab.hello_to_peer = node_b.receive_hello
+        link_ba.hello_to_peer = node_a.receive_hello
         if self.keystore is not None:
             link_ab.sign_frame = self._signer_for(a)
             link_ba.sign_frame = self._signer_for(b)

@@ -332,6 +332,17 @@ class OverlayNode:
         protocol = self.protocol_for(frame.src_node, frame.proto)
         protocol.on_frame(frame)
 
+    def receive_hello(self, link, carrier: str, seq: int, ts: float,
+                      feedback: dict, wire: int) -> None:
+        """Entry point for a hello neighbor ``link`` sent without a
+        frame (``Internet.send_hello``): a keystore or a behaviour here
+        reads it as the frame :meth:`receive_frame` takes."""
+        if self.behavior is not None or self.network.keystore is not None:
+            self.receive_frame(link.hello_frame(carrier, seq, ts, feedback,
+                                                wire))
+        elif not self.crashed:
+            self.links[link.node_id].hello(carrier, seq, ts, feedback)
+
     def _authenticate(self, frame: Frame) -> bool:
         """Sec IV-B: with a keystore deployed, a frame is accepted only
         if it carries a valid signature by its claimed sending node.

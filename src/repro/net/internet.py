@@ -14,14 +14,14 @@ chosen **carrier**:
 Physical fibers are shared between an ISP's domain and the interdomain
 domain, so one cut affects every path over that fiber.
 
-There is one send path: :meth:`Internet.send` is :meth:`Internet.send_via`
-over a cached :class:`Channel`. From there a datagram on the exact tier
-either walks fiber by fiber (one ``_hop`` event per router) or, over a
-quiet transit, is settled in one step at its send or at a hop
-(``_settle``) and demoted back to the walk when the underlay changes
-(``_demote_transits``). Whatever it does, ``datagram._chain`` is the one
-queued event that fires its next step — every send, demotion and
-``repush`` sets it — so a hop only ever re-queues its own event.
+There is one datagram send path: :meth:`Internet.send` is
+:meth:`Internet.send_via` over a cached :class:`Channel`. From there a
+datagram on the exact tier walks fiber by fiber (one ``_hop`` event per
+router) or, over a quiet transit, is settled in one step (``_transit``)
+at its send or at a hop and demoted back to the walk when the underlay
+changes (``_demote_transits``); ``datagram._chain`` is the one queued
+event that fires its next step, so a hop only re-queues its own event.
+An overlay hello settled at its send (``send_hello``) is no datagram.
 
 The contract with the walk is what ``tests/test_underlay_model.py``
 checks on twin stacks, and nothing beyond it: the same fates and
@@ -98,8 +98,8 @@ class Channel:
     destination router labels — costs several dict lookups per datagram.
     For fixed channels like an overlay link's hello stream, the overlay
     fetches a :class:`Channel` once via :meth:`Internet.channel` and
-    sends through :meth:`Internet.send_via`, skipping per-frame
-    resolution. Channels are invalidated wholesale (see
+    sends through it (:meth:`Internet.send_via`, :meth:`~Internet.send_hello`),
+    skipping per-frame resolution. Channels are invalidated wholesale (see
     :attr:`Internet.channel_gen`) when the carrier structure changes —
     a new ISP, peering, or host attachment — or a host's access delay
     does.
@@ -182,6 +182,7 @@ class Internet:
         #: at datagram rates).
         self._hop_cb = self._hop
         self._deliver_cb = self._deliver
+        self._hello_cb = self._deliver_hello
         #: The batched tier's coalescing window in seconds, set by
         #: :meth:`enable_vectorized`; 0 on the exact tier. When > 0, hop
         #: arrivals are quantized up to the window grid and quiet
@@ -487,6 +488,40 @@ class Internet:
         datagram._chain = event
         return datagram
 
+    def send_hello(self, chan: Channel, link, carrier: str, seq: int,
+                   feedback: dict, wire: int) -> None:
+        """Send overlay ``link``'s hello ``seq`` on ``carrier`` (Sec
+        II-A) as :meth:`send_via` sends ``link.hello_frame(...)`` — the
+        same counts, taken before the settle step, and the same seqs —
+        but over a quiet transit from a host on its router as one
+        :meth:`_deliver_hello` event: no frame, no datagram."""
+        now = self.sim._now
+        if self.columnar_window:
+            self.send_via(chan, link.hello_frame(carrier, seq, now, feedback,
+                                                 wire), wire, link._deliver_fn)
+            return
+        add = self.counters.add
+        add("datagrams-sent")
+        add("bytes-sent", wire + HEADER_BYTES)
+        landed = None if chan.src_access else self._transit(
+            chan.path_key, 0, wire + HEADER_BYTES, chan.dst_access)
+        if landed is not None:
+            self.sim.schedule_at(landed[1], self._hello_cb, link, carrier,
+                                 seq, now, feedback, wire, landed[0])
+            return
+        datagram = Datagram(chan.src, chan.dst, link.hello_frame(
+            carrier, seq, now, feedback, wire), wire, sent_at=now)
+        datagram._chain = self.sim.schedule(
+            chan.src_access, self._hop_cb, chan.domain, chan.src_label,
+            chan.dst_label, datagram, link._deliver_fn, None, 0)
+
+    def _deliver_hello(self, link, carrier: str, seq: int, ts: float,
+                       feedback: dict, wire: int, profile) -> None:
+        """:meth:`_deliver` for a hello sent without a datagram; the
+        ``profile`` is for :meth:`_demote_transits` only."""
+        self.counters.add("datagrams-delivered")
+        link.hello_to_peer(link, carrier, seq, ts, feedback, wire)
+
     def _hop(
         self,
         domain: RoutingDomain,
@@ -549,25 +584,17 @@ class Internet:
             (domain, nxt, dst_label, datagram, on_deliver, on_drop, hops + 1),
         )
 
-    def _settle(self, key: tuple, datagram: Datagram, on_deliver: DeliverFn,
-                on_drop: DropFn | None, hops: int, chain) -> bool:
-        """Settle a quiet transit in one step, if ``key`` = ``(domain,
-        router, dst_label)`` is one: two or more fibers to go, and on
-        every one of them — un-cut, loss-free, jitter-free, uncapped, as
-        of this instant — the walk would only add a constant and bump
-        two counters. Counts the datagram on all of them and queues its
-        delivery at the instant the walk would reach it (the same
-        floats: one add per fiber, in order), by recycling ``chain`` —
-        the hop settling it — or, from a send, as a new event that
-        takes the seq the access hop would have had. Returns False,
-        having touched nothing, for anything else. The one settle step
-        of the exact tier: the hop walk and the send call it, and the
-        audit wraps it.
-
-        The delivery event carries what :meth:`_demote_transits` needs
-        to put the datagram back on the walk should the underlay change
-        before it lands: the start instant, the profile, ``on_drop``,
-        the hops at the start and the seq of the start's hop."""
+    def _transit(self, key: tuple, hops: int, wire: int,
+                 dst_access: float) -> tuple | None:
+        """The one settle step of the exact tier, which datagrams
+        (:meth:`_settle`) and hellos (:meth:`send_hello`) ride and the
+        audit wraps. If ``key`` = ``(domain, router, dst_label)`` is a
+        quiet transit — two or more fibers to go, every one un-cut,
+        loss-free, jitter-free and uncapped as of this instant, inside
+        the hop budget — count ``wire`` bytes on each and return
+        ``(profile, t)``: the instant the walk would land it,
+        ``dst_access`` after its last fiber (the walk's own floats, one
+        add per fiber). Else ``None``, having touched nothing."""
         entry = self._path_cache.get(key)
         if entry is None or entry[0] != key[0].tables_epoch:
             entry = self._resolve_path(*key)
@@ -575,22 +602,39 @@ class Internet:
         if profile is None or profile.n_hops < 2 \
                 or hops + profile.n_hops > _MAX_HOPS \
                 or not _quiet(profile.links):
-            return False
-        wire = datagram.size + HEADER_BYTES
-        sim = self.sim
-        t = t0 = sim._now
+            return None
+        t = self.sim._now
         for link in profile.links:
             link.packets_carried += 1
             link.bytes_carried += wire
             t = t + link.delay
-        t = t + self.hosts[datagram.dst].access_delay
+        return profile, t + dst_access
+
+    def _settle(self, key: tuple, datagram: Datagram, on_deliver: DeliverFn,
+                on_drop: DropFn | None, hops: int, chain) -> bool:
+        """Settle ``datagram`` at router ``key[1]`` if the rest of its
+        way is a quiet transit (:meth:`_transit`): queue its delivery by
+        recycling ``chain`` — the hop settling it — or, from a send, as
+        a new event that takes the seq the access hop would have had.
+        Returns False, having touched nothing, for anything else. The
+        delivery event carries what :meth:`_demote_transits` needs to
+        put the datagram back on the walk: the start instant, the
+        profile, ``on_drop``, the hops at the start and the start hop's
+        seq."""
+        landed = self._transit(key, hops, datagram.size + HEADER_BYTES,
+                               self.hosts[datagram.dst].access_delay)
+        if landed is None:
+            return False
+        profile, t = landed
+        sim = self.sim
         if chain is None:
             datagram._chain = sim.schedule_at(
-                t, self._deliver_cb, datagram, on_deliver, t0, profile,
+                t, self._deliver_cb, datagram, on_deliver, sim._now, profile,
                 on_drop, hops, sim._seq)
         else:
             sim.repush(chain, t, self._deliver_cb, (
-                datagram, on_deliver, t0, profile, on_drop, hops, chain.seq))
+                datagram, on_deliver, sim._now, profile, on_drop, hops,
+                chain.seq))
         return True
 
     def _deliver(self, datagram: Datagram, on_deliver: DeliverFn,
@@ -619,13 +663,25 @@ class Internet:
         not come up yet in this instant's (time, seq) order goes back to
         that hop, under that hop's own seq. A transit already on its
         last fiber is left alone: nothing it has yet to do reads the
-        underlay."""
+        underlay. A hello's event (:meth:`send_hello`) first becomes, at
+        its own (time, seq), the delivery of the datagram its frame
+        would have ridden."""
         sim = self.sim
         now = sim._now
         deliver = self._deliver_cb
         demoted = []
         for event, live in sim.iter_queued():
-            if not live or event.fn is not deliver or len(event.args) == 2:
+            if not live:
+                continue
+            if event.fn is self._hello_cb:
+                link, carrier, seq, ts, feedback, wire, profile = event.args
+                datagram = Datagram(link.node_host, link.nbr_host, link.hello_frame(
+                    carrier, seq, ts, feedback, wire), wire, sent_at=ts)
+                datagram._chain = event
+                event.fn = deliver
+                event.args = (datagram, link._deliver_fn, ts, profile, None,
+                              0, event.seq)
+            elif event.fn is not deliver or len(event.args) == 2:
                 continue
             __, __, t0, profile, __, __, seq0 = event.args
             if t0 == now and sim._firing < seq0:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from repro.analysis.scenarios import continental_scenario
 from repro.analysis.workloads import CbrSource
-from repro.core.message import Address, ServiceSpec
+from repro.core.message import Address, Frame, ServiceSpec
 from repro.core.network import OverlayNetwork
 from repro.net.internet import Internet
+from repro.net.packet import Datagram
 from repro.net.topologies import US_CITIES, site_name
 from repro.protocols import registered_protocols
 from repro.sim.events import Simulator
@@ -93,10 +94,10 @@ MESH_N = 30
 MESH_EVENTS, MESH_DATAGRAMS = 13_196, 6_310
 
 
-def _mesh_run():
+def _mesh():
     """The benchmark's mesh in miniature: ring+chords fibers (i ~ i+1,
     i ~ i+3), overlay links at ring spacings 11 and 13 — five fibers
-    under every one — converged cold, then three CBR flows."""
+    under every one — converged cold."""
     n = MESH_N
     sim = Simulator()
     inet = Internet(sim, RngRegistry(SEED))
@@ -114,6 +115,12 @@ def _mesh_run():
     overlay.start()
     sim.run(until=8.0)
     assert overlay.converged()
+    return sim, inet, domain, sites, overlay
+
+
+def _mesh_run():
+    """The mesh, then three CBR flows."""
+    sim, inet, domain, sites, overlay = _mesh()
     for src, dst in ((0, 15), (7, 22), (19, 3)):
         overlay.client(sites[dst], 40)
         CbrSource(sim, overlay.client(sites[src]), Address(sites[dst], 40),
@@ -129,3 +136,31 @@ def _mesh_run():
 
 def test_five_quiet_fibers_cost_what_one_does():
     assert _mesh_run() == (MESH_EVENTS, MESH_DATAGRAMS)
+
+
+#: Measured: one quiet second of the converged mesh, no traffic — 2 400
+#: hellos (120 endpoints, two carriers each, ten ticks) and 4 830 events:
+#: one a hello, its delivery, plus 1 200 hello and 1 200 check ticks and
+#: 30 node timers. The frame path built 2 400 frames and 2 400 datagrams
+#: for the same second and the same events.
+QUIET_HELLOS, QUIET_EVENTS = 2_400, 4_830
+
+
+def test_a_quiet_hello_is_one_event_with_no_frame_or_datagram(monkeypatch):
+    """Over one quiet second every hello rides its five quiet fibers as
+    one event with no Frame and no Datagram behind it."""
+    sim, inet, domain, sites, overlay = _mesh()
+    built = {"Frame": 0, "Datagram": 0}
+    for cls in (Frame, Datagram):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    sent = inet.counters.get("datagrams-sent")
+    events = sim.events_processed
+    sim.run(until=9.0)
+    assert inet.counters.get("datagrams-sent") - sent == QUIET_HELLOS
+    assert sim.events_processed - events == QUIET_EVENTS
+    assert built == {"Frame": 0, "Datagram": 0}
