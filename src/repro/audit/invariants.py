@@ -35,10 +35,10 @@ holds those checkers:
   sampled runs of the underlay's settle step, the next hop a domain
   reads from a search it shares with other domains is re-derived by a
   fresh search over the domain's own converged graph
-  (``underlay-table``), and a datagram the step settled over several
-  fibers is re-walked fiber by fiber against the live forwarding tables
-  and fiber state: same fibers, all quiet, same arrival instant
-  (``transit-express``).
+  (``underlay-table``), and a transit the step settled is re-walked
+  fiber by fiber from its start instant against the live forwarding
+  tables and fiber state: same fibers, each crossing certain to pass,
+  same arrival instant (``transit-express``).
 
 The :class:`Auditor` ties them together: one per audited
 :class:`~repro.core.network.OverlayNetwork` (created only when
@@ -67,7 +67,6 @@ from repro.core.compute import NextHopTable, RouteComputeEngine
 from repro.core.linkstate import GroupDatabase, TopologyDatabase
 from repro.core.pipeline import ForwardingCache
 from repro.net.internet import _MAX_HOPS
-from repro.net.loss import NoLoss
 
 #: Default sampling period for hit re-derivation: every Nth cache hit
 #: is recomputed cold. Deterministic (a counter, not an RNG draw).
@@ -324,18 +323,18 @@ def audit_transits(internet, auditor: Auditor) -> None:
       shared search would otherwise reach every domain in the process
       that converged on the same graph. A table the domain holds that
       did not come from the store is not checked.
-    * ``transit-express`` — a quiet transit the step settled (several
-      fibers in one step from a cached profile, at a hop or at the
-      send) is walked again from the live forwarding tables and fiber
-      state as pure arithmetic and compared — same fibers, each of them
-      quiet, same landing instant, inside the hop budget.
+    * ``transit-express`` — a quiet transit the step settled (at a
+      hop or at the send) is walked again from its start instant over
+      the live forwarding tables and fiber state as pure arithmetic
+      and compared — same fibers, each of them quiet at its crossing
+      instant, same landing instant, inside the hop budget.
 
     Wraps the settle step, so an unaudited Internet pays nothing; reads
     only, so audited and unaudited runs stay byte-identical."""
     transit = internet._transit
     sim = internet.sim
 
-    def audited_transit(key, hops, wire, dst_access):
+    def audited_transit(key, hops, wire, dst_access, start):
         sampled = _sampled(internet, auditor)
         domain, router, dst_label = key
         if sampled:
@@ -356,12 +355,12 @@ def audit_transits(internet, auditor: Auditor) -> None:
                     f"{fresh.prev.get(router)!r}",
                     sim_time=sim.now,
                 )
-        landed = transit(key, hops, wire, dst_access)
+        landed = transit(key, hops, wire, dst_access, start)
         if landed is None or not sampled:
             return landed
         profile, t = landed
         fibers = []
-        at = sim.now
+        at = start
         cur = router
         while cur != dst_label and len(fibers) < _MAX_HOPS:
             nxt = domain.next_hop(cur, dst_label)
@@ -369,7 +368,7 @@ def audit_transits(internet, auditor: Auditor) -> None:
                 break
             link, __ = domain.link_on_path(cur, nxt)
             if link.failed or link.jitter or link.capacity_bps is not None \
-                    or type(link.loss) is not NoLoss:
+                    or not link.loss.certain_pass(at):
                 break
             fibers.append(link)
             at = at + link.delay

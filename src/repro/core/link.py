@@ -285,9 +285,8 @@ class OverlayLink:
                     wire: int) -> Frame:
         """This endpoint's hello as a frame — the one place one is built,
         and only for what reads it: a signer, any transit but a quiet
-        one from the host's router, a receiver with a keystore or an
-        adversary behaviour, and a hello in flight when the underlay
-        changes."""
+        one, a receiver with a keystore or an adversary behaviour, and a
+        hello in flight when the underlay changes."""
         return Frame("control", "hello", self.node_id, self.nbr_id, info={
             "carrier": carrier, "seq": seq, "ts": ts, "feedback": feedback,
         }, wire_override=wire)

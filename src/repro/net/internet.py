@@ -17,11 +17,12 @@ domain, so one cut affects every path over that fiber.
 There is one datagram send path: :meth:`Internet.send` is
 :meth:`Internet.send_via` over a cached :class:`Channel`. From there a
 datagram on the exact tier walks fiber by fiber (one ``_hop`` event per
-router) or, over a quiet transit, is settled in one step (``_transit``)
-at its send or at a hop and demoted back to the walk when the underlay
-changes (``_demote_transits``); ``datagram._chain`` is the one queued
-event that fires its next step, so a hop only re-queues its own event.
-An overlay hello settled at its send (``send_hello``) is no datagram.
+router) or, over a quiet transit (every fiber crossing on it decided),
+is settled in one step (``_transit``) at its send or at a hop and
+demoted back to the walk when the underlay changes
+(``_demote_transits``); ``datagram._chain`` is the one queued event
+that fires its next step, so a hop only re-queues its own event. An
+overlay hello settled at its send (``send_hello``) is no datagram.
 
 The contract with the walk is what ``tests/test_underlay_model.py``
 checks on twin stacks, and nothing beyond it: the same fates and
@@ -61,9 +62,7 @@ DropFn = Callable[[Datagram, str], None]
 def _quiet(links) -> bool:
     """Whether crossing each of ``links`` right now would only add its
     delay and bump two counters: un-cut, loss-free, jitter-free and
-    uncapped, all read live. The one predicate of both one-step lanes —
-    the exact tier's quiet transit and the batched tier's quiet
-    channel."""
+    uncapped, all read live — the batched tier's quiet channel."""
     for link in links:
         if link._failed or link.jitter or link.capacity_bps is not None \
                 or type(link._loss) is not NoLoss:
@@ -75,9 +74,9 @@ class _PathProfile:
     """A resolved underlay transit: the router it starts from, the
     ordered fibers (and the router at the far end of each) the current
     forwarding tables would walk, and their summed delay. It records
-    nothing about the fibers' state: whoever settles on it asks
-    :func:`_quiet` at that instant. Both tiers read the same profiles
-    out of :attr:`Internet._path_cache`."""
+    nothing about the fibers' state: whoever settles on it reads that
+    live. Both tiers read the same profiles out of
+    :attr:`Internet._path_cache`."""
 
     __slots__ = ("domain", "start", "links", "routers", "total_delay",
                  "n_hops")
@@ -430,9 +429,9 @@ class Internet:
     ) -> Datagram:
         """Send through a pre-resolved :class:`Channel` — the one send
         path (:meth:`send` resolves a cached channel and calls this).
-        On the exact tier a datagram from a host on its router with a
-        quiet transit ahead settles here (:meth:`_settle`); anything
-        else queues its first hop after the access delay. Either way
+        On the exact tier a datagram with a quiet transit ahead of its
+        first hop (``src_access`` from now) settles here
+        (:meth:`_settle`); anything else queues that hop. Either way
         ``datagram._chain`` is the event that fires its next step. On
         the batched tier a quiet channel settles here in one step."""
         # Reads the simulator's _now directly: this is the per-frame
@@ -444,8 +443,8 @@ class Internet:
         add("bytes-sent", size + HEADER_BYTES)
         w = self.columnar_window
         if not w:
-            if not chan.src_access and self._settle(
-                    chan.path_key, datagram, on_deliver, on_drop, 0, None):
+            if self._settle(chan.path_key, datagram, on_deliver, on_drop, 0,
+                            None, self.sim._now + chan.src_access):
                 return datagram
         elif self.sim._running and chan.src_access <= w:
             # Quiet-channel lane (batched tier): a channel whose every
@@ -493,8 +492,8 @@ class Internet:
         """Send overlay ``link``'s hello ``seq`` on ``carrier`` (Sec
         II-A) as :meth:`send_via` sends ``link.hello_frame(...)`` — the
         same counts, taken before the settle step, and the same seqs —
-        but over a quiet transit from a host on its router as one
-        :meth:`_deliver_hello` event: no frame, no datagram."""
+        but over a quiet transit as one :meth:`_deliver_hello` event: no
+        frame, no datagram."""
         now = self.sim._now
         if self.columnar_window:
             self.send_via(chan, link.hello_frame(carrier, seq, now, feedback,
@@ -503,11 +502,12 @@ class Internet:
         add = self.counters.add
         add("datagrams-sent")
         add("bytes-sent", wire + HEADER_BYTES)
-        landed = None if chan.src_access else self._transit(
-            chan.path_key, 0, wire + HEADER_BYTES, chan.dst_access)
+        start = now + chan.src_access
+        landed = self._transit(chan.path_key, 0, wire + HEADER_BYTES,
+                               chan.dst_access, start)
         if landed is not None:
             self.sim.schedule_at(landed[1], self._hello_cb, link, carrier,
-                                 seq, now, feedback, wire, landed[0])
+                                 seq, now, feedback, wire, landed[0], start)
             return
         datagram = Datagram(chan.src, chan.dst, link.hello_frame(
             carrier, seq, now, feedback, wire), wire, sent_at=now)
@@ -516,9 +516,9 @@ class Internet:
             chan.dst_label, datagram, link._deliver_fn, None, 0)
 
     def _deliver_hello(self, link, carrier: str, seq: int, ts: float,
-                       feedback: dict, wire: int, profile) -> None:
+                       feedback: dict, wire: int, profile, start) -> None:
         """:meth:`_deliver` for a hello sent without a datagram; the
-        ``profile`` is for :meth:`_demote_transits` only."""
+        ``profile`` and ``start`` are for :meth:`_demote_transits` only."""
         self.counters.add("datagrams-delivered")
         link.hello_to_peer(link, carrier, seq, ts, feedback, wire)
 
@@ -553,7 +553,7 @@ class Internet:
             return
         if nxt != dst_label and not self.columnar_window and self._settle(
                 (domain, router, dst_label), datagram, on_deliver, on_drop,
-                hops, chain):
+                hops, chain, self.sim._now):
             return
         link, direction = domain.link_on_path(router, nxt)
         # The loss stream for a link never changes identity; cache it on
@@ -584,56 +584,60 @@ class Internet:
             (domain, nxt, dst_label, datagram, on_deliver, on_drop, hops + 1),
         )
 
-    def _transit(self, key: tuple, hops: int, wire: int,
-                 dst_access: float) -> tuple | None:
+    def _transit(self, key: tuple, hops: int, wire: int, dst_access: float,
+                 start: float) -> tuple | None:
         """The one settle step of the exact tier, which datagrams
         (:meth:`_settle`) and hellos (:meth:`send_hello`) ride and the
         audit wraps. If ``key`` = ``(domain, router, dst_label)`` is a
-        quiet transit — two or more fibers to go, every one un-cut,
-        loss-free, jitter-free and uncapped as of this instant, inside
-        the hop budget — count ``wire`` bytes on each and return
-        ``(profile, t)``: the instant the walk would land it,
-        ``dst_access`` after its last fiber (the walk's own floats, one
-        add per fiber). Else ``None``, having touched nothing."""
+        quiet transit from a hop at ``start`` — fibers to go inside the
+        hop budget, each un-cut, jitter-free, uncapped and certain to
+        pass at its crossing instant (``loss.certain_pass``) — count
+        ``wire`` bytes on each and return ``(profile, t)``: the instant
+        the walk would land it, ``dst_access`` after its last fiber (the
+        walk's own floats, one add per fiber). Else ``None``, having
+        touched nothing."""
         entry = self._path_cache.get(key)
         if entry is None or entry[0] != key[0].tables_epoch:
             entry = self._resolve_path(*key)
         profile = entry[1]
-        if profile is None or profile.n_hops < 2 \
-                or hops + profile.n_hops > _MAX_HOPS \
-                or not _quiet(profile.links):
+        if profile is None or not profile.n_hops \
+                or hops + profile.n_hops > _MAX_HOPS:
             return None
-        t = self.sim._now
+        t = start
+        for link in profile.links:
+            if link._failed or link.jitter or link.capacity_bps is not None \
+                    or not link._loss.certain_pass(t):
+                return None
+            t = t + link.delay
         for link in profile.links:
             link.packets_carried += 1
             link.bytes_carried += wire
-            t = t + link.delay
         return profile, t + dst_access
 
     def _settle(self, key: tuple, datagram: Datagram, on_deliver: DeliverFn,
-                on_drop: DropFn | None, hops: int, chain) -> bool:
-        """Settle ``datagram`` at router ``key[1]`` if the rest of its
-        way is a quiet transit (:meth:`_transit`): queue its delivery by
-        recycling ``chain`` — the hop settling it — or, from a send, as
-        a new event that takes the seq the access hop would have had.
-        Returns False, having touched nothing, for anything else. The
-        delivery event carries what :meth:`_demote_transits` needs to
-        put the datagram back on the walk: the start instant, the
-        profile, ``on_drop``, the hops at the start and the start hop's
-        seq."""
+                on_drop: DropFn | None, hops: int, chain, start: float) -> bool:
+        """Settle ``datagram`` at router ``key[1]``, whose hop fires at
+        ``start``, if the rest of its way is a quiet transit
+        (:meth:`_transit`): queue its delivery by recycling ``chain`` —
+        the hop settling it — or, from a send, as a new event that takes
+        the seq the first hop would have had. Returns False, having
+        touched nothing, for anything else. The delivery event carries
+        what :meth:`_demote_transits` needs to put the datagram back on
+        the walk: the start hop's instant, the profile, ``on_drop``, the
+        hops at the start and the start hop's seq."""
         landed = self._transit(key, hops, datagram.size + HEADER_BYTES,
-                               self.hosts[datagram.dst].access_delay)
+                               self.hosts[datagram.dst].access_delay, start)
         if landed is None:
             return False
         profile, t = landed
         sim = self.sim
         if chain is None:
             datagram._chain = sim.schedule_at(
-                t, self._deliver_cb, datagram, on_deliver, sim._now, profile,
+                t, self._deliver_cb, datagram, on_deliver, start, profile,
                 on_drop, hops, sim._seq)
         else:
             sim.repush(chain, t, self._deliver_cb, (
-                datagram, on_deliver, sim._now, profile, on_drop, hops,
+                datagram, on_deliver, start, profile, on_drop, hops,
                 chain.seq))
         return True
 
@@ -653,16 +657,17 @@ class Internet:
         is about to be cut, repaired or given another loss process, or
         a domain's tables were just rewritten: put every quiet transit
         back on the hop walk. Each is found on the event queue (none is
-        tracked while nothing changes), placed from its start instant
-        and its fibers' delays — the crossing instants the walk's own
-        events would have had — relieved of the counters of the fibers
-        it has not reached, and re-queued as a plain ``_hop`` at the
-        next router, so a drop at a cut fiber, forwarding by stale
-        tables and rerouting by fresh ones happen when and where they
-        always did. A transit settled at its send whose start hop has
-        not come up yet in this instant's (time, seq) order goes back to
-        that hop, under that hop's own seq. A transit already on its
-        last fiber is left alone: nothing it has yet to do reads the
+        tracked while nothing changes), placed from its start hop's
+        instant and its fibers' delays — the crossing instants the
+        walk's own events would have had — relieved of the counters of
+        the fibers it has not reached, and re-queued as a plain ``_hop``
+        at the next router, so a drop at a cut fiber, forwarding by
+        stale tables and rerouting by fresh ones happen when and where
+        they always did. A transit settled at its send whose start hop
+        has not come up yet — later than now, or now but after this
+        point of the instant's (time, seq) order — goes back to that
+        hop, under that hop's own seq. A transit already on its last
+        fiber is left alone: nothing it has yet to do reads the
         underlay. A hello's event (:meth:`send_hello`) first becomes, at
         its own (time, seq), the delivery of the datagram its frame
         would have ridden."""
@@ -674,18 +679,18 @@ class Internet:
             if not live:
                 continue
             if event.fn is self._hello_cb:
-                link, carrier, seq, ts, feedback, wire, profile = event.args
+                link, carrier, seq, ts, feedback, wire, profile, start = event.args
                 datagram = Datagram(link.node_host, link.nbr_host, link.hello_frame(
                     carrier, seq, ts, feedback, wire), wire, sent_at=ts)
                 datagram._chain = event
                 event.fn = deliver
-                event.args = (datagram, link._deliver_fn, ts, profile, None,
+                event.args = (datagram, link._deliver_fn, start, profile, None,
                               0, event.seq)
             elif event.fn is not deliver or len(event.args) == 2:
                 continue
             __, __, t0, profile, __, __, seq0 = event.args
-            if t0 == now and sim._firing < seq0:
-                demoted.append((now, seq0, 0, event))
+            if t0 > now or t0 == now and sim._firing < seq0:
+                demoted.append((t0, seq0, 0, event))
                 continue
             links = profile.links
             # ``at`` = when the walk's hop at router ``crossed`` would
@@ -729,9 +734,8 @@ class Internet:
         into a transit profile, or ``None`` when there is none to settle
         on: a routing loop in the (possibly stale) tables, or no route
         at all. A cut, lossy, jittery or queued fiber does *not*
-        disqualify a path — the lanes read fiber state live
-        (:func:`_quiet`), so a profile holds for as long as the tables
-        it was resolved from."""
+        disqualify a path — the lanes read fiber state live, so a
+        profile holds for as long as the tables it was resolved from."""
         links: list = []
         routers: list = []
         total_delay = 0.0

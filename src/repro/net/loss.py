@@ -11,6 +11,11 @@ All models are queried per traversal with ``should_drop(now, rng)`` and
 advance their internal state lazily, so they work with packets arriving
 at arbitrary simulated times.
 
+``certain_pass(t)`` certifies a crossing ahead (a perfect link always,
+a Gilbert–Elliott link inside a drawn loss-free state): the exact tier
+settles a transit in one step only over such crossings, so every
+fiber's draws stay those of the per-fiber walk.
+
 The batched tier asks the same question the same way: a lossy fiber
 takes the per-packet walk there too, so on every packet tier a link's
 loss stream is drawn strictly per packet, in firing order.
@@ -32,6 +37,13 @@ class LossModel:
     def expected_loss_rate(self) -> float:
         """Long-run stationary loss probability (for tests/reporting)."""
         raise NotImplementedError
+
+    def certain_pass(self, t: float) -> bool:
+        """Whether a crossing at ``t`` surely survives, with
+        :meth:`should_drop` at ``t`` drawing nothing and changing
+        nothing; ``t`` is never earlier than the model's last query.
+        Reads only. The default, False, is always safe."""
+        return False
 
     # ------------------------------------------------------- fluid view
 
@@ -66,9 +78,13 @@ class NoLoss(LossModel):
     def expected_loss_rate(self) -> float:
         return 0.0
 
+    def certain_pass(self, t: float) -> bool:
+        return True
+
 
 class BernoulliLoss(LossModel):
-    """Independent per-packet loss with probability ``rate``."""
+    """Independent per-packet loss with probability ``rate``. Every
+    crossing draws, even at rate 0, so none is certified ahead."""
 
     def __init__(self, rate: float) -> None:
         if not 0.0 <= rate <= 1.0:
@@ -134,6 +150,13 @@ class GilbertElliottLoss(LossModel):
         self._advance(now, rng)
         p = self.bad_loss if self._in_bad else self.good_loss
         return p > 0.0 and rng.random() < p
+
+    def certain_pass(self, t: float) -> bool:
+        """Inside the drawn state (no later query before ``t`` can move
+        it: ``_advance`` moves only at or past ``_state_until``) and a
+        loss-free one (no per-packet draw)."""
+        return self._initialized and t < self._state_until and not (
+            self.bad_loss if self._in_bad else self.good_loss)
 
     def in_bad_state(self, now: float, rng: random.Random) -> bool:
         """Expose the current state (used by tests)."""

@@ -27,7 +27,12 @@ so exact same-instant ties between differently shaped chains may fire
 in the other order: it had to reproduce all four twins and the ordered
 digests of ``steady_cbr`` and ``crash_recover_across_refresh``, and
 re-recorded the other two with the moved lines counted in the JSON's
-per-scenario ``note``.
+per-scenario ``note``. Settling at the send every transit whose fiber
+crossings are all decided (a Gilbert–Elliott fiber inside its drawn
+loss-free state, hosts off their routers) moved such a tie on a fiber
+that still walks, and with it the lossy mesh's draw order:
+``lossy_mixed_fibers`` and its twin were re-recorded, its ``note``
+naming the first divergence; the other three did not move.
 
 Every scenario starts cold, so the organic link-state convergence
 storm, the periodic refresh flood at t=5 and (where faults are

@@ -1,11 +1,12 @@
 """Differential tests of the hello lane.
 
-An overlay link's per-carrier hello (Sec II-A) from a host on its router
-over a quiet transit is one underlay event and nothing else: no frame,
-no datagram, no receive dispatch (``Internet.send_hello``). Everything
-else — a transit that is not quiet, a signer, a receiver with a keystore
-or an adversary behaviour, a hello in flight when the underlay changes —
-gets the frame it would always have had. Each scenario here runs twice:
+An overlay link's per-carrier hello (Sec II-A) over a quiet transit —
+every fiber crossing on it decided to pass at the send — is one underlay
+event and nothing else: no frame, no datagram, no receive dispatch
+(``Internet.send_hello``). Everything else — a transit that is not
+quiet, a signer, a receiver with a keystore or an adversary behaviour, a
+hello in flight when the underlay changes — gets the frame it would
+always have had. Each scenario here runs twice:
 once as built, and once with every hello forced down the frame path
 (each endpoint's ``hello_to_peer`` unwired by monkeypatch), and the two
 must agree at every checkpoint on client deliveries, internet and
@@ -23,13 +24,15 @@ from repro.audit.invariants import check_datagram_conservation
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
 from repro.net.internet import Internet
-from repro.net.loss import BernoulliLoss, NoLoss
+from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 from repro.security.adversary import NodeBehavior
 from repro.security.crypto import KeyStore
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
 
 N = 12
+#: Host access delay on the lossy mesh.
+ACCESS = 0.0005
 WARMUP = 2.0
 CHECKPOINTS = 12
 STEP = 0.15
@@ -47,11 +50,17 @@ class _HelloFilter(NodeBehavior):
                     and frame.info["seq"] % 3 == 0)
 
 
-def _mesh(keystore=None) -> OverlayNetwork:
-    """Ring+chords fibers (i ~ i+1, i ~ i+3), hosts on their routers,
-    overlay links at ring spacings 1 (one fiber: hellos walk it) and 4
-    (two quiet fibers: hellos ride the lane). The ISP reconverges 0.5 s
-    after a cut or repair, so its table rewrites land inside the run."""
+def _burst() -> GilbertElliottLoss:
+    return GilbertElliottLoss(mean_good=0.4, mean_bad=0.05, bad_loss=0.5)
+
+
+def _mesh(keystore=None, lossy=False) -> OverlayNetwork:
+    """Ring+chords fibers (i ~ i+1, i ~ i+3), overlay links at ring
+    spacings 1 (one fiber) and 4 (two fibers), hosts on their routers:
+    hellos ride the lane. ``lossy``: every fiber bursty (hellos ride the
+    lane only inside drawn loss-free states) and hosts ``ACCESS`` off
+    their routers. The ISP reconverges 0.5 s after a cut or repair, so
+    its table rewrites land inside the run."""
     sim = Simulator()
     inet = Internet(sim, RngRegistry(99))
     domain = inet.add_isp("m", convergence_delay=0.5)
@@ -59,10 +68,11 @@ def _mesh(keystore=None) -> OverlayNetwork:
         domain.add_router(f"r{i}")
     for a, b in sorted({tuple(sorted((i, (i + d) % N)))
                         for i in range(N) for d in (1, 3)}):
-        domain.add_link(f"r{a}", f"r{b}", 0.010, None, None)
+        domain.add_link(f"r{a}", f"r{b}", 0.010, None,
+                        _burst() if lossy else None)
     sites = [f"h{i}" for i in range(N)]
     for i, site in enumerate(sites):
-        inet.add_host(site, access_delay=0.0)
+        inet.add_host(site, access_delay=ACCESS if lossy else 0.0)
         inet.attach(site, "m", f"r{i}")
     links = sorted({tuple(sorted((sites[i], sites[(i + d) % N])))
                     for i in range(N) for d in (1, 4)})
@@ -90,10 +100,10 @@ def _state(overlay, deliveries) -> dict:
     }
 
 
-def _run(scenario, frame_path: bool, monkeypatch, keystore=None):
-    """Warm the mesh, start a flow, apply ``scenario`` and sample the
-    state at every checkpoint. Returns the samples and how many lane
-    hellos were in flight at the checkpoints and when the underlay
+def _run(name: str, frame_path: bool, monkeypatch, keystore=None):
+    """Warm the mesh, start a flow, apply scenario ``name`` and sample
+    the state at every checkpoint. Returns the samples and how many
+    lane hellos were in flight at the checkpoints and when the underlay
     changed."""
     seen = {"checkpoints": 0, "demotions": 0}
     demote = Internet._demote_transits
@@ -105,7 +115,7 @@ def _run(scenario, frame_path: bool, monkeypatch, keystore=None):
         demote(inet)
 
     monkeypatch.setattr(Internet, "_demote_transits", counting_demote)
-    overlay = _mesh(keystore)
+    overlay = _mesh(keystore, lossy=name in LOSSY)
     if frame_path:
         for link in _endpoints(overlay):
             monkeypatch.setattr(link, "hello_to_peer", None)
@@ -116,7 +126,7 @@ def _run(scenario, frame_path: bool, monkeypatch, keystore=None):
         (m.origin, m.flow, m.seq, sim.now)))
     CbrSource(sim, overlay.client("h0"), Address("h6", 7),
               rate_pps=50.0).start()
-    scenario(overlay)
+    SCENARIOS[name](overlay)
     start = _tick(overlay) + 0.005  # every other checkpoint: hellos aloft
     samples = []
     for k in range(CHECKPOINTS):
@@ -177,20 +187,37 @@ def _adversary(overlay):
                     _HelloFilter("h0"))
 
 
+def _access_gap(overlay):
+    """On the lossy mesh: a loss swap and a cut, and their undoing, each
+    land inside the access gap of a tick's hellos — sent, their first
+    hop not yet up — so the lane hellos go back to start hops still
+    ahead."""
+    sim, inet = overlay.sim, overlay.internet
+    fiber = _fiber(overlay, "r2", "r5")
+    at = _tick(overlay) + ACCESS / 2
+    sim.schedule_at(at, setattr, fiber, "loss", BernoulliLoss(0.4))
+    sim.schedule_at(at + 0.3, inet.fail_fiber, "m", "r0", "r3")
+    sim.schedule_at(at + 0.9, setattr, fiber, "loss", _burst())
+    sim.schedule_at(at + 1.2, inet.repair_fiber, "m", "r0", "r3")
+
+
 SCENARIOS = {
     "cut-and-repair": _cut_and_repair,
     "loss-swap": _loss_swap,
     "crash-recover": _crash_recover,
     "adversary": _adversary,
+    "lossy-access-gap": _access_gap,
 }
+#: Scenarios on the lossy mesh with hosts off their routers.
+LOSSY = {"lossy-access-gap"}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_hello_lane_matches_the_frame_path(name, monkeypatch):
-    lane, seen = _run(SCENARIOS[name], False, monkeypatch)
-    frames, frame_seen = _run(SCENARIOS[name], True, monkeypatch)
+    lane, seen = _run(name, False, monkeypatch)
+    frames, frame_seen = _run(name, True, monkeypatch)
     assert seen["checkpoints"] > 0 and frame_seen["checkpoints"] == 0
-    if name in ("cut-and-repair", "loss-swap"):
+    if name in ("cut-and-repair", "loss-swap", "lossy-access-gap"):
         assert seen["demotions"] > 0  # lane hellos met an underlay change
     assert len(lane[-1]["deliveries"]) > 50
     for k, (a, b) in enumerate(zip(lane, frames)):
@@ -201,8 +228,8 @@ def test_hello_lane_matches_the_frame_path(name, monkeypatch):
 
 
 def test_a_keystore_keeps_every_hello_a_frame(monkeypatch):
-    lane, seen = _run(_cut_and_repair, False, monkeypatch, KeyStore())
-    frames, __ = _run(_cut_and_repair, True, monkeypatch, KeyStore())
+    lane, seen = _run("cut-and-repair", False, monkeypatch, KeyStore())
+    frames, __ = _run("cut-and-repair", True, monkeypatch, KeyStore())
     assert seen["checkpoints"] == 0  # signed: never the lane
     assert lane[-1]["overlay"].get("auth-rejected", 0.0) == 0.0
     for k, (a, b) in enumerate(zip(lane, frames)):

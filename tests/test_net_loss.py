@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.loss import (
     BernoulliLoss,
@@ -110,3 +111,79 @@ def test_composite_expected_rate_composes():
 def test_composite_requires_components():
     with pytest.raises(ValueError):
         CompositeLoss()
+
+
+# ------------------------------------------------ crossings certified ahead
+
+#: Models whose crossings may or may not be certified ahead: a
+#: Gilbert–Elliott fiber only inside a drawn loss-free state, Bernoulli
+#: never (it draws per packet even at rate 0), a perfect link always.
+CERTIFIED_MODELS = {
+    "ge": lambda: GilbertElliottLoss(mean_good=0.03, mean_bad=0.01,
+                                     bad_loss=0.6),
+    "ge-lossy-good": lambda: GilbertElliottLoss(
+        mean_good=0.03, mean_bad=0.01, good_loss=0.1, bad_loss=0.6),
+    "ge-clean-bad": lambda: GilbertElliottLoss(
+        mean_good=0.03, mean_bad=0.01, good_loss=0.1, bad_loss=0.0),
+    "bernoulli-0": lambda: BernoulliLoss(0.0),
+    "no-loss": NoLoss,
+}
+_GAP = st.floats(0.0, 0.02, allow_nan=False)
+
+
+def _snapshot(model, rng):
+    return dict(vars(model)), rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CERTIFIED_MODELS)),
+    seed=st.integers(0, 2**32),
+    schedule=st.lists(st.tuples(_GAP, _GAP, st.lists(
+        st.floats(0.0, 1.0, allow_nan=False), max_size=3)),
+        min_size=1, max_size=40),
+)
+def test_a_certified_crossing_draws_nothing_and_changes_nothing(
+        name, seed, schedule):
+    """On a non-decreasing schedule of queries: asking ``certain_pass``
+    reads only, and once it certifies an instant ahead, every query up
+    to and at that instant passes without drawing from the stream or
+    moving the model — the underlay skips exactly such queries."""
+    model = CERTIFIED_MODELS[name]()
+    rng = random.Random(seed)
+    now = 0.0
+    for gap, ahead, between in schedule:
+        now += gap
+        at = now + ahead
+        before = _snapshot(model, rng)
+        certain = model.certain_pass(at)
+        assert _snapshot(model, rng) == before
+        if not certain:
+            model.should_drop(now, rng)  # an ordinary query moves it on
+            continue
+        for t in sorted(now + f * ahead for f in between) + [at]:
+            assert model.should_drop(t, rng) is False
+            assert _snapshot(model, rng) == before
+        now = at
+
+
+def test_a_certificate_needs_a_drawn_loss_free_state():
+    rng = random.Random(3)
+    ge = GilbertElliottLoss(mean_good=1.0, mean_bad=0.01)
+    assert not ge.certain_pass(0.0)  # no state drawn yet
+    ge.should_drop(0.0, rng)
+    now = 0.0
+    while ge._in_bad:
+        now = ge._state_until
+        ge.should_drop(now, rng)
+    end = ge._state_until
+    assert ge.certain_pass(now) and ge.certain_pass(math.nextafter(end, 0.0))
+    assert not ge.certain_pass(end)  # the next state is not drawn yet
+    lossy_good = GilbertElliottLoss(mean_good=1.0, mean_bad=0.01,
+                                    good_loss=0.01)
+    lossy_good.should_drop(0.0, rng)
+    assert not lossy_good.certain_pass(0.0) or lossy_good._in_bad
+    assert NoLoss().certain_pass(0.0)
+    for model in (BernoulliLoss(0.0), ScheduledOutages([]),
+                  CompositeLoss(NoLoss())):
+        assert not model.certain_pass(0.0)

@@ -1,10 +1,11 @@
 """Differential tests of the quiet-transit lane.
 
-On the exact tier a datagram with two or more quiet fibers ahead (un-cut,
-loss-free, jitter-free, uncapped) settles all of them at its first hop
-— or at its send, from a host on its router — and rides one event to
-the delivery instant; any underlay change puts
-every such datagram back on the per-fiber walk (``_demote_transits``).
+On the exact tier a datagram whose every fiber crossing ahead is decided
+(un-cut, jitter-free, uncapped, and its loss model certain to pass at
+the crossing instant) settles them all at its send — or at a hop, with
+two or more fibers to go — and rides one event to the delivery instant;
+any underlay change puts every such datagram back on the per-fiber walk
+(``_demote_transits``).
 Both are held here against the walk they replaced — the parent commit's
 ``Internet._hop``, kept below as the oracle — datagram by datagram: the
 same fate at the same float instant, the same fiber doing the dropping,
@@ -297,12 +298,15 @@ def _line(cls, n_fibers, converge=10.0):
     return sim, inet, domain, Fates(sim, domain.links())
 
 
-def _both(n_fibers, act, converge=10.0):
-    """Run ``act(sim, inet, domain, fates)`` on the lane and on the
-    walk; return the lane's outcome after checking it equals the walk's."""
+def _both(n_fibers, act, converge=10.0, before=None):
+    """Run ``act(sim, inet, domain, fates)`` (and ``before(domain)``
+    ahead of the send) on the lane and on the walk; return the lane's
+    outcome after checking it equals the walk's."""
     out = []
     for cls in (Internet, WalkInternet):
         sim, inet, domain, fates = _line(cls, n_fibers, converge)
+        if before is not None:
+            before(domain)
         inet.send("h0", f"h{n_fibers}", "x", 100, "line", fates.deliver,
                   fates.drop)
         act(sim, inet, domain, fates)
@@ -343,9 +347,9 @@ def test_cut_on_the_fiber_it_is_on_does_not_touch_it(engine):
     fates, totals, events = _both(5, act)
     assert fates["x"][0] == "delivered"
     assert fates["x"][1] == pytest.approx(0.0007 + 0.050 + 0.0011)
-    # First hop, the re-queued hop at r2, its transit's delivery
-    # (+ the two cuts and their one reconvergence).
-    assert events == 3 + 3
+    # The re-queued hop at r2, its transit's delivery (+ the two cuts
+    # and their one reconvergence): the send settled the first hop.
+    assert events == 2 + 3
 
 
 @ENGINES
@@ -543,7 +547,7 @@ def test_loss_swap_before_the_first_hop_of_a_send_settled_datagram():
 def test_ttl_edge(engine):
     k = internet_mod._MAX_HOPS
     fates, __, events = _both(k, lambda *a: None)
-    assert fates["x"][0] == "delivered" and events == 2
+    assert fates["x"][0] == "delivered" and events == 1
     fates, totals, events = _both(k + 1, lambda *a: None)
     assert fates["x"][:2] == ("dropped", DROP_TTL)
     assert events == k + 1  # never quiet *and* inside the hop budget
@@ -552,14 +556,16 @@ def test_ttl_edge(engine):
 
 @ENGINES
 def test_looped_tables_still_die_of_max_hops(engine):
-    def act(sim, inet, domain, fates):
+    def loop(domain):
+        # A private poke no watcher sees: made before the send, which is
+        # where the transit is decided.
         domain.next_hop("r0", "r3")
         looped = ShortestPathSearch({}, "r3")  # no frontier: finished
         looped.prev.update({"r0": "r1", "r1": "r2", "r2": "r1"})
         looped.done.update(looped.prev)
         domain._tables["r3"] = looped
 
-    fates, __, events = _both(3, act)
+    fates, __, events = _both(3, lambda *a: None, before=loop)
     assert fates["x"][:2] == ("dropped", DROP_TTL)
     assert events == internet_mod._MAX_HOPS + 1
 
@@ -577,6 +583,6 @@ def test_clear_with_transits_in_flight(engine):
     domain.repair_link("r3", "r4")
     assert sim.run(until=1.0) == 0 and fates.fates == {}
     inet.send("h0", "h5", "later", 100, "line", fates.deliver, fates.drop)
-    assert sim.run(until=2.0) == 2
+    assert sim.run(until=2.0) == 1
     assert fates.fates == {"later": ("delivered", 1.0 + 0.0007 + 0.050
                                      + 0.0011)}

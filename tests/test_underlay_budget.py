@@ -4,12 +4,12 @@ A datagram that crosses ``k`` fibers costs ``k + 1`` simulator events —
 one per router it is forwarded from plus the delivery itself; the
 crossing of the last fiber goes straight to the delivery instant
 (arrival + the destination's access delay) instead of through an event
-that only adds that constant. When every fiber ahead is *quiet* (un-cut,
-loss-free, jitter-free, uncapped) the hops past the first add nothing
-but constants either, and the whole transit costs two events: the first
-hop and the delivery — and one, the delivery, when the sending host
-sits on its router (zero access delay): the send settles the transit
-itself. The instants themselves must not have moved:
+that only adds that constant. When every crossing ahead is decided
+(each fiber un-cut, jitter-free, uncapped and certain to pass: here,
+loss-free) the hops add nothing but constants, and the whole transit
+costs one event, the delivery: the send settles it, whatever the
+sending host's access delay. The instants themselves must not have
+moved:
 ``tests/golden/underlay_delivery_instants.json`` holds the ones the
 k + 2 chain produced on the commit before the fold.
 
@@ -35,17 +35,20 @@ from repro.sim.rng import RngRegistry
 
 GOLDEN = Path(__file__).parent / "golden" / "underlay_delivery_instants.json"
 FIBERS = (1, 2, 4)
+#: The sending host's access delays every count is checked at: on its
+#: router, and one access hop away. Neither moves any count.
+ACCESS = (0.0, 0.0007)
 #: The heap is the one engine; the ``heap`` id is kept so the suite
 #: reports these tests under their established names.
 ENGINES = pytest.mark.parametrize("engine", ["heap"])
 
 
-def _line(n_fibers: int, **kwargs):
+def _line(n_fibers: int, access: float = 0.0007, **kwargs):
     sim = Simulator()
     inet = line_internet(sim, RngRegistry(1601), n_hops=n_fibers, **kwargs)
-    # Distinct, non-zero access delays at either end, so the instants
-    # carry both constants the chain adds.
-    inet.hosts["h0"].access_delay = 0.0007
+    # Distinct access delays at either end, so the instants carry both
+    # constants the chain adds.
+    inet.hosts["h0"].access_delay = access
     inet.hosts[f"h{n_fibers}"].access_delay = 0.0011
     return sim, inet
 
@@ -92,55 +95,27 @@ def _send_one(sim, inet, n_fibers: int) -> int:
 @ENGINES
 @pytest.mark.parametrize("n_fibers", FIBERS)
 def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers, engine):
-    """A fiber that is not quiet keeps every router up to it on the
-    per-fiber walk — all of them when it is the last one; past it the
-    rest of the line is a quiet transit again (two events when two or
-    more fibers remain, which is what one or none cost anyway)."""
-    for why, spoil in NOT_QUIET.items():
-        for at in range(n_fibers):
-            sim, inet = _line(n_fibers)
-            spoil(inet.isps["line"].link_between(f"r{at}", f"r{at + 1}"))
-            assert _send_one(sim, inet, n_fibers) == min(
-                n_fibers + 1, at + 3), (why, at)
-    # A single fiber is a first hop and a delivery however quiet it is.
-    assert _send_one(*_line(1), 1) == 2
+    """A fiber that is not quiet makes the send queue the first hop and
+    keeps every router up to it on the per-fiber walk — all of them
+    when it is the last one; past it the rest of the line is a quiet
+    transit again (two events when two or more fibers remain, which is
+    what one or none cost anyway). From a host on its router or one
+    access hop away alike."""
+    for access in ACCESS:
+        for why, spoil in NOT_QUIET.items():
+            for at in range(n_fibers):
+                sim, inet = _line(n_fibers, access)
+                spoil(inet.isps["line"].link_between(f"r{at}", f"r{at + 1}"))
+                assert _send_one(sim, inet, n_fibers) == min(
+                    n_fibers + 1, at + 3), (access, why, at)
 
 
 @ENGINES
-@pytest.mark.parametrize("n_fibers", [k for k in FIBERS if k >= 2] + [7])
-def test_quiet_transit_costs_two_events(n_fibers, engine):
-    assert _send_one(*_line(n_fibers), n_fibers) == 2
-
-
-def _on_its_router(n_fibers: int):
-    """The line with the sending host on its router: no access hop to
-    wait out, so a quiet transit is settled at the send."""
-    sim, inet = _line(n_fibers)
-    inet.hosts["h0"].access_delay = 0.0
-    return sim, inet
-
-
-@ENGINES
-@pytest.mark.parametrize("n_fibers", [k for k in FIBERS if k >= 2] + [7])
-def test_quiet_transit_from_a_host_on_its_router_costs_one_event(
-        n_fibers, engine):
-    assert _send_one(*_on_its_router(n_fibers), n_fibers) == 1
-
-
-@ENGINES
-@pytest.mark.parametrize("n_fibers", FIBERS)
-def test_a_fiber_that_is_not_quiet_keeps_the_walk_from_a_host_on_its_router(
-        n_fibers, engine):
-    """The same counts as from a host one access hop away: the send
-    queues the first hop, and the walk goes as far as the fiber that
-    is not quiet."""
-    for why, spoil in NOT_QUIET.items():
-        for at in range(n_fibers):
-            sim, inet = _on_its_router(n_fibers)
-            spoil(inet.isps["line"].link_between(f"r{at}", f"r{at + 1}"))
-            assert _send_one(sim, inet, n_fibers) == min(
-                n_fibers + 1, at + 3), (why, at)
-    assert _send_one(*_on_its_router(1), 1) == 2
+@pytest.mark.parametrize("n_fibers", FIBERS + (7,))
+@pytest.mark.parametrize("access", ACCESS)
+def test_quiet_transit_costs_one_event(access, n_fibers, engine):
+    """Settled at the send, one fiber or many: only the delivery."""
+    assert _send_one(*_line(n_fibers, access), n_fibers) == 1
 
 
 @ENGINES
@@ -148,26 +123,28 @@ def test_a_fiber_that_is_not_quiet_keeps_the_walk_from_a_host_on_its_router(
 def test_cut_at_the_send_instant_drops_a_datagram_settled_at_its_send(
         fiber, engine):
     """A cut scheduled for the send instant fires after the send but
-    before the first hop the send used to queue: the datagram settled
-    at its send is put back at its source router and dies at the cut
-    fiber when the walk reaches it, as it did with the first hop."""
-    sim, inet = _on_its_router(4)
-    delivered, dropped = [], []
-    sim.schedule_at(0.5, inet.send, "h0", "h4", "x", 100, "line",
-                    delivered.append,
-                    lambda d, reason: dropped.append((reason, sim.now)))
-    sim.schedule_at(0.5, inet.isps["line"].fail_link, f"r{fiber}",
-                    f"r{fiber + 1}")
-    sim.run()
-    at = 0.5
-    for __ in range(fiber):
-        at = at + 0.010
-    assert delivered == [] and dropped == [(DROP_LINK, at)]
-    links = [inet.isps["line"].link_between(f"r{i}", f"r{i + 1}")
-             for i in range(4)]
-    assert [link.packets_carried for link in links] == \
-        [1] * fiber + [0] * (4 - fiber)
-    assert links[fiber].packets_dropped == 1
+    before the first hop the send used to queue (in the same instant,
+    or one access delay later): the datagram settled at its send is put
+    back at its source router and dies at the cut fiber when the walk
+    reaches it, as it did with the first hop."""
+    for access in ACCESS:
+        sim, inet = _line(4, access)
+        delivered, dropped = [], []
+        sim.schedule_at(0.5, inet.send, "h0", "h4", "x", 100, "line",
+                        delivered.append,
+                        lambda d, reason: dropped.append((reason, sim.now)))
+        sim.schedule_at(0.5, inet.isps["line"].fail_link, f"r{fiber}",
+                        f"r{fiber + 1}")
+        sim.run()
+        at = 0.5 + access
+        for __ in range(fiber):
+            at = at + 0.010
+        assert delivered == [] and dropped == [(DROP_LINK, at)], access
+        links = [inet.isps["line"].link_between(f"r{i}", f"r{i + 1}")
+                 for i in range(4)]
+        assert [link.packets_carried for link in links] == \
+            [1] * fiber + [0] * (4 - fiber)
+        assert links[fiber].packets_dropped == 1
 
 
 @ENGINES

@@ -57,6 +57,7 @@ from repro.audit.invariants import (
     check_heap_accounting,
 )
 from repro.net.internet import Internet
+from repro.net.loss import GilbertElliottLoss
 from tests.test_transit_express import (
     KINDS,
     OPS,
@@ -421,24 +422,38 @@ def test_twin_stacks_agree():
 def test_the_machine_reaches_every_arm(monkeypatch):
     """The agreement above would hold trivially if the script never
     reached the exact tier's one-step arms: a fixed-seed run shows it
-    settles at the send, demotes a send-settled transit at its send
-    instant both before and after the hop it skipped, sends and changes
-    between runs, stops ``max_events`` inside an instant, and meets the
-    documented case."""
+    settles at the send (also from a host with access delay), settles
+    over a Gilbert–Elliott fiber inside its drawn loss-free state,
+    demotes a send-settled transit at its start hop's instant both
+    before and after that hop and back to a start hop still ahead,
+    sends and changes between runs, stops ``max_events`` inside an
+    instant, and meets the documented case."""
     settle, demote = Internet._settle, Internet._demote_transits
 
-    def counting_settle(self, key, datagram, on_deliver, on_drop, hops, chain):
-        settled = settle(self, key, datagram, on_deliver, on_drop, hops, chain)
+    def counting_settle(self, key, datagram, on_deliver, on_drop, hops, chain,
+                        start):
+        settled = settle(self, key, datagram, on_deliver, on_drop, hops, chain,
+                         start)
         if settled and chain is None:
             REACH["settle at the send"] += 1
+            if start > self.sim.now:
+                REACH["settle at the send from a host with access delay"] += 1
+        if settled and any(type(link.loss) is GilbertElliottLoss
+                           for link in datagram._chain.args[3].links):
+            REACH["settle over a GE fiber in its drawn state"] += 1
         return settled
 
     def counting_demote(self):
         sim = self.sim
         for event, live in sim.iter_queued():
-            if live and event.fn is self._deliver_cb and len(event.args) > 2 \
-                    and event.args[2] == sim.now and event.seq == event.args[-1]:
-                # A transit settled at its send, in its send instant.
+            if not live or event.fn is not self._deliver_cb \
+                    or len(event.args) == 2 or event.seq != event.args[-1]:
+                continue
+            # A transit settled at its send, carrying its start hop's
+            # instant and seq.
+            if event.args[2] > sim.now:
+                REACH["demoted back to a start hop still ahead"] += 1
+            elif event.args[2] == sim.now:
                 REACH["demoted before its first hop" if sim._firing < event.seq
                       else "demoted after its first hop"] += 1
         demote(self)
@@ -447,7 +462,11 @@ def test_the_machine_reaches_every_arm(monkeypatch):
     monkeypatch.setattr(Internet, "_demote_transits", counting_demote)
     REACH.clear()
     _run_machine(REACH_EXAMPLES)
-    arms = ("settle at the send", "demoted before its first hop",
-            "demoted after its first hop", "send and change between runs",
-            "max_events stop mid-instant", "documented case")
+    arms = ("settle at the send",
+            "settle at the send from a host with access delay",
+            "settle over a GE fiber in its drawn state",
+            "demoted before its first hop", "demoted after its first hop",
+            "demoted back to a start hop still ahead",
+            "send and change between runs", "max_events stop mid-instant",
+            "documented case")
     assert {arm: REACH[arm] for arm in arms if not REACH[arm]} == {}
