@@ -16,10 +16,10 @@ Two legs, both on the 16-node ring+chords mesh from
   (asserted in full ``__main__`` runs only; ``--quick`` shrinks the
   fleet and skips the gate so CI smoke stays robust).
 
-Both scale legs swallow traces (a 3M-send packet leg would otherwise
-hold millions of records) and the fluid leg disables per-destination
-fluid accounting (``fluid_flow_accounting=False``) — delivery totals
-still come from the engine's counters. The run writes
+The packet leg keeps its trace (columns: 32 B per send and 40 B
+per delivery) and the fluid leg disables per-destination fluid
+accounting (``fluid_flow_accounting=False``) — delivery totals still
+come from the engine's counters. The run writes
 ``BENCH_fluid.json`` next to the repo root.
 """
 
@@ -37,7 +37,6 @@ from repro.analysis.calibrate import (
 from repro.analysis.workloads import CbrSource
 from repro.core.config import OverlayConfig
 from repro.core.message import Address
-from repro.sim.trace import TraceCollector
 
 from bench_util import (
     add_audit_arg,
@@ -62,23 +61,12 @@ SINK_PORT = 7
 RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_fluid.json")
 
 
-class _NullTrace(TraceCollector):
-    """Swallows send/delivery records; counters still work."""
-
-    def record_send(self, *args, **kwargs):
-        pass
-
-    def record_delivery(self, *args, **kwargs):
-        pass
-
-
 def _scale_leg(fluid: bool, run_time: float, n_flows: int) -> dict:
     """Carry ``n_flows`` modeled client flows, packet or fluid."""
     config = OverlayConfig()
     if fluid:
         config.fluid_flow_accounting = False
     overlay = build_overlay(config=config)
-    overlay.trace = _NullTrace()
     sim = overlay.sim
     overlay.warm_up(2.0)
     engine = overlay.fluid_engine() if fluid else None

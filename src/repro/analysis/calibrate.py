@@ -214,7 +214,7 @@ def _run_leg(fluid: bool, run_time: float, lossy: bool,
             )
     packet_records = {
         source.flow: sorted(
-            (r for r in overlay.trace.records if r.flow == source.flow),
+            overlay.trace.for_flow(source.flow),
             key=lambda r: (r.seq, r.destination),
         )
         for source in packet

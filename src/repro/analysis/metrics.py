@@ -98,8 +98,8 @@ def flow_stats(
     sent = [s for s in trace.sends_for_flow(flow) if s.sent_at >= after]
     delivered = [
         r
-        for r in trace.records
-        if r.flow == flow and r.destination == destination and r.sent_at >= after
+        for r in trace.for_flow(flow)
+        if r.destination == destination and r.sent_at >= after
     ]
     latencies = [r.latency for r in delivered if r.latency is not None]
     within = None
@@ -237,8 +237,4 @@ def replicate_stats(values: list[float]) -> ReplicateStat:
 
 def delivered_seqs(trace: TraceCollector, flow: str, destination: str) -> set[int]:
     """Sequence numbers of messages delivered at a destination."""
-    return {
-        r.seq
-        for r in trace.records
-        if r.flow == flow and r.destination == destination
-    }
+    return {r.seq for r in trace.for_flow(flow) if r.destination == destination}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.analysis.metrics import availability_gaps
 from repro.core.message import Address, LINK_RELIABLE, OverlayMessage, ServiceSpec
 from repro.core.network import OverlayNetwork
-from repro.sim.trace import DeliveryRecord
+from repro.sim.trace import TraceCollector
 
 TRANSCODE_GROUP = "acast:transcode"
 CDN_GROUP = "mcast:cdn"
@@ -84,7 +84,8 @@ class CdnReceiver:
     ) -> None:
         self.overlay = overlay
         self.sim = overlay.sim
-        self.deliveries: list[DeliveryRecord] = []
+        self._trace = TraceCollector()
+        self.deliveries = self._trace.records
         self.end_to_end_latencies: list[float] = []
         self.client = overlay.client(site, port, on_message=self._on_frame)
         self.client.join(group)
@@ -92,15 +93,13 @@ class CdnReceiver:
     def _on_frame(self, msg: OverlayMessage) -> None:
         original_sent = msg.payload["original_sent_at"]
         self.end_to_end_latencies.append(self.sim.now - original_sent)
-        self.deliveries.append(
-            DeliveryRecord(
-                flow="compound",
-                seq=msg.payload["transcoded_from"],
-                sent_at=original_sent,
-                delivered_at=self.sim.now,
-                destination=f"{self.client.node.id}:{self.client.port}",
-                size=msg.size,
-            )
+        self._trace.record_delivery(
+            "compound",
+            msg.payload["transcoded_from"],
+            original_sent,
+            self.sim.now,
+            f"{self.client.node.id}:{self.client.port}",
+            msg.size,
         )
 
     def interruptions(self, expected_interval: float) -> list[tuple[float, float]]:

@@ -79,6 +79,42 @@ class TestFlowStats:
     def test_delivered_seqs(self):
         assert delivered_seqs(self._trace(), "f", "d:1") == set(range(8))
 
+    def test_per_flow_reads_match_a_whole_trace_scan(self):
+        # Flows, destinations and outcomes interleaved, as a fleet's are.
+        trace = TraceCollector()
+        for seq in range(60):
+            for k, flow in enumerate(("a", "b", "c")):
+                sent_at = seq * 0.05 + k * 0.001
+                dst = f"d:{(seq + k) % 3}"
+                trace.record_send(flow, seq, sent_at, 100, dst)
+                if (seq + k) % 7:
+                    lost = (seq * k) % 11 == 3
+                    trace.record_delivery(
+                        flow, seq, sent_at,
+                        None if lost else sent_at + 0.01 * (1 + seq % 4), dst)
+        for flow in ("a", "b", "c", "missing"):
+            assert trace.for_flow(flow) == [
+                r for r in trace.records if r.flow == flow]
+            assert trace.sends_for_flow(flow) == [
+                s for s in trace.sends if s.flow == flow]
+            for dst in ("d:0", "d:1", "d:2"):
+                scan = [r for r in trace.records
+                        if r.flow == flow and r.destination == dst]
+                assert delivered_seqs(trace, flow, dst) == {r.seq for r in scan}
+                for after in (0.0, 1.2):
+                    got = flow_stats(trace, flow, dst, deadline=0.025,
+                                     after=after)
+                    late = [r for r in scan if r.sent_at >= after]
+                    sent = [s for s in trace.sends
+                            if s.flow == flow and s.sent_at >= after]
+                    assert got.sent == len(sent)
+                    assert got.delivered == len(late)
+                    assert got.latency == latency_summary(
+                        [r.latency for r in late if r.latency is not None])
+                    if sent:
+                        assert got.within_deadline == sum(
+                            r.within(0.025) for r in late) / len(sent)
+
 
 def test_availability_gaps_detects_outage():
     records = []

@@ -122,8 +122,14 @@ def test_diff_traces_checks_sends_then_records_then_counters():
     assert divergence is not None and "fwd.hit" in divergence.label
     b.record_delivery("f", 1, 0.7, 0.8, "dst", 100)
     assert diff_traces(a, b).label.startswith("deliveries")
-    b.sends[0] = None
-    assert diff_traces(a, b).label == "sends"
+    # A trace whose first send differs diverges at "sends", although
+    # its deliveries and counters differ from ``a``'s as well.
+    c = TraceCollector()
+    c.record_send("f", 0, 0.5, 101, "dst")
+    for seq, sent_at in ((0, 0.5), (1, 0.7)):
+        c.record_delivery("f", seq, sent_at, sent_at + 0.1, "dst", 100)
+    c.counters.add("fwd.hit")
+    assert diff_traces(a, c).label == "sends"
 
 
 def test_assert_identical_passes_and_raises():
