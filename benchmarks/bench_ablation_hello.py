@@ -18,7 +18,6 @@ from repro.analysis.workloads import CbrSource
 from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.analysis.scenarios import triangle_scenario
-from repro.sim.trace import DeliveryRecord
 
 from bench_util import print_table, run_experiment, sweep_main
 
@@ -44,8 +43,7 @@ def _run_cell(seed: int, hello_interval: float, misses: int):
     scn.run_for(8.0)
     source.stop()
     scn.run_for(0.5)
-    records = [DeliveryRecord("p", i, t, t, "d") for i, t in enumerate(times)]
-    gaps = availability_gaps(records, expected_interval=1.0 / RATE)
+    gaps = availability_gaps(times, expected_interval=1.0 / RATE)
     return with_counters({
         "outage_s": max((d for __, d in gaps), default=0.0),
         "detect_budget_s": hello_interval * misses,

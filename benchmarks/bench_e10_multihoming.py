@@ -25,7 +25,6 @@ from repro.core.network import OverlayNetwork
 from repro.net.topologies import continental_internet
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import DeliveryRecord
 
 from bench_util import print_table, run_experiment
 
@@ -63,8 +62,7 @@ def _run_variant(multihomed: bool, seed: int) -> dict:
 
     in_storm = [t for t in times if storm_begin <= t < storm_begin + STORM_LENGTH]
     expected_in_storm = RATE * STORM_LENGTH
-    records = [DeliveryRecord("p", i, t, t, "d") for i, t in enumerate(times)]
-    gaps = availability_gaps(records, expected_interval=1.0 / RATE)
+    gaps = availability_gaps(times, expected_interval=1.0 / RATE)
     switches = sum(
         l.switch_count for n in overlay.nodes.values() for l in n.links.values()
     )

@@ -18,7 +18,6 @@ from repro.analysis.scenarios import continental_scenario
 from repro.analysis.workloads import CbrSource
 from repro.core.message import Address
 from repro.net.internet import NATIVE
-from repro.sim.trace import DeliveryRecord
 
 from bench_util import print_table, run_experiment
 
@@ -57,8 +56,7 @@ def run_rerouting():
     scn.run_for(NATIVE_CONVERGENCE + 15.0)
 
     def longest_gap(times):
-        records = [DeliveryRecord("probe", i, t, t, "d") for i, t in enumerate(times)]
-        gaps = availability_gaps(records, expected_interval=1.0 / RATE)
+        gaps = availability_gaps(times, expected_interval=1.0 / RATE)
         return max((d for __, d in gaps), default=0.0)
 
     counters = overlay.counters.as_dict()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.sim.trace import DeliveryRecord, TraceCollector
+from repro.sim.trace import TraceCollector
 
 
 @dataclass(frozen=True)
@@ -185,17 +185,17 @@ def fluid_flow_stats(
 
 
 def availability_gaps(
-    records: list[DeliveryRecord], expected_interval: float, factor: float = 3.0
+    times: list[float], expected_interval: float, factor: float = 3.0
 ) -> list[tuple[float, float]]:
     """Service-interruption windows in a continuous probe stream.
 
-    Given deliveries of a CBR probe flow sent every ``expected_interval``
-    seconds, returns (start, duration) of every window where consecutive
-    deliveries were more than ``factor * expected_interval`` apart —
-    the measure used to compare sub-second overlay rerouting against
-    ~40 s interdomain reconvergence (E2).
+    Given the delivery times of a CBR probe flow sent every
+    ``expected_interval`` seconds, returns (start, duration) of every
+    window where consecutive deliveries were more than
+    ``factor * expected_interval`` apart — the measure used to compare
+    sub-second overlay rerouting against ~40 s interdomain reconvergence (E2).
     """
-    times = sorted(r.delivered_at for r in records if r.delivered_at is not None)
+    times = sorted(times)
     gaps = []
     for a, b in zip(times, times[1:]):
         if b - a > factor * expected_interval:

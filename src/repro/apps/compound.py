@@ -104,4 +104,4 @@ class CdnReceiver:
 
     def interruptions(self, expected_interval: float) -> list[tuple[float, float]]:
         """(start, duration) of every visible service gap."""
-        return availability_gaps(self.deliveries, expected_interval)
+        return availability_gaps([r.delivered_at for r in self.deliveries], expected_interval)

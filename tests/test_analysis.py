@@ -14,7 +14,7 @@ from repro.analysis.metrics import (
 from repro.analysis.scenarios import continental_scenario, line_scenario
 from repro.analysis.workloads import CbrSource, PoissonSource
 from repro.core.message import Address, ServiceSpec
-from repro.sim.trace import DeliveryRecord, TraceCollector
+from repro.sim.trace import TraceCollector
 
 
 class TestLatencySummary:
@@ -117,19 +117,15 @@ class TestFlowStats:
 
 
 def test_availability_gaps_detects_outage():
-    records = []
     times = [i * 0.1 for i in range(20)] + [5.0 + i * 0.1 for i in range(20)]
-    for i, t in enumerate(times):
-        records.append(DeliveryRecord("f", i, t, t, "d"))
-    gaps = availability_gaps(records, expected_interval=0.1)
+    gaps = availability_gaps(times, expected_interval=0.1)
     assert len(gaps) == 1
     start, duration = gaps[0]
     assert duration == pytest.approx(5.0 - 1.9)
 
 
 def test_availability_no_gaps_on_steady_stream():
-    records = [DeliveryRecord("f", i, i * 0.1, i * 0.1, "d") for i in range(50)]
-    assert availability_gaps(records, 0.1) == []
+    assert availability_gaps([i * 0.1 for i in range(50)], 0.1) == []
 
 
 class TestWorkloads:

@@ -159,3 +159,14 @@ def test_docs_name_code_that_exists():
                 if not _resolves(name, index):
                     stale.append(f"{doc}: {name}")
     assert stale == []
+
+
+#: The prose may not outgrow these line counts: a change that needs more
+#: room in one of them removes as much first (ROADMAP T(3)).
+DOC_LINES = {"DESIGN.md": 1507, ".claude/skills/verify/SKILL.md": 214}
+
+
+def test_docs_do_not_grow():
+    grown = {doc: n for doc, limit in DOC_LINES.items()
+             if (n := len((ROOT / doc).read_text().splitlines())) > limit}
+    assert grown == {}

@@ -199,11 +199,8 @@ def delivery_digest(name: str) -> dict:
             "digest": digest.hexdigest(), "sorted_digest": twin.hexdigest()}
 
 
-#: The ``-default`` suffix of the test ids names the engine axis the
-#: wheel once shared; it is kept so the ids stay stable.
-@pytest.mark.parametrize("engine", ["default"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_delivery_digest_matches_golden(name, engine):
+def test_delivery_digest_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())["scenarios"][name]
     golden.pop("note", None)
     assert delivery_digest(name) == golden

@@ -52,12 +52,8 @@ def test_subsecond_rerouting_vs_native_convergence():
     # Run past the native 40 s reconvergence so its outage is measurable.
     scn.run_for(50.0)
 
-    overlay_gaps = availability_gaps(
-        [type("R", (), {"delivered_at": t})() for t in got], 0.02
-    )
-    native_gaps = availability_gaps(
-        [type("R", (), {"delivered_at": t})() for t in native_got], 0.02
-    )
+    overlay_gaps = availability_gaps(got, 0.02)
+    native_gaps = availability_gaps(native_got, 0.02)
     assert overlay_gaps, "overlay should see a brief interruption"
     assert max(d for __, d in overlay_gaps) < 1.0, "overlay healed sub-second"
     assert native_gaps and max(d for __, d in native_gaps) > 15.0

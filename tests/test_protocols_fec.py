@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.metrics import flow_stats
 from repro.analysis.workloads import CbrSource
 from repro.core.message import Address, LINK_FEC, ServiceSpec
+import repro.protocols
 from repro.protocols import LinkProtocol, register_protocol
 from tests.conftest import make_two_node_line
 
@@ -66,8 +67,11 @@ def test_bursts_within_a_block_defeat_parity():
     assert stats.delivery_ratio < 0.99
 
 
-def test_registering_a_custom_protocol():
+def test_registering_a_custom_protocol(monkeypatch):
     """The architecture's extension point works for third-party code."""
+    # Registered for this test only: later tests see the library's set.
+    monkeypatch.setattr(repro.protocols, "_REGISTRY",
+                        dict(repro.protocols._REGISTRY))
 
     class EchoCountProtocol(LinkProtocol):
         name = "echo-count"

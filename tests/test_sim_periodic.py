@@ -4,13 +4,7 @@ import pytest
 
 from repro.sim.events import SimulationError, Simulator
 
-#: The recycled heap is the one engine; the ``[recycled]`` id is kept so
-#: the suite reports these tests under their established names.
-RECYCLED = pytest.mark.parametrize("engine", ["recycled"])
-
-
-@RECYCLED
-def test_periodic_fires_on_cadence(engine):
+def test_periodic_fires_on_cadence():
     sim = Simulator()
     times = []
     sim.schedule_periodic(0.5, lambda: times.append(sim.now))
@@ -18,8 +12,7 @@ def test_periodic_fires_on_cadence(engine):
     assert times == [0.5, 1.0, 1.5, 2.0]
 
 
-@RECYCLED
-def test_periodic_first_offset(engine):
+def test_periodic_first_offset():
     sim = Simulator()
     times = []
     sim.schedule_periodic(1.0, lambda: times.append(sim.now), first=0.0)
@@ -27,8 +20,7 @@ def test_periodic_first_offset(engine):
     assert times == [0.0, 1.0, 2.0]
 
 
-@RECYCLED
-def test_periodic_passes_args(engine):
+def test_periodic_passes_args():
     sim = Simulator()
     seen = []
     sim.schedule_periodic(1.0, lambda a, b: seen.append((a, b)), 7, "x")
@@ -36,8 +28,7 @@ def test_periodic_passes_args(engine):
     assert seen == [(7, "x"), (7, "x")]
 
 
-@RECYCLED
-def test_periodic_counters(engine):
+def test_periodic_counters():
     sim = Simulator()
     timer = sim.schedule_periodic(1.0, lambda: None)
     sim.run(until=3.5)
@@ -47,8 +38,7 @@ def test_periodic_counters(engine):
     assert sim.timer_stats() == {"timer.fired": 3, "timer.rearmed": 3}
 
 
-@RECYCLED
-def test_periodic_cancel_stops_future_firings(engine):
+def test_periodic_cancel_stops_future_firings():
     sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
@@ -58,8 +48,7 @@ def test_periodic_cancel_stops_future_firings(engine):
     assert not timer.active
 
 
-@RECYCLED
-def test_periodic_self_cancel_suppresses_rearm(engine):
+def test_periodic_self_cancel_suppresses_rearm():
     sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: None)
@@ -74,8 +63,7 @@ def test_periodic_self_cancel_suppresses_rearm(engine):
     assert times == [1.0, 2.0]
 
 
-@RECYCLED
-def test_cancel_while_queued_keeps_accounting(engine):
+def test_cancel_while_queued_keeps_accounting():
     sim = Simulator()
     timer = sim.schedule_periodic(1.0, lambda: None)
     one_shot = sim.schedule(5.0, lambda: None)
@@ -88,8 +76,7 @@ def test_cancel_while_queued_keeps_accounting(engine):
     assert sim.pending_events == 0
 
 
-@RECYCLED
-def test_reschedule_changes_cadence(engine):
+def test_reschedule_changes_cadence():
     sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
@@ -98,8 +85,7 @@ def test_reschedule_changes_cadence(engine):
     assert times == [1.0, 2.0, 2.75, 3.0]
 
 
-@RECYCLED
-def test_reschedule_revives_cancelled_timer(engine):
+def test_reschedule_revives_cancelled_timer():
     sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
@@ -109,8 +95,7 @@ def test_reschedule_revives_cancelled_timer(engine):
     assert times == [2.0, 4.0]
 
 
-@RECYCLED
-def test_rearm_after_clear(engine):
+def test_rearm_after_clear():
     sim = Simulator()
     times = []
     timer = sim.schedule_periodic(1.0, lambda: times.append(sim.now))
@@ -124,8 +109,7 @@ def test_rearm_after_clear(engine):
     assert times == [1.0, 5.0, 6.0]
 
 
-@RECYCLED
-def test_periodic_interleaves_with_one_shots_at_same_instant(engine):
+def test_periodic_interleaves_with_one_shots_at_same_instant():
     # A periodic firing at time T and one-shots scheduled for T must
     # run in seq order, exactly as if the timer were a chain of
     # one-shots ending with "schedule the next tick".
@@ -141,8 +125,7 @@ def test_periodic_interleaves_with_one_shots_at_same_instant(engine):
     assert fired == ["before", "tick", "after", "next-round", "tick"]
 
 
-@RECYCLED
-def test_manual_timer_arms_fires_once_and_rearms(engine):
+def test_manual_timer_arms_fires_once_and_rearms():
     sim = Simulator()
     times = []
     timer = sim.timer(lambda: times.append(sim.now))
@@ -157,8 +140,7 @@ def test_manual_timer_arms_fires_once_and_rearms(engine):
     assert times == [1.0, 5.5]
 
 
-@RECYCLED
-def test_manual_timer_cancel_before_firing(engine):
+def test_manual_timer_cancel_before_firing():
     sim = Simulator()
     fired = []
     timer = sim.timer(fired.append, "x")

@@ -12,6 +12,10 @@ same fate at the same float instant, the same fiber doing the dropping,
 the same per-fiber totals once the queue has drained (and mid-run, less
 the fibers the transits in flight have counted but not reached).
 
+The end pins the walk's cost (``k + 1`` events up to the first spoiled
+fiber) and the instants the ``k + 2`` chain produced before its egress
+fold (``tests/golden/underlay_delivery_instants.json``).
+
 Send and script instants are drawn as full-mantissa floats, so no two
 chains tie on an exact instant: which of two same-instant events fires
 first is the one thing the lane may change (DESIGN.md "Per-hop budget"),
@@ -20,7 +24,9 @@ and ``tests/test_golden_digests.py`` pins that case.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,11 +47,6 @@ from repro.net.packet import HEADER_BYTES
 from repro.net.topologies import line_internet
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
-
-#: The heap is the one engine; the ``[heap]`` id is kept so the suite's
-#: test ids stay stable.
-ENGINES = pytest.mark.parametrize("engine", ["heap"])
-
 
 # ------------------------------------------------------------------ oracle
 
@@ -321,8 +322,7 @@ def _fiber(domain, i):
     return domain.link_between(f"r{i}", f"r{i + 1}")
 
 
-@ENGINES
-def test_cut_ahead_of_the_datagram_drops_it_there(engine):
+def test_cut_ahead_of_the_datagram_drops_it_there():
     def act(sim, inet, domain, fates):
         # t = 0.0157: on fiber 1 (0.0107 .. 0.0207); fiber 3 is ahead.
         sim.schedule_at(0.0157, domain.fail_link, "r3", "r4")
@@ -335,8 +335,7 @@ def test_cut_ahead_of_the_datagram_drops_it_there(engine):
     assert totals["line:r3-r4"] == (0, 0, 1)
 
 
-@ENGINES
-def test_cut_on_the_fiber_it_is_on_does_not_touch_it(engine):
+def test_cut_on_the_fiber_it_is_on_does_not_touch_it():
     def act(sim, inet, domain, fates):
         # A packet already on the glass lands (the walk's crossing was
         # decided at the fiber's head) ...
@@ -352,8 +351,7 @@ def test_cut_on_the_fiber_it_is_on_does_not_touch_it(engine):
     assert events == 2 + 3
 
 
-@ENGINES
-def test_cut_behind_the_datagram_changes_nothing_for_it(engine):
+def test_cut_behind_the_datagram_changes_nothing_for_it():
     def act(sim, inet, domain, fates):
         sim.schedule_at(0.0257, domain.fail_link, "r0", "r1")
 
@@ -362,8 +360,7 @@ def test_cut_behind_the_datagram_changes_nothing_for_it(engine):
     assert all(t == (1, 128, 0) for t in totals.values())
 
 
-@ENGINES
-def test_repair_before_it_arrives_lets_it_through(engine):
+def test_repair_before_it_arrives_lets_it_through():
     def act(sim, inet, domain, fates):
         sim.schedule_at(0.0157, setattr, _fiber(domain, 3), "failed", True)
         sim.schedule_at(0.0297, setattr, _fiber(domain, 3), "failed", False)
@@ -374,8 +371,7 @@ def test_repair_before_it_arrives_lets_it_through(engine):
     assert all(t == (1, 128, 0) for t in totals.values())
 
 
-@ENGINES
-def test_loss_swap_ahead_is_drawn_at_the_crossing(engine):
+def test_loss_swap_ahead_is_drawn_at_the_crossing():
     def act(sim, inet, domain, fates):
         sim.schedule_at(0.0157, setattr, _fiber(domain, 2), "loss",
                         BernoulliLoss(1.0))
@@ -385,8 +381,7 @@ def test_loss_swap_ahead_is_drawn_at_the_crossing(engine):
     assert fates["x"][3] == ["line:r2-r3"]
 
 
-@ENGINES
-def test_reconvergence_that_shortens_the_remaining_path(engine):
+def test_reconvergence_that_shortens_the_remaining_path():
     """A square with a slow and a fast way round: the datagram starts
     down the slow one (the fast one's far fiber is cut), the cut is
     repaired and the domain reconverges while it is in flight — the
@@ -419,8 +414,7 @@ def test_reconvergence_that_shortens_the_remaining_path(engine):
     assert out[0][1]["sq:b-e"] == (1, 128, 0)
 
 
-@ENGINES
-def test_fiber_wired_in_mid_flight_is_used_from_the_next_router(engine):
+def test_fiber_wired_in_mid_flight_is_used_from_the_next_router():
     """``add_link_object`` converges at once: a shortcut added while
     the datagram is on its first fiber is taken at the second router."""
     out = []
@@ -435,8 +429,7 @@ def test_fiber_wired_in_mid_flight_is_used_from_the_next_router(engine):
     assert out[0][1]["line:r1-r2"] == (0, 0, 0)
 
 
-@ENGINES
-def test_cut_by_the_owning_isp_reaches_a_native_transit(engine):
+def test_cut_by_the_owning_isp_reaches_a_native_transit():
     """Fibers are shared with the interdomain domain: a cut made through
     the ISP demotes a transit riding the native carrier."""
     out = []
@@ -543,8 +536,7 @@ def test_loss_swap_before_the_first_hop_of_a_send_settled_datagram():
     assert 0 < sum(f[0] == "dropped" for f in out[0][0].values()) < 20
 
 
-@ENGINES
-def test_ttl_edge(engine):
+def test_ttl_edge():
     k = internet_mod._MAX_HOPS
     fates, __, events = _both(k, lambda *a: None)
     assert fates["x"][0] == "delivered" and events == 1
@@ -554,8 +546,7 @@ def test_ttl_edge(engine):
     assert totals[f"line:r{k}-r{k + 1}"] == (0, 0, 0)
 
 
-@ENGINES
-def test_looped_tables_still_die_of_max_hops(engine):
+def test_looped_tables_still_die_of_max_hops():
     def loop(domain):
         # A private poke no watcher sees: made before the send, which is
         # where the transit is decided.
@@ -570,8 +561,7 @@ def test_looped_tables_still_die_of_max_hops(engine):
     assert events == internet_mod._MAX_HOPS + 1
 
 
-@ENGINES
-def test_clear_with_transits_in_flight(engine):
+def test_clear_with_transits_in_flight():
     sim, inet, domain, fates = _line(Internet, 5)
     for i in range(3):
         inet.send("h0", "h5", i, 100, "line", fates.deliver, fates.drop)
@@ -586,3 +576,115 @@ def test_clear_with_transits_in_flight(engine):
     assert sim.run(until=2.0) == 1
     assert fates.fates == {"later": ("delivered", 1.0 + 0.0007 + 0.050
                                      + 0.0011)}
+
+
+# ------------------------------------------- walk cost and delivery instants
+
+INSTANTS = Path(__file__).parent / "golden" / "underlay_delivery_instants.json"
+FIBERS = (1, 2, 4)
+#: The sending host's access delays the walk's cost is checked at: on
+#: its router, and one access hop away. Neither moves any count.
+ACCESS = (0.0, 0.0007)
+#: What makes a fiber not quiet without moving the delivery instant: a
+#: loss process that never fires is still a loss process, a queue
+#: nothing waits in is still a queue (its 100-byte serialization time,
+#: ~1 ns, sits far inside the approx below).
+NOT_QUIET = {
+    "loss": lambda link: setattr(link, "loss", BernoulliLoss(0.0)),
+    "capacity": lambda link: setattr(link, "capacity_bps", 1e12),
+}
+
+
+def _send_one(n_fibers, access, spoil=None, at=0) -> int:
+    """Events one datagram costs down a line from a host ``access``
+    away from its router, fiber ``at`` spoiled by ``spoil``."""
+    sim, inet, domain, fates = _line(Internet, n_fibers)
+    inet.hosts["h0"].access_delay = access
+    if spoil is not None:
+        spoil(_fiber(domain, at))
+    inet.send("h0", f"h{n_fibers}", "x", 100, "line", fates.deliver,
+              fates.drop)
+    events = sim.run()
+    assert fates.fates == {"x": ("delivered", pytest.approx(
+        access + 0.010 * n_fibers + 0.0011))}
+    assert inet.counters.get("datagrams-delivered") == 1
+    assert set(fates.totals().values()) == {(1, 128, 0)}
+    return events
+
+
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_delivered_datagram_costs_fibers_plus_one_events(n_fibers):
+    """A fiber that is not quiet makes the send queue the first hop and
+    keeps every router up to it on the per-fiber walk — all of them
+    when it is the last one; past it the rest of the line is a quiet
+    transit again (two events when two or more fibers remain, which is
+    what one or none cost anyway). From a host on its router or one
+    access hop away alike."""
+    for access in ACCESS:
+        for why, spoil in NOT_QUIET.items():
+            for at in range(n_fibers):
+                assert _send_one(n_fibers, access, spoil, at) == min(
+                    n_fibers + 1, at + 3), (access, why, at)
+
+
+@pytest.mark.parametrize("n_fibers", FIBERS + (7,))
+@pytest.mark.parametrize("access", ACCESS)
+def test_quiet_transit_costs_one_event(access, n_fibers):
+    """Settled at the send, one fiber or many: only the delivery."""
+    assert _send_one(n_fibers, access) == 1
+
+
+@pytest.mark.parametrize("fiber", range(4))
+def test_cut_at_the_send_instant_drops_a_datagram_settled_at_its_send(fiber):
+    """A cut scheduled for the send instant fires after the send but
+    before the first hop the send used to queue (in the same instant,
+    or one access delay later): the datagram settled at its send is put
+    back at its source router and dies at the cut fiber when the walk
+    reaches it, as it did with the first hop."""
+    for access in ACCESS:
+        sim, inet, domain, fates = _line(Internet, 4)
+        inet.hosts["h0"].access_delay = access
+        sim.schedule_at(0.5, inet.send, "h0", "h4", "x", 100, "line",
+                        fates.deliver, fates.drop)
+        sim.schedule_at(0.5, domain.fail_link, f"r{fiber}", f"r{fiber + 1}")
+        sim.run()
+        at = 0.5 + access
+        for __ in range(fiber):
+            at = at + 0.010
+        cut = f"line:r{fiber}-r{fiber + 1}"
+        assert fates.fates == {"x": ("dropped", DROP_LINK, at, [cut])}, access
+        assert [fates.totals()[f"line:r{i}-r{i + 1}"][0]
+                for i in range(4)] == [1] * fiber + [0] * (4 - fiber)
+
+
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_loss_on_the_last_fiber_reaches_on_drop(n_fibers):
+    sim, inet, domain, fates = _line(Internet, n_fibers)
+    _fiber(domain, n_fibers - 1).failed = True  # tables still forward into it
+    inet.send("h0", f"h{n_fibers}", "x", 100, "line", fates.deliver,
+              fates.drop)
+    sim.run()
+    assert fates.fates["x"][:2] == ("dropped", DROP_LINK)
+    assert inet.counters.get(f"drop:{DROP_LINK}") == 1
+    assert inet.counters.get("datagrams-delivered") == 0
+
+
+@pytest.mark.parametrize("n_fibers", FIBERS)
+def test_delivery_instants_match_the_parent_commit(n_fibers):
+    """Eight datagrams sent 0.4 ms apart over a jittery,
+    capacity-limited line (so queueing, serialization and the per-fiber
+    noise draw are all inside the sums) land at the recorded floats."""
+    sim = Simulator()
+    inet = line_internet(sim, RngRegistry(1601), n_hops=n_fibers,
+                         hop_delay=0.0101, capacity_bps=2_000_000.0,
+                         jitter=0.003)
+    inet.hosts["h0"].access_delay = 0.0007
+    inet.hosts[f"h{n_fibers}"].access_delay = 0.0011
+    got: list[float] = []
+    for i in range(8):
+        sim.schedule(
+            0.0004 * i, inet.send, "h0", f"h{n_fibers}", i, 900 + 50 * i,
+            "line", lambda d: got.append(sim.now),
+        )
+    sim.run()
+    assert got == json.loads(INSTANTS.read_text())["instants"][str(n_fibers)]

@@ -139,10 +139,7 @@ def _organic_capture():
 # -------------------------------------------------- tier 1: round trips
 
 
-#: The heap is the one engine; the ``[recycled]`` id is kept so the
-#: suite's test ids stay stable.
-@pytest.mark.parametrize("engine", ["recycled"])
-def test_restore_continuation_is_byte_identical(engine):
+def test_restore_continuation_is_byte_identical():
     organic, payload, organic_deliveries = _organic_capture()
     twin = _mesh()
     t0 = restore(twin, payload)
