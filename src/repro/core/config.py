@@ -71,15 +71,14 @@ class OverlayConfig:
     #: :class:`repro.core.network.OverlayNetwork` rejects any config in
     #: which ``columnar`` and ``columnar_vectorized`` do not say the
     #: same (the names are historical; ROADMAP A's fidelity selector
-    #: replaces all three). On the tier (``Internet.enable_vectorized``)
-    #: hop arrivals are quantized *up* to the window grid, so a datagram
-    #: lands at most one window late per fiber it walks, and a quiet
-    #: overlay-link channel settles in one step at send time into one
-    #: bulk delivery event per grid instant. It is validated
-    #: statistically against the exact tier by
-    #: :mod:`repro.analysis.calibrate`, never byte-identical.
+    #: replaces all three). The tier (``Internet.enable_vectorized``)
+    #: is the exact tier with every landing instant rounded *up* to the
+    #: window grid, so a datagram lands at most one window late per
+    #: fiber it crosses. It is validated statistically against the
+    #: exact tier by :mod:`repro.analysis.calibrate`, never
+    #: byte-identical.
     columnar: bool = False
-    #: The batched tier's coalescing window in seconds (0: exact tier).
+    #: The batched tier's window in seconds (0: exact tier).
     columnar_window: float = 0.0
     #: Must equal ``columnar``: see above.
     columnar_vectorized: bool = False

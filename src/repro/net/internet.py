@@ -16,13 +16,16 @@ domain, so one cut affects every path over that fiber.
 
 There is one datagram send path: :meth:`Internet.send` is
 :meth:`Internet.send_via` over a cached :class:`Channel`. From there a
-datagram on the exact tier walks fiber by fiber (one ``_hop`` event per
-router) or, over a quiet transit (every fiber crossing on it decided),
-is settled in one step (``_transit``) at its send or at a hop and
-demoted back to the walk when the underlay changes
-(``_demote_transits``); ``datagram._chain`` is the one queued event
-that fires its next step, so a hop only re-queues its own event. An
-overlay hello settled at its send (``send_hello``) is no datagram.
+datagram walks fiber by fiber (one ``_hop`` event per router) or, over
+a quiet transit (every fiber crossing on it decided), is settled in one
+step (``_transit``) at its send or at a hop and demoted back to the
+walk when the underlay changes (``_demote_transits``);
+``datagram._chain`` is the one queued event that fires its next step,
+so a hop only re-queues its own event. An overlay hello settled at its
+send (``send_hello``) is no datagram. The batched tier
+(:meth:`Internet.enable_vectorized`) is the same lanes on a grid: every
+landing instant, a walked fiber's or a settled transit's, is rounded
+up to its window.
 
 The contract with the walk is what ``tests/test_underlay_model.py``
 checks on twin stacks, and nothing beyond it: the same fates and
@@ -39,7 +42,7 @@ from math import ceil
 from typing import Any, Callable
 
 from repro.net.backbone import FiberLink, RoutingDomain
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import LossModel
 from repro.net.packet import HEADER_BYTES, Datagram
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
@@ -59,34 +62,20 @@ DeliverFn = Callable[[Datagram], None]
 DropFn = Callable[[Datagram, str], None]
 
 
-def _quiet(links) -> bool:
-    """Whether crossing each of ``links`` right now would only add its
-    delay and bump two counters: un-cut, loss-free, jitter-free and
-    uncapped, all read live — the batched tier's quiet channel."""
-    for link in links:
-        if link._failed or link.jitter or link.capacity_bps is not None \
-                or type(link._loss) is not NoLoss:
-            return False
-    return True
-
-
 class _PathProfile:
     """A resolved underlay transit: the router it starts from, the
     ordered fibers (and the router at the far end of each) the current
-    forwarding tables would walk, and their summed delay. It records
-    nothing about the fibers' state: whoever settles on it reads that
-    live. Both tiers read the same profiles out of
+    forwarding tables would walk. It records nothing about the fibers'
+    state: whoever settles on it reads that live. Profiles live in
     :attr:`Internet._path_cache`."""
 
-    __slots__ = ("domain", "start", "links", "routers", "total_delay",
-                 "n_hops")
+    __slots__ = ("domain", "start", "links", "routers", "n_hops")
 
-    def __init__(self, domain, start, links, routers, total_delay, n_hops):
+    def __init__(self, domain, start, links, routers, n_hops):
         self.domain = domain
         self.start = start
         self.links = links
         self.routers = routers
-        self.total_delay = total_delay
         self.n_hops = n_hops
 
 
@@ -182,20 +171,13 @@ class Internet:
         self._hop_cb = self._hop
         self._deliver_cb = self._deliver
         self._hello_cb = self._deliver_hello
-        #: The batched tier's coalescing window in seconds, set by
-        #: :meth:`enable_vectorized`; 0 on the exact tier. When > 0, hop
-        #: arrivals are quantized up to the window grid and quiet
-        #: channel sends settle in one step into per-instant bulk
-        #: deliveries — an approximation validated statistically (see
+        #: The batched tier's window in seconds, set by
+        #: :meth:`enable_vectorized`; 0 on the exact tier. When > 0,
+        #: every landing instant is rounded up to the window grid — an
+        #: approximation validated statistically (see
         #: :mod:`repro.analysis.calibrate`), never byte-identical.
         self.columnar_window = 0.0
-        #: The batched tier's pending bulk deliveries, keyed by
-        #: quantized delivery instant → the queued :meth:`_bulk_deliver`
-        #: event whose ``args[0]`` collects that instant's
-        #: ``(datagram, on_deliver)`` rows. An entry whose event is no
-        #: longer queued (``sim.clear()`` dropped it) is replaced.
-        self._vec_deliveries: dict[float, Any] = {}
-        #: Resolved transit profiles of both tiers, keyed
+        #: Resolved transit profiles, keyed
         #: ``(domain, router, dst_label)`` → ``(tables_epoch, profile or
         #: None)``. The stamp makes reconvergence (or any table rebuild)
         #: invalidate them, so a settled transit sees exactly the stale
@@ -429,11 +411,10 @@ class Internet:
     ) -> Datagram:
         """Send through a pre-resolved :class:`Channel` — the one send
         path (:meth:`send` resolves a cached channel and calls this).
-        On the exact tier a datagram with a quiet transit ahead of its
-        first hop (``src_access`` from now) settles here
-        (:meth:`_settle`); anything else queues that hop. Either way
-        ``datagram._chain`` is the event that fires its next step. On
-        the batched tier a quiet channel settles here in one step."""
+        A datagram with a quiet transit ahead of its first hop
+        (``src_access`` from now) settles here (:meth:`_settle`);
+        anything else queues that hop. Either way ``datagram._chain`` is
+        the event that fires its next step."""
         # Reads the simulator's _now directly: this is the per-frame
         # fast path, and the property indirection shows up in profiles.
         datagram = Datagram(chan.src, chan.dst, payload, size,
@@ -441,38 +422,9 @@ class Internet:
         add = self.counters.add
         add("datagrams-sent")
         add("bytes-sent", size + HEADER_BYTES)
-        w = self.columnar_window
-        if not w:
-            if self._settle(chan.path_key, datagram, on_deliver, on_drop, 0,
-                            None, self.sim._now + chan.src_access):
-                return datagram
-        elif self.sim._running and chan.src_access <= w:
-            # Quiet-channel lane (batched tier): a channel whose every
-            # fiber is quiet right now has a fixed outcome, so the send
-            # settles here — per-fiber counters plus one row of the bulk
-            # delivery at the quantized arrival instant (the access
-            # delay, inside the window, is absorbed by the
-            # quantization). Anything else takes the hop walk below.
-            entry = self._path_cache.get(chan.path_key)
-            if entry is None or entry[0] != chan.domain.tables_epoch:
-                entry = self._resolve_path(*chan.path_key)
-            profile = entry[1]
-            if profile is not None and profile.n_hops <= _MAX_HOPS \
-                    and _quiet(profile.links):
-                wire = size + HEADER_BYTES
-                for link in profile.links:
-                    link.packets_carried += 1
-                    link.bytes_carried += wire
-                now = self.sim._now
-                t = ceil((now + profile.total_delay + chan.dst_access) / w) * w
-                if t < now:
-                    t = now
-                event = self._vec_deliveries.get(t)
-                if event is None or not event._queued:
-                    event = self._vec_deliveries[t] = self.sim.schedule_at(
-                        t, self._bulk_deliver, [])
-                event.args[0].append((datagram, on_deliver))
-                return datagram
+        if self._settle(chan.path_key, datagram, on_deliver, on_drop, 0,
+                        None, self.sim._now + chan.src_access):
+            return datagram
         event = self.sim.schedule(
             chan.src_access,
             self._hop_cb,
@@ -495,10 +447,6 @@ class Internet:
         but over a quiet transit as one :meth:`_deliver_hello` event: no
         frame, no datagram."""
         now = self.sim._now
-        if self.columnar_window:
-            self.send_via(chan, link.hello_frame(carrier, seq, now, feedback,
-                                                 wire), wire, link._deliver_fn)
-            return
         add = self.counters.add
         add("datagrams-sent")
         add("bytes-sent", wire + HEADER_BYTES)
@@ -551,7 +499,7 @@ class Internet:
         if nxt is None:
             self._drop(datagram, DROP_NO_ROUTE, on_drop)
             return
-        if nxt != dst_label and not self.columnar_window and self._settle(
+        if nxt != dst_label and self._settle(
                 (domain, router, dst_label), datagram, on_deliver, on_drop,
                 hops, chain, self.sim._now):
             return
@@ -586,16 +534,16 @@ class Internet:
 
     def _transit(self, key: tuple, hops: int, wire: int, dst_access: float,
                  start: float) -> tuple | None:
-        """The one settle step of the exact tier, which datagrams
-        (:meth:`_settle`) and hellos (:meth:`send_hello`) ride and the
-        audit wraps. If ``key`` = ``(domain, router, dst_label)`` is a
-        quiet transit from a hop at ``start`` — fibers to go inside the
-        hop budget, each un-cut, jitter-free, uncapped and certain to
-        pass at its crossing instant (``loss.certain_pass``) — count
-        ``wire`` bytes on each and return ``(profile, t)``: the instant
-        the walk would land it, ``dst_access`` after its last fiber (the
-        walk's own floats, one add per fiber). Else ``None``, having
-        touched nothing."""
+        """The one settle step, which datagrams (:meth:`_settle`) and
+        hellos (:meth:`send_hello`) ride and the audit wraps. If ``key``
+        = ``(domain, router, dst_label)`` is a quiet transit from a hop
+        at ``start`` — fibers to go inside the hop budget, each un-cut,
+        jitter-free, uncapped and certain to pass at its crossing
+        instant (``loss.certain_pass``) — count ``wire`` bytes on each
+        and return ``(profile, t)``: the instant the walk would land it,
+        ``dst_access`` after its last fiber (the walk's own floats, one
+        add per fiber), rounded up to the batched tier's grid. Else
+        ``None``, having touched nothing."""
         entry = self._path_cache.get(key)
         if entry is None or entry[0] != key[0].tables_epoch:
             entry = self._resolve_path(*key)
@@ -612,7 +560,11 @@ class Internet:
         for link in profile.links:
             link.packets_carried += 1
             link.bytes_carried += wire
-        return profile, t + dst_access
+        t = t + dst_access
+        w = self.columnar_window
+        if w:
+            t = ceil(t / w) * w
+        return profile, t
 
     def _settle(self, key: tuple, datagram: Datagram, on_deliver: DeliverFn,
                 on_drop: DropFn | None, hops: int, chain, start: float) -> bool:
@@ -738,7 +690,6 @@ class Internet:
         profile holds for as long as the tables it was resolved from."""
         links: list = []
         routers: list = []
-        total_delay = 0.0
         seen = {router}
         cur = router
         while cur != dst_label:
@@ -748,12 +699,10 @@ class Internet:
             link = domain.link_on_path(cur, nxt)[0]
             links.append(link)
             routers.append(nxt)
-            total_delay += link.delay
             seen.add(nxt)
             cur = nxt
         return _PathProfile(
-            domain, router, tuple(links), tuple(routers), total_delay,
-            len(links))
+            domain, router, tuple(links), tuple(routers), len(links))
 
     def _resolve_path(self, domain: RoutingDomain, router: Any,
                       dst_label: Any) -> tuple:
@@ -768,27 +717,23 @@ class Internet:
     def prime_path(self, chan: Channel) -> None:
         """Pre-resolve the transit profile for a channel.
 
-        A no-op unless the batched tier is armed. Benchmarks prime
-        every steady-state channel after a warm start for the same
-        reason they pre-fill Dijkstra tables: a restored overlay should
-        not pay lazy cache fills inside the measured window that an
-        organically-warmed overlay already paid during warm-up."""
+        A no-op unless the batched tier is armed (it leaves the exact
+        tier's work as it is). Benchmarks prime every steady-state
+        channel after a warm start for the same reason they pre-fill
+        Dijkstra tables: a restored overlay should not pay lazy cache
+        fills inside the measured window that an organically-warmed
+        overlay already paid during warm-up."""
         if self.columnar_window:
             self._resolve_path(*chan.path_key)
 
     def enable_vectorized(self, window: float) -> None:
-        """Arm the batched approximate tier with coalescing window
-        ``window`` (seconds). Every hop arrival is quantized up to the
-        window grid, and a :meth:`send_via` made inside a run whose
-        channel is quiet end to end settles in one step: its delivery
-        joins every other delivery landing on the same grid instant in
-        one bulk event (:meth:`_bulk_deliver`), scheduled when the
-        instant's first row is appended. Everything else — loss,
-        jitter, capacity, cut fibers, routing loops, TTL — takes the
-        ordinary hop walk with quantized arrivals. A datagram therefore
-        lands at most one window late per fiber it walks, or one window
-        per transit on the quiet-channel lane. Validated statistically
-        against the exact tier by :mod:`repro.analysis.calibrate`, never
+        """Arm the batched approximate tier with window ``window``
+        (seconds): the exact tier's lanes, with every landing instant
+        rounded up to the window grid — a walked fiber's arrival in
+        :meth:`_hop` and a settled transit's landing in
+        :meth:`_transit`. A datagram therefore lands at most one window
+        late per fiber it crosses. Validated statistically against the
+        exact tier by :mod:`repro.analysis.calibrate`, never
         byte-identical."""
         if not window > 0.0:
             raise ValueError(
@@ -803,12 +748,3 @@ class Internet:
                     f"{self.columnar_window}, not {window}")
             return
         self.columnar_window = window
-
-    def _bulk_deliver(self, rows) -> None:
-        """One event for every batched-tier delivery landing at this
-        instant — the quiet-channel lane's :meth:`_deliver`."""
-        del self._vec_deliveries[self.sim._now]
-        add = self.counters.add
-        for datagram, on_deliver in rows:
-            add("datagrams-delivered")
-            on_deliver(datagram)

@@ -2,6 +2,7 @@
 docstring (deliverable (e) — enforced mechanically, not by review)."""
 
 import ast
+import fnmatch
 import importlib
 import inspect
 import pkgutil
@@ -141,7 +142,7 @@ def _resolves(name: str, index) -> bool:
                 return False
             target = getattr(target, part)
         return True
-    # ``inet._vec_deliveries``: a variable, then attributes of its value.
+    # ``inet._path_cache``: a variable, then attributes of its value.
     return all(part in members for part in rest.split("."))
 
 
@@ -161,9 +162,36 @@ def test_docs_name_code_that_exists():
     assert stale == []
 
 
+#: A backticked token that is a path to a file: no spaces, globs or
+#: placeholders, ending in one of the file suffixes.
+_PATH = re.compile(r"[\w./-]+\.(?:%s)" % "|".join(sorted(_FILE_SUFFIXES)))
+#: Where a path in the docs may be relative to.
+_PATH_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+
+
+def test_docs_name_files_that_exist():
+    """Every backticked path with a file suffix in the docs names a file
+    that exists, relative to the repository root, ``src/`` or
+    ``src/repro/`` — so a doc cannot point at a deleted test or file.
+    An output that ``.gitignore`` names (``BENCH_*.json``, say) is
+    written by a run, not kept, and is not looked for."""
+    outputs = [line for line in (ROOT / ".gitignore").read_text().splitlines()
+               if line and not line.startswith("#")]
+    missing = []
+    for doc in DOCS:
+        for span in re.findall(r"`([^`\n]+)`", (ROOT / doc).read_text()):
+            for token in re.split(r"[\s'\"(),;=:]+", span):
+                if _PATH.fullmatch(token) and not any(
+                        fnmatch.fnmatch(token.rsplit("/", 1)[-1], pattern)
+                        for pattern in outputs) and not any(
+                        (root / token).exists() for root in _PATH_ROOTS):
+                    missing.append(f"{doc}: {token}")
+    assert missing == []
+
+
 #: The prose may not outgrow these line counts: a change that needs more
 #: room in one of them removes as much first (ROADMAP T(3)).
-DOC_LINES = {"DESIGN.md": 1507, ".claude/skills/verify/SKILL.md": 214}
+DOC_LINES = {"DESIGN.md": 1448, ".claude/skills/verify/SKILL.md": 212}
 
 
 def test_docs_do_not_grow():

@@ -154,8 +154,9 @@ def test_rebuilt_native_domain_never_serves_the_old_domains_profiles(tier):
     the next allocation of its size, and one reconvergence on the old
     domain plus one more fiber in the new one make the epochs equal —
     the old profile, made of the old route's fibers, was served for the
-    new domain. On the batched tier the lane that reads the cache is
-    the quiet channel of :meth:`Internet.send_via`."""
+    new domain. Both tiers read the cache in the one settle step,
+    :meth:`Internet._transit`; the batched tier only rounds its
+    landing."""
     sim = Simulator()
     inet = Internet(sim, RngRegistry(1), native_convergence_delay=0.5)
     if tier == "batched":

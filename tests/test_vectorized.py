@@ -1,21 +1,19 @@
 """The batched approximate tier (``columnar_window > 0``).
 
-Unlike the exact tier, the batched tier is *approximate*: every hop
-arrival is quantized up to the window grid, and a quiet channel's send
-settles at once into one bulk delivery per grid instant — one queued
-heap event that collects that instant's rows.
-Its contract is statistical — delivery ratio and mean latency within
-the documented calibration tolerances of the exact tier — plus some
-exact obligations these tests pin down directly:
+The batched tier is the exact tier on a grid: the same walk and the
+same settle step, with every landing instant rounded up to the window
+grid — a walked fiber's arrival, a settled transit's delivery. It is
+*approximate*: its contract is statistical — delivery ratio and mean
+latency within the documented calibration tolerances of the exact
+tier — plus some exact obligations these tests pin down directly:
 
-* a multi-fiber transit that is not quiet walks fiber by fiber and
-  lands within one window per fiber of its exact instant, serializing
-  on a capacity fiber;
-* the quiet-channel lane reads fiber state live, so a cut, a loss swap
-  or a capacity written after the profile was resolved sends the
-  datagram down the walk, and a reconvergence re-resolves the profile;
-* a pending batch is an ordinary queued event: the auditor counts its
-  rows once, and ``sim.clear()`` drops it;
+* a quiet transit settles in one event and lands on the grid within
+  one window of its exact instant; one that is not quiet walks fiber by
+  fiber, landing within one window per fiber, and serializes on a
+  capacity fiber;
+* the settle step reads fiber state live, so a cut, a loss swap or a
+  capacity written after the profile was resolved sends the datagram
+  down the walk, and a reconvergence re-resolves the profile;
 * the three ``columnar*`` fields are one bit, any disagreement among
   them is rejected, and the tier runs on an interpreter without numpy.
 """
@@ -38,11 +36,10 @@ from repro.analysis.calibrate import (
 )
 from repro.analysis.metrics import flow_stats
 from repro.analysis.workloads import CbrSource
-from repro.audit import Auditor, check_datagram_conservation
 from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
-from repro.net.internet import HEADER_BYTES, Internet, _quiet
+from repro.net.internet import HEADER_BYTES, Internet
 from repro.net.loss import BernoulliLoss, CompositeLoss, GilbertElliottLoss
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
@@ -168,28 +165,28 @@ def test_path_profile_resolves_multifiber_transit():
     assert profile is not None
     assert profile.n_hops == 3
     assert profile.routers == ("r1", "r2", "r3")
-    assert profile.total_delay == pytest.approx(0.030)
-    assert _quiet(profile.links)
+    assert sum(link.delay for link in profile.links) == pytest.approx(0.030)
     # Loss or jitter on a fiber leaves the transit as it is — the
     # profile is the route, and whether it is quiet is asked live.
     isp.link_between("r1", "r2").loss = BernoulliLoss(0.1)
     isp.link_between("r2", "r3").jitter = 0.001
     assert inet._path_profile(isp, "r0", "r3").links == profile.links
-    assert not _quiet(profile.links)
+    assert inet._transit((isp, "r0", "r3"), 0, 100, 0.0, 0.0) is None
 
 
-def test_capacity_fiber_resolves_but_is_not_quiet():
+def test_capacity_fiber_resolves_but_does_not_settle():
     __, inet, isp = _line_internet(3, capacity_mid=True)
     profile = inet._path_profile(isp, "r0", "r3")
     assert profile is not None and profile.n_hops == 3
-    assert not _quiet(profile.links)
-    assert _quiet(profile.links[:1])
+    assert inet._transit((isp, "r0", "r3"), 0, 100, 0.0, 0.0) is None
+    assert inet._transit((isp, "r0", "r1"), 0, 100, 0.0, 0.0) is not None
 
 
 def test_path_fast_forward_delivers_whole_chain():
-    """A multi-fiber transit off the quiet-channel lane walks fiber by
-    fiber on the window grid: it lands within one window per fiber of
-    its exact instant, and no profile is resolved for it."""
+    """A quiet multi-fiber transit sent outside a run settles at its
+    send as one made inside a run does: it lands within one window of
+    its exact instant, counted on every fiber, over the profile the
+    settle step resolved."""
     sim, inet, isp = _line_internet(3)
     sink = _Sink(sim)
     for __ in range(5):
@@ -199,13 +196,13 @@ def test_path_fast_forward_delivers_whole_chain():
     assert not sink.dropped
     exact = 0.0 + 0.010 + 0.010 + 0.010
     for __, at in sink.delivered:
-        assert exact <= at <= exact + 3 * WINDOW
+        assert exact <= at <= exact + WINDOW + 1e-9
     for i in range(3):
         link = isp.link_between(f"r{i}", f"r{i + 1}")
         assert link.packets_carried == 5
         assert link.packets_dropped == 0
         assert link.bytes_carried == 5 * (1200 + HEADER_BYTES)
-    assert not inet._path_cache
+    assert [profile.n_hops for __, profile in inet._path_cache.values()] == [3]
 
 
 def test_path_fast_forward_falls_back_on_capacity():
@@ -270,7 +267,7 @@ def test_trivial_path_demoted_by_fiber_failure():
 
 
 def test_path_cache_invalidated_by_reconvergence():
-    """The quiet-channel lane's profile follows the tables: a cut
+    """The settle step's profile follows the tables: a cut
     fiber is not quiet, so sends walk into it and die until the domain
     reconverges, and the epoch bump then re-resolves the detour."""
     sim = Simulator()
@@ -319,13 +316,14 @@ def test_path_cache_invalidated_by_reconvergence():
         assert 0.100 - 1e-9 <= at - sent[2] <= 0.100 + WINDOW + 1e-9
     __, profile = inet._path_cache[chan.path_key]
     assert profile.n_hops == 2
-    assert profile.total_delay == pytest.approx(0.100)
+    assert sum(link.delay for link in profile.links) == pytest.approx(0.100)
 
 
 def test_channel_fast_lane_settles_trivial_sends():
     """A send through a primed channel whose fibers are all quiet
-    settles at send time — straight into the bulk-delivery batch, with
-    per-fiber counters — and is delivered by one event per instant."""
+    settles at send time, with per-fiber counters: one event per send,
+    its delivery, landing on the window grid within one window of the
+    exact instant."""
     sim, inet, isp = _line_internet(3)
     sink = _Sink(sim)
     chan = inet.channel("a", "b", "line")
@@ -340,10 +338,11 @@ def test_channel_fast_lane_settles_trivial_sends():
     sim.schedule(0.1, burst)
     events = sim.events_processed
     sim.run(until=0.5)
-    assert sim.events_processed - events == 2  # the burst, one delivery
+    assert sim.events_processed - events == 6  # the burst, 5 deliveries
     assert len(sink.delivered) == 5
     for __, at in sink.delivered:
         assert 0.130 - 1e-9 <= at <= 0.130 + WINDOW + 1e-9
+        assert at / WINDOW == pytest.approx(round(at / WINDOW), abs=1e-6)
     for pair in (("r0", "r1"), ("r1", "r2"), ("r2", "r3")):
         link = isp.link_between(*pair)
         assert link.packets_carried == 5
@@ -398,68 +397,6 @@ def test_channel_lane_serializes_on_capacity_written_after_priming():
         assert _TX - WINDOW <= later - earlier <= _TX + WINDOW
 
 
-# ------------------------------------- pending batches on the heap
-
-
-def _primed_line():
-    sim, inet, isp = _line_internet(3)
-    chan = inet.channel("a", "b", "line")
-    inet.prime_path(chan)
-    return sim, inet, chan, _Sink(sim)
-
-
-def test_pending_batch_rows_are_counted_once_in_flight():
-    """A quiet-channel send is one row of a queued bulk-delivery event
-    until that event fires; an audit probe between the send and the
-    delivery — at the send's own instant and mid-transit — finds every
-    datagram accounted for exactly once."""
-    sim, inet, chan, sink = _primed_line()
-    auditor = Auditor(register=False)
-    probes = []
-
-    def probe():
-        probes.append((len(inet._vec_deliveries),
-                       check_datagram_conservation(inet, auditor)))
-
-    def burst():
-        for __ in range(5):
-            inet.send_via(chan, "x", 1200, sink.deliver, sink.drop)
-        sim.schedule(0.0, probe)
-
-    sim.schedule(0.1, burst)
-    sim.schedule(0.115, probe)
-    sim.run(until=0.5)
-    assert probes == [(1, True), (1, True)], auditor.report.format()
-    assert len(sink.delivered) == 5
-    assert not inet._vec_deliveries
-    assert check_datagram_conservation(inet, auditor)
-
-
-def test_clear_drops_pending_rows_and_a_later_send_lands_once():
-    """``sim.clear()`` drops a pending bulk delivery like any other
-    event: its rows are never delivered, and a send landing on the same
-    grid instant afterwards opens a fresh batch, delivered exactly
-    once."""
-    sim, inet, chan, sink = _primed_line()
-    instants = []
-
-    def send_clear_send():
-        for __ in range(3):
-            inet.send_via(chan, "cleared", 1200, sink.deliver, sink.drop)
-        instants.extend(inet._vec_deliveries)
-        sim.clear()
-        inet.send_via(chan, "kept", 1200, sink.deliver, sink.drop)
-        instants.extend(inet._vec_deliveries)
-
-    sim.schedule(0.1, send_clear_send)
-    sim.run(until=0.5)
-    assert len(instants) == 2 and instants[0] == instants[1]
-    assert [(d.payload, at) for d, at in sink.delivered] == [
-        ("kept", instants[0])]
-    assert not sink.dropped
-    assert not inet._vec_deliveries
-
-
 # --------------------------------------------- statistical contract
 
 
@@ -468,14 +405,11 @@ def test_vector_calibration_loss_free():
     result.check()
     assert result.max_delivery_delta <= DELIVERY_TOL
     assert result.max_latency_delta <= LATENCY_TOL
-    # The whole point: quiet channels settle at send time and share
-    # one delivery event per grid instant.
-    assert result.vectorized_wall_events < result.exact_wall_events
 
 
 def test_vectorized_counters_conserved():
     """Every datagram sent through the batched tier is accounted:
-    delivered or dropped, never lost in a batch."""
+    delivered or dropped."""
     overlay = build_overlay(lossy=True, config=OverlayConfig(
         columnar=True, columnar_window=WINDOW, columnar_vectorized=True))
     sim = overlay.sim
@@ -534,7 +468,7 @@ def _stat_leg(vectorized, n, chord, loss_kind, window, spaced=False):
     if spaced:
         # Overlay neighbors 2-3 ring steps apart: every overlay link
         # spans a multi-fiber underlay transit, so the comparison
-        # covers the quiet-channel lane, not just single crossings.
+        # covers settled transits, not just single crossings.
         # Spacings 2 and 3 are coprime — connected for any n.
         olinks = sorted(
             {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in (2, 3)}
@@ -597,7 +531,7 @@ def test_vectorized_matches_exact_statistically(
     mesh, where routes are stable (``run_vector_calibration``).
 
     With ``spaced`` set, the overlay links span multi-fiber underlay
-    transits, so the comparison covers the quiet-channel lane; its
+    transits, so the comparison covers settled transits; their
     alternate routes differ by up to two fibers, widening the lossy
     latency allowance accordingly.
 
