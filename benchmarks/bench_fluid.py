@@ -1,7 +1,7 @@
 """Hybrid fluid traffic engine: fidelity and scale.
 
-Two legs, both on the 16-node ring+chords mesh from
-``bench_simcore.py`` (built by :mod:`repro.analysis.calibrate`):
+Two legs, both on the 16-node ring+chords mesh built by
+:mod:`repro.analysis.calibrate`:
 
 * **calibration** — the same bulk flow set run packet-level and fluid
   must agree on delivery ratio and mean latency within the documented

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import os
-from contextlib import contextmanager
 from typing import Any, Callable
 
 #: Counter families uniformly surfaced into ``benchmark.extra_info``
@@ -321,65 +320,17 @@ def add_profile_arg(parser) -> None:
     )
 
 
-#: Active ``--profile`` session (set by :func:`maybe_profile`): the
-#: outer whole-run profiler plus one accumulating profiler per
-#: :func:`bench_phase` name. ``None`` when not profiling.
-_PROFILE_SESSION: dict | None = None
-
-
-@contextmanager
-def bench_phase(name: str):
-    """Mark a benchmark phase (``"warmup"``, ``"measured"``, ...).
-
-    Without ``--profile`` this is free. Under ``--profile PATH`` each
-    phase name accumulates its own profile, dumped to ``PATH.<name>``
-    next to the whole-run stats — so the warm-up storm (or its
-    snapshot restore) and the measured steady-state window can be
-    inspected separately. cProfile does not nest: the outer profiler
-    pauses while a phase profiler runs, so ``PATH`` itself covers
-    exactly the un-phased remainder.
-    """
-    session = _PROFILE_SESSION
-    if session is None:
-        yield
-        return
-    import cProfile
-
-    session["profile"].disable()
-    inner = session["phases"].get(name)
-    if inner is None:
-        inner = session["phases"][name] = cProfile.Profile()
-    inner.enable()
-    try:
-        yield
-    finally:
-        inner.disable()
-        session["profile"].enable()
-
-
 def maybe_profile(path: str | None, fn: Callable[..., Any], *args, **kwargs):
     """Call ``fn(*args, **kwargs)``, under cProfile when ``path`` is
-    given (the stats are dumped to ``path``; any :func:`bench_phase`
-    blocks inside ``fn`` additionally dump per-phase stats to
-    ``path.<phase>``). Returns ``fn``'s result either way — profiled
-    timings are for hotspot hunting, not for the numbers a bench
-    reports."""
-    global _PROFILE_SESSION
+    given (the stats are dumped to ``path``). Returns ``fn``'s result
+    either way — profiled timings are for hotspot hunting, not for the
+    numbers a bench reports."""
     if path is None:
         return fn(*args, **kwargs)
     import cProfile
 
     profile = cProfile.Profile()
-    _PROFILE_SESSION = {"profile": profile, "phases": {}}
-    try:
-        result = profile.runcall(fn, *args, **kwargs)
-    finally:
-        session = _PROFILE_SESSION
-        _PROFILE_SESSION = None
+    result = profile.runcall(fn, *args, **kwargs)
     profile.dump_stats(path)
     print(f"profile written to {path}")
-    for name, phase_profile in sorted(session["phases"].items()):
-        phase_path = f"{path}.{name}"
-        phase_profile.dump_stats(phase_path)
-        print(f"phase profile ({name}) written to {phase_path}")
     return result

@@ -166,19 +166,20 @@ def test_docs_name_code_that_exists():
 #: placeholders, ending in one of the file suffixes.
 _PATH = re.compile(r"[\w./-]+\.(?:%s)" % "|".join(sorted(_FILE_SUFFIXES)))
 #: Where a path in the docs may be relative to.
-_PATH_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+_PATH_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro", ROOT / "benchmarks")
 
 
 def test_docs_name_files_that_exist():
-    """Every backticked path with a file suffix in the docs names a file
-    that exists, relative to the repository root, ``src/`` or
-    ``src/repro/`` — so a doc cannot point at a deleted test or file.
+    """Every backticked path with a file suffix in the docs and in
+    EXPERIMENTS.md names a file that exists, relative to the repository
+    root, ``src/``, ``src/repro/`` or ``benchmarks/`` — so a doc cannot
+    point at a deleted test, bench or file.
     An output that ``.gitignore`` names (``BENCH_*.json``, say) is
     written by a run, not kept, and is not looked for."""
     outputs = [line for line in (ROOT / ".gitignore").read_text().splitlines()
                if line and not line.startswith("#")]
     missing = []
-    for doc in DOCS:
+    for doc in DOCS + ("EXPERIMENTS.md",):
         for span in re.findall(r"`([^`\n]+)`", (ROOT / doc).read_text()):
             for token in re.split(r"[\s'\"(),;=:]+", span):
                 if _PATH.fullmatch(token) and not any(
@@ -191,7 +192,7 @@ def test_docs_name_files_that_exist():
 
 #: The prose may not outgrow these line counts: a change that needs more
 #: room in one of them removes as much first (ROADMAP T(3)).
-DOC_LINES = {"DESIGN.md": 1448, ".claude/skills/verify/SKILL.md": 212}
+DOC_LINES = {"DESIGN.md": 1421, ".claude/skills/verify/SKILL.md": 212}
 
 
 def test_docs_do_not_grow():

@@ -17,6 +17,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -544,6 +549,96 @@ def test_journal_resume_reruns_only_missing_cells(tmp_path):
     again = run_sweep(sweep, workers=0, cache=False, journal=jpath,
                       fingerprint="fp", resume=True)
     assert (again.executed, again.journaled) == (0, len(sweep.cells))
+
+
+#: A campaign in a child interpreter: ``kill`` runs the pooled sweep and
+#: dies hard (``os._exit(3)``, as a preempted host would) once three
+#: cells have executed; ``resume`` serves the journal and runs the rest.
+#: The coordinator's status file lists the pool workers that ran cells.
+_CAMPAIGN_CHILD = """
+import json, os, sys
+from repro.analysis.coordinator import Coordinator
+from repro.analysis.runner import run_sweep
+from tests.test_sweep_engine import _arith_sweep, _dump
+
+mode, journal, status = sys.argv[1:]
+
+def kill(coord):
+    if coord.executed >= 3:
+        coord.maybe_report(force=True)
+        os._exit(3)
+
+coord = Coordinator(status_path=status,
+                    on_cell=kill if mode == "kill" else None)
+result = run_sweep(_arith_sweep(), workers=2, cache=False, journal=journal,
+                   fingerprint="fp", resume=mode == "resume",
+                   coordinator=coord)
+print(json.dumps({"executed": result.executed,
+                  "journaled": result.journaled, "table": _dump(result)}))
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _campaign_child(mode: str, tmp_path) -> tuple[int, str]:
+    """Run one campaign child in its own session, then stop whatever
+    of its session outlived it and wait (bounded) until every pool
+    worker its status file lists is gone. Returns the exit code and
+    the output."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    status, out = tmp_path / f"{mode}.json", tmp_path / f"{mode}.out"
+    # Output goes to a file: a pipe would stay open in the workers.
+    with open(out, "w") as sink:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _CAMPAIGN_CHILD, mode,
+             str(tmp_path / "journal.jsonl"), str(status)],
+            cwd=root, env=env, stdout=sink, stderr=subprocess.STDOUT,
+            start_new_session=True)
+    try:
+        child.wait(timeout=120)
+    finally:
+        # A hard-killed run's workers outlive it: each holds the task
+        # queue's write end, so none ever reads end-of-file.
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    pids = json.loads(status.read_text())["worker_pids"]
+    assert pids and child.pid not in pids, (pids, out.read_text())
+    deadline = time.monotonic() + 10.0
+    while any(_running(pid) for pid in pids):
+        assert time.monotonic() < deadline, f"pool workers {pids} outlived"
+        time.sleep(0.05)
+    return child.returncode, out.read_text()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process states from /proc")
+def test_hard_killed_pooled_campaign_resumes_only_missing_cells(tmp_path):
+    """A pooled campaign killed outright keeps every cell that landed
+    before the kill; a resume in a fresh interpreter simulates only the
+    cells missing from the journal and prints the serial table."""
+    cells = len(_arith_sweep().cells)
+    code, __ = _campaign_child("kill", tmp_path)
+    assert code == 3
+    landed = (tmp_path / "journal.jsonl").read_text().splitlines()
+    assert 3 <= len(landed) < cells
+    code, out = _campaign_child("resume", tmp_path)
+    assert code == 0
+    resumed = json.loads(out.splitlines()[-1])
+    assert resumed["journaled"] == len(landed)
+    assert resumed["executed"] == cells - len(landed)
+    serial = run_sweep(_arith_sweep(), workers=0, cache=False, journal=False)
+    assert resumed["table"] == _dump(serial)
 
 
 def test_journal_moves_with_the_source_fingerprint(tmp_path):

@@ -39,6 +39,7 @@ from repro.analysis.workloads import CbrSource
 from repro.core.config import OverlayConfig
 from repro.core.message import Address
 from repro.core.network import OverlayNetwork
+from repro.core.warmstart import capture, restore
 from repro.net.internet import HEADER_BYTES, Internet
 from repro.net.loss import BernoulliLoss, CompositeLoss, GilbertElliottLoss
 from repro.sim.events import Simulator
@@ -405,6 +406,28 @@ def test_vector_calibration_loss_free():
     result.check()
     assert result.max_delivery_delta <= DELIVERY_TOL
     assert result.max_latency_delta <= LATENCY_TOL
+
+
+def test_audited_batched_twin_restored_from_an_exact_capture(monkeypatch):
+    """The batched tier restored from the exact tier's snapshot (the
+    warm path of perf's ``mesh_batched``) carries traffic with every
+    audit check passing."""
+    exact = build_overlay()
+    exact.warm_up(2.0)
+    payload = capture(exact)
+    monkeypatch.setenv("REPRO_AUDIT", "1")
+    twin = build_overlay(config=OverlayConfig(
+        columnar=True, columnar_window=WINDOW, columnar_vectorized=True))
+    twin.auditor.sample_every = 1
+    restore(twin, payload)
+    got = []
+    twin.client("n08", 7, on_message=got.append)
+    CbrSource(twin.sim, twin.client("n00"), Address("n08", 7),
+              rate_pps=20.0).start()
+    twin.sim.run(until=twin.sim.now + 1.0)
+    assert len(got) >= 19
+    report = twin.auditor.run_checks()
+    assert report.checks > 0 and report.ok, report.format()
 
 
 def test_vectorized_counters_conserved():
