@@ -73,9 +73,10 @@ import hashlib
 import inspect
 import json
 import math
-import multiprocessing
+import multiprocessing.connection
 import os
 import sys
+import threading
 import time
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
@@ -456,12 +457,25 @@ def _pool_context():
     return multiprocessing.get_context("spawn")
 
 
+def _exit_with(sentinel) -> None:
+    """Block until the process behind ``sentinel`` is gone, then end
+    this one: a worker must not outlive a campaign killed outright."""
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
+
+
 def _warm_worker(paths: list[str]) -> None:
-    """Worker initializer: make the parent's import roots (src/,
-    benchmarks/) visible and pre-import the ``repro`` tree once, so the
-    first cell a worker runs pays no import/setup cost. Under fork the
-    imports are inherited and this is near-free; under spawn it is the
-    whole point."""
+    """Worker initializer: tie the worker's life to its parent's (a
+    campaign killed by ``os._exit`` or SIGKILL would otherwise leave it
+    blocked on the task queue forever), make the parent's import roots
+    (src/, benchmarks/) visible and pre-import the ``repro`` tree once,
+    so the first cell a worker runs pays no import/setup cost. Under
+    fork the imports are inherited and this is near-free; under spawn
+    it is the whole point."""
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with, args=(parent.sentinel,),
+                         name="exit-with-parent", daemon=True).start()
     for path in paths:
         if path not in sys.path:
             sys.path.append(path)

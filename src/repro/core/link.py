@@ -157,11 +157,12 @@ class OverlayLink:
         self._recover_count = 0
         self._last_switch = -MIN_SWITCH_INTERVAL
         self._started = False
+        #: The link's one periodic timer: each tick checks for silence,
+        #: then sends a hello on every carrier.
         self._hello_timer = None
-        self._check_timer = None
         #: Hoisted silence timeout (hello_interval * miss_threshold) —
-        #: recomputing it per check tick / usability probe was measurable
-        #: in steady state.
+        #: recomputing it per tick / usability probe was measurable in
+        #: steady state.
         self._silence_timeout = config.hello_interval * config.miss_threshold
         #: Per-carrier pre-resolved underlay channels, refreshed when the
         #: Internet's carrier structure generation moves.
@@ -203,15 +204,13 @@ class OverlayLink:
             self._deliver_fn = _deliver
 
     def start(self) -> None:
-        """Begin hello probing (on every carrier) and failure checks."""
+        """Arm the link's one tick: hello probing on every carrier, from
+        now on, each tick after the first checking for silence first."""
         if self._started:
             return
         self._started = True
         self._hello_timer = self.sim.schedule_periodic(
             self.config.hello_interval, self._hello_tick, first=0.0
-        )
-        self._check_timer = self.sim.schedule_periodic(
-            self.config.hello_interval, self._check_tick
         )
 
     def _channel(self, name: str):
@@ -249,6 +248,15 @@ class OverlayLink:
     # ------------------------------------------------------------ hellos
 
     def _hello_tick(self) -> None:
+        # The failure check runs before this tick's hellos go out: down
+        # after miss_threshold silent intervals, then carrier selection.
+        # The first tick has nothing to check. A check runs after any
+        # event the previous tick queued for this instant.
+        if self._hello_timer.fired > 1:
+            if (self.up and self.sim._now - self._last_rx_time
+                    > self._silence_timeout):
+                self._set_up(False)
+            self._maybe_switch_carrier()
         version = sum(monitor.version for monitor in self._rx.values())
         if version != self._feedback_version:
             self._feedback = {
@@ -320,15 +328,6 @@ class OverlayLink:
             self._recover_count += 1
             if self._recover_count >= self.config.recover_threshold:
                 self._set_up(True)
-
-    def _check_tick(self) -> None:
-        timeout = self._silence_timeout
-        silent = (
-            self._last_rx_time < 0 or self.sim._now - self._last_rx_time > timeout
-        )
-        if self.up and silent:
-            self._set_up(False)
-        self._maybe_switch_carrier()
 
     def _set_up(self, up: bool) -> None:
         self.up = up
@@ -426,10 +425,10 @@ class OverlayLink:
     # ------------------------------------------------- warm-start support
 
     def warm_state(self) -> dict:
-        """Snapshot this endpoint's protocol state (JSON-shaped). Timer
-        schedule entries (``_hello_timer`` / ``_check_timer`` firing
-        times and seqs) are captured separately by the snapshot layer,
-        which owns the simulator queue."""
+        """Snapshot this endpoint's protocol state (JSON-shaped). The
+        ``_hello_timer`` schedule entry (firing time and seq) is captured
+        separately by the snapshot layer, which owns the simulator
+        queue."""
         return {
             "up": self.up,
             "muted": self.muted,
@@ -456,8 +455,9 @@ class OverlayLink:
 
     def restore_warm(self, state: dict) -> None:
         """Install a :meth:`warm_state` snapshot into this (unstarted)
-        endpoint and mark it started — the snapshot layer re-arms the
-        hello/check timers via the simulator's adoption API."""
+        endpoint and mark it started — the snapshot layer re-arms
+        ``_hello_timer`` (with its firing count) via the simulator's
+        adoption API."""
         if self._started:
             raise RuntimeError(
                 f"link {self.node_id}->{self.nbr_id} already started"

@@ -67,7 +67,7 @@ from repro.sim import snapshot as snap
 from repro.sim.events import SimulationError
 
 #: On-disk payload format; bumped on any incompatible schema change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Per shared-state kind (:attr:`~repro.core.node.OverlayNode.replicas`):
 #: the payload part holding its records, the meta key of its
@@ -256,8 +256,7 @@ def capture(overlay, key: str = "", source_fingerprint: str = "") -> dict:
     for node_id, node in overlay.nodes.items():
         if not node._started:
             raise WarmStartError(f"node {node_id} never started")
-        owners = [(link, nbr, ("hello", "check"))
-                  for nbr, link in node.links.items()]
+        owners = [(link, nbr, ("hello",)) for nbr, link in node.links.items()]
         for owner, nbr, kinds in owners + [(node, None, ("refresh", "metric"))]:
             for kind in kinds:
                 timer = getattr(owner, f"_{kind}_timer")
@@ -323,7 +322,7 @@ def _adopt_schedule(overlay, entries: list[dict]) -> None:
     for entry in sorted(entries, key=lambda e: e["seq"]):
         kind = entry["kind"]
         owner = overlay.nodes[entry["node"]]  # refresh / metric timers
-        if kind in ("hello", "check"):
+        if kind == "hello":
             owner = owner.links[entry["nbr"]]
         elif kind not in ("refresh", "metric"):
             raise WarmStartError(f"unknown timer kind {kind!r} in snapshot")
@@ -604,7 +603,6 @@ def converged_payload(overlay, warmup: float, key: str = "",
             f"({config.lsu_refresh}) — refresh floods are not constructible"
         )
     hello_fired, hello_next = _grid(0.0, interval, t0)
-    check_fired, check_next = _grid(0.0 + interval, interval, t0)
     from repro.core.node import METRIC_CHECK_INTERVAL
 
     metric_fired, metric_next = _grid(
@@ -645,18 +643,14 @@ def converged_payload(overlay, warmup: float, key: str = "",
             "hello_wire": 16 + 8 * (3 + len(names)),
         }
 
-    # Timer seqs in the organic steady-state per-instant order: at
-    # every shared tick instant the failure checks fire before the
-    # hellos (checks re-arm first), so all checks, then all hellos,
-    # then the per-node metric/refresh cadences.
+    # Timer seqs in the organic steady-state per-instant order: every
+    # link's tick, then the per-node metric/refresh cadences.
     def timer(kind, nid, nbr, time, every, fired):
         return {"kind": kind, "node": nid, "nbr": nbr, "time": time,
                 "interval": every, "fired": fired, "rearmed": fired}
 
     timers = [
-        timer(kind, nid, nbr, time, interval, fired)
-        for kind, time, fired in (("check", check_next, check_fired),
-                                  ("hello", hello_next, hello_fired))
+        timer("hello", nid, nbr, hello_next, interval, hello_fired)
         for nid in node_ids for nbr in overlay.nodes[nid].links
     ] + [
         entry for nid in node_ids for entry in (

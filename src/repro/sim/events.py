@@ -20,8 +20,8 @@ with dead weight.
 Recurring timers
 ----------------
 
-Steady-state control planes are dominated by periodic work — hello
-probes on every overlay-link carrier, failure-check ticks, LSU
+Steady-state control planes are dominated by periodic work — link
+ticks (a failure check, then a hello on every carrier), LSU
 refreshes, ack/RTO scans. :meth:`Simulator.schedule_periodic` returns a
 :class:`PeriodicEvent` that the run loop **re-arms by recycling the
 same object**: after the callback returns, the event's ``(time, seq)``

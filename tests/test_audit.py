@@ -16,6 +16,11 @@ The contract under test (DESIGN.md "Audit and divergence detection"):
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.audit import (
@@ -643,3 +648,48 @@ def test_env_var_arms_the_auditor(monkeypatch):
     overlay = OverlayNetwork(inet, ["h0", "h1"], [("h0", "h1")])
     assert overlay.auditor is not None
     assert isinstance(overlay.route_engine, AuditedRouteComputeEngine)
+
+
+# --------------------------------------------------------- the audit gate
+
+#: A session run under ``REPRO_AUDIT=1`` with the suite's audit gate:
+#: a clean audited overlay, and one whose transit-express checker
+#: always fails.
+_GATED_SESSION = """
+from repro.audit import Auditor
+from tests.conftest import make_two_node_line
+
+def fail_transit_express(monkeypatch):
+    check = Auditor.check
+    def seeded(self, invariant, ok, *args, **kwargs):
+        return check(self, invariant, ok and invariant != "transit-express",
+                     *args, **kwargs)
+    monkeypatch.setattr(Auditor, "check", seeded)
+
+def test_clean():
+    assert make_two_node_line().overlay.auditor is not None
+
+def test_seeded(monkeypatch):
+    fail_transit_express(monkeypatch)
+    make_two_node_line()
+"""
+
+
+def test_audit_gate_fails_a_test_whose_run_recorded_a_violation(tmp_path):
+    """The audit gate (``tests/conftest.py``) turns a recorded violation
+    into a failed test, names it, and lets a clean test pass."""
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "conftest.py").write_text(
+        "from tests.conftest import audit_gate  # noqa\n")
+    (tmp_path / "test_gated.py").write_text(_GATED_SESSION)
+    env = dict(os.environ, REPRO_AUDIT="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_gated.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "2 passed, 1 error" in out, out
+    assert "ERROR at teardown of test_seeded " in out, out
+    assert "VIOLATION transit-express" in out, out

@@ -137,3 +137,92 @@ def test_transmit_without_wiring_raises():
     )
     with pytest.raises(RuntimeError):
         link.transmit(Frame(proto="control", ftype="hello", src_node="a", dst_node="b"))
+
+
+# ------------------------------------------------- one tick per link
+
+def _line_overlay():
+    """A fresh, unstarted two-node line overlay."""
+    from repro.core.network import OverlayNetwork
+    from repro.net.topologies import line_internet
+    from repro.sim.events import Simulator
+    from repro.sim.rng import RngRegistry
+
+    internet = line_internet(Simulator(), RngRegistry(1), n_hops=1)
+    return OverlayNetwork(internet, ["h0", "h1"], [("h0", "h1")])
+
+
+def test_a_started_overlay_arms_one_timer_per_link_endpoint():
+    """The silence check rides the hello tick: a link endpoint owns one
+    periodic timer, a node its refresh and metric cadences."""
+    from repro.analysis.scenarios import continental_scenario
+
+    scn = continental_scenario(seed=5, warmup=0.0)
+    nodes = scn.overlay.nodes.values()
+    timers = [event for event, live in scn.sim.iter_queued()
+              if live and event.periodic and event.auto]
+    ends = sum(len(node.links) for node in nodes)
+    assert len(timers) == ends + 2 * len(nodes)
+    assert {id(link._hello_timer) for node in nodes
+            for link in node.links.values()} <= {id(t) for t in timers}
+
+
+def test_first_tick_does_not_switch_a_multihomed_carrier():
+    """At a link's first tick nothing has been heard yet; a silence
+    check there would blindly rotate every multihomed link's carrier."""
+    from repro.analysis.scenarios import continental_scenario
+
+    scn = continental_scenario(seed=5, warmup=0.0)
+    links = [link for node in scn.overlay.nodes.values()
+             for link in node.links.values()]
+    assert all(link._hello_timer.fired == 1 for link in links)
+    assert any(len(link.carriers) > 1 for link in links)
+    assert [link.switch_count for link in links] == [0] * len(links)
+    assert all(link.carrier_idx == 0 for link in links)
+
+
+def test_link_goes_down_at_the_two_timer_instant():
+    """Cut the line's fiber at t=2: both ends flip down at the instant
+    the separate check timer flipped them (measured on that code)."""
+    scn = make_two_node_line(seed=2)
+    downs = []
+    for node in scn.overlay.nodes.values():
+        link = _only_link(node)
+        notify = link.on_state_change
+
+        def watch(link, notify=notify):
+            downs.append((link.node_id, link.up, scn.sim.now))
+            notify(link)
+
+        link.on_state_change = watch
+    assert scn.sim.now == 2.0
+    scn.internet.isps["line"].fail_link("r0", "r1")
+    scn.run_for(2.0)
+    assert sorted(downs) == [("h0", False, 2.3000000000000007),
+                             ("h1", False, 2.3000000000000007)]
+
+
+def test_a_two_timer_snapshot_is_never_restored(tmp_path):
+    """A format-1 payload, whose links carry a ``check`` timer beside
+    the hello timer, is a store miss, and ``restore`` refuses it."""
+    from repro.core.warmstart import (
+        SnapshotStore,
+        WarmStartError,
+        capture,
+        restore,
+    )
+
+    organic = _line_overlay()
+    organic.warm_up(2.0)
+    payload = capture(organic)
+    legacy = {**payload, "format": 1, "timers": payload["timers"] + [
+        {**entry, "kind": "check"} for entry in payload["timers"]
+        if entry["kind"] == "hello"]}
+    store = SnapshotStore(tmp_path)
+    store.save("legacy", legacy)
+    store.save("current", payload)
+    assert store.load("legacy") is None
+    assert store.load("current") == payload
+    with pytest.raises(WarmStartError, match="format"):
+        restore(_line_overlay(), legacy)
+    restore(_line_overlay(), payload)

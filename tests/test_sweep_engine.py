@@ -588,10 +588,9 @@ def _running(pid: int) -> bool:
 
 
 def _campaign_child(mode: str, tmp_path) -> tuple[int, str]:
-    """Run one campaign child in its own session, then stop whatever
-    of its session outlived it and wait (bounded) until every pool
-    worker its status file lists is gone. Returns the exit code and
-    the output."""
+    """Run one campaign child in its own session and check that every
+    pool worker its status file lists ends within 5 s of the child,
+    however the child ended. Returns the exit code and the output."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
@@ -605,19 +604,19 @@ def _campaign_child(mode: str, tmp_path) -> tuple[int, str]:
             start_new_session=True)
     try:
         child.wait(timeout=120)
+        pids = json.loads(status.read_text())["worker_pids"]
+        assert pids and child.pid not in pids, (pids, out.read_text())
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, (
+                f"pool workers {pids} outlived their campaign")
+            time.sleep(0.05)
     finally:
-        # A hard-killed run's workers outlive it: each holds the task
-        # queue's write end, so none ever reads end-of-file.
+        # Cleanup only: whatever of the session a failed check left.
         try:
             os.killpg(child.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-    pids = json.loads(status.read_text())["worker_pids"]
-    assert pids and child.pid not in pids, (pids, out.read_text())
-    deadline = time.monotonic() + 10.0
-    while any(_running(pid) for pid in pids):
-        assert time.monotonic() < deadline, f"pool workers {pids} outlived"
-        time.sleep(0.05)
     return child.returncode, out.read_text()
 
 

@@ -112,9 +112,8 @@ def _schedule(overlay: OverlayNetwork, with_seq: bool = True) -> list[tuple]:
     entries = []
     for node in overlay.nodes.values():
         for nbr, link in node.links.items():
-            for kind, timer in (("hello", link._hello_timer),
-                                ("check", link._check_timer)):
-                entries.append((kind, node.id, nbr, snap.timer_schedule(timer)))
+            entries.append(("hello", node.id, nbr,
+                            snap.timer_schedule(link._hello_timer)))
         for kind, timer in (("refresh", node._refresh_timer),
                             ("metric", node._metric_timer)):
             entries.append((kind, node.id, None, snap.timer_schedule(timer)))

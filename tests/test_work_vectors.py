@@ -375,22 +375,23 @@ def _phases(name: str) -> dict:
 def test_a_quiet_hello_is_one_event_with_no_frame_or_datagram():
     """In one quiet second every hello (120 link ends x 2 carriers x 10
     ticks) rides its five quiet fibers as one event, building no Frame
-    or Datagram; with the 2 400 ticks and 30 node timers, 4 830 events."""
+    or Datagram; with the 1 200 link ticks and 30 node timers, 3 630
+    events."""
     quiet = _phases("quiet_mesh")["quiet"]
     hellos = quiet["datagrams-sent"]
     assert hellos == quiet["datagrams-delivered"] == 2_400
     assert quiet["events:Internet._deliver_hello"] == hellos
     assert quiet["events:OverlayLink._hello_tick"] * 2 == hellos
     assert sum(n for key, n in quiet.items()
-               if key.startswith("events:")) == 4_830
+               if key.startswith("events:")) == 3_630
     assert quiet["built:Frame"] == quiet["built:Datagram"] == 0
 
 
 def test_five_quiet_fibers_cost_what_one_does():
     """Under three CBR flows a datagram from a host on its router is
-    settled at its send and costs only its delivery: 13 196 events for
-    6 310 datagrams (19 626 when the send queued a first hop, 44 866
-    when each fiber cost an event)."""
+    settled at its send and costs only its delivery: 10 796 events for
+    6 310 datagrams (6 430 more when the send queued a first hop, 31 670
+    more when each fiber cost an event)."""
     traffic = _phases("quiet_mesh")["traffic"]
     events = {key: n for key, n in traffic.items()
               if key.startswith("events:")}
@@ -399,7 +400,7 @@ def test_five_quiet_fibers_cost_what_one_does():
             + events["events:Internet._deliver_hello"]
             == traffic["datagrams-delivered"])
     assert (sum(events.values()), traffic["datagrams-delivered"]) == (
-        13_196, 6_310)
+        10_796, 6_310)
 
 
 #: ``route.compute`` / ``route.hit`` / ``fwd.miss`` / ``fwd.invalidate``
