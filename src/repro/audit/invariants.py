@@ -23,8 +23,8 @@ holds those checkers:
 * **route-engine consistency** (:class:`AuditedRouteComputeEngine`) —
   sampled cache hits of the shared route-computation engine are
   recomputed fresh and compared against the cached artifact (a lazy
-  next-hop table against the from-scratch ``next_hops``; comparing
-  finishes it, so ``route.settled`` moves under audit);
+  next-hop table, finished on a copy, against the from-scratch
+  ``next_hops``);
 * **shared-state replicas** (:class:`AuditedTopologyDatabase`,
   :class:`AuditedGroupDatabase`) — at every ``sample_every``-th patch
   of a topology replica's adjacency / reverse views, or rebuild of a
@@ -51,16 +51,17 @@ Sampling is counter-based (every ``sample_every``-th hit), never
 RNG-based, and recomputation calls the same pure decision closures the
 caches memoize — so an audited run consumes no extra randomness and
 produces **byte-identical traces** to an unaudited one. Its
-recomputations do move three work counts — ``route.hit`` and
-``route.settled`` (a re-derived route reads and finishes the cached
-table) and calls of ``repro.core.linkstate.content_digest`` (a cold
-replica digests its records) — while ``fwd.*``, ``topo.rows_patched``
-and the ``events:*`` counts stay as an unaudited run leaves them;
-checks add ``audit.*`` counts of their own.
+recomputations run outside the overlay's counted paths — a decision
+against a private engine that derives every artifact afresh, a lazy
+table finished on a copy, a cold replica's records digested with the
+digest function bound here rather than through
+``repro.core.linkstate`` — so every work count reads as an unaudited
+run leaves it; checks add ``audit.*`` counts of their own.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import weakref
 from math import ceil
@@ -68,7 +69,8 @@ from math import ceil
 from repro.alg.dijkstra import ShortestPathSearch, next_hops, reversed_graph
 from repro.audit.report import AuditReport, AuditViolation
 from repro.core.compute import NextHopTable, RouteComputeEngine
-from repro.core.linkstate import GroupDatabase, TopologyDatabase
+from repro.core.linkstate import (GroupDatabase, GroupRecord, TopologyDatabase,
+                                  TopologyRecord, content_digest)
 from repro.core.pipeline import ForwardingCache
 from repro.net.internet import _MAX_HOPS
 
@@ -395,8 +397,9 @@ class AuditedForwardingCache(ForwardingCache):
     sampled fraction of its hits cold.
 
     Every ``sample_every``-th hit re-runs the decision closure under
-    the current fingerprint generation and compares the fresh result to
-    the cached one — the coherence predicate behind the wholesale
+    the current fingerprint generation, against a private engine that
+    keeps no artifact, and compares the fresh result to the cached
+    one — the coherence predicate behind the wholesale
     generation-invalidation scheme. Instantiated by
     :class:`~repro.core.pipeline.DataPlane` only when the owning
     network is audited; the sampling counter is deterministic, so
@@ -418,7 +421,12 @@ class AuditedForwardingCache(ForwardingCache):
         if hit:
             self._audit_hits += 1
             if self._audit_hits % self.auditor.sample_every == 0:
-                fresh = compute()
+                routing = self.node.routing
+                shared, routing.engine = routing.engine, _COLD_ENGINE
+                try:
+                    fresh = compute()
+                finally:
+                    routing.engine = shared
                 self.auditor.check(
                     "fwd-coherence",
                     fresh == value,
@@ -429,6 +437,35 @@ class AuditedForwardingCache(ForwardingCache):
                     node=self.node.id,
                 )
         return value
+
+
+class _ColdEngine(RouteComputeEngine):
+    """Derives every routing artifact afresh and keeps none — what a
+    sampled decision is re-derived against, so it neither reads the
+    shared engine's artifacts nor moves their counts. A next-hop table
+    is the from-scratch ``next_hops``, not a search over a replica's
+    lazily patched reverse view."""
+
+    def lookup(self, fingerprint: int, key, compute):
+        return compute()
+
+    def table(self, fingerprint: int, adj, dst, reverse=None):
+        return next_hops(adj, dst)
+
+
+_COLD_ENGINE = _ColdEngine()
+
+
+def _finished(artifact):
+    """``artifact``'s full answers. A lazy next-hop table's paused
+    search is finished on a copy, so the shared table settles no
+    further than its readers ask."""
+    if type(artifact) is not NextHopTable or artifact._search is None:
+        return artifact
+    search = artifact._search
+    twin = copy.deepcopy(search, {id(search.adj): search.adj})
+    twin.settle()
+    return twin.prev
 
 
 class AuditedRouteComputeEngine(RouteComputeEngine):
@@ -467,19 +504,42 @@ class AuditedRouteComputeEngine(RouteComputeEngine):
                 fresh = (fresh or compute)()
                 self.auditor.check(
                     "route-consistency",
-                    fresh == value,
+                    fresh == _finished(value),
                     f"cached artifact {key!r} for fingerprint "
                     f"{fingerprint:#x} differs from a fresh recomputation",
                 )
         return value
 
 
-def _cold_replica(auditor: Auditor, db, plain: type, invariant: str):
-    """A cold ``plain`` replica loaded with fresh records built out of
-    ``db``'s exported bodies (every part and derived value computed
-    afresh, never read from a shared record's cache), after checking
+def _cold_part(record) -> int:
+    return content_digest((record.origin, record._canonical()))
+
+
+class _ColdTopologyRecord(TopologyRecord):
+    __slots__ = ()
+    part = property(_cold_part)
+
+
+class _ColdGroupRecord(GroupRecord):
+    __slots__ = ()
+    part = property(_cold_part)
+
+
+class _ColdTopology(TopologyDatabase):
+    record_type = _ColdTopologyRecord
+
+
+class _ColdGroups(GroupDatabase):
+    record_type = _ColdGroupRecord
+
+
+def _cold_replica(auditor: Auditor, db, cold_type: type, invariant: str):
+    """A cold replica loaded with fresh records built out of ``db``'s
+    exported bodies (every part and derived value computed afresh, never
+    read from a shared record's cache; a part by the digest function
+    bound here, not the one the overlay's records call), after checking
     ``db``'s fingerprint against it as ``invariant``."""
-    cold = plain()
+    cold = cold_type()
     cold.load_state(db.export_state(), 0)
     auditor.check(
         invariant,
@@ -509,7 +569,7 @@ class AuditedTopologyDatabase(TopologyDatabase):
             self._audit_seen[name] = view
             self._audit_patches += 1
             if self._audit_patches % self.auditor.sample_every == 0:
-                cold = _cold_replica(self.auditor, self, TopologyDatabase,
+                cold = _cold_replica(self.auditor, self, _ColdTopology,
                                      "topology-fingerprint")
                 self.auditor.check(
                     "topology-views",
@@ -547,6 +607,6 @@ class AuditedGroupDatabase(GroupDatabase):
         if rebuilt:
             self._audit_rebuilds += 1
             if self._audit_rebuilds % self.auditor.sample_every == 0:
-                _cold_replica(self.auditor, self, GroupDatabase,
+                _cold_replica(self.auditor, self, _ColdGroups,
                               "group-fingerprint")
         return view

@@ -30,8 +30,6 @@ class OverlayConfig:
             loss_cost_factor * loss_estimate); penalizes lossy links.
         cost_change_threshold: Fractional cost change that triggers a
             new link-state update.
-        dedup_cache: Per-node number of recently seen message keys kept
-            for de-duplication of redundant dissemination.
         carrier_loss_switch: Hello loss estimate above which a link
             switches to its next candidate carrier (multihoming).
         access_capacity_bps: Rate limit applied by paced link protocols
@@ -60,7 +58,6 @@ class OverlayConfig:
     latency_alpha: float = 0.2
     loss_cost_factor: float = 50.0
     cost_change_threshold: float = 0.25
-    dedup_cache: int = 100_000
     carrier_loss_switch: float = 0.3
     access_capacity_bps: float | None = 10_000_000.0
     crypto_sign_delay: float = 0.0

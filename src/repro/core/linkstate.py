@@ -13,7 +13,7 @@ within a hello-detection time — the basis of sub-second rerouting.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Hashable, Mapping, Set
+from collections.abc import Mapping, Set
 from types import MappingProxyType
 
 from repro.alg.dijkstra import reversed_graph
@@ -421,46 +421,3 @@ class GroupDatabase(_Replica):
             self._members_cache[group] = cached
         return cached
 
-
-class DedupCache:
-    """Bounded memory of recently seen message keys with per-link send
-    tracking, enabling redundant dissemination with de-duplication in
-    the middle of the network (Sec I: flow-based processing).
-
-    For each message key we remember which outgoing link bits the node
-    has already used, so a copy arriving later over a second path is
-    forwarded only on links not yet covered, and delivered only once.
-    """
-
-    def __init__(self, capacity: int = 100_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._sent: dict[Hashable, int] = {}
-        #: Insertion-ordered like ``_sent`` (a set iterates in hash
-        #: order, so "the oldest half" of one is an arbitrary half).
-        self._delivered: dict[Hashable, None] = {}
-
-    def already_delivered(self, key: Hashable) -> bool:
-        """Mark delivery; returns True if it was already delivered."""
-        if key in self._delivered:
-            return True
-        self._delivered[key] = None
-        if len(self._delivered) > self.capacity:
-            self._evict(self._delivered)
-        return False
-
-    def links_sent(self, key: Hashable) -> int:
-        """Bitmask of links this node has already forwarded ``key`` on."""
-        return self._sent.get(key, 0)
-
-    def mark_sent(self, key: Hashable, link_bits: int) -> None:
-        self._sent[key] = self._sent.get(key, 0) | link_bits
-        if len(self._sent) > self.capacity:
-            self._evict(self._sent)
-
-    @staticmethod
-    def _evict(store: dict) -> None:
-        # Drop the oldest half (dicts iterate in insertion order).
-        for key in list(store)[: len(store) // 2]:
-            del store[key]

@@ -171,11 +171,6 @@ class OverlayMessage:
     ttl: int = 32
 
     @property
-    def key(self) -> tuple[str, int]:
-        """Network-wide unique identity used for de-duplication."""
-        return (self.flow, self.seq)
-
-    @property
     def wire_size(self) -> int:
         return self.size + OVERLAY_HEADER_BYTES
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.link import OverlayLink
 from repro.core.flows import FlowTable
-from repro.core.linkstate import DedupCache, GroupDatabase, TopologyDatabase
+from repro.core.linkstate import GroupDatabase, TopologyDatabase
 from repro.core.message import (
     LINK_HEADER_BYTES,
     Frame,
@@ -95,7 +95,6 @@ class OverlayNode:
             engine=network.route_engine,
         )
         self.session = SessionManager(self)
-        self.dedup = DedupCache(self.config.dedup_cache)
         #: Flow-based processing state (Sec II-C): every flow this node
         #: originates, forwards, or delivers, with live counters.
         self.flows = FlowTable()

@@ -19,8 +19,8 @@ one instance per node, four named stages:
   instance, including adversary forward-interception (the single
   attach point for :class:`~repro.security.adversary.NodeBehavior`
   drop/delay/duplicate hooks on the send side);
-* **deliver** — network-wide de-duplication plus the session
-  interface at destination nodes.
+* **deliver** — network-wide de-duplication, exact per flow
+  (:class:`FlowSeqs`), plus the session interface at destination nodes.
 
 Per-node processing delay (< 1 ms, Sec II-D) is paid once per hop, at
 pipeline entry from a link protocol (:meth:`DataPlane.receive`), and
@@ -44,7 +44,8 @@ observable as ``fwd.hit`` / ``fwd.miss`` / ``fwd.invalidate``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from collections import defaultdict
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.message import (
     Frame,
@@ -121,6 +122,67 @@ class ForwardingCache:
         return len(self._decisions)
 
 
+#: How far behind the highest seq a node forwarded on a flow it still
+#: knows which links each seq went out on. A later copy is forwarded
+#: once more along its bitmask (but its arrival link) and is still
+#: delivered at most once. 16x the largest lag the goldens and the
+#: benchmark workloads show (4 seqs).
+SENT_WINDOW = 64
+
+
+class FlowSeqs:
+    """One node's de-duplication state for one flow (Sec I: redundant
+    dissemination with de-duplication in the middle of the network).
+
+    Client seqs are gapless from 0 (a message rejected at ingress uses
+    none up), so ``top`` (one past the highest seq delivered here) and
+    ``holes`` (the seqs below it never delivered) are exact with no
+    capacity: RFC 4303 §3.4.3's anti-replay window without the window.
+    ``masks`` holds the links each seq within :data:`SENT_WINDOW` of
+    ``sent_top`` (the highest seq forwarded here) went out or came in on.
+    """
+
+    __slots__ = ("top", "holes", "masks", "sent_top")
+
+    def __init__(self) -> None:
+        self.top = 0
+        self.holes: set[int] = set()
+        self.masks: dict[int, int] = {}
+        self.sent_top = -1
+
+    def first_delivery(self, seq: int) -> bool:
+        """Mark ``seq`` delivered; False if it already was."""
+        top = self.top
+        if seq >= top:
+            if seq > top:
+                self.holes.update(range(top, seq))
+            self.top = seq + 1
+            return True
+        if seq in self.holes:
+            self.holes.remove(seq)
+            return True
+        return False
+
+    def unsent(self, seq: int, arrived: int, targets: tuple) -> Sequence:
+        """The ``(neighbor, bit)`` pairs of ``targets`` that ``seq`` has
+        not been forwarded on yet, all marked as forwarded now together
+        with the ``arrived`` link bits."""
+        masks = self.masks
+        if seq > self.sent_top:
+            self.sent_top = seq
+            if len(masks) >= 2 * SENT_WINDOW:
+                masks = self.masks = {s: m for s, m in masks.items()
+                                      if s > seq - SENT_WINDOW}
+        elif seq <= self.sent_top - SENT_WINDOW:
+            return targets
+        sent = masks.get(seq, 0) | arrived
+        fresh = [pair for pair in targets if not sent >> pair[1] & 1]
+        for __, bit in fresh:
+            sent |= 1 << bit
+        masks[seq] = sent
+        return fresh
+
+
 class DataPlane:
     """The explicit per-hop stack of one overlay node.
 
@@ -141,7 +203,8 @@ class DataPlane:
         self.routing = node.routing
         self.session = node.session
         self.flows = node.flows
-        self.dedup = node.dedup
+        #: De-duplication state by flow.
+        self.seqs: defaultdict[str, FlowSeqs] = defaultdict(FlowSeqs)
         #: The *classify* stage: flow lookup/creation plus per-flow
         #: counters, called once per role a message takes at this node.
         self._classify = node.flows.observe
@@ -390,23 +453,16 @@ class DataPlane:
     def _forward_source_based(
         self, msg: OverlayMessage, arrival_bit: int | None, done: DoneFn | None
     ) -> None:
-        key = msg.key
         if self._is_local_destination(msg):
             self.deliver(msg)
-        if arrival_bit is not None:
-            self.dedup.mark_sent(key, 1 << arrival_bit)
-        sent_mask = self.dedup.links_sent(key)
-        targets = [
-            (nbr, bit)
-            for nbr, bit in self._bitmask_targets(msg.bitmask, arrival_bit)
-            if not sent_mask >> bit & 1
-        ]
+        targets = self.seqs[msg.flow].unsent(
+            msg.seq, 0 if arrival_bit is None else 1 << arrival_bit,
+            self._bitmask_targets(msg.bitmask, arrival_bit))
         if not targets:
             done and done()
             return
         tracker = _AcceptTracker(len(targets), done)
-        for nbr, bit in targets:
-            self.dedup.mark_sent(key, 1 << bit)
+        for nbr, __ in targets:
             self.dispatch(nbr, msg, tracker.accept_one)
 
     def _is_local_destination(self, msg: OverlayMessage) -> bool:
@@ -454,8 +510,8 @@ class DataPlane:
     def deliver(self, msg: OverlayMessage) -> None:
         """*deliver* stage: network-wide de-duplication (redundantly
         transmitted or adversarially duplicated copies reach the client
-        exactly once), then the session interface."""
-        if self.dedup.already_delivered(msg.key):
+        exactly once, however late), then the session interface."""
+        if not self.seqs[msg.flow].first_delivery(msg.seq):
             self.counters.add("duplicate-suppressed")
             return
         self._classify(msg, self.sim._now, "delivered")

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -403,6 +404,7 @@ class _StubNode:
         self.sim = sim
         self.id = "stub"
         self.counters = Counter()
+        self.routing = SimpleNamespace(engine=None)  # swapped per re-derivation
 
 
 def test_fwd_coherence_passes_on_deterministic_compute():
@@ -458,8 +460,8 @@ def test_route_consistency_passes_and_fires():
 
 def test_table_hits_are_held_against_the_from_scratch_oracle():
     """A sampled ``("table", dst)`` hit compares the lazily settled
-    table with ``next_hops(adj, dst)`` — whole tables, so the comparison
-    finishes a paused search — and fires when the cached tree is wrong."""
+    table with ``next_hops(adj, dst)`` — whole tables, a paused search
+    finished on a copy — and fires when the cached tree is wrong."""
     adj = {"a": {"b": 1.0}, "b": {"c": 1.0}, "c": {"d": 1.0}, "d": {}}
     auditor = Auditor(counters=Counter(), sample_every=1, register=False)
     engine = AuditedRouteComputeEngine(auditor, counters=auditor.counters)
@@ -468,8 +470,9 @@ def test_table_hits_are_held_against_the_from_scratch_oracle():
     assert auditor.counters.get("route.settled") == 2  # d, c: paused
     assert engine.table(1, adj, "d") is table
     assert auditor.report.ok and auditor.report.checks == 1
-    assert auditor.counters.get("route.settled") == 4  # the audit finished it
-    table._prev["a"] = "c"  # a tree no search of adj produces
+    # the audit finished a copy: the shared search is still paused
+    assert auditor.counters.get("route.settled") == 2 and table._search
+    table._prev["c"] = "a"  # a settled answer no search of adj produces
     engine.table(1, adj, "d")
     assert auditor.report.violations[0].invariant == "route-consistency"
 

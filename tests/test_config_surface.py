@@ -32,7 +32,6 @@ OVERLAY_CONFIG_FIELDS = {
     "latency_alpha",
     "loss_cost_factor",
     "cost_change_threshold",
-    "dedup_cache",
     "carrier_loss_switch",
     "access_capacity_bps",
     "crypto_sign_delay",

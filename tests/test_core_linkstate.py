@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.linkstate import (
-    DedupCache,
     GroupDatabase,
     TopologyDatabase,
     TopologyRecord,
 )
+from repro.core.pipeline import FlowSeqs
 
 
 def test_topology_update_accepts_newer_seq():
@@ -86,70 +86,19 @@ def test_group_stale_rejected():
 
 
 def test_dedup_delivery_once():
-    cache = DedupCache(100)
-    assert not cache.already_delivered(("f", 1))
-    assert cache.already_delivered(("f", 1))
-    assert not cache.already_delivered(("f", 2))
+    record = FlowSeqs()
+    assert record.first_delivery(1)
+    assert not record.first_delivery(1)
+    assert record.first_delivery(0)  # the hole below seq 1
+    assert not record.first_delivery(0) and not record.holes
 
 
 def test_dedup_tracks_links_sent():
-    cache = DedupCache(100)
-    assert cache.links_sent(("f", 1)) == 0
-    cache.mark_sent(("f", 1), 0b0101)
-    cache.mark_sent(("f", 1), 0b0010)
-    assert cache.links_sent(("f", 1)) == 0b0111
-
-
-def test_dedup_eviction_bounds_memory():
-    cache = DedupCache(10)
-    for i in range(50):
-        cache.already_delivered(("f", i))
-        cache.mark_sent(("f", i), 1)
-    assert len(cache._delivered) <= 11
-    assert len(cache._sent) <= 11
-
-
-def _dedup_survivors() -> list[int]:
-    cache = DedupCache(10)
-    for i in range(11):
-        cache.already_delivered((f"flow-{i}", i))
-    return sorted(i for __, i in cache._delivered)
-
-
-def test_dedup_eviction_keeps_exactly_the_newest_half():
-    """The 11th key overflows capacity 10 and the five oldest go. A set
-    of delivered keys dropped a hash-ordered half instead — possibly
-    the key just inserted, whose redundant copy was then delivered a
-    second time."""
-    assert _dedup_survivors() == [5, 6, 7, 8, 9, 10]
-    cache = DedupCache(10)
-    for i in range(11):
-        assert not cache.already_delivered((f"flow-{i}", i))
-    assert cache.already_delivered(("flow-10", 10))
-
-
-def test_dedup_eviction_is_the_same_under_any_hash_seed():
-    """Two interpreters with different string-hash seeds evict the same
-    keys (runs past ``dedup_cache`` deliveries repeat across
-    interpreters)."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    survivors = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
-            [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from tests.test_core_linkstate import _dedup_survivors; "
-             "print(_dedup_survivors())"],
-            env=env, cwd=root, capture_output=True, text=True, check=True,
-            timeout=60)
-        survivors.append(out.stdout.strip())
-    assert survivors[0] == survivors[1] == "[5, 6, 7, 8, 9, 10]"
+    record = FlowSeqs()
+    nbrs = (("a", 0), ("b", 1), ("c", 2))
+    assert record.unsent(1, 0b001, nbrs) == [("b", 1), ("c", 2)]
+    assert record.unsent(1, 0b010, nbrs) == []
+    assert record.masks == {1: 0b111}
 
 
 def test_topology_refuses_negative_and_non_finite_costs():
@@ -187,9 +136,3 @@ def test_records_are_frozen_values():
         record["b"] = 2.0  # a read-only mapping
     assert record == {"b": 1.0} and record.row == {"b": 1.0}
 
-
-def test_dedup_capacity_validation():
-    import pytest
-
-    with pytest.raises(ValueError):
-        DedupCache(0)

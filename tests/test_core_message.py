@@ -82,7 +82,7 @@ def test_message_key_and_wire_size():
         flow="f", seq=3, src=Address("a", 1), dst=Address("b", 2),
         service=ServiceSpec(), origin="a", sent_at=0.0, size=100,
     )
-    assert msg.key == ("f", 3)
+    assert not hasattr(msg, "key")  # de-duplication reads flow and seq
     assert msg.wire_size == 100 + OVERLAY_HEADER_BYTES
 
 

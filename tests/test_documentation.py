@@ -192,7 +192,7 @@ def test_docs_name_files_that_exist():
 
 #: The prose may not outgrow these line counts: a change that needs more
 #: room in one of them removes as much first (ROADMAP T(3)).
-DOC_LINES = {"DESIGN.md": 1421, ".claude/skills/verify/SKILL.md": 212}
+DOC_LINES = {"DESIGN.md": 1419, ".claude/skills/verify/SKILL.md": 212}
 
 
 def test_docs_do_not_grow():

@@ -5,8 +5,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import OverlayConfig
-from repro.core.linkstate import DedupCache
 from repro.core.message import Address, OverlayMessage, ServiceSpec
+from repro.core.pipeline import SENT_WINDOW, FlowSeqs
 from repro.core.session import ReorderBuffer
 from repro.sim.events import Simulator
 
@@ -103,35 +103,36 @@ class TestReorderBufferProperties:
         assert session.delivered == sorted(session.delivered)
 
 
-class TestDedupCacheProperties:
-    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 3)),
-                    max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_at_most_one_delivery_per_key(self, events):
-        cache = DedupCache(64)
-        first_seen = set()
-        for key, __ in events:
-            fresh = not cache.already_delivered(("f", key))
-            if key in first_seen:
-                # Eviction may forget old keys, but a key seen recently
-                # enough to still be cached must not deliver twice; a
-                # *fresh* verdict after eviction is acceptable. What is
-                # never acceptable: two fresh verdicts without eviction.
-                pass
-            else:
-                assert fresh
-                first_seen.add(key)
+class TestFlowSeqsProperties:
+    @given(st.lists(st.tuples(st.sampled_from("fgh"), st.integers(0, 40)),
+                    max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_fresh_exactly_when_a_set_has_not_seen_it(self, events):
+        """Seqs out of order, repeated and with gaps, on interleaved
+        flows: fresh exactly when a plain set has not seen the pair."""
+        records, oracle = {}, set()
+        for flow, seq in events:
+            fresh = records.setdefault(flow, FlowSeqs()).first_delivery(seq)
+            assert fresh == ((flow, seq) not in oracle)
+            oracle.add((flow, seq))
 
-    @given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 7)),
+    @given(st.lists(st.tuples(st.integers(0, SENT_WINDOW - 1),
+                              st.integers(0, 7), st.integers(0, 255)),
                     max_size=100))
     @settings(max_examples=50, deadline=None)
     def test_links_sent_is_monotonic_union(self, events):
-        cache = DedupCache(1000)
+        """Inside the window a seq's mask is the union of the links it
+        came or went out on; only links outside it are handed out."""
+        record = FlowSeqs()
         reference: dict = {}
-        for key, bit in events:
-            cache.mark_sent(key, 1 << bit)
-            reference[key] = reference.get(key, 0) | (1 << bit)
-            assert cache.links_sent(key) == reference[key]
+        for seq, arrived, wanted in events:
+            targets = tuple((f"n{bit}", bit) for bit in range(8)
+                            if wanted >> bit & 1)
+            before = reference.get(seq, 0) | 1 << arrived
+            fresh = record.unsent(seq, 1 << arrived, targets)
+            assert fresh == [t for t in targets if not before >> t[1] & 1]
+            reference[seq] = before | wanted
+            assert record.masks[seq] == reference[seq]
 
 
 class TestSchedulerInvariants:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core.message import Address, ROUTING_DISJOINT, ROUTING_FLOOD, ServiceSpec
+from repro.core.message import (
+    Address,
+    OverlayMessage,
+    ROUTING_DISJOINT,
+    ROUTING_FLOOD,
+    ServiceSpec,
+)
+from repro.core.pipeline import SENT_WINDOW
 from repro.security.adversary import (
     Blackhole,
     DelayInjector,
@@ -125,6 +132,49 @@ def test_duplicator_absorbed_by_deduplication():
     scn.overlay.compromise("hy", Duplicator(copies=4))
     got = _unicast_through_middle(scn)
     assert len(got) == 1  # de-duplication at the egress node
+
+
+def _copy(seq, dst, service=ServiceSpec()):
+    return OverlayMessage(flow="held", seq=seq, src=Address("hx", 1), dst=dst,
+                          service=service, origin="hx", sent_at=0.0,
+                          bitmask=-1)  # every link
+
+
+def test_a_copy_held_past_100_000_seqs_reaches_the_client_once():
+    """De-duplication has no capacity to evict from: a copy of seq 0
+    after 100 001 seqs of its flow is suppressed, on an unordered
+    service — where a cache of the last 100 000 keys had forgotten it."""
+    scn = make_triangle_overlay(seed=68)
+    got = []
+    scn.overlay.client("hz", 7, on_message=lambda m: got.append(m.seq))
+    for seq in [*range(100_001), 0]:
+        scn.overlay.nodes["hz"].pipeline.deliver(_copy(seq, Address("hz", 7)))
+    assert (got.count(0), len(got)) == (1, 100_001)
+    assert scn.overlay.counters.get("duplicate-suppressed") == 1
+
+
+def test_a_copy_older_than_the_sent_window_is_forwarded_again_once():
+    """hy forgets which links it flooded a seq on once the flow is
+    ``SENT_WINDOW`` seqs past it: a late copy is forwarded once more
+    along its bitmask, and still delivered only once."""
+    scn = make_triangle_overlay(seed=69)
+    hy = scn.overlay.nodes["hy"]
+    got, sent = [], []
+    scn.overlay.client("hy", 7, on_message=lambda m: got.append(m.seq))
+    hy.pipeline.dispatch = lambda nbr, msg, accepted: (
+        sent.append((nbr, msg.seq)), accepted())
+
+    def arrive(seq, nbr):
+        msg = _copy(seq, Address("hy", 7), ServiceSpec(routing=ROUTING_FLOOD))
+        hy.pipeline._run(msg, nbr, hy.links[nbr].bit)
+
+    for seq in range(SENT_WINDOW + 1):
+        arrive(seq, "hx")
+    arrive(1, "hz")  # inside the window: both links already used
+    arrive(0, "hz")  # beyond it: out on the link it did not come in on
+    assert sent == [("hz", seq) for seq in range(SENT_WINDOW + 1)] + [("hx", 0)]
+    assert got == list(range(SENT_WINDOW + 1))
+    assert scn.overlay.counters.get("duplicate-suppressed") == 2
 
 
 def test_duplicator_validation():

@@ -14,8 +14,10 @@ applied (replica ``version`` sums), ``content_digest`` calls, LSU / GSU
 originations and the overlay's flood, route, forwarding and fluid
 counters — all read off existing counters or by wrapping functions.
 
-A change that moves a vector re-records it with its reason (a rise only
-with one, a fall by the change that claims it)::
+The auditor (``REPRO_AUDIT=1``) re-derives outside the counted paths,
+so one golden holds audited and plain runs alike. A change that moves a
+vector re-records it with its reason (a rise only with one, a fall by
+the change that claims it), appended to the scenario's ``history``::
 
     PYTHONPATH=src python tests/test_work_vectors.py SCENARIO [...] --reason "..."
 """
@@ -36,7 +38,6 @@ import pytest
 import repro.core.linkstate as linkstate
 from repro.analysis.scenarios import continental_scenario, triangle_scenario
 from repro.analysis.workloads import CbrSource
-from repro.audit import audit_enabled
 from repro.core.message import Address, Frame, ServiceSpec
 from repro.core.network import OverlayNetwork
 from repro.core.node import OverlayNode
@@ -60,11 +61,6 @@ WRAPPED = {(Frame, "__init__"): "built:Frame",
            (OverlayNode, "originate_lsu"): "originated",
            (OverlayNode, "originate_gsu"): "originated",
            (linkstate, "content_digest"): "digests"}
-#: Entries the invariant auditor moves (``REPRO_AUDIT=1``): its sampled
-#: re-derivations ask the routing tables (``route.hit``, and searches
-#: settle further) and digest records of their own. Every other entry,
-#: events by callback included, reads the same audited or not.
-AUDIT_MOVED = ("route.hit", "route.settled", "digests")
 _RUN = Simulator.run.__code__
 _HEAP = (heapq.heappop, heapq.heappush)
 
@@ -336,18 +332,15 @@ def collect(name: str) -> dict:
 _collected = functools.cache(collect)  # one run per scenario per session
 
 
-def moved(golden: dict, now: dict, skip=()) -> list[str]:
+def moved(golden: dict, now: dict) -> list[str]:
     """One ``key: golden → now (rise|fall)`` line per moved entry (a
-    missing entry reads 0); keys whose last part is in ``skip`` are not
-    compared."""
+    missing entry reads 0)."""
     old, new = ({f"{seed}/{phase}/{key}": value
                  for seed, phases in seeds.items()
                  for phase, vector in phases.items()
                  for key, value in vector.items()} for seeds in (golden, now))
     lines = []
     for key in sorted(old.keys() | new.keys()):
-        if key.rsplit("/", 1)[-1] in skip:
-            continue
         a, b = old.get(key, 0), new.get(key, 0)
         if a != b:
             lines.append(f"{key}: {a} → {b} ({'rise' if b > a else 'fall'})")
@@ -357,8 +350,7 @@ def moved(golden: dict, now: dict, skip=()) -> list[str]:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_work_vector_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())["scenarios"][name]["seeds"]
-    skip = AUDIT_MOVED if audit_enabled() else ()
-    lines = moved(golden, _collected(name), skip)
+    lines = moved(golden, _collected(name))
     if lines:
         pytest.fail("\n".join([f"{name}: work moved"] + lines), pytrace=False)
 
@@ -426,10 +418,8 @@ def test_churn_keeps_the_incremental_contract():
     assert names == list(ROUTE_WORK)
     for phase, (compute, hit, miss, invalidate) in ROUTE_WORK.items():
         row = phases[phase]
-        assert (row["route.compute"], row["fwd.miss"],
-                row["fwd.invalidate"]) == (compute, miss, invalidate), phase
-        # the auditor's re-derivations ask the tables too
-        assert audit_enabled() or row["route.hit"] == hit, phase
+        assert (row["route.compute"], row["route.hit"], row["fwd.miss"],
+                row["fwd.invalidate"]) == (compute, hit, miss, invalidate), phase
 
     def delta(phase, key):
         return (phases[phase][key]
@@ -444,8 +434,6 @@ def test_churn_keeps_the_incremental_contract():
     # that read mid-flood patched a row per read.
     assert delta("settling_refresh", "topo.rows_patched") >= n * n
     assert delta("fiber_cut", "topo.rows_patched") == 2 * n
-    if audit_enabled():
-        return  # the auditor digests and searches on its own account
     assert delta("pure_refresh", "digests") == 0
     assert delta("fiber_cut", "digests") == 2
     # A record's digest is derived once, however many replicas store it.
@@ -467,17 +455,17 @@ if __name__ == "__main__":
     parser.add_argument("--reason", required=True,
                         help="why the vector moved (the ROADMAP item too)")
     args = parser.parse_args()
-    if audit_enabled():
-        parser.error("record without REPRO_AUDIT: the auditor moves counts")
     payload = json.loads(GOLDEN.read_text())
     commit = subprocess.run(
         ["git", "describe", "--always", "--dirty"], capture_output=True,
         text=True, cwd=Path(__file__).parent, check=True).stdout.strip()
     for name in args.scenarios:
         seeds = collect(name)
-        old = payload["scenarios"].get(name, {}).get("seeds", {})
-        print(f"{name}:", *(moved(old, seeds) or ["unchanged"]), sep="\n  ")
-        payload["scenarios"][name] = {"reason": args.reason,
-                                      "recorded_at": commit, "seeds": seeds}
+        entry = payload["scenarios"].setdefault(name, {"history": []})
+        print(f"{name}:", *(moved(entry.get("seeds", {}), seeds)
+                            or ["unchanged"]), sep="\n  ")
+        entry["history"].append({"reason": args.reason,
+                                 "recorded_at": commit})
+        entry["seeds"] = seeds
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
