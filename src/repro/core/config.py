@@ -27,7 +27,8 @@ class OverlayConfig:
         loss_alpha: EWMA weight for per-link loss estimation.
         latency_alpha: EWMA weight for per-link latency estimation.
         loss_cost_factor: Link routing cost = latency * (1 +
-            loss_cost_factor * loss_estimate); penalizes lossy links.
+            loss_cost_factor * loss_estimate), advertised in whole
+            microseconds; penalizes lossy links.
         cost_change_threshold: Fractional cost change that triggers a
             new link-state update.
         carrier_loss_switch: Hello loss estimate above which a link

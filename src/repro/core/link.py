@@ -37,6 +37,16 @@ MIN_SWITCH_INTERVAL = 1.0
 SWITCH_HYSTERESIS = 0.1
 
 
+def advertised_cost(latency_est: float, loss_est: float,
+                    config: OverlayConfig) -> float:
+    """Routing cost a link-state record carries: expected latency
+    inflated by measured loss, in seconds on a whole-microsecond grid,
+    so a refresh whose estimates moved only by float noise repeats the
+    stored record."""
+    cost = latency_est * (1.0 + config.loss_cost_factor * loss_est)
+    return round(cost * 1e6) / 1e6
+
+
 class _CarrierMonitor:
     """Receiver-side estimates for one incoming carrier."""
 
@@ -415,12 +425,10 @@ class OverlayLink:
 
     def cost(self) -> float | None:
         """Routing cost advertised in link-state updates, or ``None``
-        when down: expected latency inflated by measured loss."""
+        when down (:func:`advertised_cost`)."""
         if not self.up or self.latency_est is None:
             return None
-        return self.latency_est * (
-            1.0 + self.config.loss_cost_factor * self.loss_est
-        )
+        return advertised_cost(self.latency_est, self.loss_est, self.config)
 
     # ------------------------------------------------- warm-start support
 

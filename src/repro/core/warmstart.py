@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.fileio import atomic_write
-from repro.core.link import _CarrierMonitor
+from repro.core.link import _CarrierMonitor, advertised_cost
 from repro.core.linkstate import GroupRecord, TopologyRecord
 from repro.net.backbone import FWD, REV
 from repro.net.loss import NoLoss
@@ -590,9 +590,7 @@ def converged_payload(overlay, warmup: float, key: str = "",
             "latency estimate drifts past the metric re-advertise "
             "threshold — constructed LSUs would diverge from organic"
         )
-    advertised_cost = advertised_est * (
-        1.0 + config.loss_cost_factor * 0.0
-    )
+    cost = advertised_cost(advertised_est, 0.0, config)
 
     refresh_fired, refresh_next = _grid(
         0.0 + config.lsu_refresh, config.lsu_refresh, t0
@@ -612,7 +610,7 @@ def converged_payload(overlay, warmup: float, key: str = "",
     n_ticks = len(ticks)
     node_ids = list(overlay.nodes)
     degree = {nid: len(overlay.nodes[nid].links) for nid in node_ids}
-    costs = {nid: {nbr: advertised_cost for nbr in overlay.nodes[nid].links}
+    costs = {nid: {nbr: cost for nbr in overlay.nodes[nid].links}
              for nid in node_ids}
     topo_fp = group_fp = 0
     for nid in node_ids:

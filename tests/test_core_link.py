@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import OverlayConfig
+from repro.core.link import advertised_cost
 from repro.net.loss import ScheduledOutages
 from tests.conftest import make_two_node_line
 
@@ -31,6 +32,31 @@ def test_cost_reflects_loss_penalty():
     clean_cost = _only_link(lossless.overlay.nodes["h0"]).cost()
     lossy_cost = _only_link(lossy.overlay.nodes["h0"]).cost()
     assert lossy_cost > 1.5 * clean_cost
+
+
+def test_advertised_cost_is_on_the_microsecond_grid():
+    """Costs are advertised in whole microseconds (still in seconds):
+    within half a microsecond of latency x (1 + factor x loss), and
+    what ``OverlayLink.cost()`` returns. Warm start builds its records
+    with the same function; restoring its raw formula fails
+    ``tests/test_warmstart.py::test_constructed_equals_organic_state``."""
+    config = OverlayConfig()
+    for latency in (0.0, 1e-7, 0.0085, 0.009000000000000003, 0.0123456789,
+                    0.25):
+        for loss in (0.0, 0.001, 0.2, 1.0):
+            cost = advertised_cost(latency, loss, config)
+            raw = latency * (1.0 + config.loss_cost_factor * loss)
+            assert abs(cost - raw) <= 0.5e-6 + 1e-15
+            assert cost == round(cost * 1e6) / 1e6
+    # Float noise in an estimate does not reach the record.
+    assert (advertised_cost(0.009000000000000003, 0.0, config)
+            == advertised_cost(0.00899999999999955, 0.0, config) == 0.009)
+    scn = make_two_node_line(seed=4, loss_rate=0.05)
+    scn.run_for(10.0)
+    link = _only_link(scn.overlay.nodes["h0"])
+    assert link.loss_est > 0.0
+    assert link.cost() == advertised_cost(link.latency_est, link.loss_est,
+                                          scn.overlay.config)
 
 
 def test_down_detection_within_subsecond(sim=None):

@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from repro.core.link import advertised_cost
 from repro.core.message import LINK_HEADER_BYTES, Frame, state_record_bytes
 from repro.core.network import OverlayNetwork
 from repro.core.node import STATE_FRAME_BYTES
@@ -28,6 +29,9 @@ from repro.net.topologies import triangle_internet
 from repro.security.crypto import KeyStore
 from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
+
+from tests.test_golden_digests import _mesh as _golden_mesh
+from tests.test_golden_digests import _start_traffic
 
 # The loss-free ring+chords overlay on uniform 10 ms fibers (overlay
 # links = fibers, degree 4): constructible, and with few distinct flood
@@ -356,3 +360,65 @@ def test_constructed_still_equals_organic_under_packing():
         assert built.group_db.fingerprint == node.group_db.fingerprint
         assert built.warm_state() == node.warm_state()
         assert not built._outbox
+
+
+# ------------------------------------------- (h) a refresh of unchanged costs
+
+
+def _golden_views(overlay: OverlayNetwork) -> dict:
+    """Every replica's fingerprint and every node's next hop to every
+    other node (132 on the golden mesh)."""
+    return {nid: (node.topo_db.fingerprint,
+                  {dst: node.routing.next_hop(dst)
+                   for dst in overlay.nodes if dst != nid})
+            for nid, node in overlay.nodes.items()}
+
+
+def test_a_refresh_that_only_repeats_noise_re_derives_nothing():
+    """On the golden loss-free mesh with its four flows and no fault,
+    the t=5 and t=10 refresh floods carry costs whose latency EWMAs
+    moved only by float noise: on the microsecond grid each origin
+    re-floods its stored record, so before, inside and after either
+    flood no fingerprint and no next hop moves, and nothing is
+    recomputed or invalidated."""
+    overlay = _golden_mesh()
+    overlay.start()
+    _start_traffic(overlay)
+    sim, counters = overlay.sim, overlay.counters
+    sim.run(until=4.9)
+    before = _golden_views(overlay)
+    assert sum(len(hops) for __, hops in before.values()) == N * (N - 1)
+    work = (counters.get("fwd.invalidate"), counters.get("route.compute"))
+    versions = {nid: node.topo_db.version
+                for nid, node in overlay.nodes.items()}
+    for t in (5.0 + 1e-13, 5.05, 10.05, 10.2):
+        sim.run(until=t)
+        assert _golden_views(overlay) == before, t
+        assert (counters.get("fwd.invalidate"),
+                counters.get("route.compute")) == work, t
+    # Both floods reached every replica: one record per origin each.
+    assert all(node.topo_db.version - versions[nid] == 2 * N
+               for nid, node in overlay.nodes.items())
+
+
+def test_a_real_cost_move_below_the_threshold_rides_the_next_refresh():
+    """A latency estimate that really moved, by far less than
+    ``cost_change_threshold`` (so no metric tick re-announces it), is
+    still carried by the next periodic refresh, rounded to the grid."""
+    overlay = _golden_mesh()
+    overlay.start()
+    sim, config = overlay.sim, overlay.config
+    refresh = config.lsu_refresh
+    sim.run(until=refresh - 0.005)  # the last hellos before it have landed
+    node, peer = overlay.nodes["n00"], overlay.nodes["n01"]
+    link = node.links["n01"]
+    stored = peer.topo_db.record("n00")["n01"]
+    assert stored == link.cost()
+    link._rx[link.carrier].latency_est += 100e-6
+    moved = advertised_cost(link.latency_est, link.loss_est, config)
+    assert moved - stored == pytest.approx(100e-6, abs=1e-6)
+    assert moved - stored < config.cost_change_threshold * stored
+    seq = node._seqs["lsu"]
+    sim.run(until=refresh + 0.2)
+    assert node._seqs["lsu"] == seq + 1  # the refresh, and only it
+    assert peer.topo_db.record("n00")["n01"] == moved
